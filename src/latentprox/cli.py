@@ -1,7 +1,7 @@
 """Command-line surface: sample, train-score, design, project, diagnose.
 
-Exit codes: 0 success, 2 acceptance-check failure, 3 configuration error,
-4 numeric divergence.
+Exit codes: 0 success, 2 acceptance-check failure or a failed chain,
+3 configuration error, 4 numeric divergence (of the run or of one chain).
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ def _cmd_sample(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     manifest = run_experiment(cfg)
     _print_summary(manifest)
+    if any(err["divergence"] for err in manifest["chain_errors"]):
+        return EXIT_NUMERIC
     return EXIT_OK if manifest["ok"] else EXIT_CHECK_FAILED
 
 
@@ -57,6 +59,8 @@ def _print_summary(manifest: RunManifest) -> None:
     print(f"experiment: {manifest['experiment']}")
     out = Path(manifest["resolved_config"]["out"])
     print(f"manifest:   {out / 'manifest.json'}")
+    for err in manifest["chain_errors"]:
+        print(f"chain {err['chain']} failed: {err['error']}")
     for name, ok in manifest["checks"].items():
         print(f"check {name}: {'pass' if ok else 'FAIL'}")
     for name, rep in manifest["reports"].items():

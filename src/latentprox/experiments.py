@@ -299,20 +299,46 @@ def _violation_batch(con, X: np.ndarray) -> np.ndarray:
 
 
 def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
+    """Proximal correction of every row of Z whose decoded violation is at
+    least ``delta``; returns the corrected latents (Z itself is not changed).
+
+    Works on an active set: all rows are decoded and checked once, then only
+    the rows still at or above ``delta`` are updated, re-decoded and
+    re-checked.  A row that drops below ``delta`` is written back and never
+    touched again, so the set only shrinks.  Each row gets exactly the
+    updates of the all-rows loop: at most ``inner_cap``, with no check after
+    the last one, each along (x - P(x)) + (x - x0) / lambda.
+    """
     con = cfg.constraint
     W, b = cfg.decoder.weight, cfg.decoder.bias
-    X0 = Z @ W.T + b
+    X = Z @ W.T + b
+    idx = np.flatnonzero(_violation_batch(con, X) >= con.delta)
+    if not idx.size:
+        return Z
     lr = cfg.lr_at(t)
     lam = con.prox_weight
-    for _ in range(cfg.inner_cap):
-        X = Z @ W.T + b
-        v = _violation_batch(con, X)
-        mask = v >= con.delta
-        if not mask.any():
+    Z = Z.copy()
+    Za, X0 = Z[idx], X[idx]
+    Xa = X0
+    for k in range(cfg.inner_cap):
+        D = (Xa - _project_batch(con, Xa)) + (Xa - X0) / lam
+        Za = Za - lr * (D @ W)
+        if k + 1 == cfg.inner_cap:
             break
-        D = (X[mask] - _project_batch(con, X[mask]))             + (X[mask] - X0[mask]) / lam
-        Z = Z.copy()
-        Z[mask] = Z[mask] - lr * (D @ W)
+        # numpy multiplies a lone row on its vector path, whose low bits can
+        # differ from the matrix path that decoded the whole batch; a copy
+        # of the row keeps it on the matrix path
+        m = len(idx)
+        Zp = np.repeat(Za, 2, axis=0) if m == 1 < len(Z) else Za
+        Xp = Zp @ W.T + b
+        keep = (_violation_batch(con, Xp) >= con.delta)[:m]
+        Xa = Xp[:m]
+        if not keep.all():
+            Z[idx[~keep]] = Za[~keep]
+            idx, Za, Xa, X0 = idx[keep], Za[keep], Xa[keep], X0[keep]
+            if not idx.size:
+                break
+    Z[idx] = Za
     return Z
 
 
@@ -321,7 +347,10 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
 
     Same update rule as the per-chain sampler, batched for population-level
     experiments; restricted to linear decoders and closed-form constraint
-    kinds.  Returns the decoded (and optionally final-projected) samples.
+    kinds.  Corrections iterate only the chains that still violate (see
+    ``_correct_batch``), which gives the same samples as updating every row
+    and masking.  Returns the decoded (and optionally final-projected)
+    samples.
     """
     if cfg.mode != "proximal_latent" or cfg.decoder.kind != "linear":
         raise ConfigError("population sampling needs proximal_latent mode "

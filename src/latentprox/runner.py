@@ -27,7 +27,7 @@ from .decoders import (DecoderMap, estimate_lipschitz, linear_decoder,
 from .diagnostics import (BoundReport, GaussianFit, check_feasibility_contraction,
                           check_fidelity_drift, fit_gaussian, gaussian_kl)
 from .dpo import DpoConfig, design_loop, make_simulator
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DivergenceError, ParameterError
 from .samplers import SamplerConfig, chain_rng, sample
 from .schedules import NoiseSchedule, make_schedule
 from .scores import ScoreField, gaussian_mixture_field, linear_gaussian_field
@@ -418,7 +418,9 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
                     final, trace = future.result()
                 except Exception as exc:  # record, keep running other chains
                     errors.append({"chain": i,
-                                   "error": f"{type(exc).__name__}: {exc}"})
+                                   "error": f"{type(exc).__name__}: {exc}",
+                                   "divergence": isinstance(exc,
+                                                            DivergenceError)})
                     continue
                 trace.seed_lineage = (root_seed, i)
                 for row in trace.rows:
@@ -507,7 +509,8 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
         "summary": summary,
         "timing": {"started_unix": started,
                    "elapsed_s": time.time() - started},
-        "ok": all(checks.values()) if checks else True,
+        # a chain that raised fails the run even when every check passes
+        "ok": not errors and all(checks.values()),
     })
     manifest.save(out / "manifest.json")
     return manifest

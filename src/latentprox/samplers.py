@@ -250,9 +250,11 @@ def _run_correction(cfg, z, t, gamma, rng, trace):
     lr = cfg.lr_at(t)
     lam = con.prox_weight
     i = 0
-    v = C.violation(con, decode(dec, z))
+    # x is always decode(dec, z): the anchor at entry, then the decode that
+    # ends each iteration, which the next iteration starts from
+    x = x0
+    v = C.violation(con, x)
     while v >= con.delta and i < cfg.inner_cap:
-        x = decode(dec, z)
         correction, alm_report = _correction_direction(cfg, x, rng)
         if alm_report is not None:
             trace.alm_reports.append((t, i + 1, alm_report))

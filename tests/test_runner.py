@@ -189,6 +189,55 @@ def test_cli_check_failure_exit_code(tmp_path):
     assert cli_main(["sample", "--config", str(path)]) == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_divergent_chain_exit_code(tmp_path, capsys):
+    cfg = minimal_config(tmp_path / "run")
+    cfg["schedule"]["gamma_max"] = 1e300
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 4
+    assert "chain 0 failed: DivergenceError" in capsys.readouterr().out
+    stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert stored["ok"] is False
+    assert [e["divergence"] for e in stored["chain_errors"]] == [True, True]
+
+
+def test_cli_failed_chain_exit_code(tmp_path, monkeypatch):
+    import latentprox.runner as R
+    real_sample = R.sample
+
+    def sample_failing_chain_1(cfg, rng):
+        if rng.bit_generator.seed_seq.spawn_key == (1,):
+            raise ValueError("chain 1 broke")
+        return real_sample(cfg, rng)
+
+    monkeypatch.setattr(R, "sample", sample_failing_chain_1)
+    path = write_yaml(tmp_path / "cfg.yaml", minimal_config(tmp_path / "run"))
+    assert cli_main(["sample", "--config", str(path)]) == 2
+    stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert stored["ok"] is False and stored["checks"] == {}
+    assert stored["chain_errors"] == [
+        {"chain": 1, "error": "ValueError: chain 1 broke",
+         "divergence": False}]
+
+
+@pytest.mark.parametrize("name, preset, chains", [
+    ("porosity", EXP.porosity_config, None),
+    ("centroid", EXP.centroid_config, None),
+    ("design_loop", EXP.design_loop_config, None),
+    # the CLI presets run fewer (fidelity) or more (halfspace) chains than
+    # the experiments; everything else matches
+    ("fidelity", EXP.fidelity_config, (500, 10_000)),
+    ("halfspace_contraction", EXP.halfspace_contraction_config, (20, 1)),
+])
+def test_config_files_match_presets(name, preset, chains):
+    root = Path(__file__).resolve().parent.parent
+    stored = dict(load_config(root / "configs" / f"{name}.yaml").data)
+    expected = dict(RunConfig.from_dict(preset()).data)
+    if chains is not None:
+        assert (stored.pop("chains"), expected.pop("chains")) == chains
+    assert stored == expected
+
+
 def test_cli_project_roundtrip(tmp_path):
     from latentprox.serialize import load_vector, save_vector
     cfg = {"seed": 0, "out": str(tmp_path / "o"),
