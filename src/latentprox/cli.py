@@ -13,12 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from . import constraints as C
-from .decoders import estimate_lipschitz
-from .diagnostics import BoundRecord, BoundReport
+from .diagnostics import check_run_contraction
 from .errors import ConfigError, DivergenceError, NumericError
 from .runner import (RunConfig, RunManifest, build_constraint, build_decoder,
-                     build_schedule, load_config, run_design, run_experiment)
-from .schedules import NoiseSchedule
+                     build_schedule, load_config, load_traces, run_design,
+                     run_experiment)
 from .scores import MlpScoreConfig, train_score
 from .serialize import load_vector, save_score_field, save_vector
 
@@ -126,16 +125,15 @@ def _cmd_diagnose(args) -> int:
     cfg = RunConfig.from_dict(manifest["resolved_config"])
     spec = build_constraint(cfg["constraint"])
     decoder = build_decoder(cfg["decoder"])
-    schedule = build_schedule(cfg["schedule"])
-    if decoder is not None and decoder.lipschitz_bound is None:
-        estimate_lipschitz(decoder, int(cfg["decoder"]["lipschitz_probes"]),
-                           np.random.default_rng(int(cfg["seed"])))
-    rows = _load_metrics(run_dir / "metrics.csv")
-    if spec is None or decoder is None:
-        print("run has no constraint/decoder; nothing to diagnose")
+    traces = load_traces(run_dir / "metrics.csv")
+    if spec is None or decoder is None or not traces:
+        print("run has no constraint/decoder or no completed chain; "
+              "nothing to diagnose")
         return EXIT_OK
-    report = _contraction_from_rows(rows, decoder, schedule, args.beta,
-                                    smoothness=spec.smoothness)
+    # the bound the run measured, so the report is the run's own
+    decoder.lipschitz_bound = manifest["measured"]["lipschitz"]
+    beta = cfg["reports"]["beta"] if args.beta is None else args.beta
+    report = check_run_contraction(traces, spec, decoder, beta=float(beta))
     print(f"transitions: {len(report.records)}  fraction_holding: "
           f"{report.fraction_holding:.4f}  G: {report.G:.4f}  "
           f"precondition_ok: {report.precondition_ok}")
@@ -143,46 +141,6 @@ def _cmd_diagnose(args) -> int:
     if threshold is not None and report.fraction_holding < threshold:
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def _load_metrics(path: Path):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append(dict(zip(header, parts)))
-    return rows
-
-
-def _contraction_from_rows(rows, decoder, schedule: NoiseSchedule,
-                           beta: float, smoothness: float = 1.0) -> BoundReport:
-    """Bound check reconstructed from the stored metrics stream."""
-    by_chain: dict = {}
-    for r in rows:
-        by_chain.setdefault(r["chain"], []).append(r)
-    G = max((float(r["score_norm"]) for r in rows
-             if r["phase"] == "langevin"), default=0.0)
-    ell = decoder.lipschitz_bound
-    beta_prime = beta / (ell * smoothness)
-    report = BoundReport(G=G, lipschitz=ell, beta=beta, beta_prime=beta_prime,
-                         smoothness=smoothness)
-    for chain_rows in by_chain.values():
-        pre = []
-        for k, r in enumerate(chain_rows):
-            if r["phase"] != "langevin":
-                continue
-            nxt = chain_rows[k + 1] if k + 1 < len(chain_rows) else None
-            if nxt is None or nxt["phase"] != "langevin" or nxt["t"] != r["t"]:
-                pre.append(r)
-        for prev, cur in zip(pre[:-1], pre[1:]):
-            gamma = float(prev["gamma"])
-            lhs = float(cur["dist"]) ** 2
-            rhs = (1.0 - 2.0 * beta_prime * gamma) * float(prev["dist"]) ** 2 \
-                + gamma ** 2 * G ** 2
-            report.records.append(BoundRecord(t=int(cur["t"]), lhs=lhs,
-                                              rhs=rhs))
-    return report
 
 
 def main(argv=None) -> int:
@@ -227,7 +185,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("diagnose", help="bound checks over a stored run")
     p.add_argument("--run", required=True)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=None,
+                   help="contraction constant (default: the run's "
+                        "reports.beta)")
     p.add_argument("--min-fraction", type=float, default=None)
     p.set_defaults(fn=_cmd_diagnose)
 

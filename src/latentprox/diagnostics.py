@@ -14,7 +14,7 @@ Gaussian moment fits, which is exact for linear-Gaussian suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,6 +99,25 @@ def check_feasibility_contraction(trace: SampleTrace,
             + gamma ** 2 * G ** 2
         report.records.append(BoundRecord(t=cur.t, lhs=lhs, rhs=rhs))
     return report
+
+
+def check_run_contraction(traces, constraint: C.ConstraintSpec,
+                          decoder: DecoderMap,
+                          beta: float = 1.0) -> BoundReport:
+    """Contraction check over every chain of a run, merged into one report.
+
+    Each chain is checked against its own G.  The merged report holds every
+    transition and the largest G; its precondition holds only when it holds
+    for every chain.
+    """
+    reports = [check_feasibility_contraction(t, constraint, decoder, beta)
+               for t in traces]
+    if not reports:
+        raise ParameterError("no traces to check")
+    return replace(reports[0],
+                   records=[rec for r in reports for rec in r.records],
+                   G=max(r.G for r in reports),
+                   precondition_ok=all(r.precondition_ok for r in reports))
 
 
 def feasibility_hitting_level(trace: SampleTrace, threshold: float) -> int | None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import difflib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,11 +23,11 @@ from . import constraints as C
 from .alm import AlmState
 from .decoders import (DecoderMap, estimate_lipschitz, linear_decoder,
                        random_linear_decoder, random_mlp_decoder)
-from .diagnostics import (BoundReport, GaussianFit, check_feasibility_contraction,
-                          check_fidelity_drift, fit_gaussian, gaussian_kl)
+from .diagnostics import (BoundReport, GaussianFit, check_fidelity_drift,
+                          check_run_contraction, fit_gaussian, gaussian_kl)
 from .dpo import DpoConfig, design_loop, make_simulator
 from .errors import ConfigError, DivergenceError, ParameterError
-from .samplers import SamplerConfig, chain_rng, sample
+from .samplers import SampleTrace, SamplerConfig, TraceRow, chain_rng, sample
 from .schedules import NoiseSchedule, make_schedule
 from .scores import ScoreField, gaussian_mixture_field, linear_gaussian_field
 from .serialize import (load_decoder, load_score_field, save_decoder,
@@ -46,7 +45,6 @@ SCHEMA = {
     "seed": REQUIRED,
     "chains": 1,
     "out": REQUIRED,
-    "workers": 1,
     "schedule": {"T": 20, "abar_start": 1.0, "abar_end": 0.02,
                  "gamma_max": 0.05, "gamma_min": 0.005, "M": 1},
     "score": {"kind": REQUIRED, "mean": None, "cov": None, "weights": None,
@@ -349,6 +347,24 @@ def _metrics_row(chain: int, row) -> str:
             f"{_fmt(row.score_norm)},{_fmt(row.violation)},{_fmt(row.dist)}")
 
 
+def load_traces(path) -> list[SampleTrace]:
+    """One trace per chain, in chain order, rebuilt from a metrics.csv.
+
+    The floats are written with repr, so they read back exactly; the rows
+    carry no vectors.
+    """
+    traces: dict = {}
+    with open(path) as fh:
+        fh.readline()  # header
+        for line in fh:
+            chain, t, i, phase, *floats = line.rstrip("\n").split(",")
+            gamma, score_norm, violation, dist = map(float, floats)
+            traces.setdefault(chain, SampleTrace()).rows.append(TraceRow(
+                t=int(t), i=int(i), phase=phase, gamma=gamma,
+                score_norm=score_norm, violation=violation, dist=dist))
+    return list(traces.values())
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce and audit a run."""
@@ -397,47 +413,38 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     save_score_field(sampler_cfg.score, out / "score.json")
 
     chains = int(cfg["chains"])
-    workers = max(1, int(cfg["workers"]))
     root_seed = int(cfg["seed"])
     finals, traces, errors = [], [], []
     samples_dir = out / "samples"
     samples_dir.mkdir(exist_ok=True)
 
-    def run_chain(i):
-        return sample(sampler_cfg, chain_rng(root_seed, i))
-
     alm_rows = []
     with open(out / "metrics.csv", "w") as metrics:
         metrics.write(METRICS_HEADER + "\n")
-        # chains are independent; results are written in chain order so the
-        # metrics stream is byte-identical for any worker count
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_chain, i) for i in range(chains)]
-            for i, future in enumerate(futures):
-                try:
-                    final, trace = future.result()
-                except Exception as exc:  # record, keep running other chains
-                    errors.append({"chain": i,
-                                   "error": f"{type(exc).__name__}: {exc}",
-                                   "divergence": isinstance(exc,
-                                                            DivergenceError)})
-                    continue
-                trace.seed_lineage = (root_seed, i)
-                for row in trace.rows:
-                    metrics.write(_metrics_row(i, row) + "\n")
-                metrics.flush()
-                finals.append(final)
-                traces.append(trace)
-                for t, it, rep in trace.alm_reports:
-                    alm_rows.append(
-                        f"{i},{t},{it},{rep.outer_iterations},"
-                        f"{rep.inner_iterations},{_fmt(rep.final_violation)},"
-                        f"{_fmt(rep.final_multiplier)},"
-                        f"{_fmt(rep.final_penalty)}")
-                save_vector(final, samples_dir / f"chain_{i:04d}.txt")
-                if constraint is not None and constraint.kind == "porosity":
-                    render_grid(final.reshape(constraint.grid_shape),
-                                samples_dir / f"chain_{i:04d}.pgm")
+        for i in range(chains):
+            try:
+                final, trace = sample(sampler_cfg, chain_rng(root_seed, i))
+            except Exception as exc:  # record, keep running other chains
+                errors.append({"chain": i,
+                               "error": f"{type(exc).__name__}: {exc}",
+                               "divergence": isinstance(exc, DivergenceError)})
+                continue
+            trace.seed_lineage = (root_seed, i)
+            for row in trace.rows:
+                metrics.write(_metrics_row(i, row) + "\n")
+            metrics.flush()
+            finals.append(final)
+            traces.append(trace)
+            for t, it, rep in trace.alm_reports:
+                alm_rows.append(
+                    f"{i},{t},{it},{rep.outer_iterations},"
+                    f"{rep.inner_iterations},{_fmt(rep.final_violation)},"
+                    f"{_fmt(rep.final_multiplier)},"
+                    f"{_fmt(rep.final_penalty)}")
+            save_vector(final, samples_dir / f"chain_{i:04d}.txt")
+            if constraint is not None and constraint.kind == "porosity":
+                render_grid(final.reshape(constraint.grid_shape),
+                            samples_dir / f"chain_{i:04d}.pgm")
     if alm_rows:
         (out / "alm.csv").write_text(ALM_HEADER + "\n"
                                      + "\n".join(alm_rows) + "\n")
@@ -458,18 +465,8 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
         }
     rep_cfg = cfg["reports"]
     if rep_cfg["contraction"] and constraint is not None and traces:
-        per_chain = [check_feasibility_contraction(
-            t, constraint, decoder, beta=float(rep_cfg["beta"]))
-            for t in traces]
-        held = sum(sum(r.holds for r in rep.records) for rep in per_chain)
-        total = sum(len(rep.records) for rep in per_chain)
-        reports["contraction"] = {
-            "fraction_holding": held / total if total else 1.0,
-            "transitions": total,
-            "precondition_ok": all(r.precondition_ok for r in per_chain),
-            "G": measured["G"],
-            "lipschitz": measured.get("lipschitz"),
-        }
+        reports["contraction"] = _report_doc(check_run_contraction(
+            traces, constraint, decoder, beta=float(rep_cfg["beta"])))
     if rep_cfg["fidelity"] and traces and \
             sampler_cfg.score.kind == "linear_gaussian":
         reports["fidelity"] = _fidelity_report(sampler_cfg, traces)

@@ -133,8 +133,11 @@ class SamplerConfig:
 
 def langevin_step(z, score_field: ScoreField, t: int, gamma: float,
                   rng: np.random.Generator,
-                  noise_scale: float = 1.0) -> np.ndarray:
-    """One step z + gamma * s(z, t) + sqrt(2 gamma) * eps."""
+                  noise_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """One step z + gamma * s(z, t) + sqrt(2 gamma) * eps.
+
+    Returns the new state and the score s(z, t) the step used.
+    """
     if gamma <= 0:
         raise ParameterError("gamma must be positive")
     z = np.asarray(z, dtype=float)
@@ -143,7 +146,7 @@ def langevin_step(z, score_field: ScoreField, t: int, gamma: float,
     out = z + gamma * s + np.sqrt(2.0 * gamma) * noise_scale * eps
     if not np.isfinite(out).all():
         raise DivergenceError(f"langevin step diverged at level {t}")
-    return out
+    return out, s
 
 
 def _constraint_stats(con, x):
@@ -163,11 +166,7 @@ def sample_unconstrained(cfg: SamplerConfig,
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         for i in range(1, sched.inner_steps + 1):
-            s = score(cfg.score, z, t)
-            eps = rng.standard_normal(z.shape)
-            z = z + gamma * s + np.sqrt(2.0 * gamma) * cfg.noise_scale * eps
-            if not np.isfinite(z).all():
-                raise DivergenceError(f"chain diverged at level {t}")
+            z, s = langevin_step(z, cfg.score, t, gamma, rng, cfg.noise_scale)
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="langevin", gamma=gamma,
                 score_norm=float(np.linalg.norm(s)),
@@ -193,12 +192,8 @@ def sample_projected_ambient(cfg: SamplerConfig,
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         for i in range(1, sched.inner_steps + 1):
-            s = score(cfg.score, x, t)
-            eps = rng.standard_normal(x.shape)
-            x = x + gamma * s + np.sqrt(2.0 * gamma) * cfg.noise_scale * eps
+            x, s = langevin_step(x, cfg.score, t, gamma, rng, cfg.noise_scale)
             x = C.project_exact(con, x)
-            if not np.isfinite(x).all():
-                raise DivergenceError(f"chain diverged at level {t}")
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="langevin", gamma=gamma,
                 score_norm=float(np.linalg.norm(s)),
@@ -240,11 +235,13 @@ def _correction_active(cfg: SamplerConfig, t: int, x0: np.ndarray) -> bool:
     return True
 
 
-def _run_correction(cfg, z, t, gamma, rng, trace):
-    """Inner while-loop of the correction algorithm; returns the new latent."""
+def _run_correction(cfg, z, x0, t, gamma, rng, trace):
+    """Inner while-loop of the correction algorithm; returns the new latent.
+
+    x0 is decode(cfg.decoder, z), the anchor the prox term pulls toward.
+    """
     con = cfg.constraint
     dec = cfg.decoder
-    x0 = decode(dec, z)
     if not _correction_active(cfg, t, x0):
         return z
     lr = cfg.lr_at(t)
@@ -288,11 +285,7 @@ def sample_proximal_latent(cfg: SamplerConfig,
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         for i in range(1, sched.inner_steps + 1):
-            s = score(cfg.score, z, t)
-            eps = rng.standard_normal(z.shape)
-            z = z + gamma * s + np.sqrt(2.0 * gamma) * cfg.noise_scale * eps
-            if not np.isfinite(z).all():
-                raise DivergenceError(f"chain diverged at level {t}")
+            z, s = langevin_step(z, cfg.score, t, gamma, rng, cfg.noise_scale)
             x = decode(dec, z)
             v, d = _constraint_stats(con, x)
             trace.rows.append(TraceRow(
@@ -301,9 +294,10 @@ def sample_proximal_latent(cfg: SamplerConfig,
                 z=z.copy() if cfg.record_vectors else None,
                 x=x.copy() if cfg.record_vectors else None))
             if cfg.correct_every_step and con is not None:
-                z = _run_correction(cfg, z, t, gamma, rng, trace)
+                z = _run_correction(cfg, z, x, t, gamma, rng, trace)
         if con is not None and not cfg.correct_every_step:
-            z = _run_correction(cfg, z, t, gamma, rng, trace)
+            # x is the decode of the level's last Langevin step
+            z = _run_correction(cfg, z, x, t, gamma, rng, trace)
     x = decode(dec, z)
     if cfg.final_projection and con is not None and C.has_exact_projection(con):
         x = C.project_exact(con, x)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,6 @@ def test_minimal_config_resolves_defaults(tmp_path):
     assert cfg["sampler"]["final_projection"] is True
     assert cfg["schedule"]["abar_start"] == 1.0
     assert cfg["reports"]["contraction"] is False
-    assert cfg["workers"] == 1
 
 
 def test_unknown_key_suggestion():
@@ -199,6 +199,34 @@ def test_cli_divergent_chain_exit_code(tmp_path, capsys):
     stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert stored["ok"] is False
     assert [e["divergence"] for e in stored["chain_errors"]] == [True, True]
+    assert cli_main(["diagnose", "--run", str(tmp_path / "run")]) == 0
+    assert "no completed chain" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_divergent_projected_chain_exit_code(tmp_path):
+    cfg = minimal_config(tmp_path / "run")
+    cfg["schedule"]["gamma_max"] = 1e300
+    del cfg["decoder"]
+    cfg["constraint"] = {"kind": "halfspace", "normal": [1.0, 0.0],
+                         "offset": 0.5}
+    cfg["sampler"] = {"mode": "projected_ambient"}
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 4
+    stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert [e["divergence"] for e in stored["chain_errors"]] == [True, True]
+
+
+def test_caller_errstate_reaches_the_chains(tmp_path):
+    raw = minimal_config(tmp_path / "run")
+    raw["schedule"]["gamma_max"] = 1e300
+    with warnings.catch_warnings(), \
+            np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        manifest = run_experiment(RunConfig.from_dict(raw))
+    errors = manifest["chain_errors"]
+    assert len(errors) == 2
+    assert all(e["error"].startswith("DivergenceError") for e in errors)
 
 
 def test_cli_failed_chain_exit_code(tmp_path, monkeypatch):
@@ -238,6 +266,25 @@ def test_config_files_match_presets(name, preset, chains):
     assert stored == expected
 
 
+@pytest.mark.parametrize("preset", [
+    lambda out: dict(EXP.porosity_config(seed=1, chains=3, grid=(8, 8),
+                                         out=out),
+                     reports={"contraction": True}),
+    lambda out: EXP.halfspace_contraction_config(seed=3, chains=10,
+                                                 noise_scale=1.0, out=out),
+], ids=["porosity", "halfspace"])
+def test_cli_diagnose_matches_manifest(tmp_path, capsys, preset):
+    out = tmp_path / "run"
+    manifest = run_experiment(RunConfig.from_dict(preset(str(out))))
+    rep = manifest["reports"]["contraction"]
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert f"transitions: {rep['transitions']} " in printed
+    assert f"fraction_holding: {rep['fraction_holding']:.4f} " in printed
+    assert f"precondition_ok: {rep['precondition_ok']}" in printed
+
+
 def test_cli_project_roundtrip(tmp_path):
     from latentprox.serialize import load_vector, save_vector
     cfg = {"seed": 0, "out": str(tmp_path / "o"),
@@ -274,13 +321,15 @@ def test_cli_train_score(tmp_path):
     assert f.kind == "mlp" and f.dim == 2
 
 
-def test_workers_do_not_change_metrics_bytes(tmp_path):
-    raw = minimal_config(tmp_path / "w1")
-    run_experiment(RunConfig.from_dict(raw))
-    raw4 = dict(minimal_config(tmp_path / "w4"), workers=4, chains=2)
-    run_experiment(RunConfig.from_dict(raw4))
-    assert (tmp_path / "w1" / "metrics.csv").read_bytes() == \
-        (tmp_path / "w4" / "metrics.csv").read_bytes()
+def test_extra_chains_do_not_change_earlier_metrics(tmp_path):
+    # each chain draws from its own stream, so adding chains only appends rows
+    run_experiment(RunConfig.from_dict(minimal_config(tmp_path / "c2")))
+    raw3 = dict(minimal_config(tmp_path / "c3"), chains=3)
+    run_experiment(RunConfig.from_dict(raw3))
+    rows2 = (tmp_path / "c2" / "metrics.csv").read_text().splitlines()
+    rows3 = (tmp_path / "c3" / "metrics.csv").read_text().splitlines()
+    assert len(rows3) > len(rows2)
+    assert rows3[:len(rows2)] == rows2
 
 
 def test_porosity_error_report_and_count_in_manifest(tmp_path):

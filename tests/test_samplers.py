@@ -27,7 +27,7 @@ def test_langevin_step_pure_noise():
     # enormous covariance makes the score ~0; gamma = 0.5 gives noise scale 1
     z = np.array([0.4, -0.6])
     rng = np.random.default_rng(0)
-    out = langevin_step(z, f, 1, 0.5, rng)
+    out, s = langevin_step(z, f, 1, 0.5, rng)
     eps = np.random.default_rng(0).standard_normal(2)
     assert np.allclose(out, z + 0.5 * (-z / 1e12 * 0 + 0) + eps, atol=1e-9)
 
@@ -36,7 +36,7 @@ def test_langevin_step_zero_score_at_mode():
     sched = small_schedule()
     f = standard_normal_field(2, sched)
     rng = np.random.default_rng(1)
-    out = langevin_step(np.zeros(2), f, 0, 0.3, rng)
+    out, s = langevin_step(np.zeros(2), f, 0, 0.3, rng)
     eps = np.random.default_rng(1).standard_normal(2)
     assert np.allclose(out, np.sqrt(0.6) * eps)
 
@@ -46,7 +46,7 @@ def test_langevin_drift_only_contracts():
     f = standard_normal_field(3, sched)
     z = np.array([1.0, -2.0, 0.5])
     for gamma in (0.1, 0.5, 0.9):
-        out = langevin_step(z, f, 0, gamma, np.random.default_rng(0),
+        out, s = langevin_step(z, f, 0, gamma, np.random.default_rng(0),
                             noise_scale=0.0)
         assert np.linalg.norm(out) < np.linalg.norm(z)
 
