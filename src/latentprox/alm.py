@@ -74,14 +74,17 @@ def alm_project(anchor, g, grad_g, state: AlmState) -> tuple[np.ndarray, AlmRepo
     mu = state.penalty
     inner_total = 0
     best_y = y.copy()
-    best_v = float(g(y))
+    # v is g(y) throughout: each accepted line-search trial carries its value
+    # into the next inner iteration, the multiplier update and the next
+    # outer check, so g is evaluated once per point
+    v = float(g(y))
+    best_v = v
 
     def lagrangian(pt, v):
         # squared distance inside the optimization; see module docstring
         return 0.5 * float((pt - anchor) @ (pt - anchor)) + lam * v + 0.5 * mu * v * v
 
     for outer in range(state.max_outer + 1):
-        v = float(g(y))
         if v < best_v:
             best_v, best_y = v, y.copy()
         if v < state.tol:
@@ -94,22 +97,22 @@ def alm_project(anchor, g, grad_g, state: AlmState) -> tuple[np.ndarray, AlmRepo
         if outer == state.max_outer:
             break
         for _ in range(state.max_inner):
-            v_cur = float(g(y))
-            grad = (y - anchor) + (lam + mu * v_cur) * np.asarray(grad_g(y), float)
+            grad = (y - anchor) + (lam + mu * v) * np.asarray(grad_g(y), float)
             gnorm = float(np.linalg.norm(grad))
             if gnorm <= 1e-12:
                 break
             inner_total += 1
             # fixed-step descent, halved when the penalty makes it unstable
             step = state.inner_step
-            base = lagrangian(y, v_cur)
+            base = lagrangian(y, v)
             for _ in range(40):
                 y_new = y - step * grad
-                if lagrangian(y_new, float(g(y_new))) <= base + 1e-15:
+                v_new = float(g(y_new))
+                if lagrangian(y_new, v_new) <= base + 1e-15:
                     break
                 step *= 0.5
-            y = y_new
-        lam = lam + mu * float(g(y))
+            y, v = y_new, v_new
+        lam = lam + mu * v
         mu = min(state.growth * mu, state.penalty_cap)
 
     report = AlmReport(outer_iterations=state.max_outer,

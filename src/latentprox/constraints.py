@@ -286,9 +286,8 @@ def _as_point(x) -> np.ndarray:
     return x
 
 
-def violation(spec: ConstraintSpec, x) -> float:
-    """Non-negative violation g(x); zero (within delta) on feasible points."""
-    x = _as_point(x)
+def _violation(spec: ConstraintSpec, x: np.ndarray) -> float:
+    """g(x) of a point already checked by ``_as_point``."""
     if spec.kind == "halfspace":
         return float(max(spec.normal @ x - spec.offset, 0.0))
     if spec.kind == "l2_ball":
@@ -297,8 +296,11 @@ def violation(spec: ConstraintSpec, x) -> float:
     if spec.kind == "box":
         return float(np.linalg.norm(x - np.clip(x, spec.lower, spec.upper)))
     if spec.kind == "porosity":
-        grid = np.clip(x.reshape(spec.grid_shape), -1.0, 1.0)
-        return float(abs(porosity(grid) - spec.target_count))
+        # clamping into the pixel box keeps every sign, so the count of the
+        # clamped grid is the count of the raw values
+        grid = x.reshape(spec.grid_shape)
+        return float(abs(int(np.count_nonzero(grid < 0.0))
+                         - spec.target_count))
     if spec.kind == "surrogate_centroid":
         p = pc_coordinates(spec.model, x)
         d = np.linalg.norm(p - spec.model.target_centroid)
@@ -306,6 +308,11 @@ def violation(spec: ConstraintSpec, x) -> float:
     if spec.kind == "custom_g":
         return float(spec.g(x))
     raise ConfigError(f"unknown constraint kind {spec.kind!r}")
+
+
+def violation(spec: ConstraintSpec, x) -> float:
+    """Non-negative violation g(x); zero (within delta) on feasible points."""
+    return _violation(spec, _as_point(x))
 
 
 def violation_gradient(spec: ConstraintSpec, x) -> np.ndarray:
@@ -347,14 +354,7 @@ def has_exact_projection(spec: ConstraintSpec) -> bool:
     return spec.kind in ("halfspace", "l2_ball", "box", "porosity")
 
 
-def project_closed_form(spec: ConstraintSpec, x) -> np.ndarray:
-    """Euclidean projection for halfspace, l2_ball, and box kinds.
-
-    Results land exactly on the feasible side (a couple of rounding-residual
-    fixups), so violation(result) is exactly 0 and the projection is
-    bit-exactly idempotent.
-    """
-    x = _as_point(x)
+def _project_closed_form(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "halfspace":
         a = spec.normal
         sq = a @ a
@@ -381,6 +381,27 @@ def project_closed_form(spec: ConstraintSpec, x) -> np.ndarray:
         f"no closed-form projection for kind {spec.kind!r}")
 
 
+def project_closed_form(spec: ConstraintSpec, x) -> np.ndarray:
+    """Euclidean projection for halfspace, l2_ball, and box kinds.
+
+    Results land exactly on the feasible side (a couple of rounding-residual
+    fixups), so violation(result) is exactly 0 and the projection is
+    bit-exactly idempotent.
+    """
+    return _project_closed_form(spec, _as_point(x))
+
+
+def _project_exact(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
+    """``project_exact`` of a point already checked by ``_as_point``."""
+    if spec.kind == "porosity":
+        # choose flip sets on the unclamped values so costs stay L1-optimal,
+        # then clamp into the pixel box
+        flat = _count_adjust(x.reshape(spec.grid_shape).ravel(),
+                             spec.target_count, spec.margin)
+        return np.clip(flat, -1.0, 1.0).reshape(x.shape)
+    return _project_closed_form(spec, x)
+
+
 def project_exact(spec: ConstraintSpec, x) -> np.ndarray:
     """Exact projection for any kind that has one (closed-form or porosity).
 
@@ -388,14 +409,7 @@ def project_exact(spec: ConstraintSpec, x) -> np.ndarray:
     can only arise from decoded intermediates, and the clamp composes with the
     count correction to solve the boxed program.
     """
-    if spec.kind == "porosity":
-        x = _as_point(x)
-        # choose flip sets on the unclamped values so costs stay L1-optimal,
-        # then clamp into the pixel box
-        flat = _count_adjust(x.reshape(spec.grid_shape).ravel(),
-                             spec.target_count, spec.margin)
-        return np.clip(flat, -1.0, 1.0).reshape(x.shape)
-    return project_closed_form(spec, x)
+    return _project_exact(spec, _as_point(x))
 
 
 def dist_to_set(spec: ConstraintSpec, x) -> float:
@@ -406,8 +420,28 @@ def dist_to_set(spec: ConstraintSpec, x) -> float:
         return violation(spec, x)  # these violations are already distances
     if spec.kind == "porosity":
         x = _as_point(x)
-        return float(np.linalg.norm(x - project_exact(spec, x)))
+        return float(np.linalg.norm(x - _project_exact(spec, x)))
     return violation(spec, x)
+
+
+def evaluate(spec: ConstraintSpec, x) -> tuple[float, float, np.ndarray | None]:
+    """``(violation, dist, residual)`` of x from one check and one projection.
+
+    The three values equal ``violation(spec, x)``, ``dist_to_set(spec, x)``
+    and ``x - project_exact(spec, x)`` bit for bit.  The residual is the
+    closed-form correction direction at x; kinds without an exact projection
+    return None for it and their violation as the distance.
+    """
+    x = _as_point(x)
+    v = _violation(spec, x)
+    if not has_exact_projection(spec):
+        return v, v, None
+    residual = x - _project_exact(spec, x)
+    if spec.kind == "halfspace":
+        return v, v / float(np.linalg.norm(spec.normal)), residual
+    if spec.kind == "porosity":
+        return v, float(np.linalg.norm(residual)), residual
+    return v, v, residual
 
 
 def prox(spec: ConstraintSpec, x, weight: float | None = None) -> np.ndarray:

@@ -97,9 +97,12 @@ def _check_latent(m: DecoderMap, z) -> np.ndarray:
     return z
 
 
-def decode(m: DecoderMap, z) -> np.ndarray:
-    """Apply D(z)."""
-    z = _check_latent(m, z)
+def decode_unchecked(m: DecoderMap, z: np.ndarray) -> np.ndarray:
+    """D(z) for a float latent of the right shape, known to be finite.
+
+    The checked ``decode`` is this plus ``_check_latent``; loops that
+    validate their latent once per update call this one.
+    """
     if m.kind == "linear":
         return m.weight @ z + m.bias
     a = z
@@ -107,6 +110,11 @@ def decode(m: DecoderMap, z) -> np.ndarray:
         a = np.tanh(W @ a + b)
     W, b = m.layers[-1]
     return W @ a + b
+
+
+def decode(m: DecoderMap, z) -> np.ndarray:
+    """Apply D(z)."""
+    return decode_unchecked(m, _check_latent(m, z))
 
 
 def decode_batch(m: DecoderMap, Z: np.ndarray) -> np.ndarray:
@@ -121,12 +129,11 @@ def decode_batch(m: DecoderMap, Z: np.ndarray) -> np.ndarray:
     return A @ W.T + b
 
 
-def vjp(m: DecoderMap, z, v) -> np.ndarray:
-    """Pull an ambient covector back through the Jacobian: J(z)^T v."""
-    z = _check_latent(m, z)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (m.ambient_dim,):
-        raise ShapeError(f"covector of shape {v.shape}, expected ({m.ambient_dim},)")
+def vjp_unchecked(m: DecoderMap, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J(z)^T v for a checked latent and a float covector of ambient shape.
+
+    The checked ``vjp`` is this plus the input checks.
+    """
     if m.kind == "linear":
         return m.weight.T @ v
     activations = [z]
@@ -138,6 +145,15 @@ def vjp(m: DecoderMap, z, v) -> np.ndarray:
     for (W, b), a in zip(reversed(m.layers[:-1]), reversed(activations[1:])):
         g = W.T @ (g * (1.0 - a ** 2))
     return g
+
+
+def vjp(m: DecoderMap, z, v) -> np.ndarray:
+    """Pull an ambient covector back through the Jacobian: J(z)^T v."""
+    z = _check_latent(m, z)
+    v = np.asarray(v, dtype=float)
+    if v.shape != (m.ambient_dim,):
+        raise ShapeError(f"covector of shape {v.shape}, expected ({m.ambient_dim},)")
+    return vjp_unchecked(m, z, v)
 
 
 def _jvp_fd(m: DecoderMap, z: np.ndarray, u: np.ndarray,

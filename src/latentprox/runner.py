@@ -472,8 +472,12 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
         reports["fidelity"] = _fidelity_report(sampler_cfg, traces)
 
     checks = _run_checks(cfg, sampler_cfg, finals, traces, reports)
+    counters = _trace_counters(traces)
     summary = [f"experiment {cfg['experiment']}: {len(finals)}/{chains} "
-               f"chains completed"]
+               f"chains completed",
+               f"counters: {counters['langevin_steps']} Langevin steps, "
+               f"{counters['correction_iterations']} correction iterations, "
+               f"{counters['shortfalls']} shortfall(s)"]
     for name, rep in reports.items():
         if "fraction_holding" in rep:
             summary.append(f"{name}: {rep['fraction_holding']:.4f} of "
@@ -502,6 +506,7 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
             "samples": sorted(p.name for p in samples_dir.iterdir()),
         },
         "reports": reports,
+        "counters": counters,
         "checks": checks,
         "summary": summary,
         "timing": {"started_unix": started,
@@ -511,6 +516,18 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     })
     manifest.save(out / "manifest.json")
     return manifest
+
+
+def _trace_counters(traces) -> dict:
+    """Work done by the completed chains, counted from their traces.
+
+    A shortfall is a correction loop that stopped at ``inner_cap`` with the
+    violation still at or above ``delta``.
+    """
+    phases = [row.phase for trace in traces for row in trace.rows]
+    return {"langevin_steps": phases.count("langevin"),
+            "correction_iterations": phases.count("correction"),
+            "shortfalls": sum(len(trace.shortfalls) for trace in traces)}
 
 
 def _fidelity_report(sampler_cfg: SamplerConfig, traces) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import constraints as C
 from .alm import AlmState, alm_project
-from .decoders import DecoderMap, decode, vjp
+from .decoders import DecoderMap, decode, decode_unchecked, vjp_unchecked
 from .dpo import DpoConfig, Simulator, dpo_loss_grad
 from .errors import (AlmNonConvergence, ConfigError, DivergenceError,
                      ParameterError)
@@ -149,10 +149,7 @@ def langevin_step(z, score_field: ScoreField, t: int, gamma: float,
     return out, s
 
 
-def _constraint_stats(con, x):
-    if con is None:
-        return float("nan"), float("nan")
-    return C.violation(con, x), C.dist_to_set(con, x)
+_NO_EVALUATION = (float("nan"), float("nan"), None)
 
 
 def sample_unconstrained(cfg: SamplerConfig,
@@ -194,22 +191,26 @@ def sample_projected_ambient(cfg: SamplerConfig,
         for i in range(1, sched.inner_steps + 1):
             x, s = langevin_step(x, cfg.score, t, gamma, rng, cfg.noise_scale)
             x = C.project_exact(con, x)
+            v, d, _ = C.evaluate(con, x)
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="langevin", gamma=gamma,
-                score_norm=float(np.linalg.norm(s)),
-                violation=C.violation(con, x), dist=C.dist_to_set(con, x),
+                score_norm=float(np.linalg.norm(s)), violation=v, dist=d,
                 x=x.copy() if cfg.record_vectors else None))
     trace.final_latent = None
     trace.final_sample = x.copy()
     return x, trace
 
 
-def _correction_direction(cfg: SamplerConfig, x: np.ndarray,
+def _correction_direction(cfg: SamplerConfig, x: np.ndarray, residual,
                           rng: np.random.Generator):
-    """Ambient gradient of the constraint-correction term at x."""
+    """Ambient gradient of the constraint-correction term at x.
+
+    ``residual`` is x - project_exact(x) from x's evaluation, which is the
+    closed-form direction.
+    """
     con = cfg.constraint
     if cfg.solver == "closed_form":
-        return x - C.project_exact(con, x), None
+        return residual, None
     if cfg.solver == "alm":
         try:
             y, rep = alm_project(x, lambda p: C.violation(con, p),
@@ -235,10 +236,13 @@ def _correction_active(cfg: SamplerConfig, t: int, x0: np.ndarray) -> bool:
     return True
 
 
-def _run_correction(cfg, z, x0, t, gamma, rng, trace):
+def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
     """Inner while-loop of the correction algorithm; returns the new latent.
 
-    x0 is decode(cfg.decoder, z), the anchor the prox term pulls toward.
+    x0 is decode(cfg.decoder, z), the anchor the prox term pulls toward, and
+    ``evaluation`` is C.evaluate(cfg.constraint, x0).  Every decoded point is
+    evaluated once; z is finite on entry and checked after every update, so
+    the decoder kernels run unchecked.
     """
     con = cfg.constraint
     dec = cfg.decoder
@@ -250,21 +254,21 @@ def _run_correction(cfg, z, x0, t, gamma, rng, trace):
     # x is always decode(dec, z): the anchor at entry, then the decode that
     # ends each iteration, which the next iteration starts from
     x = x0
-    v = C.violation(con, x)
+    v, d, residual = evaluation
     while v >= con.delta and i < cfg.inner_cap:
-        correction, alm_report = _correction_direction(cfg, x, rng)
+        correction, alm_report = _correction_direction(cfg, x, residual, rng)
         if alm_report is not None:
             trace.alm_reports.append((t, i + 1, alm_report))
         direction = correction + (x - x0) / lam
-        z = z - lr * vjp(dec, z, direction)
+        z = z - lr * vjp_unchecked(dec, z, direction)
         if not np.isfinite(z).all():
             raise DivergenceError(f"correction diverged at level {t}")
         i += 1
-        x = decode(dec, z)
-        v = C.violation(con, x)
+        x = decode_unchecked(dec, z)
+        v, d, residual = C.evaluate(con, x)
         trace.rows.append(TraceRow(
             t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
-            violation=v, dist=C.dist_to_set(con, x),
+            violation=v, dist=d,
             z=z.copy() if cfg.record_vectors else None,
             x=x.copy() if cfg.record_vectors else None))
     if v >= con.delta:
@@ -285,19 +289,21 @@ def sample_proximal_latent(cfg: SamplerConfig,
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         for i in range(1, sched.inner_steps + 1):
+            # langevin_step returns a finite latent of the same shape
             z, s = langevin_step(z, cfg.score, t, gamma, rng, cfg.noise_scale)
-            x = decode(dec, z)
-            v, d = _constraint_stats(con, x)
+            x = decode_unchecked(dec, z)
+            ev = _NO_EVALUATION if con is None else C.evaluate(con, x)
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="langevin", gamma=gamma,
-                score_norm=float(np.linalg.norm(s)), violation=v, dist=d,
+                score_norm=float(np.linalg.norm(s)), violation=ev[0],
+                dist=ev[1],
                 z=z.copy() if cfg.record_vectors else None,
                 x=x.copy() if cfg.record_vectors else None))
             if cfg.correct_every_step and con is not None:
-                z = _run_correction(cfg, z, x, t, gamma, rng, trace)
+                z = _run_correction(cfg, z, x, ev, t, gamma, rng, trace)
         if con is not None and not cfg.correct_every_step:
-            # x is the decode of the level's last Langevin step
-            z = _run_correction(cfg, z, x, t, gamma, rng, trace)
+            # x and ev belong to the decode of the level's last Langevin step
+            z = _run_correction(cfg, z, x, ev, t, gamma, rng, trace)
     x = decode(dec, z)
     if cfg.final_projection and con is not None and C.has_exact_projection(con):
         x = C.project_exact(con, x)

@@ -133,3 +133,85 @@ def test_random_2d_suite_within_tolerance():
 def _unit(rng):
     v = rng.standard_normal(2)
     return v / np.linalg.norm(v)
+
+
+def reference_alm_project(anchor, g, grad_g, state):
+    """The solver as it was before g(y) was carried between iterations: it
+    calls g again on every point it already evaluated.  Returns the point,
+    the report fields and whether it converged."""
+    anchor = np.asarray(anchor, dtype=float)
+    y = anchor.copy()
+    lam, mu, inner_total = state.multiplier, state.penalty, 0
+    best_y, best_v = y.copy(), float(g(y))
+
+    def lagrangian(pt, v):
+        return 0.5 * float((pt - anchor) @ (pt - anchor)) + lam * v + 0.5 * mu * v * v
+
+    for outer in range(state.max_outer + 1):
+        v = float(g(y))
+        if v < best_v:
+            best_v, best_y = v, y.copy()
+        if v < state.tol:
+            return y, (outer, inner_total, v, lam, mu, True)
+        if outer == state.max_outer:
+            break
+        for _ in range(state.max_inner):
+            v_cur = float(g(y))
+            grad = (y - anchor) + (lam + mu * v_cur) * np.asarray(grad_g(y), float)
+            if float(np.linalg.norm(grad)) <= 1e-12:
+                break
+            inner_total += 1
+            step = state.inner_step
+            base = lagrangian(y, v_cur)
+            for _ in range(40):
+                y_new = y - step * grad
+                if lagrangian(y_new, float(g(y_new))) <= base + 1e-15:
+                    break
+                step *= 0.5
+            y = y_new
+        lam = lam + mu * float(g(y))
+        mu = min(state.growth * mu, state.penalty_cap)
+    return best_y, (state.max_outer, inner_total, best_v, lam, mu, False)
+
+
+def counting(g):
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return g(y)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_matches_reference_with_fewer_evaluations(case):
+    # g is deterministic, so reusing g(y) must not move a single bit
+    rng = np.random.default_rng(case)
+    kind = ("ball", "plane", "never")[case % 3]
+    if kind == "ball":
+        spec = C.l2_ball(float(rng.uniform(0.5, 2.0)),
+                         center=rng.uniform(-1, 1, size=3))
+        g = lambda p: C.violation(spec, p)
+        grad = lambda p: C.violation_gradient(spec, p)
+        anchor = spec.center + rng.uniform(2.5, 5.0) * rng.standard_normal(3)
+        state = AlmState(tol=1e-4, inner_step=0.05)
+    elif kind == "plane":
+        g, grad = hyperplane_violation(rng.standard_normal(3), 0.3)
+        anchor = rng.uniform(-3, 3, size=3)
+        state = AlmState(tol=1e-3, max_inner=30)
+    else:
+        g, grad = (lambda y: 1.0 + float(y @ y)), (lambda y: 2.0 * y)
+        anchor = rng.standard_normal(3)
+        state = AlmState(tol=1e-6, max_outer=3, max_inner=10)
+    g_new, new_calls = counting(g)
+    g_ref, ref_calls = counting(g)
+    want_y, want = reference_alm_project(anchor, g_ref, grad, state)
+    try:
+        y, rep = alm_project(anchor, g_new, grad, state)
+    except AlmNonConvergence as exc:
+        y, rep = exc.report.point, exc.report
+    assert np.array_equal(y, want_y)
+    assert (rep.outer_iterations, rep.inner_iterations, rep.final_violation,
+            rep.final_multiplier, rep.final_penalty, rep.converged) == want
+    assert new_calls[0] < ref_calls[0]

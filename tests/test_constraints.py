@@ -2,11 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from latentprox import constraints as C
-from latentprox.errors import (ConfigError, DegeneracyError, ParameterError,
-                               UnsupportedKindError)
+from latentprox.errors import (ConfigError, DegeneracyError, NumericError,
+                               ParameterError, UnsupportedKindError)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,99 @@ def test_porosity_projection_properties(values, K):
     assert C.porosity(y) == K
     y2 = C.project_porosity(y, K)
     assert np.array_equal(y, y2)  # idempotent, bit-exact
+
+
+# ---------------------------------------------------------------------------
+# evaluate: one check and one projection per point
+
+
+def assert_evaluate_matches(spec, x):
+    """evaluate is bit-equal to violation, dist_to_set and the residual of
+    project_exact, each called on its own."""
+    v, d, residual = C.evaluate(spec, x)
+    assert type(v) is float and type(d) is float
+    assert v == C.violation(spec, x)
+    assert d == C.dist_to_set(spec, x)
+    assert np.array_equal(residual, x - C.project_exact(spec, x))
+    return v, d, residual
+
+
+coords = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.lists(coords, min_size=d, max_size=d).filter(
+        lambda a: np.linalg.norm(a) > 1e-3),
+    coords, st.lists(coords, min_size=d, max_size=d))))
+def test_evaluate_matches_separate_halfspace(case):
+    normal, offset, x = case
+    assert_evaluate_matches(C.halfspace(normal, offset), np.array(x))
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.floats(0.1, 5.0), st.none() | st.lists(coords, min_size=d, max_size=d),
+    st.lists(coords, min_size=d, max_size=d))))
+def test_evaluate_matches_separate_l2_ball(case):
+    radius, center, x = case
+    assert_evaluate_matches(C.l2_ball(radius, center=center), np.array(x))
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(coords, st.floats(0.0, 5.0)), min_size=d, max_size=d),
+    st.lists(coords, min_size=d, max_size=d))))
+def test_evaluate_matches_separate_box(case):
+    bounds, x = case
+    lower = np.array([lo for lo, _ in bounds])
+    upper = lower + np.array([w for _, w in bounds])
+    assert_evaluate_matches(C.box(lower, upper), np.array(x))
+
+
+# pixels inside and outside [-1, 1], with repeated values for ties
+pixels = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from(
+    [-2.0, -1.0, -0.5, -1e-3, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(
+        st.just(shape),
+        st.lists(pixels, min_size=shape[0] * shape[1],
+                 max_size=shape[0] * shape[1]),
+        st.integers(0, shape[0] * shape[1]))))
+@example(((2, 2), [0.5, 0.5, 0.5, 0.5], 0))
+@example(((2, 2), [0.5, 0.5, 0.5, 0.5], 4))
+@example(((2, 3), [-1.5, 2.0, -0.5, -0.5, 0.0, 3.0], 0))
+@example(((2, 3), [-1.5, 2.0, -0.5, -0.5, 0.0, 3.0], 6))
+def test_evaluate_matches_separate_porosity(case):
+    shape, values, K = case
+    x = np.array(values)
+    v, _, _ = assert_evaluate_matches(C.porosity_constraint(shape, K), x)
+    assert v == abs(int(np.count_nonzero(x < 0.0)) - K)
+
+
+def test_evaluate_porosity_counts_above_and_below_target():
+    x = np.array([-2.0, -0.5, -0.5, 0.3, 0.3, 1.5, 0.0, -1.0, 2.5])
+    for K, gap in ((0, 4), (2, 2), (4, 0), (7, 3), (9, 5)):
+        spec = C.porosity_constraint((3, 3), K)
+        v, d, residual = assert_evaluate_matches(spec, x)
+        assert v == gap
+        assert d == float(np.linalg.norm(residual))
+        assert C.porosity(np.clip((x - residual).reshape(3, 3), -1, 1)) == K
+
+
+def test_evaluate_smooth_kinds_have_no_residual():
+    spec = C.custom_constraint(lambda y: float(y @ y), lambda y: 2 * y)
+    assert C.evaluate(spec, np.array([1.0, 2.0])) == (5.0, 5.0, None)
+
+
+@pytest.mark.parametrize("spec", [
+    C.halfspace([1.0, 0.0, 0.0, 0.0], 0.5), C.l2_ball(1.0),
+    C.box(-np.ones(4), np.ones(4)), C.porosity_constraint((2, 2), 2),
+    C.custom_constraint(lambda y: 0.0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_rejects_non_finite(spec, bad):
+    x = np.array([0.5, bad, -0.5, 0.1])
+    with pytest.raises(NumericError):
+        C.evaluate(spec, x)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ import yaml
 from latentprox import experiments as EXP
 from latentprox.cli import main as cli_main
 from latentprox.errors import ConfigError
-from latentprox.runner import (RunConfig, load_config, render_grid,
-                               rerun_from_manifest, resolve_config,
-                               run_design, run_experiment)
+from latentprox.runner import (RunConfig, build_sampler_config, load_config,
+                               render_grid, rerun_from_manifest,
+                               resolve_config, run_design, run_experiment)
+from latentprox.samplers import chain_rng, sample
 
 
 def minimal_config(out):
@@ -352,3 +353,28 @@ def test_alm_stream_written(tmp_path):
         lines = alm_csv.read_text().splitlines()
         assert lines[0].startswith("chain,t,i,outer_iterations")
         assert len(lines) > 1
+
+
+def test_manifest_counters_match_metrics_and_traces(tmp_path):
+    # an 8x8 porosity run: its correction loops stop at inner_cap, so the
+    # run has shortfalls to count
+    cfg = EXP.porosity_config(fraction=0.3, seed=1, chains=2,
+                              out=str(tmp_path / "p"), grid=(8, 8),
+                              latent_dim=16)
+    cfg["sampler"]["inner_cap"] = 30
+    manifest = run_experiment(RunConfig.from_dict(cfg))
+    stored = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert stored["counters"] == manifest["counters"]
+    phases = [line.split(",")[3] for line in
+              (tmp_path / "p" / "metrics.csv").read_text().splitlines()[1:]]
+    sampler_cfg = build_sampler_config(RunConfig.from_dict(cfg))
+    shortfalls = sum(len(sample(sampler_cfg, chain_rng(1, i))[1].shortfalls)
+                     for i in range(2))
+    assert shortfalls > 0
+    assert manifest["counters"] == {
+        "langevin_steps": phases.count("langevin"),
+        "correction_iterations": phases.count("correction"),
+        "shortfalls": shortfalls}
+    assert (f"counters: {phases.count('langevin')} Langevin steps, "
+            f"{phases.count('correction')} correction iterations, "
+            f"{shortfalls} shortfall(s)") in manifest["summary"]

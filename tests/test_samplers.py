@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from latentprox import constraints as C
-from latentprox.decoders import decode, random_linear_decoder
-from latentprox.errors import ConfigError, ParameterError
-from latentprox.samplers import (SamplerConfig, chain_rng,
+from latentprox.alm import alm_project
+from latentprox.decoders import (decode, random_linear_decoder,
+                                 random_mlp_decoder, vjp)
+from latentprox.errors import (AlmNonConvergence, ConfigError,
+                               DivergenceError, ParameterError)
+from latentprox.experiments import centroid_config
+from latentprox.runner import RunConfig, build_sampler_config
+from latentprox.samplers import (SampleTrace, SamplerConfig, TraceRow,
+                                 _correction_active, chain_rng,
                                  finalize_with_projection, langevin_step,
                                  sample, sample_projected_ambient,
                                  sample_proximal_latent, sample_unconstrained)
@@ -293,3 +299,161 @@ def test_output_feasibility_convex_kinds():
         for i in range(10):
             x, _ = sample_proximal_latent(cfg, chain_rng(2, i))
             assert C.violation(spec, x) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the proximal sampler against a reference built from the public primitives
+
+
+def reference_proximal_latent(cfg, rng):
+    """The proximal sampler written with the checked public primitives.
+
+    Each decoded point is handed to violation and dist_to_set separately,
+    the closed-form direction calls project_exact again, and every decode
+    and vjp validates its latent.
+    """
+    sched, dec, con = cfg.schedule, cfg.decoder, cfg.constraint
+    trace = SampleTrace()
+
+    def stats(x):
+        if con is None:
+            return float("nan"), float("nan")
+        return C.violation(con, x), C.dist_to_set(con, x)
+
+    def direction(x):
+        if cfg.solver == "closed_form":
+            return x - C.project_exact(con, x), None
+        try:
+            y, rep = alm_project(x, lambda p: C.violation(con, p),
+                                 lambda p: C.violation_gradient(con, p),
+                                 cfg.alm)
+        except AlmNonConvergence as exc:
+            y, rep = exc.report.point, exc.report
+        return x - y, rep
+
+    def correct(z, x0, t, gamma):
+        if not _correction_active(cfg, t, x0):
+            return z
+        lr, lam = cfg.lr_at(t), con.prox_weight
+        i, x = 0, x0
+        v = C.violation(con, x)
+        while v >= con.delta and i < cfg.inner_cap:
+            corr, rep = direction(x)
+            if rep is not None:
+                trace.alm_reports.append((t, i + 1, rep))
+            z = z - lr * vjp(dec, z, corr + (x - x0) / lam)
+            if not np.isfinite(z).all():
+                raise DivergenceError(f"correction diverged at level {t}")
+            i += 1
+            x = decode(dec, z)
+            v = C.violation(con, x)
+            trace.rows.append(TraceRow(
+                t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
+                violation=v, dist=C.dist_to_set(con, x), z=z.copy(),
+                x=x.copy()))
+        if v >= con.delta:
+            trace.shortfalls.append((t, i, v))
+        return z
+
+    z = rng.standard_normal(dec.latent_dim)
+    for t in range(sched.T, 0, -1):
+        gamma = sched.gamma_at(t)
+        for i in range(1, sched.inner_steps + 1):
+            z, s = langevin_step(z, cfg.score, t, gamma, rng, cfg.noise_scale)
+            x = decode(dec, z)
+            v, d = stats(x)
+            trace.rows.append(TraceRow(
+                t=t, i=i, phase="langevin", gamma=gamma,
+                score_norm=float(np.linalg.norm(s)), violation=v, dist=d,
+                z=z.copy(), x=x.copy()))
+            if cfg.correct_every_step and con is not None:
+                z = correct(z, x, t, gamma)
+        if con is not None and not cfg.correct_every_step:
+            z = correct(z, x, t, gamma)
+    x = decode(dec, z)
+    if cfg.final_projection and con is not None and C.has_exact_projection(con):
+        x = C.project_exact(con, x)
+    trace.final_latent = z.copy()
+    trace.final_sample = x.copy()
+    return x, trace
+
+
+def same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def assert_same_chain(got, ref):
+    (x, trace), (x_ref, trace_ref) = got, ref
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(trace.final_latent, trace_ref.final_latent)
+    assert np.array_equal(trace.final_sample, trace_ref.final_sample)
+    assert len(trace.rows) == len(trace_ref.rows)
+    for row, want in zip(trace.rows, trace_ref.rows):
+        assert (row.t, row.i, row.phase) == (want.t, want.i, want.phase)
+        for name in ("gamma", "score_norm", "violation", "dist"):
+            assert same_float(getattr(row, name), getattr(want, name)), name
+        assert np.array_equal(row.z, want.z)
+        assert np.array_equal(row.x, want.x)
+    assert trace.shortfalls == trace_ref.shortfalls
+    assert len(trace.alm_reports) == len(trace_ref.alm_reports)
+    for (t, i, rep), (t_ref, i_ref, rep_ref) in zip(trace.alm_reports,
+                                                    trace_ref.alm_reports):
+        assert (t, i) == (t_ref, i_ref)
+        assert np.array_equal(rep.point, rep_ref.point)
+        assert (rep.outer_iterations, rep.inner_iterations,
+                rep.final_violation, rep.converged) == (
+            rep_ref.outer_iterations, rep_ref.inner_iterations,
+            rep_ref.final_violation, rep_ref.converged)
+
+
+def proximal_cases():
+    sched = small_schedule(T=4, M=2)
+    f2 = standard_normal_field(2, sched)
+    lin = random_linear_decoder(2, 3, seed=4, scale=2.0)
+    mlp = random_mlp_decoder(2, 4, hidden=8, seed=3, scale=1.5)
+    poro_f = standard_normal_field(6, sched)
+    poro_dec = random_linear_decoder(6, 16, seed=2, scale=2.0)
+
+    def cfg(score, dec, con, **kw):
+        kw.setdefault("lr", 0.3)
+        kw.setdefault("inner_cap", 40)
+        return SamplerConfig(schedule=sched, score=score,
+                             mode="proximal_latent", decoder=dec,
+                             constraint=con, **kw)
+
+    yield "porosity", cfg(poro_f, poro_dec, C.porosity_constraint(
+        (4, 4), 6, prox_weight=50.0), inner_cap=25)
+    yield "halfspace", cfg(f2, lin, C.halfspace([1.0, 0.5, 0.0], -0.4,
+                                                prox_weight=100.0))
+    yield "halfspace_every_step", cfg(
+        f2, lin, C.halfspace([1.0, 0.5, 0.0], -0.4, prox_weight=100.0),
+        correct_every_step=True)
+    yield "l2_ball", cfg(f2, lin, C.l2_ball(0.3, center=[1.0, 0.0, 0.0],
+                                            prox_weight=100.0))
+    yield "box", cfg(f2, lin, C.box([-0.2] * 3, [0.2] * 3, delta=1e-6,
+                                    prox_weight=100.0), inner_cap=15)
+    yield "smooth_mlp", cfg(f2, mlp, C.halfspace([1.0, -1.0, 0.5, 0.0], 0.0,
+                                                 prox_weight=100.0))
+    yield "unconstrained", cfg(f2, lin, None)
+    centroid = centroid_config(seed=0, chains=1, out="unused")
+    yield "centroid_alm", build_sampler_config(RunConfig.from_dict(centroid))
+
+
+@pytest.mark.parametrize("name, cfg", list(proximal_cases()),
+                         ids=[name for name, _ in proximal_cases()])
+def test_proximal_latent_matches_reference(name, cfg):
+    corrections = shortfalls = alm = 0
+    for k in range(12 if name == "centroid_alm" else 3):
+        got = sample_proximal_latent(cfg, chain_rng(5, k))
+        assert_same_chain(got, reference_proximal_latent(cfg, chain_rng(5, k)))
+        trace = got[1]
+        corrections += sum(r.phase == "correction" for r in trace.rows)
+        shortfalls += len(trace.shortfalls)
+        alm += len(trace.alm_reports)
+    # the comparison covers the loop, not only the Langevin rows
+    if name != "unconstrained":
+        assert corrections > 0
+    if name in ("porosity", "box"):
+        assert shortfalls > 0
+    if name == "centroid_alm":
+        assert alm > 0
