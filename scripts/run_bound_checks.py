@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from latentprox.diagnostics import (check_feasibility_contraction,
-                                    check_fidelity_drift, contraction_horizon,
+from latentprox.diagnostics import (check_fidelity_drift, check_run_contraction,
+                                    contraction_horizon,
                                     feasibility_hitting_level,
                                     kl_series_from_moments,
                                     measured_score_bound,
@@ -29,14 +29,14 @@ def main():
     cfg = RunConfig.from_dict(halfspace_contraction_config(seed=0,
                                                            out="unused"))
     scfg = build_sampler_config(cfg)
-    held = total = 0
+    traces = [sample_proximal_latent(scfg, chain_rng(seed, 0))[1]
+              for seed in range(20)]
+    rep = check_run_contraction(traces, scfg.constraint, scfg.decoder,
+                                beta=1.0)
+    held = sum(r.holds for r in rep.records)
+    total = len(rep.records)
     hits_ok = True
-    for seed in range(20):
-        _, trace = sample_proximal_latent(scfg, chain_rng(seed, 0))
-        rep = check_feasibility_contraction(trace, scfg.constraint,
-                                            scfg.decoder, beta=1.0)
-        held += sum(r.holds for r in rep.records)
-        total += len(rep.records)
+    for trace in traces:
         d0 = trace.level_end_rows()[0].dist
         t_star = contraction_horizon(rep.beta_prime, scfg.schedule.gamma_min,
                                      d0, eps=1e-6)

@@ -20,6 +20,8 @@ from .errors import (ConfigError, ConvergenceError, DegeneracyError,
 
 KINDS = ("halfspace", "l2_ball", "box", "porosity", "surrogate_centroid",
          "custom_g")
+# closed-form kinds: their rules take a point or a batch of rows alike
+CLOSED_FORM_KINDS = ("halfspace", "l2_ball", "box")
 DEFAULT_MARGIN = 1e-3
 PROX_GRAD_TOL = 1e-8
 PROX_CAP = 10_000
@@ -279,6 +281,11 @@ def custom_constraint(g, grad=None, **kw) -> ConstraintSpec:
     return ConstraintSpec(kind="custom_g", g=g, grad=grad, **kw)
 
 
+def _float_if_point(v):
+    """A point's 0-d result as a float; a batch's per-row array as it is."""
+    return float(v) if v.ndim == 0 else v
+
+
 def _as_point(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -286,15 +293,22 @@ def _as_point(x) -> np.ndarray:
     return x
 
 
-def _violation(spec: ConstraintSpec, x: np.ndarray) -> float:
-    """g(x) of a point already checked by ``_as_point``."""
+def _violation(spec: ConstraintSpec, x: np.ndarray) -> float | np.ndarray:
+    """g(x) of input already checked by ``_as_point``.
+
+    The halfspace, l2_ball and box rules work on the last axis: a point
+    ``(d,)`` gives a float, a batch ``(n, d)`` gives one violation per row.
+    The other kinds take a point only.
+    """
     if spec.kind == "halfspace":
-        return float(max(spec.normal @ x - spec.offset, 0.0))
+        return _float_if_point(np.maximum(x @ spec.normal - spec.offset, 0.0))
     if spec.kind == "l2_ball":
         c = 0.0 if spec.center is None else spec.center
-        return float(max(np.linalg.norm(x - c) - spec.radius, 0.0))
+        return _float_if_point(np.maximum(
+            np.linalg.norm(x - c, axis=-1) - spec.radius, 0.0))
     if spec.kind == "box":
-        return float(np.linalg.norm(x - np.clip(x, spec.lower, spec.upper)))
+        return _float_if_point(np.linalg.norm(
+            x - np.clip(x, spec.lower, spec.upper), axis=-1))
     if spec.kind == "porosity":
         # clamping into the pixel box keeps every sign, so the count of the
         # clamped grid is the count of the raw values
@@ -325,13 +339,13 @@ def violation_gradient(spec: ConstraintSpec, x) -> np.ndarray:
     if spec.kind == "l2_ball":
         c = 0.0 if spec.center is None else spec.center
         diff = x - c
-        nrm = np.linalg.norm(diff)
+        nrm = np.linalg.norm(diff, axis=-1)   # the norm of _violation
         if nrm > spec.radius:
             return diff / nrm
         return np.zeros_like(x)
     if spec.kind == "box":
         resid = x - np.clip(x, spec.lower, spec.upper)
-        nrm = np.linalg.norm(resid)
+        nrm = np.linalg.norm(resid, axis=-1)
         return resid / nrm if nrm > 0 else np.zeros_like(x)
     if spec.kind == "surrogate_centroid":
         m = spec.model
@@ -351,29 +365,35 @@ def violation_gradient(spec: ConstraintSpec, x) -> np.ndarray:
 
 
 def has_exact_projection(spec: ConstraintSpec) -> bool:
-    return spec.kind in ("halfspace", "l2_ball", "box", "porosity")
+    return spec.kind in CLOSED_FORM_KINDS or spec.kind == "porosity"
 
 
 def _project_closed_form(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
+    """Projection of a point or of each row of a batch; rows inside keep
+    their values."""
     if spec.kind == "halfspace":
         a = spec.normal
         sq = a @ a
         y = x
         for _ in range(4):
             excess = y @ a - spec.offset
-            if excess <= 0.0:
+            if excess.max(initial=0.0) <= 0.0:
                 break
-            y = y - (excess / sq) * a
+            # rows inside move by zero
+            y = y - (np.maximum(excess, 0.0) / sq)[..., None] * a
         return np.array(y, copy=True)
     if spec.kind == "l2_ball":
-        c = np.zeros_like(x) if spec.center is None else spec.center
+        c = 0.0 if spec.center is None else spec.center
         y = x
         for _ in range(4):
             diff = y - c
-            nrm = np.linalg.norm(diff)
-            if nrm <= spec.radius:
+            nrm = np.linalg.norm(diff, axis=-1)
+            over = nrm > spec.radius
+            if not over.any():
                 break
-            y = c + diff * (spec.radius / nrm)
+            # rows inside divide by the radius, not by a norm that may be 0
+            scale = spec.radius / np.where(over, nrm, spec.radius)
+            y = np.where(over[..., None], c + diff * scale[..., None], y)
         return np.array(y, copy=True)
     if spec.kind == "box":
         return np.clip(x, spec.lower, spec.upper)
@@ -384,9 +404,11 @@ def _project_closed_form(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
 def project_closed_form(spec: ConstraintSpec, x) -> np.ndarray:
     """Euclidean projection for halfspace, l2_ball, and box kinds.
 
-    Results land exactly on the feasible side (a couple of rounding-residual
-    fixups), so violation(result) is exactly 0 and the projection is
-    bit-exactly idempotent.
+    Box results are exact and idempotent.  Halfspace and l2_ball results
+    are re-projected at most three more times while rounding leaves them
+    outside; they can still violate by rounding error (in 10,000 random
+    draws at scale 5, up to 1.7e-15 for a halfspace and 4.4e-16 for an l2
+    ball), and projecting one again can move its last bits.
     """
     return _project_closed_form(spec, _as_point(x))
 

@@ -243,10 +243,6 @@ def make_simulator(name: str, **params) -> Simulator:
     return factory(**params)
 
 
-def register_simulator(name: str, factory) -> None:
-    _FACTORIES[name] = factory
-
-
 class ExternalProcessSimulator:
     """Adapter that evaluates phi in a child process over stdin/stdout.
 

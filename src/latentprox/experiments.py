@@ -14,7 +14,7 @@ import numpy as np
 
 from . import constraints as C
 from .decoders import decode_batch, random_linear_decoder
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .scores import _level_cache
 
 
@@ -271,33 +271,6 @@ def _score_batch(field_, Z: np.ndarray, t: int) -> np.ndarray:
     return np.einsum("kn,knd->nd", r, pulls)
 
 
-def _project_batch(con, X: np.ndarray) -> np.ndarray:
-    if con.kind == "halfspace":
-        excess = np.clip(X @ con.normal - con.offset, 0.0, None)
-        return X - np.outer(excess / (con.normal @ con.normal), con.normal)
-    if con.kind == "l2_ball":
-        c = 0.0 if con.center is None else con.center
-        diff = X - c
-        nrm = np.linalg.norm(diff, axis=1)
-        scale = np.where(nrm > con.radius, con.radius / np.maximum(nrm, 1e-300),
-                         1.0)
-        return c + diff * scale[:, None]
-    if con.kind == "box":
-        return np.clip(X, con.lower, con.upper)
-    raise ConfigError(f"population sampler cannot project kind {con.kind!r}")
-
-
-def _violation_batch(con, X: np.ndarray) -> np.ndarray:
-    if con.kind == "halfspace":
-        return np.clip(X @ con.normal - con.offset, 0.0, None)
-    if con.kind == "l2_ball":
-        c = 0.0 if con.center is None else con.center
-        return np.clip(np.linalg.norm(X - c, axis=1) - con.radius, 0.0, None)
-    if con.kind == "box":
-        return np.linalg.norm(X - np.clip(X, con.lower, con.upper), axis=1)
-    raise ConfigError(f"population sampler cannot evaluate kind {con.kind!r}")
-
-
 def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
     """Proximal correction of every row of Z whose decoded violation is at
     least ``delta``; returns the corrected latents (Z itself is not changed).
@@ -310,9 +283,9 @@ def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
     the last one, each along (x - P(x)) + (x - x0) / lambda.
     """
     con = cfg.constraint
-    W, b = cfg.decoder.weight, cfg.decoder.bias
-    X = Z @ W.T + b
-    idx = np.flatnonzero(_violation_batch(con, X) >= con.delta)
+    dec = cfg.decoder
+    X = decode_batch(dec, Z)
+    idx = np.flatnonzero(C._violation(con, X) >= con.delta)
     if not idx.size:
         return Z
     lr = cfg.lr_at(t)
@@ -321,8 +294,8 @@ def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
     Za, X0 = Z[idx], X[idx]
     Xa = X0
     for k in range(cfg.inner_cap):
-        D = (Xa - _project_batch(con, Xa)) + (Xa - X0) / lam
-        Za = Za - lr * (D @ W)
+        D = (Xa - C._project_exact(con, Xa)) + (Xa - X0) / lam
+        Za = Za - lr * (D @ dec.weight)
         if k + 1 == cfg.inner_cap:
             break
         # numpy multiplies a lone row on its vector path, whose low bits can
@@ -330,8 +303,8 @@ def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
         # of the row keeps it on the matrix path
         m = len(idx)
         Zp = np.repeat(Za, 2, axis=0) if m == 1 < len(Z) else Za
-        Xp = Zp @ W.T + b
-        keep = (_violation_batch(con, Xp) >= con.delta)[:m]
+        Xp = decode_batch(dec, Zp)
+        keep = (C._violation(con, Xp) >= con.delta)[:m]
         Xa = Xp[:m]
         if not keep.all():
             Z[idx[~keep]] = Za[~keep]
@@ -345,33 +318,41 @@ def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
 def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized proximal-latent sampling of n independent chains.
 
-    Same update rule as the per-chain sampler, batched for population-level
-    experiments; restricted to linear decoders and closed-form constraint
-    kinds.  Corrections iterate only the chains that still violate (see
-    ``_correct_batch``), which gives the same samples as updating every row
-    and masking.  Returns the decoded (and optionally final-projected)
-    samples.
+    The per-chain sampler's update rule, constraint rules and correction
+    window, batched; restricted to linear decoders and closed_form
+    corrections of ``constraints.CLOSED_FORM_KINDS``.  Corrections iterate
+    only the chains that still violate (see ``_correct_batch``).  Returns
+    the decoded (and optionally final-projected) samples; raises
+    ``DivergenceError`` if a chain ends non-finite.
     """
     if cfg.mode != "proximal_latent" or cfg.decoder.kind != "linear":
         raise ConfigError("population sampling needs proximal_latent mode "
                           "and a linear decoder")
-    if cfg.constraint is not None and cfg.solver != "closed_form":
-        raise ConfigError("population sampling supports closed_form "
-                          "corrections only")
+    con = cfg.constraint
+    if con is not None and (cfg.solver != "closed_form"
+                            or con.kind not in C.CLOSED_FORM_KINDS):
+        raise ConfigError(f"population sampling cannot correct {con.kind} "
+                          f"constraints with the {cfg.solver} solver")
     sched = cfg.schedule
     d = cfg.decoder.latent_dim
     Z = rng.standard_normal((n, d))
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
+        corrects = cfg.corrects_at(t)
         for _ in range(sched.inner_steps):
             S = _score_batch(cfg.score, Z, t)
             E = rng.standard_normal((n, d))
             Z = Z + gamma * S + np.sqrt(2.0 * gamma) * cfg.noise_scale * E
-            if cfg.constraint is not None and cfg.correct_every_step:
+            if corrects and cfg.correct_every_step:
                 Z = _correct_batch(cfg, Z, t)
-        if cfg.constraint is not None and not cfg.correct_every_step:
+        if corrects and not cfg.correct_every_step:
             Z = _correct_batch(cfg, Z, t)
-    X = Z @ cfg.decoder.weight.T + cfg.decoder.bias
-    if cfg.final_projection and cfg.constraint is not None:
-        X = _project_batch(cfg.constraint, X)
+    # a non-finite latent stays non-finite, so one check covers every step
+    bad = np.count_nonzero(~np.isfinite(Z).all(axis=1))
+    if bad:
+        raise DivergenceError(f"population sampling diverged: {bad} of {n} "
+                              "chains are non-finite")
+    X = decode_batch(cfg.decoder, Z)
+    if cfg.final_projection and con is not None:
+        X = C._project_exact(con, X)
     return X

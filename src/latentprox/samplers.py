@@ -130,6 +130,12 @@ class SamplerConfig:
     def lr_at(self, t: int) -> float:
         return self.lr if self.lr is not None else 0.1 * self.schedule.gamma_at(t)
 
+    def corrects_at(self, t: int) -> bool:
+        """A constraint is set and t lies in the inclusive window, if any."""
+        window = self.correct_levels
+        return self.constraint is not None and (
+            window is None or window[0] <= t <= window[1])
+
 
 def langevin_step(z, score_field: ScoreField, t: int, gamma: float,
                   rng: np.random.Generator,
@@ -224,16 +230,10 @@ def _correction_direction(cfg: SamplerConfig, x: np.ndarray, residual,
 
 
 def _correction_active(cfg: SamplerConfig, t: int, x0: np.ndarray) -> bool:
-    con = cfg.constraint
-    if con is None:
+    if not cfg.corrects_at(t):
         return False
-    if cfg.correct_levels is not None:
-        lo, hi = cfg.correct_levels
-        if not lo <= t <= hi:
-            return False
-    if con.kind == "surrogate_centroid":
-        return C.centroid_trigger(con.model, x0)
-    return True
+    con = cfg.constraint
+    return con.kind != "surrogate_centroid" or C.centroid_trigger(con.model, x0)
 
 
 def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):

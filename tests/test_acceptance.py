@@ -13,8 +13,8 @@ from latentprox import constraints as C
 from latentprox import experiments as EXP
 from latentprox.alm import AlmState, alm_project
 from latentprox.decoders import random_linear_decoder
-from latentprox.diagnostics import (check_feasibility_contraction,
-                                    check_fidelity_drift, contraction_horizon,
+from latentprox.diagnostics import (check_fidelity_drift, check_run_contraction,
+                                    contraction_horizon,
                                     feasibility_hitting_level, fit_gaussian,
                                     frechet_distance, kl_series_from_moments,
                                     measured_score_bound,
@@ -106,16 +106,15 @@ def test_criterion_03_feasibility_contraction():
     cfg = RunConfig.from_dict(EXP.halfspace_contraction_config(seed=0,
                                                                out="unused"))
     scfg = build_sampler_config(cfg)
-    held = total = 0
-    precondition_ok = True
+    traces = [sample_proximal_latent(scfg, chain_rng(seed, 0))[1]
+              for seed in range(20)]
+    rep = check_run_contraction(traces, scfg.constraint, scfg.decoder,
+                                beta=1.0)
+    held = sum(r.holds for r in rep.records)
+    total = len(rep.records)
+    precondition_ok = rep.precondition_ok
     hits_within = True
-    for seed in range(20):
-        _, trace = sample_proximal_latent(scfg, chain_rng(seed, 0))
-        rep = check_feasibility_contraction(trace, scfg.constraint,
-                                            scfg.decoder, beta=1.0)
-        held += sum(r.holds for r in rep.records)
-        total += len(rep.records)
-        precondition_ok &= rep.precondition_ok
+    for trace in traces:
         d0 = trace.level_end_rows()[0].dist
         t_star = contraction_horizon(rep.beta_prime, scfg.schedule.gamma_min,
                                      d0, eps=1e-6)

@@ -222,6 +222,75 @@ def test_evaluate_rejects_non_finite(spec, bad):
 
 
 # ---------------------------------------------------------------------------
+# row-wise rules: a batch's rows against the point call
+
+
+@st.composite
+def row_batches(draw):
+    """A closed-form constraint and a batch of rows inside it, on its
+    boundary, at the l2 centre and anywhere."""
+    kind = draw(st.sampled_from(C.CLOSED_FORM_KINDS))
+    d = draw(st.integers(1, 6))
+    vec = st.lists(coords, min_size=d, max_size=d).map(np.array)
+    u = draw(vec.filter(lambda a: np.linalg.norm(a) > 1e-3))
+    u = u / np.linalg.norm(u)
+    rows = draw(st.lists(vec, min_size=1, max_size=8))
+    if kind == "halfspace":
+        offset = draw(coords)
+        spec = C.halfspace(u, offset)
+        rows += [offset * u, offset * u - 0.5 * u]
+    elif kind == "l2_ball":
+        center = draw(st.none() | vec)
+        c = np.zeros(d) if center is None else center
+        radius = draw(st.floats(0.1, 5.0))
+        spec = C.l2_ball(radius, center=center)
+        rows += [c, c + radius * u, c + 0.5 * radius * u]
+    else:
+        lower = draw(vec)
+        upper = lower + draw(st.lists(st.floats(0.0, 5.0), min_size=d,
+                                      max_size=d).map(np.array))
+        spec = C.box(lower, upper)
+        rows += [lower, upper, 0.5 * (lower + upper)]
+    order = draw(st.permutations(range(len(rows))))
+    return spec, np.array(rows)[order]
+
+
+@given(row_batches())
+def test_row_wise_rules_match_point_calls(case):
+    spec, X = case
+    with np.errstate(divide="raise", invalid="raise"):
+        v = C._violation(spec, X)
+        P = C._project_exact(spec, X)
+        points = [(C._violation(spec, x), C._project_exact(spec, x))
+                  for x in X]
+    assert v.shape == (len(X),) and P.shape == X.shape
+    for i, (v_i, p_i) in enumerate(points):
+        assert type(v_i) is float
+        # a row with no violation is returned as it is (for a box, the norm
+        # of a tiny excess can underflow to a violation of 0)
+        if v[i] == 0.0 and spec.kind != "box":
+            assert np.array_equal(P[i], X[i])
+        if spec.kind == "halfspace":
+            # a batch's gemv and a point's dot round differently
+            assert abs(v[i] - v_i) <= 1e-12
+            np.testing.assert_allclose(P[i], p_i, rtol=0, atol=1e-12)
+        else:
+            assert v[i] == v_i
+            assert np.array_equal(P[i], p_i)
+
+
+def test_ball_gradient_vanishes_exactly_where_violation_does():
+    # projected points sit on the sphere, within an ulp of either side
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        spec = C.l2_ball(rng.uniform(0.5, 2.0), center=rng.standard_normal(3))
+        for x in 5 * rng.standard_normal((100, 3)):
+            y = C.project_exact(spec, x)
+            assert (C.violation(spec, y) > 0) == \
+                bool(C.violation_gradient(spec, y).any())
+
+
+# ---------------------------------------------------------------------------
 # closed-form projections and prox
 
 

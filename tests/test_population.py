@@ -1,4 +1,7 @@
-"""The active-set population correction against the all-rows loop it replaced."""
+"""The active-set population correction against the all-rows loop it
+replaced, and the population sampler's window, divergence and kind checks."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from latentprox import constraints as C
 from latentprox import experiments as EXP
 from latentprox.decoders import linear_decoder
+from latentprox.errors import ConfigError, DivergenceError
 from latentprox.runner import RunConfig, build_sampler_config
 from latentprox.samplers import SamplerConfig
 from latentprox.schedules import make_schedule
@@ -30,11 +34,11 @@ def all_rows_correct(cfg, Z, t, updates=None):
     lam = con.prox_weight
     for _ in range(cfg.inner_cap):
         X = Z @ W.T + b
-        v = EXP._violation_batch(con, X)
+        v = C._violation(con, X)
         mask = v >= con.delta
         if not mask.any():
             break
-        D = (X[mask] - EXP._project_batch(con, X[mask])) \
+        D = (X[mask] - C._project_exact(con, X[mask])) \
             + (X[mask] - X0[mask]) / lam
         Z = Z.copy()
         Z[mask] = Z[mask] - lr * (D @ W)
@@ -146,3 +150,76 @@ def test_short_caps_match_all_rows_loop(inner_cap):
     Z = np.random.default_rng(5).normal(1.0, 1.0, size=(200, 2))
     assert np.array_equal(EXP._correct_batch(cfg, Z, 1),
                           all_rows_correct(cfg, Z, 1))
+
+
+def _fidelity(n, constraint=None, **sections):
+    """The fidelity preset's sampler config for n chains, with its
+    constraint replaced and its other sections updated."""
+    cfg = EXP.fidelity_config(seed=0, chains=n, out="unused")
+    if constraint is not None:
+        cfg["constraint"] = constraint
+    for section, values in sections.items():
+        cfg[section].update(values)
+    return build_sampler_config(RunConfig.from_dict(cfg))
+
+
+def test_correction_window_outside_schedule_never_corrects():
+    # T = 12, so the window (20, 20) holds no level
+    n = 300
+    windowed = _fidelity(n, schedule={"M": 20},
+                         sampler={"correct_levels": [20, 20],
+                                  "final_projection": False})
+    free = replace(windowed, constraint=None, correct_levels=None)
+    got = EXP.sample_population(windowed, n, np.random.default_rng(4))
+    expected = EXP.sample_population(free, n, np.random.default_rng(4))
+    assert np.array_equal(got, expected)
+    # the unconstrained population does violate, so the window did skip work
+    assert (got[:, 0] > 1.0).any()
+
+
+def test_correction_window_is_inclusive(monkeypatch):
+    n = 200
+    cfg = _fidelity(n, schedule={"M": 5},
+                    sampler={"correct_levels": [3, 5],
+                             "correct_every_step": False})
+    levels = []
+    correct = EXP._correct_batch
+
+    def recording(cfg_, Z, t):
+        levels.append(t)
+        return correct(cfg_, Z, t)
+
+    monkeypatch.setattr(EXP, "_correct_batch", recording)
+    EXP.sample_population(cfg, n, np.random.default_rng(0))
+    assert levels == [5, 4, 3]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_population_divergence_raises():
+    cfg = _fidelity(50, schedule={"gamma_max": 1e300, "M": 2})
+    with pytest.raises(DivergenceError, match="50 of 50"):
+        EXP.sample_population(cfg, 50, np.random.default_rng(0))
+
+
+def test_population_rejects_porosity_before_sampling():
+    cfg = build_sampler_config(RunConfig.from_dict(
+        EXP.porosity_config(seed=0, chains=1, out="unused", grid=(4, 4),
+                            latent_dim=4)))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="cannot correct porosity"):
+        EXP.sample_population(cfg, 10, rng)
+    assert rng.bit_generator.state == state   # no draw was made
+
+
+def test_final_l2_projection_keeps_feasible_rows():
+    # a ball so large that every sample is inside it
+    n = 500
+    ball = {"kind": "l2_ball", "radius": 50.0, "center": [0.3, -0.2],
+            "delta": 1e-4, "prox_weight": 1e4}
+    kept = _fidelity(n, constraint=ball, schedule={"M": 20})
+    raw = replace(kept, final_projection=False)
+    X = EXP.sample_population(raw, n, np.random.default_rng(1))
+    assert (np.linalg.norm(X - [0.3, -0.2], axis=1) < 50.0).all()
+    assert np.array_equal(
+        EXP.sample_population(kept, n, np.random.default_rng(1)), X)
