@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlmNonConvergence, ParameterError
+from .errors import AlmNonConvergence, NumericError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,14 @@ def alm_project(anchor, g, grad_g, state: AlmState) -> tuple[np.ndarray, AlmRepo
     updates; ``grad_g`` is its gradient away from the zero set (zero on it).
     Raises AlmNonConvergence carrying the report when the outer cap is hit
     with g(y) >= tol; the caller may accept the attached best iterate.
+
+    ``g`` and ``grad_g`` need not check their input: a non-finite anchor or
+    accepted step raises NumericError, and a non-finite trial point fails
+    the line-search test, so the step is halved.
     """
     anchor = np.asarray(anchor, dtype=float)
+    if not np.isfinite(anchor).all():
+        raise NumericError("ALM anchor contains non-finite values")
     y = anchor.copy()
     lam = state.multiplier
     mu = state.penalty
@@ -111,6 +117,8 @@ def alm_project(anchor, g, grad_g, state: AlmState) -> tuple[np.ndarray, AlmRepo
                 if lagrangian(y_new, v_new) <= base + 1e-15:
                     break
                 step *= 0.5
+            if not np.isfinite(y_new).all():
+                raise NumericError("ALM step produced non-finite values")
             y, v = y_new, v_new
         lam = lam + mu * v
         mu = min(state.growth * mu, state.penalty_cap)

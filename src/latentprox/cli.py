@@ -38,20 +38,22 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _cmd_sample(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    manifest = run_experiment(cfg)
+def _report_run(manifest: RunManifest) -> int:
+    """Print the run's summary; exit 4 if a chain diverged, else 0 or 2."""
     _print_summary(manifest)
     if any(err["divergence"] for err in manifest["chain_errors"]):
         return EXIT_NUMERIC
     return EXIT_OK if manifest["ok"] else EXIT_CHECK_FAILED
 
 
+def _cmd_sample(args) -> int:
+    cfg = _apply_overrides(load_config(args.config), args)
+    return _report_run(run_experiment(cfg))
+
+
 def _cmd_design(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    manifest = run_design(cfg)
-    _print_summary(manifest)
-    return EXIT_OK if manifest["ok"] else EXIT_CHECK_FAILED
+    return _report_run(run_design(cfg))
 
 
 def _print_summary(manifest: RunManifest) -> None:

@@ -329,9 +329,8 @@ def violation(spec: ConstraintSpec, x) -> float:
     return _violation(spec, _as_point(x))
 
 
-def violation_gradient(spec: ConstraintSpec, x) -> np.ndarray:
-    """Gradient of the violation where it is smooth (zero inside the set)."""
-    x = _as_point(x)
+def _violation_gradient(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
+    """``violation_gradient`` of a point already checked by ``_as_point``."""
     if spec.kind == "halfspace":
         if spec.normal @ x - spec.offset > 0:
             return spec.normal.copy()
@@ -362,6 +361,11 @@ def violation_gradient(spec: ConstraintSpec, x) -> np.ndarray:
         return np.asarray(spec.grad(x), dtype=float)
     raise UnsupportedKindError(
         f"violation gradient undefined for kind {spec.kind!r}")
+
+
+def violation_gradient(spec: ConstraintSpec, x) -> np.ndarray:
+    """Gradient of the violation where it is smooth (zero inside the set)."""
+    return _violation_gradient(spec, _as_point(x))
 
 
 def has_exact_projection(spec: ConstraintSpec) -> bool:

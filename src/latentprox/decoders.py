@@ -98,18 +98,18 @@ def _check_latent(m: DecoderMap, z) -> np.ndarray:
 
 
 def decode_unchecked(m: DecoderMap, z: np.ndarray) -> np.ndarray:
-    """D(z) for a float latent of the right shape, known to be finite.
+    """D(z) for a finite float latent: a point or a batch of rows.
 
-    The checked ``decode`` is this plus ``_check_latent``; loops that
-    validate their latent once per update call this one.
+    The checked ``decode`` is this plus ``_check_latent``, for a point;
+    loops that validate their latent once per update call this one.
     """
     if m.kind == "linear":
-        return m.weight @ z + m.bias
+        return z @ m.weight.T + m.bias
     a = z
     for W, b in m.layers[:-1]:
-        a = np.tanh(W @ a + b)
+        a = np.tanh(a @ W.T + b)
     W, b = m.layers[-1]
-    return W @ a + b
+    return a @ W.T + b
 
 
 def decode(m: DecoderMap, z) -> np.ndarray:
@@ -117,33 +117,21 @@ def decode(m: DecoderMap, z) -> np.ndarray:
     return decode_unchecked(m, _check_latent(m, z))
 
 
-def decode_batch(m: DecoderMap, Z: np.ndarray) -> np.ndarray:
-    """Vectorized decode of an (n, latent_dim) batch."""
-    Z = np.asarray(Z, dtype=float)
-    if m.kind == "linear":
-        return Z @ m.weight.T + m.bias
-    A = Z
-    for W, b in m.layers[:-1]:
-        A = np.tanh(A @ W.T + b)
-    W, b = m.layers[-1]
-    return A @ W.T + b
-
-
 def vjp_unchecked(m: DecoderMap, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """J(z)^T v for a checked latent and a float covector of ambient shape.
+    """J(z)^T v for a checked z and a float v: points or batches of rows.
 
-    The checked ``vjp`` is this plus the input checks.
+    The checked ``vjp`` is this plus the input checks, for a point.
     """
     if m.kind == "linear":
-        return m.weight.T @ v
-    activations = [z]
+        return v @ m.weight
+    activations = []
     a = z
     for W, b in m.layers[:-1]:
-        a = np.tanh(W @ a + b)
+        a = np.tanh(a @ W.T + b)
         activations.append(a)
-    g = m.layers[-1][0].T @ v
-    for (W, b), a in zip(reversed(m.layers[:-1]), reversed(activations[1:])):
-        g = W.T @ (g * (1.0 - a ** 2))
+    g = v @ m.layers[-1][0]
+    for (W, b), a in zip(reversed(m.layers[:-1]), reversed(activations)):
+        g = (g * (1.0 - a ** 2)) @ W
     return g
 
 
@@ -264,7 +252,7 @@ def encoder_for(m: DecoderMap, samples: int = 512,
     if rng is None:
         rng = np.random.default_rng(0)
     Z = rng.standard_normal((samples, m.latent_dim))
-    X = decode_batch(m, Z)
+    X = decode_unchecked(m, Z)
     Xt = np.concatenate([X, np.ones((samples, 1))], axis=1)
     A = Xt.T @ Xt + ridge * np.eye(Xt.shape[1])
     B = np.linalg.solve(A, Xt.T @ Z)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import difflib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -425,9 +425,7 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
             try:
                 final, trace = sample(sampler_cfg, chain_rng(root_seed, i))
             except Exception as exc:  # record, keep running other chains
-                errors.append({"chain": i,
-                               "error": f"{type(exc).__name__}: {exc}",
-                               "divergence": isinstance(exc, DivergenceError)})
+                errors.append(_chain_error(i, exc))
                 continue
             trace.seed_lineage = (root_seed, i)
             for row in trace.rows:
@@ -477,7 +475,9 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
                f"chains completed",
                f"counters: {counters['langevin_steps']} Langevin steps, "
                f"{counters['correction_iterations']} correction iterations, "
-               f"{counters['shortfalls']} shortfall(s)"]
+               f"{counters['shortfalls']} shortfall(s), "
+               f"{counters['alm_projections']} ALM projection(s), "
+               f"{counters['alm_unconverged']} unconverged"]
     for name, rep in reports.items():
         if "fraction_holding" in rep:
             summary.append(f"{name}: {rep['fraction_holding']:.4f} of "
@@ -491,43 +491,56 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
                            f"{'holds' if rep['cumulative_holds'] else 'FAILS'}")
     for name, okc in checks.items():
         summary.append(f"check {name}: {'pass' if okc else 'FAIL'}")
+    artifacts = {"metrics": "metrics.csv", "score": "score.json",
+                 "decoder": "decoder.json" if decoder is not None else None,
+                 "samples": sorted(p.name for p in samples_dir.iterdir())}
+    return _save_manifest(cfg, "sample", started, errors, checks,
+                          measured=measured, artifacts=artifacts,
+                          reports=reports, counters=counters, summary=summary)
+
+
+def _save_manifest(cfg: RunConfig, kind: str, started: float, errors: list,
+                   checks: dict, **sections) -> RunManifest:
+    """Write and return the manifest of a finished run."""
+    chains, root_seed = int(cfg["chains"]), int(cfg["seed"])
     manifest = RunManifest(data={
         "version": __version__,
         "experiment": cfg["experiment"],
-        "experiment_kind": "sample",
+        "experiment_kind": kind,
         "resolved_config": cfg.data,
-        "measured": measured,
         "chain_seeds": [[root_seed, i] for i in range(chains)],
         "chain_errors": errors,
-        "artifacts": {
-            "metrics": "metrics.csv",
-            "score": "score.json",
-            "decoder": "decoder.json" if decoder is not None else None,
-            "samples": sorted(p.name for p in samples_dir.iterdir()),
-        },
-        "reports": reports,
-        "counters": counters,
         "checks": checks,
-        "summary": summary,
         "timing": {"started_unix": started,
                    "elapsed_s": time.time() - started},
         # a chain that raised fails the run even when every check passes
         "ok": not errors and all(checks.values()),
+        **sections,
     })
-    manifest.save(out / "manifest.json")
+    manifest.save(Path(cfg["out"]) / "manifest.json")
     return manifest
+
+
+def _chain_error(chain: int, exc: Exception) -> dict:
+    """The ``chain_errors`` entry of a chain that raised."""
+    return {"chain": chain, "error": f"{type(exc).__name__}: {exc}",
+            "divergence": isinstance(exc, DivergenceError)}
 
 
 def _trace_counters(traces) -> dict:
     """Work done by the completed chains, counted from their traces.
 
     A shortfall is a correction loop that stopped at ``inner_cap`` with the
-    violation still at or above ``delta``.
+    violation still at or above ``delta``; an unconverged ALM projection
+    hit its outer cap and handed back its best iterate.
     """
     phases = [row.phase for trace in traces for row in trace.rows]
+    reports = [rep for trace in traces for _, _, rep in trace.alm_reports]
     return {"langevin_steps": phases.count("langevin"),
             "correction_iterations": phases.count("correction"),
-            "shortfalls": sum(len(trace.shortfalls) for trace in traces)}
+            "shortfalls": sum(len(trace.shortfalls) for trace in traces),
+            "alm_projections": len(reports),
+            "alm_unconverged": sum(not rep.converged for rep in reports)}
 
 
 def _fidelity_report(sampler_cfg: SamplerConfig, traces) -> dict:
@@ -589,21 +602,21 @@ def run_design(cfg: RunConfig) -> RunManifest:
     chains = int(cfg["chains"])
     root_seed = int(cfg["seed"])
     save_decoder(decoder, out / "decoder.json")
-    mses = []
+    mses, errors = [], []
     with open(out / "metrics.csv", "w") as metrics:
         metrics.write(DESIGN_HEADER + "\n")
         for i in range(chains):
             rng = chain_rng(root_seed, i)
             z0 = rng.standard_normal(decoder.latent_dim)
-            chain_dpo = DpoConfig(nu=dpo_cfg.nu, M=dpo_cfg.M,
-                                  seed=root_seed * 100_003 + i,
-                                  target=dpo_cfg.target,
-                                  absorb_scale=dpo_cfg.absorb_scale,
-                                  baseline=dpo_cfg.baseline)
-            z, trace = design_loop(z0, decoder, sim, chain_dpo,
-                                   steps=int(d["steps"]),
-                                   step_size=float(d["step_size"]),
-                                   tol=float(d["tol"]), mode=d["mode"])
+            chain_dpo = replace(dpo_cfg, seed=root_seed * 100_003 + i)
+            try:
+                z, trace = design_loop(z0, decoder, sim, chain_dpo,
+                                       steps=int(d["steps"]),
+                                       step_size=float(d["step_size"]),
+                                       tol=float(d["tol"]), mode=d["mode"])
+            except Exception as exc:  # record, keep running other chains
+                errors.append(_chain_error(i, exc))
+                continue
             for k, mse in enumerate(trace.mse):
                 metrics.write(f"{i},{k},{_fmt(mse)}\n")
             metrics.flush()
@@ -615,23 +628,10 @@ def run_design(cfg: RunConfig) -> RunManifest:
     if ratio is not None:
         checks["design_mse_ratio"] = all(
             m[-1] <= float(ratio) * m[0] for m in mses)
-    manifest = RunManifest(data={
-        "version": __version__,
-        "experiment": cfg["experiment"],
-        "experiment_kind": "design",
-        "resolved_config": cfg.data,
-        "measured": {},
-        "chain_seeds": [[root_seed, i] for i in range(chains)],
-        "chain_errors": [],
-        "artifacts": {"metrics": "metrics.csv", "decoder": "decoder.json"},
-        "reports": {"mse": [[float(v) for v in m] for m in mses]},
-        "checks": checks,
-        "timing": {"started_unix": started,
-                   "elapsed_s": time.time() - started},
-        "ok": all(checks.values()) if checks else True,
-    })
-    manifest.save(out / "manifest.json")
-    return manifest
+    return _save_manifest(
+        cfg, "design", started, errors, checks, measured={},
+        artifacts={"metrics": "metrics.csv", "decoder": "decoder.json"},
+        reports={"mse": [[float(v) for v in m] for m in mses]})
 
 
 def rerun_from_manifest(manifest_path, out_dir) -> RunManifest:

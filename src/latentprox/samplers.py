@@ -219,8 +219,9 @@ def _correction_direction(cfg: SamplerConfig, x: np.ndarray, residual,
         return residual, None
     if cfg.solver == "alm":
         try:
-            y, rep = alm_project(x, lambda p: C.violation(con, p),
-                                 lambda p: C.violation_gradient(con, p),
+            # alm_project checks x once and each accepted step
+            y, rep = alm_project(x, lambda p: C._violation(con, p),
+                                 lambda p: C._violation_gradient(con, p),
                                  cfg.alm)
         except AlmNonConvergence as exc:
             y, rep = exc.report.point, exc.report

@@ -150,50 +150,56 @@ def _level_cache(f: ScoreField, t: int):
     return entry
 
 
-def _check_point(f: ScoreField, x) -> np.ndarray:
+def _check_point(f: ScoreField, x, batch: bool = False) -> np.ndarray:
+    """x as floats of shape (dim,), or (n, dim) when ``batch`` is allowed."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (f.dim,):
-        raise ShapeError(f"point of shape {x.shape} fed to field of dim {f.dim}")
+    if x.shape[-1:] != (f.dim,) or x.ndim not in ((1, 2) if batch else (1,)):
+        raise ShapeError(f"input of shape {x.shape} fed to field of dim {f.dim}")
     return x
+
+
+def _components(f: ScoreField, x: np.ndarray, t: int):
+    """Each level-t component at x on the last axis: log(weight * density),
+    shape (..., K), and its score -inv (x - mean), shape (..., K, dim)."""
+    logw, means, invs, logdets = _level_cache(f, t)
+    logps, pulls = [], []
+    for k in range(len(logw)):
+        diff = x - means[k]
+        sol = diff @ invs[k].T
+        logps.append(logw[k] - 0.5 * (f.dim * np.log(2 * np.pi) + logdets[k]
+                                      + np.vecdot(diff, sol)))
+        pulls.append(-sol)
+    return np.stack(logps, axis=-1), np.stack(pulls, axis=-2)
 
 
 def log_density(f: ScoreField, x, t: int) -> float:
     """Closed-form log-density of the level-t marginal (analytic kinds only)."""
     if f.kind == "mlp":
         raise ParameterError("mlp fields have no closed-form density")
-    x = _check_point(f, x)
-    logw, means, invs, logdets = _level_cache(f, t)
-    logps = np.empty(len(logw))
-    for k in range(len(logw)):
-        diff = x - means[k]
-        q = diff @ (invs[k] @ diff)
-        logps[k] = logw[k] - 0.5 * (f.dim * np.log(2 * np.pi)
-                                    + logdets[k] + q)
+    logps, _ = _components(f, _check_point(f, x), t)
     m = logps.max()
     return float(m + np.log(np.exp(logps - m).sum()))
 
 
 def score(f: ScoreField, x, t: int) -> np.ndarray:
-    """Gradient of the log-density of the field's level-t marginal at x."""
-    x = _check_point(f, x)
+    """Gradient of the log-density of the field's level-t marginal at x.
+
+    Works on the last axis: a point ``(dim,)`` gives its score, a batch
+    ``(n, dim)`` one score per row.
+    """
+    x = _check_point(f, x, batch=True)
     if f.kind == "mlp":
-        ab = f.schedule.abar_at(t)
-        return _mlp_forward(f.mlp, x[None, :], np.array([ab]))[0]
-    logw, means, invs, logdets = _level_cache(f, t)
-    K = len(logw)
-    if K == 1:
-        return -(invs[0] @ (x - means[0]))
-    logps = np.empty(K)
-    pulls = np.empty((K, f.dim))
-    for k in range(K):
-        diff = x - means[k]
-        sol = invs[k] @ diff
-        logps[k] = logw[k] - 0.5 * (f.dim * np.log(2 * np.pi)
-                                    + logdets[k] + diff @ sol)
-        pulls[k] = -sol
-    r = np.exp(logps - logps.max())
-    r /= r.sum()
-    return r @ pulls
+        X = x.reshape(-1, f.dim)
+        ab = np.full(len(X), f.schedule.abar_at(t))
+        return _mlp_forward(f.mlp, X, ab).reshape(x.shape)
+    if len(f.weights) == 1:
+        _, means, invs, _ = _level_cache(f, t)
+        return -((x - means[0]) @ invs[0].T)
+    logps, pulls = _components(f, x, t)
+    r = np.exp(logps - logps.max(axis=-1, keepdims=True))
+    r /= r.sum(axis=-1, keepdims=True)
+    # (..., 1, K) @ (..., K, dim): one weighted sum of the pulls per row
+    return (r[..., None, :] @ pulls)[..., 0, :]
 
 
 # ---------------------------------------------------------------------------

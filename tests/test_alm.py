@@ -3,7 +3,8 @@ import pytest
 
 from latentprox import constraints as C
 from latentprox.alm import AlmState, alm_project
-from latentprox.errors import AlmNonConvergence, ParameterError
+from latentprox.errors import (AlmNonConvergence, NumericError,
+                               ParameterError)
 
 
 def hyperplane_violation(a, b):
@@ -36,6 +37,24 @@ def test_zero_violation_returns_anchor():
     assert np.array_equal(y, [1.0, -2.0])
     assert report.inner_iterations == 0
     assert report.converged
+
+
+def test_non_finite_anchor_raises():
+    # the solver checks its anchor, so g and grad_g may be unchecked
+    spec = C.l2_ball(1.0)
+    with pytest.raises(NumericError, match="anchor"):
+        alm_project(np.array([np.nan, 3.0]),
+                    lambda p: C._violation(spec, p),
+                    lambda p: C._violation_gradient(spec, p), AlmState())
+
+
+def test_non_finite_accepted_step_raises():
+    # an infinite gradient leaves every trial point infinite, so the line
+    # search runs out of halvings and the step it accepts is not finite
+    spec = C.l2_ball(1.0)
+    with pytest.raises(NumericError, match="step"):
+        alm_project(np.array([3.0, 0.0]), lambda p: C._violation(spec, p),
+                    lambda p: np.array([np.inf, 0.0]), AlmState())
 
 
 def test_feasible_anchor_early_exit():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latentprox.decoders import (decode, decode_batch, encode, encoder_for,
-                                 estimate_lipschitz, linear_decoder,
-                                 mlp_decoder, random_linear_decoder,
-                                 random_mlp_decoder, vjp)
+from latentprox.decoders import (decode, decode_unchecked, encode,
+                                 encoder_for, estimate_lipschitz,
+                                 linear_decoder, mlp_decoder,
+                                 random_linear_decoder, random_mlp_decoder,
+                                 vjp, vjp_unchecked)
 from latentprox.errors import NumericError, ParameterError, ShapeError
 
 W_EX = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
@@ -147,7 +150,7 @@ def test_mlp_encoder_least_squares_fit():
     enc = encoder_for(dec, samples=1024, rng=np.random.default_rng(3))
     rng = np.random.default_rng(8)
     Z = rng.standard_normal((200, 2))
-    X = decode_batch(dec, Z)
+    X = decode_unchecked(dec, Z)
     pred = X @ enc.matrix.T + enc.offset
     resid = np.linalg.norm(pred - Z) / np.linalg.norm(Z)
     assert resid < 0.5  # affine fit of a smooth map; sanity, not exactness
@@ -180,3 +183,76 @@ def test_local_jacobian_norms_diagnostic():
     lin = linear_decoder(np.diag([2.0, 3.0]))
     assert np.allclose(local_jacobian_norms(lin, 4, np.random.default_rng(0)),
                        3.0)
+
+
+# The point forms the decoder kernels used before they took a batch: matrix
+# times vector.  A point call must still equal them bit for bit.
+
+
+def reference_decode(m, z):
+    if m.kind == "linear":
+        return m.weight @ z + m.bias
+    a = z
+    for W, b in m.layers[:-1]:
+        a = np.tanh(W @ a + b)
+    W, b = m.layers[-1]
+    return W @ a + b
+
+
+def reference_vjp(m, z, v):
+    if m.kind == "linear":
+        return m.weight.T @ v
+    activations = []
+    a = z
+    for W, b in m.layers[:-1]:
+        a = np.tanh(W @ a + b)
+        activations.append(a)
+    g = m.layers[-1][0].T @ v
+    for (W, b), a in zip(reversed(m.layers[:-1]), reversed(activations)):
+        g = W.T @ (g * (1.0 - a ** 2))
+    return g
+
+
+@st.composite
+def decoder_batches(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    latent = draw(st.integers(1, 6))
+    ambient = draw(st.integers(latent, 40))
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        dec = random_linear_decoder(latent, ambient, seed=seed,
+                                    scale=draw(st.floats(0.1, 10.0)))
+        dec.bias = np.random.default_rng(seed).standard_normal(ambient)
+    else:
+        dec = random_mlp_decoder(latent, ambient,
+                                 hidden=draw(st.integers(1, 24)), seed=seed,
+                                 scale=draw(st.floats(0.1, 3.0)))
+    rng = np.random.default_rng(seed + 1)
+    scale = draw(st.floats(0.01, 100.0))
+    return (dec, scale * rng.standard_normal((n, latent)),
+            rng.standard_normal((n, ambient)))
+
+
+def assert_rows_near(batch, points):
+    for row, point in zip(batch, points):
+        scale = max(np.abs(point).max(), 1.0)
+        assert np.abs(row - point).max() <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(decoder_batches())
+def test_kernels_take_a_point_or_a_batch(case):
+    dec, Z, V = case
+    X = decode_unchecked(dec, Z)
+    G = vjp_unchecked(dec, Z, V)
+    assert X.shape == (len(Z), dec.ambient_dim)
+    assert G.shape == Z.shape
+    points_x = [decode_unchecked(dec, z) for z in Z]
+    points_g = [vjp_unchecked(dec, z, v) for z, v in zip(Z, V)]
+    for z, v, x, g in zip(Z, V, points_x, points_g):
+        assert np.array_equal(x, reference_decode(dec, z))
+        assert np.array_equal(g, reference_vjp(dec, z, v))
+        assert np.array_equal(decode(dec, z), x)
+        assert np.array_equal(vjp(dec, z, v), g)
+    assert_rows_near(X, points_x)
+    assert_rows_near(G, points_g)

@@ -305,6 +305,34 @@ def test_cli_design(tmp_path):
     assert cli_main(["design", "--config", str(path)]) == 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_divergent_design_chain_exit_code(tmp_path, capsys):
+    cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / "d"))
+    # a far target makes the first step overflow the latent
+    cfg["chains"] = 2
+    cfg["dpo"]["target"] = [1e5] * 4
+    cfg["design"]["step_size"] = 1e308
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["design", "--config", str(path)]) == 4
+    assert "chain 0 failed: DivergenceError" in capsys.readouterr().out
+    stored = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert stored["ok"] is False
+    assert [e["divergence"] for e in stored["chain_errors"]] == [True, True]
+
+
+def test_cli_non_finite_simulator_exit_code(tmp_path, capsys):
+    cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / "d"))
+    cfg["dpo"]["simulator"]["matrix"][0][0] = float("nan")
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["design", "--config", str(path)]) == 2
+    assert "chain 0 failed: SimulatorError" in capsys.readouterr().out
+    stored = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert stored["ok"] is False
+    assert stored["chain_errors"] == [
+        {"chain": 0, "error": "SimulatorError: simulator 'saturating' "
+         "returned non-finite values", "divergence": False}]
+
+
 def test_cli_train_score(tmp_path):
     cfg = {"seed": 0, "out": str(tmp_path / "o"),
            "schedule": {"T": 4, "abar_end": 0.02, "gamma_max": 0.05,
@@ -374,7 +402,29 @@ def test_manifest_counters_match_metrics_and_traces(tmp_path):
     assert manifest["counters"] == {
         "langevin_steps": phases.count("langevin"),
         "correction_iterations": phases.count("correction"),
-        "shortfalls": shortfalls}
+        "shortfalls": shortfalls, "alm_projections": 0,
+        "alm_unconverged": 0}
     assert (f"counters: {phases.count('langevin')} Langevin steps, "
             f"{phases.count('correction')} correction iterations, "
-            f"{shortfalls} shortfall(s)") in manifest["summary"]
+            f"{shortfalls} shortfall(s), 0 ALM projection(s), "
+            f"0 unconverged") in manifest["summary"]
+
+
+def test_manifest_counts_alm_projections(tmp_path):
+    # two outer iterations are too few for some of the projections, so the
+    # run has unconverged ones to count
+    cfg = EXP.centroid_config(seed=0, chains=6, out=str(tmp_path / "c"))
+    cfg["alm"]["max_outer"] = 2
+    manifest = run_experiment(RunConfig.from_dict(cfg))
+    rows = (tmp_path / "c" / "alm.csv").read_text().splitlines()[1:]
+    sampler_cfg = build_sampler_config(RunConfig.from_dict(cfg))
+    reports = [rep for i in range(6)
+               for _, _, rep in sample(sampler_cfg, chain_rng(0, i))[1]
+               .alm_reports]
+    unconverged = sum(not rep.converged for rep in reports)
+    assert 0 < unconverged < len(reports) == len(rows)
+    counters = manifest["counters"]
+    assert counters["alm_projections"] == len(rows)
+    assert counters["alm_unconverged"] == unconverged
+    assert any(f"{len(rows)} ALM projection(s), {unconverged} unconverged"
+               in line for line in manifest["summary"])

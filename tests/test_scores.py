@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentprox.errors import DivergenceError, ParameterError, ShapeError
 from latentprox.schedules import make_schedule
 from latentprox.scores import (MlpScoreConfig, ScoreField, _dsm_loss_of,
-                               dsm_loss, gaussian_mixture_field,
-                               init_mlp_params, linear_gaussian_field,
-                               log_density, score, standard_normal_field,
-                               train_score)
+                               _level_cache, _mlp_forward, dsm_loss,
+                               gaussian_mixture_field, init_mlp_params,
+                               linear_gaussian_field, log_density, score,
+                               standard_normal_field, train_score)
 
 
 @pytest.fixture
@@ -101,6 +103,95 @@ def test_score_shape_error(schedule):
     f = standard_normal_field(2, schedule)
     with pytest.raises(ShapeError):
         score(f, np.zeros(3), 0)
+    for bad in (np.zeros((4, 3)), np.zeros((2, 2, 2)), np.float64(0.0)):
+        with pytest.raises(ShapeError):
+            score(f, bad, 0)
+
+
+def reference_score(f, x, t):
+    """The point score as it was before ``score`` took a batch: gemv forms
+    and a loop over the mixture components."""
+    if f.kind == "mlp":
+        ab = f.schedule.abar_at(t)
+        return _mlp_forward(f.mlp, x[None, :], np.array([ab]))[0]
+    logw, means, invs, logdets = _level_cache(f, t)
+    K = len(logw)
+    if K == 1:
+        return -(invs[0] @ (x - means[0]))
+    logps = np.empty(K)
+    pulls = np.empty((K, f.dim))
+    for k in range(K):
+        diff = x - means[k]
+        sol = invs[k] @ diff
+        logps[k] = logw[k] - 0.5 * (f.dim * np.log(2 * np.pi)
+                                    + logdets[k] + diff @ sol)
+        pulls[k] = -sol
+    r = np.exp(logps - logps.max())
+    r /= r.sum()
+    return r @ pulls
+
+
+def reference_log_density(f, x, t):
+    """The point log-density as it was before it shared ``score``'s
+    component loop."""
+    logw, means, invs, logdets = _level_cache(f, t)
+    logps = np.empty(len(logw))
+    for k in range(len(logw)):
+        diff = x - means[k]
+        logps[k] = logw[k] - 0.5 * (f.dim * np.log(2 * np.pi) + logdets[k]
+                                    + diff @ (invs[k] @ diff))
+    m = logps.max()
+    return float(m + np.log(np.exp(logps - m).sum()))
+
+
+def random_spd(rng, d):
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (Q * rng.uniform(0.3, 3.0, size=d)) @ Q.T
+
+
+@st.composite
+def score_batches(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(("linear_gaussian", "mixture_2",
+                                 "mixture_3", "mlp")))
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 30))
+    T = 6
+    sched = make_schedule(T=T, abar_start=1.0, abar_end=0.05,
+                          gamma_max=0.05, gamma_min=0.01, M=1)
+    rng = np.random.default_rng(seed)
+    if kind == "linear_gaussian":
+        f = linear_gaussian_field(rng.standard_normal(d), random_spd(rng, d),
+                                  sched)
+    elif kind == "mlp":
+        cfg = MlpScoreConfig(hidden=(draw(st.integers(1, 16)),
+                                     draw(st.integers(1, 16))))
+        f = ScoreField(kind="mlp", dim=d, schedule=sched,
+                       mlp=init_mlp_params(d, cfg, rng), mlp_config=cfg)
+    else:
+        K = int(kind[-1])
+        w = rng.uniform(0.1, 1.0, size=K)
+        f = gaussian_mixture_field(w / w.sum(),
+                                   3.0 * rng.standard_normal((K, d)),
+                                   [random_spd(rng, d) for _ in range(K)],
+                                   sched)
+    X = draw(st.floats(0.1, 10.0)) * rng.standard_normal((n, d))
+    return f, X, draw(st.integers(0, T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(score_batches())
+def test_score_takes_a_point_or_a_batch(case):
+    f, X, t = case
+    S = score(f, X, t)
+    assert S.shape == X.shape
+    for x, row in zip(X, S):
+        point = score(f, x, t)
+        assert np.array_equal(point, reference_score(f, x, t))
+        if f.kind != "mlp":
+            assert log_density(f, x, t) == reference_log_density(f, x, t)
+        assert np.abs(row - point).max() <= 1e-12 * max(np.abs(point).max(),
+                                                        1.0)
 
 
 def test_dsm_loss_zero_model_closed_form():
