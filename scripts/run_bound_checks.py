@@ -49,7 +49,7 @@ def main():
     drift_ok = 0
     for seed in range(20):
         case = linear_gaussian_fidelity_case(seed)
-        sched = build_schedule({"abar_start": 1.0, **case["schedule"]})
+        sched = build_schedule(case["schedule"])
         field = build_score(case["score"], sched)
         moments = propagate_linear_gaussian(sched, field)
         kl = kl_series_from_moments(moments, field)

@@ -27,7 +27,6 @@ class Simulator:
     fn: Callable[[np.ndarray], np.ndarray]
     response_dim: int
     name: str = "custom"
-    cost_hint: float = 1.0
 
 
 def evaluate(sim: Simulator, x, perturbation_index: int | None = None) -> np.ndarray:
@@ -45,18 +44,12 @@ def evaluate(sim: Simulator, x, perturbation_index: int | None = None) -> np.nda
 
 @dataclass(frozen=True)
 class DpoConfig:
-    """Smoothing scale, perturbation count, and target for the DPO estimator.
-
-    ``absorb_scale`` folds the 1/nu factor of the gradient estimator into the
-    caller's step size instead of applying it explicitly.
-    """
+    """Smoothing scale, perturbation count, and target for the DPO estimator."""
 
     nu: float
     M: int
     seed: int = 0
     target: np.ndarray | None = None
-    absorb_scale: bool = False
-    baseline: bool = True
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -72,34 +65,27 @@ def _rng_for(cfg: DpoConfig, rng: np.random.Generator | None):
     return rng if rng is not None else np.random.default_rng(cfg.seed)
 
 
-def _perturbations(cfg: DpoConfig, dim: int, rng) -> np.ndarray:
-    return rng.standard_normal((cfg.M, dim))
+def _perturbed(sim: Simulator, x: np.ndarray, cfg: DpoConfig, rng):
+    """The M perturbations eps_m and the responses phi(x + nu eps_m)."""
+    eps = rng.standard_normal((cfg.M, x.size))
+    vals = np.empty((cfg.M, sim.response_dim))
+    for m in range(cfg.M):
+        vals[m] = evaluate(sim, x + cfg.nu * eps[m], perturbation_index=m)
+    return eps, vals
 
 
 def smoothed_value(sim: Simulator, x, cfg: DpoConfig,
                    rng: np.random.Generator | None = None) -> np.ndarray:
     """Monte Carlo estimate of E[phi(x + nu eps)]; deterministic given seed."""
     x = np.asarray(x, dtype=float)
-    rng = _rng_for(cfg, rng)
-    eps = _perturbations(cfg, x.size, rng)
-    vals = np.empty((cfg.M, sim.response_dim))
-    for m in range(cfg.M):
-        vals[m] = evaluate(sim, x + cfg.nu * eps[m], perturbation_index=m)
+    _, vals = _perturbed(sim, x, cfg, _rng_for(cfg, rng))
     return vals.mean(axis=0)
 
 
 def _value_and_grad(sim: Simulator, x: np.ndarray, cfg: DpoConfig, rng):
-    eps = _perturbations(cfg, x.size, rng)
-    vals = np.empty((cfg.M, sim.response_dim))
-    for m in range(cfg.M):
-        vals[m] = evaluate(sim, x + cfg.nu * eps[m], perturbation_index=m)
-    terms = vals
-    if cfg.baseline:
-        terms = vals - evaluate(sim, x)
+    eps, vals = _perturbed(sim, x, cfg, rng)
     # fixed ascending-index reduction keeps results bit-identical
-    jac = np.einsum("mr,md->rd", terms, eps) / cfg.M
-    if not cfg.absorb_scale:
-        jac = jac / cfg.nu
+    jac = np.einsum("mr,md->rd", vals - evaluate(sim, x), eps) / cfg.M / cfg.nu
     return vals.mean(axis=0), jac
 
 
@@ -107,8 +93,7 @@ def smoothed_grad(sim: Simulator, x, cfg: DpoConfig,
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Monte Carlo Jacobian estimate of the smoothed simulator at x.
 
-    Shape (response_dim, dim).  With ``absorb_scale`` the 1/nu factor is
-    omitted (to be folded into the proximal step size).
+    Shape (response_dim, dim).
     """
     x = np.asarray(x, dtype=float)
     _, jac = _value_and_grad(sim, x, cfg, _rng_for(cfg, rng))
@@ -116,14 +101,10 @@ def smoothed_grad(sim: Simulator, x, cfg: DpoConfig,
 
 
 def dpo_loss_grad(sim: Simulator, x, cfg: DpoConfig,
-                  rng: np.random.Generator | None = None,
-                  mode: str = "chain") -> np.ndarray:
+                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Descent direction on the squared tracking loss 0.5||phi_nu(x) - target||^2.
 
-    ``mode="chain"`` (default) composes the residual with the smoothed
-    Jacobian estimate; ``mode="residual"`` returns the bare residual, which is
-    a descent direction only for near-isometric simulators and requires the
-    response space to match the ambient space.
+    The residual composed with the smoothed Jacobian estimate.
     """
     x = np.asarray(x, dtype=float)
     if cfg.target is None:
@@ -132,15 +113,7 @@ def dpo_loss_grad(sim: Simulator, x, cfg: DpoConfig,
         raise ParameterError(
             f"target of shape {cfg.target.shape} does not match response_dim "
             f"{sim.response_dim}")
-    rng = _rng_for(cfg, rng)
-    if mode == "residual":
-        if sim.response_dim != x.size:
-            raise ParameterError(
-                "residual mode needs response_dim equal to the ambient dim")
-        return smoothed_value(sim, x, cfg, rng) - cfg.target
-    if mode != "chain":
-        raise ParameterError(f"unknown dpo mode {mode!r}")
-    value, jac = _value_and_grad(sim, x, cfg, rng)
+    value, jac = _value_and_grad(sim, x, cfg, _rng_for(cfg, rng))
     return jac.T @ (value - cfg.target)
 
 
@@ -149,13 +122,11 @@ class DesignTrace:
     """Tracking-MSE history of a design loop run."""
 
     mse: list = field(default_factory=list)
-    steps_used: int = 0
-    final_latent: np.ndarray | None = None
 
 
 def design_loop(z0, decoder: DecoderMap, sim: Simulator, cfg: DpoConfig,
                 steps: int, step_size: float,
-                tol: float = 0.0, mode: str = "chain") -> tuple[np.ndarray, DesignTrace]:
+                tol: float = 0.0) -> tuple[np.ndarray, DesignTrace]:
     """Iterative latent refinement against a simulator target.
 
     Each step decodes, estimates the tracking-loss gradient with fresh seeded
@@ -168,7 +139,6 @@ def design_loop(z0, decoder: DecoderMap, sim: Simulator, cfg: DpoConfig,
         raise ParameterError("design loop requires a target response")
     z = np.asarray(z0, dtype=float).copy()
     trace = DesignTrace()
-    measured_final = False
     for k in range(steps):
         # fresh perturbations per step, reproducible from the config seed
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
@@ -179,21 +149,16 @@ def design_loop(z0, decoder: DecoderMap, sim: Simulator, cfg: DpoConfig,
         mse = float(np.mean(residual ** 2))
         trace.mse.append(mse)
         if mse < tol:
-            measured_final = True
-            break
-        direction = jac.T @ residual if mode == "chain" else residual
-        z = z - step_size * vjp(decoder, z, direction)
+            return z, trace
+        z = z - step_size * vjp(decoder, z, jac.T @ residual)
         if not np.isfinite(z).all():
             raise DivergenceError(f"latent diverged at design step {k}", step=k)
-        trace.steps_used = k + 1
-    if not measured_final:
-        # closing MSE so the trace covers the final state too
-        x = decode(decoder, z)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=cfg.seed, spawn_key=(steps,)))
-        value = smoothed_value(sim, x, cfg, rng)
-        trace.mse.append(float(np.mean((value - cfg.target) ** 2)))
-    trace.final_latent = z.copy()
+    # closing MSE so the trace covers the final state too
+    x = decode(decoder, z)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=cfg.seed, spawn_key=(steps,)))
+    value = smoothed_value(sim, x, cfg, rng)
+    trace.mse.append(float(np.mean((value - cfg.target) ** 2)))
     return z, trace
 
 

@@ -57,7 +57,9 @@ def halfspace_contraction_config(seed: int = 0, chains: int = 1,
 
     Drift-only by default, mirroring the gradient-plus-projection steps the
     contraction inequality is stated for; the decoded mode sits well inside
-    the halfspace so iterates converge into the feasible region.
+    the halfspace so iterates converge into the feasible region.  Langevin
+    noise breaks the drift-only inequality on some transitions, so with
+    ``noise_scale > 0`` the contraction is reported but not checked.
     """
     latent_dim, ambient_dim = 2, 3
     mode_depth = 4.0
@@ -85,7 +87,7 @@ def halfspace_contraction_config(seed: int = 0, chains: int = 1,
                     "lr": 0.5, "inner_cap": 50, "final_projection": False,
                     "noise_scale": noise_scale},
         "reports": {"contraction": True, "fidelity": noise_scale > 0},
-        "checks": {"contraction_fraction": 0.99},
+        "checks": {"contraction_fraction": 0.99} if noise_scale == 0 else {},
     }
 
 

@@ -45,8 +45,8 @@ SCHEMA = {
     "seed": REQUIRED,
     "chains": 1,
     "out": REQUIRED,
-    "schedule": {"T": 20, "abar_start": 1.0, "abar_end": 0.02,
-                 "gamma_max": 0.05, "gamma_min": 0.005, "M": 1},
+    "schedule": {"T": 20, "abar_end": 0.02, "gamma_max": 0.05,
+                 "gamma_min": 0.005, "M": 1},
     "score": {"kind": REQUIRED, "mean": None, "cov": None, "weights": None,
               "means": None, "covs": None, "file": None},
     "decoder": {"kind": "linear", "latent_dim": None, "ambient_dim": None,
@@ -56,9 +56,8 @@ SCHEMA = {
     "constraint": {"kind": REQUIRED, "delta": 1e-4, "prox_weight": 1.0,
                    "normal": None, "offset": None, "radius": None,
                    "center": None, "lower": None, "upper": None,
-                   "grid": None, "fraction": None, "count": None,
-                   "margin": 1e-3, "accept_radius": None, "model": None,
-                   "smoothness": 1.0},
+                   "grid": None, "fraction": None, "margin": 1e-3,
+                   "accept_radius": None, "model": None, "smoothness": 1.0},
     "sampler": {"mode": "proximal_latent", "solver": "closed_form",
                 "lr": None, "inner_cap": 500, "final_projection": True,
                 "noise_scale": 1.0, "correct_levels": None,
@@ -67,13 +66,11 @@ SCHEMA = {
             "penalty_cap": 1e4, "inner_step": 1e-2, "max_inner": 200,
             "max_outer": 50, "tol": 1e-4},
     "dpo": {"nu": REQUIRED, "M": REQUIRED, "seed": 0, "target": None,
-            "absorb_scale": False, "baseline": True,
             "simulator": {"name": REQUIRED, "matrix": None, "bias": None,
                           "scale": 2.0, "slope": 0.3}},
-    "design": {"steps": 5, "step_size": 0.5, "tol": 0.0, "mode": "chain"},
+    "design": {"steps": 5, "step_size": 0.5, "tol": 0.0},
     "reports": {"contraction": False, "fidelity": False, "beta": 1.0},
-    "checks": {"porosity_exact": False, "feasible_final": False,
-               "contraction_fraction": None, "fidelity_cumulative": False,
+    "checks": {"porosity_exact": False, "contraction_fraction": None,
                "design_mse_ratio": None},
 }
 
@@ -88,7 +85,8 @@ def _suggest(key: str, known) -> str:
 
 def _resolve(section: dict, schema: dict, path: str) -> dict:
     if not isinstance(section, dict):
-        raise ConfigError(f"{path or 'config'} must be a mapping")
+        raise ConfigError(f"{path or 'configuration document'} must be a "
+                          "mapping")
     for key in section:
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} at {path or 'top level'}"
@@ -98,11 +96,16 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
         where = f"{path}.{key}" if path else key
         if isinstance(default, dict):
             sub = section.get(key)
-            out[key] = _resolve(sub if sub is not None else {}, default, where)
+            if sub is None and where in SECTION_NONE_IF_ABSENT:
+                out[key] = None
+            else:
+                out[key] = _resolve({} if sub is None else sub, default,
+                                    where)
         elif key in section and section[key] is not None:
             out[key] = section[key]
         elif default is REQUIRED:
-            raise ConfigError(f"missing required key {where!r}")
+            note = " (no implicit seeding)" if where == "seed" else ""
+            raise ConfigError(f"missing required key {where!r}{note}")
         else:
             out[key] = default
     return out
@@ -114,28 +117,7 @@ def resolve_config(data: dict) -> dict:
     Unknown keys are rejected (with a close-match suggestion); the root seed
     is mandatory so no run is ever implicitly seeded.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("configuration document must be a mapping")
-    for key in data:
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r} at top level"
-                              f"{_suggest(key, SCHEMA)}")
-    if data.get("seed") is None:
-        raise ConfigError("missing required key 'seed' (no implicit seeding)")
-    out = {}
-    for key, default in SCHEMA.items():
-        if isinstance(default, dict):
-            if key in SECTION_NONE_IF_ABSENT and data.get(key) is None:
-                out[key] = None
-            else:
-                out[key] = _resolve(data.get(key) or {}, default, key)
-        elif key in data and data[key] is not None:
-            out[key] = data[key]
-        elif default is REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        else:
-            out[key] = default
-    return out
+    return _resolve(data, SCHEMA, "")
 
 
 @dataclass
@@ -173,8 +155,7 @@ def load_config(path) -> RunConfig:
 
 
 def build_schedule(cfg: dict) -> NoiseSchedule:
-    return make_schedule(T=int(cfg["T"]), abar_start=float(cfg["abar_start"]),
-                         abar_end=float(cfg["abar_end"]),
+    return make_schedule(T=int(cfg["T"]), abar_end=float(cfg["abar_end"]),
                          gamma_max=float(cfg["gamma_max"]),
                          gamma_min=float(cfg["gamma_min"]), M=int(cfg["M"]))
 
@@ -234,13 +215,10 @@ def build_constraint(cfg: dict | None) -> C.ConstraintSpec | None:
         return C.box(cfg["lower"], cfg["upper"], **common)
     if kind == "porosity":
         rows, cols = (int(v) for v in cfg["grid"])
-        if cfg["count"] is not None:
-            K = int(cfg["count"])
-        elif cfg["fraction"] is not None:
-            # round half up, recorded in the manifest via the resolved count
-            K = int(np.floor(float(cfg["fraction"]) * rows * cols + 0.5))
-        else:
-            raise ConfigError("porosity constraint needs 'fraction' or 'count'")
+        if cfg["fraction"] is None:
+            raise ConfigError("porosity constraint needs 'fraction'")
+        # round half up, recorded in the manifest as measured.porosity_count
+        K = int(np.floor(float(cfg["fraction"]) * rows * cols + 0.5))
         return C.porosity_constraint((rows, cols), K, margin=cfg["margin"],
                                      **common)
     if kind == "surrogate_centroid":
@@ -288,9 +266,7 @@ def build_dpo(cfg: dict | None):
     dpo_cfg = DpoConfig(nu=float(cfg["nu"]), M=int(cfg["M"]),
                         seed=int(cfg["seed"]),
                         target=None if cfg["target"] is None
-                        else np.array(cfg["target"]),
-                        absorb_scale=bool(cfg["absorb_scale"]),
-                        baseline=bool(cfg["baseline"]))
+                        else np.array(cfg["target"]))
     return sim, dpo_cfg
 
 
@@ -469,7 +445,7 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
             sampler_cfg.score.kind == "linear_gaussian":
         reports["fidelity"] = _fidelity_report(sampler_cfg, traces)
 
-    checks = _run_checks(cfg, sampler_cfg, finals, traces, reports)
+    checks = _run_checks(cfg, sampler_cfg, finals, reports)
     counters = _trace_counters(traces)
     summary = [f"experiment {cfg['experiment']}: {len(finals)}/{chains} "
                f"chains completed",
@@ -567,22 +543,16 @@ def _fidelity_report(sampler_cfg: SamplerConfig, traces) -> dict:
     return doc
 
 
-def _run_checks(cfg, sampler_cfg, finals, traces, reports) -> dict:
+def _run_checks(cfg, sampler_cfg, finals, reports) -> dict:
     checks = {}
     ck = cfg["checks"]
     constraint = sampler_cfg.constraint
     if ck["porosity_exact"] and constraint is not None:
         counts = [C.violation(constraint, f) == 0.0 for f in finals]
         checks["porosity_exact"] = bool(finals) and all(counts)
-    if ck["feasible_final"] and constraint is not None:
-        checks["feasible_final"] = bool(finals) and all(
-            C.violation(constraint, f) <= constraint.delta for f in finals)
     if ck["contraction_fraction"] is not None:
         frac = reports.get("contraction", {}).get("fraction_holding", 0.0)
         checks["contraction_fraction"] = frac >= float(ck["contraction_fraction"])
-    if ck["fidelity_cumulative"]:
-        checks["fidelity_cumulative"] = bool(
-            reports.get("fidelity", {}).get("cumulative_holds", False))
     return checks
 
 
@@ -613,7 +583,7 @@ def run_design(cfg: RunConfig) -> RunManifest:
                 z, trace = design_loop(z0, decoder, sim, chain_dpo,
                                        steps=int(d["steps"]),
                                        step_size=float(d["step_size"]),
-                                       tol=float(d["tol"]), mode=d["mode"])
+                                       tol=float(d["tol"]))
             except Exception as exc:  # record, keep running other chains
                 errors.append(_chain_error(i, exc))
                 continue

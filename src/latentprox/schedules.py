@@ -77,32 +77,26 @@ class NoiseSchedule:
         return float(self.gamma[-1])
 
 
-def make_schedule(T: int, abar_start: float, abar_end: float,
-                  gamma_max: float, gamma_min: float, M: int = 1) -> NoiseSchedule:
+def make_schedule(T: int, abar_end: float, gamma_max: float,
+                  gamma_min: float, M: int = 1) -> NoiseSchedule:
     """Build a schedule with geometric interpolation for both abar and gamma.
 
-    abar runs from ``abar_start`` at t=0 to ``abar_end`` at t=T; gamma runs
-    from ``gamma_max`` at t=T down to ``gamma_min`` at t=1.
+    abar runs from 1 at t=0 to ``abar_end`` at t=T; gamma runs from
+    ``gamma_max`` at t=T down to ``gamma_min`` at t=1.
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
     if M < 1:
         raise ParameterError("M must be >= 1")
-    if not 0.0 < abar_end < abar_start <= 1.0:
+    if not 0.0 < abar_end <= ABAR_END_CAP:
         raise ParameterError(
-            "require 0 < abar_end < abar_start <= 1 "
-            f"(abar_start={abar_start}, abar_end={abar_end})")
-    if abs(abar_start - 1.0) > 1e-12:
-        raise ParameterError("abar_start must equal 1 within 1e-12")
-    if abar_end > ABAR_END_CAP:
-        raise ParameterError(f"abar_end must be <= {ABAR_END_CAP}")
+            f"require 0 < abar_end <= {ABAR_END_CAP} (abar_end={abar_end})")
     if not 0.0 < gamma_min <= gamma_max:
         raise ParameterError(
             f"require 0 < gamma_min <= gamma_max (gamma_min={gamma_min}, "
             f"gamma_max={gamma_max})")
 
-    abar = abar_start * (abar_end / abar_start) ** (np.arange(T + 1) / T)
-    abar[0] = abar_start
+    abar = abar_end ** (np.arange(T + 1) / T)
     abar[-1] = abar_end
     if T == 1:
         gamma = np.array([gamma_max])

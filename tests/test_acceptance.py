@@ -133,7 +133,7 @@ def test_criterion_04_kl_drift_bound():
     passing = 0
     for seed in range(20):
         case = EXP.linear_gaussian_fidelity_case(seed)
-        sched = build_schedule({"abar_start": 1.0, **case["schedule"]})
+        sched = build_schedule(case["schedule"])
         field = build_score(case["score"], sched)
         moments = propagate_linear_gaussian(sched, field)
         kl = kl_series_from_moments(moments, field)
@@ -201,7 +201,7 @@ def test_criterion_06_design_loop_convergence():
 
 def test_criterion_07_identity_constraint_equivalence():
     started = time.time()
-    sched = make_schedule(T=6, abar_start=1.0, abar_end=0.02, gamma_max=0.05,
+    sched = make_schedule(T=6, abar_end=0.02, gamma_max=0.05,
                           gamma_min=0.01, M=2)
     lat = standard_normal_field(2, sched)
     amb = standard_normal_field(3, sched)

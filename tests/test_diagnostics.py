@@ -173,7 +173,7 @@ def test_contraction_fabricated_violation_detected():
 def test_contraction_drift_only_run_all_hold():
     # zero-noise drift-only run onto a halfspace with a linear decoder
     from latentprox.samplers import SamplerConfig, sample_proximal_latent, chain_rng
-    sched = make_schedule(T=20, abar_start=1.0, abar_end=0.02,
+    sched = make_schedule(T=20, abar_end=0.02,
                           gamma_max=0.02, gamma_min=0.005, M=1)
     dec = random_linear_decoder(2, 3, seed=1234, scale=1.0)
     estimate_lipschitz(dec, 1, np.random.default_rng(0))
@@ -202,7 +202,7 @@ def test_contraction_precondition_flagged():
 
 
 def test_fidelity_drift_constant_series_holds():
-    sched = make_schedule(T=5, abar_start=1.0, abar_end=0.02, gamma_max=0.05,
+    sched = make_schedule(T=5, abar_end=0.02, gamma_max=0.05,
                           gamma_min=0.01, M=1)
     rep = check_fidelity_drift(np.full(6, 0.7), sched, G=1.0)
     assert all(r.holds for r in rep.records)
@@ -210,7 +210,7 @@ def test_fidelity_drift_constant_series_holds():
 
 
 def test_fidelity_drift_decreasing_series_holds():
-    sched = make_schedule(T=5, abar_start=1.0, abar_end=0.02, gamma_max=0.05,
+    sched = make_schedule(T=5, abar_end=0.02, gamma_max=0.05,
                           gamma_min=0.01, M=1)
     rep = check_fidelity_drift(np.linspace(1.0, 0.0, 6)[::-1], sched, G=1.0)
     assert all(r.holds for r in rep.records)
@@ -218,7 +218,7 @@ def test_fidelity_drift_decreasing_series_holds():
 
 
 def test_fidelity_drift_jump_fails_at_level():
-    sched = make_schedule(T=4, abar_start=1.0, abar_end=0.02, gamma_max=0.05,
+    sched = make_schedule(T=4, abar_end=0.02, gamma_max=0.05,
                           gamma_min=0.05, M=1)
     kl = np.full(5, 0.2)
     kl[1] = kl[2] + 2 * sched.gamma_at(2) * 4.0  # G = 2 -> drift budget g*4
@@ -228,7 +228,7 @@ def test_fidelity_drift_jump_fails_at_level():
 
 
 def test_fidelity_drift_length_mismatch():
-    sched = make_schedule(T=4, abar_start=1.0, abar_end=0.02, gamma_max=0.05,
+    sched = make_schedule(T=4, abar_end=0.02, gamma_max=0.05,
                           gamma_min=0.01, M=1)
     with pytest.raises(ParameterError):
         check_fidelity_drift(np.zeros(4), sched, G=1.0)
@@ -242,7 +242,7 @@ def test_bound_record_slack_semantics():
 
 def test_propagated_moments_match_monte_carlo():
     # oracle: simulate the linear chain directly and compare moments
-    sched = make_schedule(T=6, abar_start=1.0, abar_end=0.05, gamma_max=0.08,
+    sched = make_schedule(T=6, abar_end=0.05, gamma_max=0.08,
                           gamma_min=0.03, M=2)
     f = linear_gaussian_field(np.array([0.8]), np.array([[0.9]]), sched)
     moments = propagate_linear_gaussian(sched, f)
@@ -262,7 +262,7 @@ def test_propagated_moments_match_monte_carlo():
 
 
 def test_kl_series_and_score_bound():
-    sched = make_schedule(T=8, abar_start=1.0, abar_end=0.02, gamma_max=0.03,
+    sched = make_schedule(T=8, abar_end=0.02, gamma_max=0.03,
                           gamma_min=0.01, M=1)
     f = linear_gaussian_field(np.array([1.0, 0.0]), np.eye(2), sched)
     moments = propagate_linear_gaussian(sched, f)

@@ -77,6 +77,14 @@ def test_unbiasedness_confidence_ellipse():
     assert stat < stats.chi2.ppf(0.99, df=z.size)
 
 
+def no_baseline_grad(sim, x, nu, M, seed):
+    # the estimator without the phi(x) baseline, on the perturbations that
+    # smoothed_grad draws from the same seed
+    eps = np.random.default_rng(seed).standard_normal((M, x.size))
+    vals = np.array([sim.fn(x + nu * e) for e in eps])
+    return np.einsum("mr,md->rd", vals, eps) / M / nu
+
+
 def test_baseline_does_not_change_expectation():
     # paired seeds: with/without baseline agree within the Monte Carlo CI
     rng = np.random.default_rng(4)
@@ -86,21 +94,10 @@ def test_baseline_does_not_change_expectation():
     with_b, without_b = [], []
     for s in range(40):
         with_b.append(smoothed_grad(sim, x, DpoConfig(nu=0.1, M=400, seed=s)))
-        without_b.append(smoothed_grad(
-            sim, x, DpoConfig(nu=0.1, M=400, seed=s, baseline=False)))
+        without_b.append(no_baseline_grad(sim, x, nu=0.1, M=400, seed=s))
     drift = np.mean(with_b, axis=0) - np.mean(without_b, axis=0)
     spread = np.std(without_b, axis=0, ddof=1) / np.sqrt(40)
     assert np.all(np.abs(drift) < 4 * spread + 1e-12)
-
-
-def test_absorb_scale_folds_out_nu():
-    sim = linear_simulator(np.array([[2.0, 0.0]]))
-    x = np.zeros(2)
-    cfg = DpoConfig(nu=0.25, M=64, seed=9)
-    cfg_abs = DpoConfig(nu=0.25, M=64, seed=9, absorb_scale=True)
-    J = smoothed_grad(sim, x, cfg)
-    J_abs = smoothed_grad(sim, x, cfg_abs)
-    assert np.allclose(J_abs, cfg.nu * J)
 
 
 def test_seed_determinism():
@@ -150,13 +147,6 @@ def test_dpo_loss_grad_target_dim_mismatch():
     cfg = DpoConfig(nu=0.1, M=4, seed=0, target=np.zeros(3))
     with pytest.raises(ParameterError):
         dpo_loss_grad(sim, np.zeros(3), cfg)
-
-
-def test_residual_mode_requires_matching_dims():
-    sim = linear_simulator(np.ones((2, 3)))
-    cfg = DpoConfig(nu=0.1, M=4, seed=0, target=np.zeros(2))
-    with pytest.raises(ParameterError):
-        dpo_loss_grad(sim, np.zeros(3), cfg, mode="residual")
 
 
 def test_design_loop_identity_simulator_converges():

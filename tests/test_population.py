@@ -18,7 +18,7 @@ from latentprox.schedules import make_schedule
 from latentprox.scores import standard_normal_field
 
 DELTA = 1e-3
-SCHEDULE = make_schedule(T=2, abar_start=1.0, abar_end=0.02, gamma_max=0.05,
+SCHEDULE = make_schedule(T=2, abar_end=0.02, gamma_max=0.05,
                          gamma_min=0.01)
 
 

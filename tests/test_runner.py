@@ -38,7 +38,6 @@ def test_minimal_config_resolves_defaults(tmp_path):
     # every default the loader resolves appears in the config
     assert cfg["sampler"]["inner_cap"] == 500
     assert cfg["sampler"]["final_projection"] is True
-    assert cfg["schedule"]["abar_start"] == 1.0
     assert cfg["reports"]["contraction"] is False
 
 
@@ -59,6 +58,39 @@ def test_missing_seed_rejected():
     del raw["seed"]
     with pytest.raises(ConfigError, match="seed"):
         resolve_config(raw)
+
+
+# keys removed from the schema, each with a value it used to accept
+REMOVED_KEYS = [("schedule", "abar_start", 1.0),
+                ("dpo", "absorb_scale", False),
+                ("dpo", "baseline", True),
+                ("design", "mode", "chain"),
+                ("constraint", "count", 1),
+                ("checks", "feasible_final", False),
+                ("checks", "fidelity_cumulative", False)]
+
+
+@pytest.mark.parametrize("section, key, value", REMOVED_KEYS,
+                         ids=[f"{s}.{k}" for s, k, _ in REMOVED_KEYS])
+def test_removed_key_rejected(section, key, value):
+    # an older config or manifest that still sets the key is refused
+    raw = minimal_config("x")
+    raw.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' at {section}"):
+        resolve_config(raw)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_FILES = sorted(ROOT.glob("configs/*.yaml")) \
+    + sorted(ROOT.glob("perfbench/configs/*.yaml"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES,
+                         ids=[str(p.relative_to(ROOT)) for p in CONFIG_FILES])
+def test_committed_config_files_load(path):
+    # the presets and the benchmark's frozen configs stay valid under the
+    # strict schema
+    assert load_config(path)["seed"] is not None
 
 
 def test_load_config_yaml_and_parse_errors(tmp_path):
@@ -93,7 +125,6 @@ def test_manifest_echoes_resolved_defaults(tmp_path):
     manifest = run_experiment(RunConfig.from_dict(minimal_config(out)))
     stored = json.loads((out / "manifest.json").read_text())
     assert stored["resolved_config"]["sampler"]["inner_cap"] == 500
-    assert stored["resolved_config"]["schedule"]["abar_start"] == 1.0
     assert stored["chain_seeds"] == [[7, 0], [7, 1]]
 
 
@@ -180,6 +211,18 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg["smapler"] = cfg.pop("sampler")
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
     assert cli_main(["sample", "--config", str(path)]) == 3
+
+
+def test_cli_sample_noisy_halfspace_preset(tmp_path):
+    # Langevin noise breaks the drift-only contraction inequality on some
+    # transitions, so the noisy preset reports the contraction unchecked
+    cfg = EXP.halfspace_contraction_config(seed=3, chains=10, noise_scale=1.0,
+                                           out=str(tmp_path / "run"))
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 0
+    stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert stored["ok"] is True
+    assert stored["reports"]["contraction"]["transitions"] > 0
 
 
 def test_cli_check_failure_exit_code(tmp_path):

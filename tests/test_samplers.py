@@ -19,7 +19,7 @@ from latentprox.scores import linear_gaussian_field, standard_normal_field
 
 
 def small_schedule(T=6, M=2, gmax=0.05, gmin=0.01):
-    return make_schedule(T=T, abar_start=1.0, abar_end=0.02, gamma_max=gmax,
+    return make_schedule(T=T, abar_end=0.02, gamma_max=gmax,
                          gamma_min=gmin, M=M)
 
 
@@ -68,7 +68,7 @@ def test_unconstrained_gaussian_moment_check():
     # oracle: Monte Carlo mean of the sampled population approaches the
     # target mean within standard errors (schedule long enough that the
     # closed-form output bias sits well below the noise floor)
-    sched = make_schedule(T=60, abar_start=1.0, abar_end=0.02, gamma_max=0.08,
+    sched = make_schedule(T=60, abar_end=0.02, gamma_max=0.08,
                           gamma_min=0.04, M=10)
     mu = np.array([0.6, -0.3])
     f = linear_gaussian_field(mu, np.eye(2), sched)
@@ -88,7 +88,7 @@ def test_unconstrained_gaussian_moment_check_large_population():
     # decoder, no constraint), which is bit-equivalent dynamics
     from latentprox.decoders import linear_decoder
     from latentprox.experiments import sample_population
-    sched = make_schedule(T=300, abar_start=1.0, abar_end=0.02,
+    sched = make_schedule(T=300, abar_end=0.02,
                           gamma_max=0.09, gamma_min=0.05, M=8)
     mu = np.array([0.6, -0.3])
     f = linear_gaussian_field(mu, np.eye(2), sched)
@@ -137,7 +137,7 @@ def test_projected_ambient_feasible_every_step():
 def test_projected_ambient_halfspace_mean_shift():
     # oracle: rejection sampling of the constrained Gaussian gives the
     # restricted mean; the projected sampler must shift the same way
-    sched = make_schedule(T=8, abar_start=1.0, abar_end=0.05, gamma_max=0.05,
+    sched = make_schedule(T=8, abar_end=0.05, gamma_max=0.05,
                           gamma_min=0.02, M=25)
     f = standard_normal_field(2, sched)
     spec = C.halfspace([1.0, 0.0], 0.5)
@@ -190,7 +190,7 @@ def test_identity_constraint_equivalence_all_modes():
 
 
 def test_proximal_latent_porosity_exact():
-    sched = make_schedule(T=8, abar_start=1.0, abar_end=0.02, gamma_max=0.05,
+    sched = make_schedule(T=8, abar_end=0.02, gamma_max=0.05,
                           gamma_min=0.01, M=1)
     lat_dim, grid = 6, (3, 3)
     f = standard_normal_field(lat_dim, sched)

@@ -9,33 +9,33 @@ from latentprox.schedules import (NoiseSchedule, forward_noise, make_schedule,
 
 def test_geometric_interpolation_by_hand():
     # oracle: 1 * (0.01/1)^(t/2) for t = 0, 1, 2 -> [1, 0.1, 0.01]
-    s = make_schedule(T=2, abar_start=1.0, abar_end=0.01, gamma_max=0.1,
+    s = make_schedule(T=2, abar_end=0.01, gamma_max=0.1,
                       gamma_min=0.1, M=1)
     assert np.allclose(s.abar, [1.0, 0.1, 0.01], atol=1e-12)
     assert np.allclose(s.gamma, [0.1, 0.1])
 
 
 def test_single_level_endpoints_only():
-    s = make_schedule(T=1, abar_start=1.0, abar_end=0.04, gamma_max=0.05,
+    s = make_schedule(T=1, abar_end=0.04, gamma_max=0.05,
                       gamma_min=0.05, M=1)
     assert np.allclose(s.abar, [1.0, 0.04])
 
 
 def test_invalid_gamma_order_names_field():
     with pytest.raises(ParameterError, match="gamma_min"):
-        make_schedule(T=3, abar_start=1.0, abar_end=0.01, gamma_max=0.01,
+        make_schedule(T=3, abar_end=0.01, gamma_max=0.01,
                       gamma_min=0.02, M=1)
 
 
 def test_invalid_abar_order():
     with pytest.raises(ParameterError, match="abar"):
-        make_schedule(T=3, abar_start=0.5, abar_end=0.9, gamma_max=0.1,
+        make_schedule(T=3, abar_end=0.0, gamma_max=0.1,
                       gamma_min=0.01, M=1)
 
 
 def test_abar_end_cap_enforced():
     with pytest.raises(ParameterError, match="abar_end"):
-        make_schedule(T=3, abar_start=1.0, abar_end=0.2, gamma_max=0.1,
+        make_schedule(T=3, abar_end=0.2, gamma_max=0.1,
                       gamma_min=0.01, M=1)
 
 
@@ -53,7 +53,7 @@ def test_schedule_invariants_validated():
 @given(T=st.integers(2, 30), abar_end=st.floats(1e-4, 0.05),
        gmin=st.floats(1e-4, 0.05), ratio=st.floats(1.0, 20.0))
 def test_schedule_monotonicity_property(T, abar_end, gmin, ratio):
-    s = make_schedule(T=T, abar_start=1.0, abar_end=abar_end,
+    s = make_schedule(T=T, abar_end=abar_end,
                       gamma_max=gmin * ratio, gamma_min=gmin, M=1)
     assert np.all(np.diff(s.abar) <= 0)
     assert np.all(s.gamma > 0)
@@ -63,7 +63,7 @@ def test_schedule_monotonicity_property(T, abar_end, gmin, ratio):
 
 
 def test_forward_noise_zero_weight_is_exact():
-    s = make_schedule(T=3, abar_start=1.0, abar_end=0.02, gamma_max=0.1,
+    s = make_schedule(T=3, abar_end=0.02, gamma_max=0.1,
                       gamma_min=0.01, M=1)
     x0 = np.array([1.5, -2.25, 0.125])
     out = forward_noise(x0, 0, s, np.random.default_rng(0))
@@ -77,7 +77,7 @@ def test_noising_formula_pure_noise_case():
 
 
 def test_forward_noise_index_error():
-    s = make_schedule(T=3, abar_start=1.0, abar_end=0.02, gamma_max=0.1,
+    s = make_schedule(T=3, abar_end=0.02, gamma_max=0.1,
                       gamma_min=0.01, M=1)
     with pytest.raises(IndexError):
         forward_noise(np.zeros(2), 4, s, np.random.default_rng(0))
@@ -110,7 +110,7 @@ def test_forward_noise_mean_monte_carlo():
 
 
 def test_forward_noise_seeded_determinism():
-    s = make_schedule(T=4, abar_start=1.0, abar_end=0.02, gamma_max=0.1,
+    s = make_schedule(T=4, abar_end=0.02, gamma_max=0.1,
                       gamma_min=0.01, M=1)
     x0 = np.linspace(-1, 1, 5)
     a = forward_noise(x0, 2, s, np.random.default_rng(99))

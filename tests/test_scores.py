@@ -14,7 +14,7 @@ from latentprox.scores import (MlpScoreConfig, ScoreField, _dsm_loss_of,
 
 @pytest.fixture
 def schedule():
-    return make_schedule(T=5, abar_start=1.0, abar_end=0.05, gamma_max=0.05,
+    return make_schedule(T=5, abar_end=0.05, gamma_max=0.05,
                          gamma_min=0.01, M=1)
 
 
@@ -89,7 +89,7 @@ def test_level_convolution_matches_marginal(schedule):
 
 
 def test_field_validation():
-    sched = make_schedule(T=2, abar_start=1.0, abar_end=0.02, gamma_max=0.1,
+    sched = make_schedule(T=2, abar_end=0.02, gamma_max=0.1,
                           gamma_min=0.1, M=1)
     with pytest.raises(ParameterError):
         gaussian_mixture_field([0.5, 0.6], [[0.0], [1.0]],
@@ -157,7 +157,7 @@ def score_batches(draw):
     d = draw(st.integers(1, 8))
     n = draw(st.integers(2, 30))
     T = 6
-    sched = make_schedule(T=T, abar_start=1.0, abar_end=0.05,
+    sched = make_schedule(T=T, abar_end=0.05,
                           gamma_max=0.05, gamma_min=0.01, M=1)
     rng = np.random.default_rng(seed)
     if kind == "linear_gaussian":

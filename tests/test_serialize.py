@@ -10,7 +10,7 @@ from latentprox.serialize import (load_decoder, load_score_field, load_vector,
 
 
 def schedule():
-    return make_schedule(T=4, abar_start=1.0, abar_end=0.02, gamma_max=0.07,
+    return make_schedule(T=4, abar_end=0.02, gamma_max=0.07,
                          gamma_min=0.013, M=2)
 
 
