@@ -2,14 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .schedules import NoiseSchedule, forward_noise, make_schedule  # noqa: F401
+from .schedules import NoiseSchedule, make_schedule  # noqa: F401
 from .scores import (MlpScoreConfig, ScoreField, dsm_loss,  # noqa: F401
                      gaussian_mixture_field, linear_gaussian_field,
                      log_density, score, standard_normal_field, train_score)
-from .decoders import (DecoderMap, EncoderMap, decode, encode,  # noqa: F401
-                       encoder_for, estimate_lipschitz, linear_decoder,
-                       mlp_decoder, random_linear_decoder, random_mlp_decoder,
-                       vjp)
+from .decoders import (DecoderMap, decode, estimate_lipschitz,  # noqa: F401
+                       linear_decoder, mlp_decoder, random_linear_decoder,
+                       random_mlp_decoder, vjp)
 from .constraints import (CentroidModel, ConstraintSpec,  # noqa: F401
                           centroid_constraint, centroid_trigger,
                           custom_constraint, fit_centroid_model, halfspace,
@@ -21,9 +20,9 @@ from .dpo import (DpoConfig, Simulator, design_loop, dpo_loss_grad,  # noqa: F40
                   linear_simulator, make_simulator, piecewise_simulator,
                   saturating_simulator, smoothed_grad, smoothed_value)
 from .samplers import (SampleTrace, SamplerConfig,  # noqa: F401
-                       finalize_with_projection, langevin_step, sample,
-                       sample_projected_ambient, sample_proximal_latent,
-                       sample_unconstrained, chain_rng)
+                       langevin_step, sample, sample_projected_ambient,
+                       sample_proximal_latent, sample_unconstrained,
+                       chain_rng)
 from .diagnostics import (BoundReport, GaussianFit,  # noqa: F401
                           check_feasibility_contraction, check_fidelity_drift,
                           fit_gaussian, frechet_distance, gaussian_kl)

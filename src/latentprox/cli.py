@@ -14,7 +14,8 @@ import numpy as np
 
 from . import constraints as C
 from .diagnostics import check_run_contraction
-from .errors import ConfigError, DivergenceError, NumericError
+from .errors import (ConfigError, DivergenceError, NumericError,
+                     ParameterError, ShapeError)
 from .runner import (RunConfig, RunManifest, build_constraint, build_decoder,
                      build_schedule, load_config, load_traces, run_design,
                      run_experiment)
@@ -196,7 +197,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError, ShapeError) as exc:
+        # a builder rejects an out-of-range or misshapen config value
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, NumericError) as exc:

@@ -1,4 +1,4 @@
-"""Latent-to-ambient decoder maps, companion encoders, and Lipschitz bounds.
+"""Latent-to-ambient decoder maps and their Lipschitz bounds.
 
 Two decoder families are provided: exact linear maps (where the theory is
 checkable in closed form, with the Lipschitz bound equal to the largest
@@ -202,67 +202,3 @@ def estimate_lipschitz(m: DecoderMap, probes: int,
     m.lipschitz_bound = float(bound)
     m.lipschitz_probes = int(probes)
     return m.lipschitz_bound
-
-
-def local_jacobian_norms(m: DecoderMap, probes: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Per-probe local Jacobian operator norms (smoothness diagnostics)."""
-    if probes < 1:
-        raise ParameterError("probes must be >= 1")
-    out = np.empty(probes)
-    for k in range(probes):
-        z = rng.standard_normal(m.latent_dim)
-        if m.kind == "linear":
-            out[k] = np.linalg.svd(m.weight, compute_uv=False).max()
-            continue
-        J = np.stack([vjp(m, z, e) for e in np.eye(m.ambient_dim)])
-        out[k] = np.linalg.svd(J, compute_uv=False).max()
-    return out
-
-
-@dataclass(frozen=True)
-class EncoderMap:
-    """Affine companion encoder: encode(x) = matrix @ x + offset."""
-
-    kind: str
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    @property
-    def latent_dim(self):
-        return self.matrix.shape[0]
-
-    @property
-    def ambient_dim(self):
-        return self.matrix.shape[1]
-
-
-def encoder_for(m: DecoderMap, samples: int = 512,
-                rng: np.random.Generator | None = None,
-                ridge: float = 1e-8) -> EncoderMap:
-    """Build the companion encoder.
-
-    Linear decoders get the pseudo-inverse map, so decode(encode(x)) is the
-    orthogonal projection of x onto the decoder's affine range.  Smooth MLPs
-    get a ridge-regularized least-squares affine fit on paired samples.
-    """
-    if m.kind == "linear":
-        P = np.linalg.pinv(m.weight)
-        return EncoderMap(kind="linear", matrix=P, offset=-P @ m.bias)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    Z = rng.standard_normal((samples, m.latent_dim))
-    X = decode_unchecked(m, Z)
-    Xt = np.concatenate([X, np.ones((samples, 1))], axis=1)
-    A = Xt.T @ Xt + ridge * np.eye(Xt.shape[1])
-    B = np.linalg.solve(A, Xt.T @ Z)
-    return EncoderMap(kind="smooth_mlp", matrix=B[:-1].T, offset=B[-1])
-
-
-def encode(e: EncoderMap, x) -> np.ndarray:
-    """Least-squares preimage of x under the paired decoder."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (e.ambient_dim,):
-        raise ShapeError(f"ambient point of shape {x.shape}, "
-                         f"expected ({e.ambient_dim},)")
-    return e.matrix @ x + e.offset

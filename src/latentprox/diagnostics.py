@@ -53,7 +53,6 @@ class BoundReport:
     lipschitz: float = 0.0
     beta: float = 1.0
     beta_prime: float = 1.0
-    smoothness: float = 1.0
     precondition_ok: bool = True
     cumulative: BoundRecord | None = None
 
@@ -62,13 +61,6 @@ class BoundReport:
         if not self.records:
             return 1.0
         return sum(r.holds for r in self.records) / len(self.records)
-
-    @property
-    def all_hold(self) -> bool:
-        ok = all(r.holds for r in self.records)
-        if self.cumulative is not None:
-            ok = ok and self.cumulative.holds
-        return ok
 
 
 def check_feasibility_contraction(trace: SampleTrace,
@@ -90,7 +82,7 @@ def check_feasibility_contraction(trace: SampleTrace,
         if G > 0 else True
     report = BoundReport(G=G, lipschitz=float(ell), beta=float(beta),
                          beta_prime=float(beta_prime),
-                         smoothness=float(L), precondition_ok=precondition_ok)
+                         precondition_ok=precondition_ok)
     # pre[k] is level t_{k}; transitions pair (t+1 -> t) with gamma_{t+1}
     for prev, cur in zip(pre[:-1], pre[1:]):
         gamma = prev.gamma
@@ -163,7 +155,6 @@ def check_fidelity_drift(kl_series, schedule: NoiseSchedule,
 class GaussianFit:
     mean: np.ndarray
     cov: np.ndarray
-    n: int = 0
 
     @property
     def dim(self) -> int:
@@ -183,7 +174,7 @@ def fit_gaussian(samples) -> GaussianFit:
     if vals.min() < 0:
         cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         cov = 0.5 * (cov + cov.T)
-    return GaussianFit(mean=mean, cov=cov, n=X.shape[0])
+    return GaussianFit(mean=mean, cov=cov)
 
 
 def gaussian_kl(a: GaussianFit, b: GaussianFit) -> float:

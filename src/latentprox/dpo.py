@@ -9,6 +9,7 @@ the variance drops sharply at the small M the design loop uses.
 
 from __future__ import annotations
 
+import inspect
 import subprocess
 from dataclasses import dataclass, field
 from typing import Callable
@@ -199,12 +200,20 @@ _FACTORIES = {
 
 
 def make_simulator(name: str, **params) -> Simulator:
-    """Named-factory lookup used by the run configuration."""
+    """Named-factory lookup used by the run configuration.
+
+    A missing ``matrix`` or a parameter the simulator does not take is a
+    ``ConfigError``.
+    """
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ConfigError(f"unknown simulator {name!r}; "
                           f"known: {sorted(_FACTORIES)}") from None
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise ConfigError(f"simulator {name!r}: {exc}") from None
     return factory(**params)
 
 

@@ -244,11 +244,6 @@ def fidelity_config(seed: int = 0, chains: int = 10_000,
     }
 
 
-def vacuous_box_constraint(dim: int, huge: float = 1e9) -> dict:
-    return {"kind": "box", "lower": [-huge] * dim, "upper": [huge] * dim,
-            "delta": 1e-4, "prox_weight": 1.0}
-
-
 # ---------------------------------------------------------------------------
 # Vectorized population sampling for distribution-level experiments
 

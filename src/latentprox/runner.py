@@ -77,6 +77,11 @@ SCHEMA = {
 SECTION_NONE_IF_ABSENT = ("score", "decoder", "constraint", "alm", "dpo",
                           "design")
 
+# the keys each constraint kind needs set
+CONSTRAINT_KEYS = {"halfspace": ("normal", "offset"), "l2_ball": ("radius",),
+                   "box": ("lower", "upper"), "porosity": ("grid", "fraction"),
+                   "surrogate_centroid": ("model", "accept_radius")}
+
 
 def _suggest(key: str, known) -> str:
     close = difflib.get_close_matches(key, list(known), n=1)
@@ -204,6 +209,9 @@ def build_constraint(cfg: dict | None) -> C.ConstraintSpec | None:
     if cfg is None:
         return None
     kind = cfg["kind"]
+    for key in CONSTRAINT_KEYS.get(kind, ()):
+        if cfg[key] is None:
+            raise ConfigError(f"{kind} constraint needs {key!r}")
     common = {"delta": float(cfg["delta"]),
               "prox_weight": float(cfg["prox_weight"]),
               "smoothness": float(cfg["smoothness"])}
@@ -215,16 +223,12 @@ def build_constraint(cfg: dict | None) -> C.ConstraintSpec | None:
         return C.box(cfg["lower"], cfg["upper"], **common)
     if kind == "porosity":
         rows, cols = (int(v) for v in cfg["grid"])
-        if cfg["fraction"] is None:
-            raise ConfigError("porosity constraint needs 'fraction'")
         # round half up, recorded in the manifest as measured.porosity_count
         K = int(np.floor(float(cfg["fraction"]) * rows * cols + 0.5))
         return C.porosity_constraint((rows, cols), K, margin=cfg["margin"],
                                      **common)
     if kind == "surrogate_centroid":
         m = cfg["model"]
-        if m is None:
-            raise ConfigError("surrogate_centroid constraint needs a model")
         model = C.CentroidModel(
             axes=np.array(m["axes"]),
             feature_mean=np.array(m["feature_mean"]),
@@ -253,15 +257,17 @@ def build_dpo(cfg: dict | None):
         return None, None
     sim_cfg = dict(cfg["simulator"])
     name = sim_cfg.pop("name")
+    # scale and slope pass only when set away from their schema default,
+    # which is also the simulator's own, so make_simulator rejects just a
+    # key the config sets for a simulator that does not take it
+    defaults = SCHEMA["dpo"]["simulator"]
     kwargs = {}
-    if sim_cfg.get("matrix") is not None:
-        kwargs["matrix"] = np.array(sim_cfg["matrix"])
-    if sim_cfg.get("bias") is not None:
-        kwargs["bias"] = np.array(sim_cfg["bias"])
-    if name == "saturating":
-        kwargs["scale"] = float(sim_cfg["scale"])
-    if name == "piecewise":
-        kwargs["slope"] = float(sim_cfg["slope"])
+    for key, value in sim_cfg.items():
+        if key in ("matrix", "bias"):
+            if value is not None:
+                kwargs[key] = np.array(value)
+        elif value != defaults[key]:
+            kwargs[key] = float(value)
     sim = make_simulator(name, **kwargs)
     dpo_cfg = DpoConfig(nu=float(cfg["nu"]), M=int(cfg["M"]),
                         seed=int(cfg["seed"]),
@@ -403,7 +409,6 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
             except Exception as exc:  # record, keep running other chains
                 errors.append(_chain_error(i, exc))
                 continue
-            trace.seed_lineage = (root_seed, i)
             for row in trace.rows:
                 metrics.write(_metrics_row(i, row) + "\n")
             metrics.flush()
@@ -604,10 +609,40 @@ def run_design(cfg: RunConfig) -> RunManifest:
         reports={"mse": [[float(v) for v in m] for m in mses]})
 
 
+# keys the schema no longer has, each with the value the code now
+# hard-wires; a manifest written while they existed still echoes them
+RETIRED_KEYS = {("schedule", "abar_start"): 1.0,
+                ("constraint", "count"): None,
+                ("dpo", "absorb_scale"): False,
+                ("dpo", "baseline"): True,
+                ("design", "mode"): "chain",
+                ("checks", "feasible_final"): False,
+                ("checks", "fidelity_cumulative"): False}
+
+
+def _drop_retired_keys(raw: dict) -> dict:
+    """``raw`` without the retired keys that hold their hard-wired value."""
+    raw = dict(raw)
+    for (section, key), value in RETIRED_KEYS.items():
+        sub = raw.get(section)
+        if not isinstance(sub, dict) or key not in sub:
+            continue
+        if sub[key] != value:
+            raise ConfigError(
+                f"cannot replay {section}.{key} = {sub[key]!r}: the key is "
+                f"retired and this version runs only {value!r}")
+        raw[section] = {k: v for k, v in sub.items() if k != key}
+    return raw
+
+
 def rerun_from_manifest(manifest_path, out_dir) -> RunManifest:
-    """Re-execute a run from its manifest into a fresh directory."""
+    """Re-execute a run from its manifest into a fresh directory.
+
+    A manifest written before a key left the schema replays when the key
+    holds the value the code now hard-wires (``RETIRED_KEYS``).
+    """
     manifest = RunManifest.load(manifest_path)
-    raw = dict(manifest["resolved_config"])
+    raw = _drop_retired_keys(manifest["resolved_config"])
     raw["out"] = str(out_dir)
     cfg = RunConfig.from_dict(raw)
     if manifest.data.get("experiment_kind") == "design":

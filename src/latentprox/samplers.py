@@ -39,8 +39,8 @@ class TraceRow:
     score_norm: float
     violation: float
     dist: float
-    z: np.ndarray | None = None
-    x: np.ndarray | None = None
+    z: np.ndarray | None = None   # unconstrained and proximal rows
+    x: np.ndarray | None = None   # projected-ambient rows: the chain state
 
 
 @dataclass
@@ -48,9 +48,6 @@ class SampleTrace:
     """Complete evidence stream of one chain."""
 
     rows: list = field(default_factory=list)
-    final_latent: np.ndarray | None = None
-    final_sample: np.ndarray | None = None
-    seed_lineage: tuple = ()
     shortfalls: list = field(default_factory=list)  # (t, iterations, violation)
     alm_reports: list = field(default_factory=list)  # (t, i, AlmReport)
 
@@ -98,6 +95,8 @@ class SamplerConfig:
     alm: AlmState | None = None
     simulator: Simulator | None = None
     dpo: DpoConfig | None = None
+    # rows keep a copy of the chain state: z in the latent modes, x in
+    # projected_ambient; a proximal row never copies its decoded point
     record_vectors: bool = True
 
     def __post_init__(self):
@@ -175,8 +174,6 @@ def sample_unconstrained(cfg: SamplerConfig,
                 score_norm=float(np.linalg.norm(s)),
                 violation=float("nan"), dist=float("nan"),
                 z=z.copy() if cfg.record_vectors else None))
-    trace.final_latent = z.copy()
-    trace.final_sample = z.copy()
     return z, trace
 
 
@@ -202,8 +199,6 @@ def sample_projected_ambient(cfg: SamplerConfig,
                 t=t, i=i, phase="langevin", gamma=gamma,
                 score_norm=float(np.linalg.norm(s)), violation=v, dist=d,
                 x=x.copy() if cfg.record_vectors else None))
-    trace.final_latent = None
-    trace.final_sample = x.copy()
     return x, trace
 
 
@@ -269,9 +264,7 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
         v, d, residual = C.evaluate(con, x)
         trace.rows.append(TraceRow(
             t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
-            violation=v, dist=d,
-            z=z.copy() if cfg.record_vectors else None,
-            x=x.copy() if cfg.record_vectors else None))
+            violation=v, dist=d, z=z.copy() if cfg.record_vectors else None))
     if v >= con.delta:
         trace.shortfalls.append((t, i, v))
     return z
@@ -297,9 +290,7 @@ def sample_proximal_latent(cfg: SamplerConfig,
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="langevin", gamma=gamma,
                 score_norm=float(np.linalg.norm(s)), violation=ev[0],
-                dist=ev[1],
-                z=z.copy() if cfg.record_vectors else None,
-                x=x.copy() if cfg.record_vectors else None))
+                dist=ev[1], z=z.copy() if cfg.record_vectors else None))
             if cfg.correct_every_step and con is not None:
                 z = _run_correction(cfg, z, x, ev, t, gamma, rng, trace)
         if con is not None and not cfg.correct_every_step:
@@ -308,18 +299,7 @@ def sample_proximal_latent(cfg: SamplerConfig,
     x = decode(dec, z)
     if cfg.final_projection and con is not None and C.has_exact_projection(con):
         x = C.project_exact(con, x)
-    trace.final_latent = z.copy()
-    trace.final_sample = x.copy()
     return x, trace
-
-
-def finalize_with_projection(z0, decoder: DecoderMap,
-                             constraint: C.ConstraintSpec) -> np.ndarray:
-    """Decode and apply the exact ambient projection once."""
-    if not C.has_exact_projection(constraint):
-        raise ConfigError(
-            f"constraint kind {constraint.kind!r} has no exact projection")
-    return C.project_exact(constraint, decode(decoder, z0))
 
 
 def sample(cfg: SamplerConfig, rng: np.random.Generator):

@@ -107,15 +107,10 @@ def make_schedule(T: int, abar_end: float, gamma_max: float,
     return NoiseSchedule(T=T, abar=abar, gamma=gamma, inner_steps=M)
 
 
-def noised_sample(x0: np.ndarray, abar: float, eps: np.ndarray) -> np.ndarray:
-    """The forward-process formula sqrt(abar) x0 + sqrt(1 - abar) eps."""
+def noised_sample(x0: np.ndarray, abar, eps: np.ndarray) -> np.ndarray:
+    """The forward-process formula sqrt(abar) x0 + sqrt(1 - abar) eps.
+
+    ``abar`` is a level's retained fraction, or a column of them that
+    broadcasts over a batch of rows.
+    """
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
-
-
-def forward_noise(x0: np.ndarray, t: int, schedule: NoiseSchedule,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Noise a sample to level t; deterministic given the generator state."""
-    x0 = np.asarray(x0, dtype=float)
-    ab = schedule.abar_at(t)
-    eps = rng.standard_normal(x0.shape)
-    return noised_sample(x0, ab, eps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, ShapeError
-from .schedules import NoiseSchedule
+from .schedules import NoiseSchedule, noised_sample
 
 KINDS = ("gaussian_mixture", "linear_gaussian", "mlp")
 
@@ -250,7 +250,7 @@ def _dsm_draws(batch: np.ndarray, schedule: NoiseSchedule,
     t = rng.integers(1, schedule.T + 1, size=n)
     ab = schedule.abar[t]
     eps = rng.standard_normal(batch.shape)
-    xt = np.sqrt(ab)[:, None] * batch + np.sqrt(1.0 - ab)[:, None] * eps
+    xt = noised_sample(batch, ab[:, None], eps)
     target = -eps / np.sqrt(1.0 - ab)[:, None]
     return xt, ab, target
 

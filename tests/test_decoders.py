@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentprox.decoders import (decode, decode_unchecked, encode,
-                                 encoder_for, estimate_lipschitz,
-                                 linear_decoder, mlp_decoder,
+from latentprox.decoders import (decode, decode_unchecked,
+                                 estimate_lipschitz, linear_decoder,
+                                 mlp_decoder,
                                  random_linear_decoder, random_mlp_decoder,
                                  vjp, vjp_unchecked)
 from latentprox.errors import NumericError, ParameterError, ShapeError
@@ -109,59 +109,6 @@ def test_lipschitz_bound_cached_and_audited():
         assert sigma <= ell + 1e-9
 
 
-def test_encode_identity_pair():
-    dec = linear_decoder(np.eye(2))
-    enc = encoder_for(dec)
-    assert np.allclose(encode(enc, np.array([1.0, 2.0])), [1.0, 2.0])
-
-
-def test_encode_exact_preimage():
-    dec = linear_decoder(W_EX, bias=np.array([0.1, -0.2, 0.3]))
-    enc = encoder_for(dec)
-    z_star = np.array([0.4, -1.2])
-    x = decode(dec, z_star)
-    assert np.allclose(encode(enc, x), z_star, atol=1e-9)
-
-
-def test_encode_off_range_is_orthogonal_projection():
-    # oracle: normal equations (W^T W) z = W^T (x - b) solved independently
-    dec = linear_decoder(W_EX, bias=np.array([1.0, 0.0, -1.0]))
-    enc = encoder_for(dec)
-    x = np.array([5.0, -2.0, 0.7])
-    z = encode(enc, x)
-    z_oracle = np.linalg.solve(W_EX.T @ W_EX, W_EX.T @ (x - dec.bias))
-    assert np.allclose(z, z_oracle, atol=1e-9)
-    # decode(encode(x)) equals the projection of x onto the affine range
-    proj = dec.bias + W_EX @ z_oracle
-    assert np.allclose(decode(dec, z), proj, atol=1e-9)
-
-
-def test_linear_roundtrip_identity_on_latent():
-    dec = random_linear_decoder(3, 6, seed=9, scale=1.3)
-    enc = encoder_for(dec)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        z = rng.standard_normal(3)
-        assert np.allclose(encode(enc, decode(dec, z)), z, atol=1e-9)
-
-
-def test_mlp_encoder_least_squares_fit():
-    dec = random_mlp_decoder(2, 5, hidden=16, seed=6)
-    enc = encoder_for(dec, samples=1024, rng=np.random.default_rng(3))
-    rng = np.random.default_rng(8)
-    Z = rng.standard_normal((200, 2))
-    X = decode_unchecked(dec, Z)
-    pred = X @ enc.matrix.T + enc.offset
-    resid = np.linalg.norm(pred - Z) / np.linalg.norm(Z)
-    assert resid < 0.5  # affine fit of a smooth map; sanity, not exactness
-
-
-def test_encode_shape_error():
-    enc = encoder_for(linear_decoder(W_EX))
-    with pytest.raises(ShapeError):
-        encode(enc, np.zeros(2))
-
-
 def test_mlp_decoder_layers_validated():
     with pytest.raises(ParameterError):
         mlp_decoder([(np.zeros((4, 3)), np.zeros(4)),
@@ -171,18 +118,6 @@ def test_mlp_decoder_layers_validated():
         DecoderMap(kind="smooth_mlp", latent_dim=3, ambient_dim=5,
                    layers=[(np.zeros((4, 2)), np.zeros(4)),
                            (np.zeros((5, 4)), np.zeros(5))])
-
-
-def test_local_jacobian_norms_diagnostic():
-    from latentprox.decoders import local_jacobian_norms
-    dec = random_mlp_decoder(2, 4, hidden=8, seed=3)
-    ell = estimate_lipschitz(dec, probes=64, rng=np.random.default_rng(0))
-    norms = local_jacobian_norms(dec, 64, np.random.default_rng(1))
-    assert norms.shape == (64,)
-    assert np.all(norms <= ell + 1e-9)
-    lin = linear_decoder(np.diag([2.0, 3.0]))
-    assert np.allclose(local_jacobian_norms(lin, 4, np.random.default_rng(0)),
-                       3.0)
 
 
 # The point forms the decoder kernels used before they took a batch: matrix

@@ -10,7 +10,8 @@ from latentprox import experiments as EXP
 from latentprox.cli import main as cli_main
 from latentprox.errors import ConfigError
 from latentprox.runner import (RunConfig, build_sampler_config, load_config,
-                               render_grid, rerun_from_manifest,
+                               RETIRED_KEYS, render_grid,
+                               rerun_from_manifest,
                                resolve_config, run_design, run_experiment)
 from latentprox.samplers import chain_rng, sample
 
@@ -73,7 +74,8 @@ REMOVED_KEYS = [("schedule", "abar_start", 1.0),
 @pytest.mark.parametrize("section, key, value", REMOVED_KEYS,
                          ids=[f"{s}.{k}" for s, k, _ in REMOVED_KEYS])
 def test_removed_key_rejected(section, key, value):
-    # an older config or manifest that still sets the key is refused
+    # a config that still sets the key is refused; only
+    # rerun_from_manifest drops it, and only at its hard-wired value
     raw = minimal_config("x")
     raw.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=f"unknown key '{key}' at {section}"):
@@ -162,6 +164,47 @@ def test_design_run_and_replay(tmp_path):
         (tmp_path / "design2" / "metrics.csv").read_bytes()
 
 
+def with_retired_keys(manifest_path):
+    """The manifest as it was written while the seven retired keys existed."""
+    doc = json.loads(Path(manifest_path).read_text())
+    resolved = doc["resolved_config"]
+    for (section, key), value in RETIRED_KEYS.items():
+        if resolved[section] is not None:
+            resolved[section][key] = value
+    Path(manifest_path).write_text(json.dumps(doc))
+    return resolved
+
+
+@pytest.mark.parametrize("preset", ["design", "porosity"])
+def test_replay_of_a_manifest_with_retired_keys(tmp_path, preset):
+    out = tmp_path / "run"
+    if preset == "design":
+        run_design(RunConfig.from_dict(
+            EXP.design_loop_config(seed=0, out=str(out))))
+        sections = {"schedule", "dpo", "design", "checks"}
+    else:
+        run_experiment(RunConfig.from_dict(EXP.porosity_config(
+            fraction=0.3, seed=0, chains=2, out=str(out), grid=(8, 8),
+            latent_dim=16)))
+        sections = {"schedule", "constraint", "checks"}
+    resolved = with_retired_keys(out / "manifest.json")
+    assert {s for s, _ in RETIRED_KEYS if resolved[s] is not None} == sections
+    rerun_from_manifest(out / "manifest.json", tmp_path / "replay")
+    assert (out / "metrics.csv").read_bytes() == \
+        (tmp_path / "replay" / "metrics.csv").read_bytes()
+
+
+def test_replay_rejects_a_retired_key_at_another_value(tmp_path):
+    out = tmp_path / "run"
+    run_experiment(RunConfig.from_dict(minimal_config(out)))
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["resolved_config"]["schedule"]["abar_start"] = 0.9
+    (out / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="schedule.abar_start"):
+        rerun_from_manifest(out / "manifest.json", tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
+
+
 def test_render_grid_bytes(tmp_path):
     path = tmp_path / "g.pgm"
     render_grid(-np.ones((2, 3)), path)
@@ -211,6 +254,76 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg["smapler"] = cfg.pop("sampler")
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
     assert cli_main(["sample", "--config", str(path)]) == 3
+
+
+def set_alm_growth(cfg):
+    cfg["sampler"]["solver"] = "alm"
+    cfg["alm"] = {"growth": 0.5}
+
+
+def set_constraint(doc):
+    return lambda cfg: cfg.update(constraint=doc)
+
+
+# values a builder rejects, and keys a constraint kind needs
+CONFIG_ERRORS = {
+    "alm.growth": (set_alm_growth, "growth must exceed 1"),
+    "schedule.T": (lambda cfg: cfg["schedule"].update(T=0),
+                   "T must be >= 1"),
+    "constraint.delta": (lambda cfg: cfg["constraint"].update(delta=-1),
+                         "delta must be positive"),
+    "l2_ball.radius": (set_constraint({"kind": "l2_ball", "radius": -1}),
+                       "radius must be positive"),
+    "score.cov": (lambda cfg: cfg["score"].update(
+        cov=[[1.0, 2.0], [2.0, 1.0]]), "must be positive definite"),
+    "decoder.lipschitz_probes": (lambda cfg: cfg["decoder"].update(
+        lipschitz_probes=0), "probes must be >= 1"),
+    "box without lower": (
+        set_constraint({"kind": "box", "upper": [1.0, 1.0, 1.0]}),
+        "box constraint needs 'lower'"),
+    "halfspace without normal": (
+        set_constraint({"kind": "halfspace", "offset": 0.5}),
+        "halfspace constraint needs 'normal'"),
+    "halfspace without offset": (
+        set_constraint({"kind": "halfspace", "normal": [1.0, 0.0, 0.0]}),
+        "halfspace constraint needs 'offset'"),
+    "l2_ball without radius": (set_constraint({"kind": "l2_ball"}),
+                               "l2_ball constraint needs 'radius'"),
+    "porosity without grid": (
+        set_constraint({"kind": "porosity", "fraction": 0.3}),
+        "porosity constraint needs 'grid'"),
+    "porosity without fraction": (
+        set_constraint({"kind": "porosity", "grid": [2, 2]}),
+        "porosity constraint needs 'fraction'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_ERRORS))
+def test_cli_config_value_error_exit_code(tmp_path, capsys, name):
+    # caught when the run's components are built, before any chain runs
+    mutate, message = CONFIG_ERRORS[name]
+    cfg = minimal_config(tmp_path / "run")
+    mutate(cfg)
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("bias", [0.0, 0.0, 0.0, 0.0], "unexpected keyword argument 'bias'"),
+    ("matrix", None, "missing a required argument: 'matrix'")],
+    ids=["bias", "matrix"])
+def test_cli_design_simulator_parameters_exit_code(tmp_path, capsys, key,
+                                                   value, message):
+    cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / "d"))
+    cfg["dpo"]["simulator"][key] = value
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["design", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: simulator 'saturating'")
+    assert message in err
 
 
 def test_cli_sample_noisy_halfspace_preset(tmp_path):

@@ -5,14 +5,15 @@ from latentprox import constraints as C
 from latentprox.alm import alm_project
 from latentprox.decoders import (decode, random_linear_decoder,
                                  random_mlp_decoder, vjp)
+from latentprox.dpo import DpoConfig, saturating_simulator
 from latentprox.errors import (AlmNonConvergence, ConfigError,
                                DivergenceError, ParameterError)
 from latentprox.experiments import centroid_config
 from latentprox.runner import RunConfig, build_sampler_config
 from latentprox.samplers import (SampleTrace, SamplerConfig, TraceRow,
                                  _correction_active, chain_rng,
-                                 finalize_with_projection, langevin_step,
-                                 sample, sample_projected_ambient,
+                                 langevin_step, sample,
+                                 sample_projected_ambient,
                                  sample_proximal_latent, sample_unconstrained)
 from latentprox.schedules import NoiseSchedule, make_schedule
 from latentprox.scores import linear_gaussian_field, standard_normal_field
@@ -239,21 +240,6 @@ def test_mode_solver_compatibility():
                       decoder=dec, constraint=smooth, solver="dpo")
 
 
-def test_finalize_with_projection():
-    dec = random_linear_decoder(2, 4, seed=3)
-    ball = C.l2_ball(1.0)
-    z0 = np.array([3.0, 1.0])
-    out = finalize_with_projection(z0, dec, ball)
-    assert np.linalg.norm(out) <= 1.0 + 1e-12
-    # feasible decode stays unchanged
-    z_small = np.array([0.01, 0.0])
-    x_dec = decode(dec, z_small)
-    assert np.array_equal(finalize_with_projection(z_small, dec, ball), x_dec)
-    smooth = C.custom_constraint(lambda y: 0.0, lambda y: np.zeros_like(y))
-    with pytest.raises(ConfigError):
-        finalize_with_projection(z0, dec, smooth)
-
-
 def test_shortfall_recorded_when_cap_hit():
     sched = small_schedule(T=3, M=1)
     f = standard_normal_field(2, sched)
@@ -275,12 +261,62 @@ def test_replay_from_seed_lineage():
     spec = C.halfspace([1.0, 0.0, 0.0], 0.0, prox_weight=1e4)
     cfg = SamplerConfig(schedule=sched, score=f, mode="proximal_latent",
                         decoder=dec, constraint=spec, lr=0.5)
-    x1, t1 = sample(cfg, chain_rng(11, 4))
-    t1.seed_lineage = (11, 4)
+    lineage = (11, 4)
+    x1, t1 = sample(cfg, chain_rng(*lineage))
     # regenerate from the recorded lineage
-    x2, t2 = sample(cfg, chain_rng(*t1.seed_lineage))
+    x2, t2 = sample(cfg, chain_rng(*lineage))
     assert np.array_equal(x1, x2)
     assert all(np.array_equal(a.z, b.z) for a, b in zip(t1.rows, t2.rows))
+
+
+def test_trace_rows_copy_the_chain_state_only():
+    sched = small_schedule(T=4, M=2)
+    dec = random_linear_decoder(2, 3, seed=8)
+    spec = C.halfspace([1.0, 0.0, 0.0], 0.0, prox_weight=1e4)
+    prox = SamplerConfig(schedule=sched, score=standard_normal_field(2, sched),
+                         mode="proximal_latent", decoder=dec, constraint=spec,
+                         lr=0.5)
+    _, trace = sample(prox, chain_rng(3, 0))
+    phases = {row.phase for row in trace.rows}
+    assert phases == {"langevin", "correction"}
+    # a proximal row keeps its latent; the decoded point is not copied
+    assert all(row.x is None and row.z.shape == (2,) for row in trace.rows)
+
+    proj = SamplerConfig(schedule=sched, score=standard_normal_field(3, sched),
+                         mode="projected_ambient", constraint=spec)
+    x, trace = sample(proj, chain_rng(3, 0))
+    assert all(row.z is None and row.x.shape == (3,) for row in trace.rows)
+    assert np.array_equal(trace.rows[-1].x, x)
+
+
+def test_dpo_solver_corrects_each_level_and_replays():
+    # a custom smooth constraint whose g is the tracking loss of a
+    # saturating simulator, corrected by the smoothed-gradient estimator
+    sched = small_schedule(T=6, M=1)
+    dec = random_linear_decoder(2, 4, seed=3, scale=2.0)
+    sim = saturating_simulator(
+        np.random.default_rng(5).standard_normal((3, 4)), scale=2.0)
+    target = sim.fn(decode(dec, np.array([0.6, -0.4])))
+    spec = C.custom_constraint(
+        lambda x: 0.5 * float(np.sum((sim.fn(x) - target) ** 2)),
+        delta=1e-3, prox_weight=1e4)
+    cfg = SamplerConfig(schedule=sched, score=standard_normal_field(2, sched),
+                        mode="proximal_latent", decoder=dec, constraint=spec,
+                        solver="dpo", lr=0.1, inner_cap=30, simulator=sim,
+                        dpo=DpoConfig(nu=0.05, M=64, target=target))
+    x, trace = sample(cfg, chain_rng(1, 0))
+    starts, ends = trace.level_end_rows(), trace.level_final_rows()
+    assert [r.t for r in starts] == [r.t for r in ends] == [6, 5, 4, 3, 2, 1]
+    for start, end in zip(starts, ends):
+        assert end.phase == "correction"
+        assert end.violation < start.violation
+    assert ends[0].violation < 0.01 * starts[0].violation
+    x2, trace2 = sample(cfg, chain_rng(1, 0))
+    assert np.array_equal(x, x2)
+    assert len(trace.rows) == len(trace2.rows)
+    for row, again in zip(trace.rows, trace2.rows):
+        assert row.violation == again.violation
+        assert np.array_equal(row.z, again.z)
 
 
 def test_output_feasibility_convex_kinds():
@@ -349,8 +385,7 @@ def reference_proximal_latent(cfg, rng):
             v = C.violation(con, x)
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
-                violation=v, dist=C.dist_to_set(con, x), z=z.copy(),
-                x=x.copy()))
+                violation=v, dist=C.dist_to_set(con, x), z=z.copy()))
         if v >= con.delta:
             trace.shortfalls.append((t, i, v))
         return z
@@ -365,7 +400,7 @@ def reference_proximal_latent(cfg, rng):
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="langevin", gamma=gamma,
                 score_norm=float(np.linalg.norm(s)), violation=v, dist=d,
-                z=z.copy(), x=x.copy()))
+                z=z.copy()))
             if cfg.correct_every_step and con is not None:
                 z = correct(z, x, t, gamma)
         if con is not None and not cfg.correct_every_step:
@@ -373,8 +408,6 @@ def reference_proximal_latent(cfg, rng):
     x = decode(dec, z)
     if cfg.final_projection and con is not None and C.has_exact_projection(con):
         x = C.project_exact(con, x)
-    trace.final_latent = z.copy()
-    trace.final_sample = x.copy()
     return x, trace
 
 
@@ -385,15 +418,12 @@ def same_float(a, b):
 def assert_same_chain(got, ref):
     (x, trace), (x_ref, trace_ref) = got, ref
     assert np.array_equal(x, x_ref)
-    assert np.array_equal(trace.final_latent, trace_ref.final_latent)
-    assert np.array_equal(trace.final_sample, trace_ref.final_sample)
     assert len(trace.rows) == len(trace_ref.rows)
     for row, want in zip(trace.rows, trace_ref.rows):
         assert (row.t, row.i, row.phase) == (want.t, want.i, want.phase)
         for name in ("gamma", "score_norm", "violation", "dist"):
             assert same_float(getattr(row, name), getattr(want, name)), name
         assert np.array_equal(row.z, want.z)
-        assert np.array_equal(row.x, want.x)
     assert trace.shortfalls == trace_ref.shortfalls
     assert len(trace.alm_reports) == len(trace_ref.alm_reports)
     for (t, i, rep), (t_ref, i_ref, rep_ref) in zip(trace.alm_reports,

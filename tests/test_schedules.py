@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latentprox.errors import ParameterError
-from latentprox.schedules import (NoiseSchedule, forward_noise, make_schedule,
-                                  noised_sample)
+from latentprox.schedules import NoiseSchedule, make_schedule, noised_sample
 
 
 def test_geometric_interpolation_by_hand():
@@ -19,6 +18,8 @@ def test_single_level_endpoints_only():
     s = make_schedule(T=1, abar_end=0.04, gamma_max=0.05,
                       gamma_min=0.05, M=1)
     assert np.allclose(s.abar, [1.0, 0.04])
+    with pytest.raises(IndexError):
+        s.abar_at(2)
 
 
 def test_invalid_gamma_order_names_field():
@@ -66,8 +67,8 @@ def test_forward_noise_zero_weight_is_exact():
     s = make_schedule(T=3, abar_end=0.02, gamma_max=0.1,
                       gamma_min=0.01, M=1)
     x0 = np.array([1.5, -2.25, 0.125])
-    out = forward_noise(x0, 0, s, np.random.default_rng(0))
-    assert np.array_equal(out, x0)
+    eps = np.random.default_rng(0).standard_normal(3)
+    assert np.array_equal(noised_sample(x0, s.abar_at(0), eps), x0)
 
 
 def test_noising_formula_pure_noise_case():
@@ -76,21 +77,13 @@ def test_noising_formula_pure_noise_case():
     assert np.array_equal(noised_sample(np.array([5.0, 5.0]), 0.0, eps), eps)
 
 
-def test_forward_noise_index_error():
-    s = make_schedule(T=3, abar_end=0.02, gamma_max=0.1,
-                      gamma_min=0.01, M=1)
-    with pytest.raises(IndexError):
-        forward_noise(np.zeros(2), 4, s, np.random.default_rng(0))
-
-
 def test_forward_noise_variance_monte_carlo():
     # oracle: Var = 1 - abar_t per coordinate for x0 = 0
     s = NoiseSchedule(T=2, abar=np.array([1.0, 0.5, 0.02]),
                       gamma=np.array([0.1, 0.1]))
     rng = np.random.default_rng(123)
     n = 100_000
-    draws = np.array([forward_noise(np.zeros(1), 1, s, rng)[0]
-                      for _ in range(n)])
+    draws = noised_sample(np.zeros(n), s.abar_at(1), rng.standard_normal(n))
     var = draws.var()
     se = 0.5 * np.sqrt(2.0 / (n - 1))
     assert abs(var - 0.5) < 3 * se
@@ -101,18 +94,8 @@ def test_forward_noise_mean_monte_carlo():
     rng = np.random.default_rng(7)
     x0 = np.array([2.0, -1.0])
     n = 100_000
-    acc = np.zeros(2)
-    for _ in range(n):
-        acc += forward_noise(x0, 1, s, rng)
-    mean = acc / n
+    eps = rng.standard_normal((n, 2))
+    mean = noised_sample(x0, s.abar_at(1), eps).mean(axis=0)
     se = np.sqrt((1 - 0.04) / n)
     assert np.all(np.abs(mean - np.sqrt(0.04) * x0) < 4 * se)
 
-
-def test_forward_noise_seeded_determinism():
-    s = make_schedule(T=4, abar_end=0.02, gamma_max=0.1,
-                      gamma_min=0.01, M=1)
-    x0 = np.linspace(-1, 1, 5)
-    a = forward_noise(x0, 2, s, np.random.default_rng(99))
-    b = forward_noise(x0, 2, s, np.random.default_rng(99))
-    assert np.array_equal(a, b)

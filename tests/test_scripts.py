@@ -1,0 +1,26 @@
+"""Every experiment script in scripts/ still imports.
+
+The scripts run long experiments, so the suite does not run them; it loads
+each one as a module, which runs its imports but not ``main``.  A name a
+script imports that the package renamed or deleted fails here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts")
+                 .glob("*.py"))
+
+
+def test_scripts_found():
+    assert SCRIPTS
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_imports_and_defines_main(path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(getattr(module, "main", None))
