@@ -365,10 +365,8 @@ class RunManifest:
 
 
 def _report_doc(report: BoundReport) -> dict:
-    doc = {"G": report.G, "lipschitz": report.lipschitz, "beta": report.beta,
-           "beta_prime": report.beta_prime,
-           "fraction_holding": report.fraction_holding,
-           "precondition_ok": report.precondition_ok,
+    """The fields every bound check measures."""
+    doc = {"G": report.G, "fraction_holding": report.fraction_holding,
            "transitions": len(report.records)}
     if report.cumulative is not None:
         doc["cumulative_holds"] = report.cumulative.holds
@@ -379,6 +377,9 @@ def _report_doc(report: BoundReport) -> dict:
 
 def run_experiment(cfg: RunConfig) -> RunManifest:
     """Execute a sampling experiment: chains, metrics, samples, reports."""
+    if cfg["reports"]["fidelity"] and not cfg["sampler"]["record_vectors"]:
+        raise ConfigError("reports.fidelity needs the latent of each level, "
+                          "which sampler.record_vectors: false drops")
     started = time.time()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -444,8 +445,12 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
         }
     rep_cfg = cfg["reports"]
     if rep_cfg["contraction"] and constraint is not None and traces:
-        reports["contraction"] = _report_doc(check_run_contraction(
-            traces, constraint, decoder, beta=float(rep_cfg["beta"])))
+        report = check_run_contraction(traces, constraint, decoder,
+                                       beta=float(rep_cfg["beta"]))
+        reports["contraction"] = dict(
+            _report_doc(report), lipschitz=report.lipschitz,
+            beta=report.beta, beta_prime=report.beta_prime,
+            precondition_ok=report.precondition_ok)
     if rep_cfg["fidelity"] and traces and \
             sampler_cfg.score.kind == "linear_gaussian":
         reports["fidelity"] = _fidelity_report(sampler_cfg, traces)
@@ -578,6 +583,8 @@ def run_design(cfg: RunConfig) -> RunManifest:
     root_seed = int(cfg["seed"])
     save_decoder(decoder, out / "decoder.json")
     mses, errors = [], []
+    counters = {"design_steps": 0, "simulator_evaluations": 0,
+                "simulator_calls": 0}
     with open(out / "metrics.csv", "w") as metrics:
         metrics.write(DESIGN_HEADER + "\n")
         for i in range(chains):
@@ -597,6 +604,9 @@ def run_design(cfg: RunConfig) -> RunManifest:
             metrics.flush()
             save_vector(z, out / f"design_{i:04d}.txt")
             mses.append(trace.mse)
+            counters["design_steps"] += trace.steps
+            counters["simulator_evaluations"] += trace.simulator_evaluations
+            counters["simulator_calls"] += trace.simulator_calls
 
     checks = {}
     ratio = cfg["checks"]["design_mse_ratio"]
@@ -606,7 +616,8 @@ def run_design(cfg: RunConfig) -> RunManifest:
     return _save_manifest(
         cfg, "design", started, errors, checks, measured={},
         artifacts={"metrics": "metrics.csv", "decoder": "decoder.json"},
-        reports={"mse": [[float(v) for v in m] for m in mses]})
+        reports={"mse": [[float(v) for v in m] for m in mses]},
+        counters=counters)
 
 
 # keys the schema no longer has, each with the value the code now

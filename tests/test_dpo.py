@@ -1,7 +1,11 @@
 import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from latentprox.decoders import decode, random_linear_decoder
@@ -121,6 +125,81 @@ def test_simulator_failure_carries_index():
     assert err.value.perturbation_index is not None
 
 
+def first_index_above(threshold, nu, M, seed):
+    # the first perturbation x + nu eps_m of x = 0 whose entry exceeds the
+    # threshold, on the draws the estimator makes from the same seed
+    eps = np.random.default_rng(seed).standard_normal((M, 1))
+    return int(np.flatnonzero(nu * eps[:, 0] > threshold)[0])
+
+
+def test_batched_simulator_failure_carries_first_index():
+    def flaky(x):  # a point (1,) or a batch (M, 1)
+        return np.where(x > 0.35, np.inf, 0.0)
+
+    cfg = DpoConfig(nu=1.0, M=50, seed=0)
+    expected = first_index_above(0.35, cfg.nu, cfg.M, cfg.seed)
+    assert expected > 0
+    for batched in (True, False):
+        sim = Simulator(fn=flaky, response_dim=1, batched=batched)
+        with pytest.raises(SimulatorError) as err:
+            smoothed_value(sim, np.zeros(1), cfg)
+        assert err.value.perturbation_index == expected
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 2), (7, 1), (8, 1, 1)])
+def test_batched_simulator_wrong_shape(shape):
+    sim = Simulator(fn=lambda X: np.zeros(shape), response_dim=1,
+                    batched=True)
+    with pytest.raises(SimulatorError, match="expected \\(8, 1\\)"):
+        smoothed_value(sim, np.zeros(3), DpoConfig(nu=0.1, M=8, seed=0))
+
+
+def builtin_simulators(A, rng):
+    return [linear_simulator(A),
+            linear_simulator(A, bias=rng.standard_normal(A.shape[0])),
+            saturating_simulator(A, scale=float(rng.uniform(0.5, 4.0))),
+            piecewise_simulator(A, slope=float(rng.uniform(0.0, 1.0)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 300), st.integers(1, 200),
+       st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+def test_builtin_batch_rows_equal_point_calls(r, d, M, seed, scale):
+    # np.matvec runs the point's product once per row, so every row of a
+    # batch is the point call bit for bit, a batch of one row included
+    rng = np.random.default_rng(seed)
+    A = scale * rng.standard_normal((r, d))
+    X = rng.standard_normal((M, d))
+    for sim in builtin_simulators(A, rng):
+        assert sim.batched
+        out = sim.fn(X)
+        assert out.shape == (M, r)
+        for m in range(M):
+            assert np.array_equal(out[m], sim.fn(X[m]))
+            assert np.array_equal(sim.fn(X[m:m + 1])[0], out[m])
+
+
+def test_design_loop_batched_equals_loop():
+    decoder = random_linear_decoder(3, 4, seed=77)
+    rng = np.random.default_rng(12)
+    for sim in builtin_simulators(rng.standard_normal((4, 4)), rng):
+        target = sim.fn(decode(decoder, rng.standard_normal(3)))
+        cfg = DpoConfig(nu=0.05, M=64, seed=9, target=target)
+        z0 = rng.standard_normal(3)
+        z_b, trace_b = design_loop(z0, decoder, sim, cfg, steps=5,
+                                   step_size=0.9)
+        z_l, trace_l = design_loop(z0, decoder, replace(sim, batched=False),
+                                   cfg, steps=5, step_size=0.9)
+        assert np.array_equal(z_b, z_l)
+        assert np.array_equal(trace_b.mse, trace_l.mse)
+        # six estimates of M = 64 points and five phi(x) baselines
+        assert trace_b.simulator_evaluations == \
+            trace_l.simulator_evaluations == 6 * 64 + 5
+        assert (trace_b.simulator_calls, trace_l.simulator_calls) == \
+            (6 + 5, 6 * 64 + 5)
+        assert trace_b.steps == trace_l.steps == 5
+
+
 def test_dpo_loss_grad_zero_at_target():
     sim = linear_simulator(np.eye(2))
     x = np.array([0.7, -0.1])
@@ -214,3 +293,36 @@ def test_external_process_simulator_roundtrip():
         val = smoothed_value(sim, x, cfg)
         assert val.shape == (3,)
         assert np.all(np.isfinite(val))
+
+
+def external_failure(code, timeout):
+    ext = ExternalProcessSimulator([sys.executable, "-c", code],
+                                   response_dim=1, timeout=timeout)
+    started = time.monotonic()
+    with pytest.raises(SimulatorError) as err:
+        ext(np.zeros(1))
+    elapsed = time.monotonic() - started
+    ext.close()
+    assert ext._proc.returncode is not None  # reaped
+    return str(err.value), elapsed
+
+
+def test_external_process_simulator_timeout_kills_the_child():
+    code = ("import sys, time\n"
+            "sys.stdin.readline()\n"
+            "sys.stderr.write('thinking\\n'); sys.stderr.flush()\n"
+            "time.sleep(60)\n")
+    message, elapsed = external_failure(code, timeout=0.5)
+    assert "sent no reply within 0.5 s" in message
+    assert "exit code -9" in message and "thinking" in message
+    assert elapsed < 10
+
+
+def test_external_process_simulator_reports_exit_code_and_stderr():
+    code = "import sys\nsys.stderr.write('no solver licence\\n')\nsys.exit(3)\n"
+    message, elapsed = external_failure(code, timeout=30.0)
+    assert "exit code 3" in message and "no solver licence" in message
+    assert elapsed < 10
+    with pytest.raises(ParameterError):  # rejected before any child starts
+        ExternalProcessSimulator([sys.executable, "-c", code], response_dim=1,
+                                 timeout=0.0)

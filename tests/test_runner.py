@@ -154,6 +154,42 @@ def test_porosity_run_counts_and_manifest(tmp_path):
     assert len(pgms) == 3
 
 
+def test_design_counters_match_a_counting_simulator(tmp_path, monkeypatch):
+    import latentprox.runner as R
+    from latentprox.dpo import Simulator
+
+    cfg = EXP.design_loop_config(seed=4, out=str(tmp_path / "plain"))
+    cfg["chains"] = 3
+    plain = run_design(RunConfig.from_dict(cfg))
+    real_make = R.make_simulator
+    counters = {}
+    for batched in (True, False):
+        calls, rows = [], []
+
+        def counting_simulator(name, **params):
+            sim = real_make(name, **params)
+
+            def fn(x):
+                calls.append(1)
+                rows.append(1 if x.ndim == 1 else len(x))
+                return sim.fn(x)
+            return Simulator(fn=fn, response_dim=sim.response_dim,
+                             name=sim.name, batched=batched)
+
+        monkeypatch.setattr(R, "make_simulator", counting_simulator)
+        out = tmp_path / f"batched_{batched}"
+        cfg["out"] = str(out)
+        counters[batched] = run_design(RunConfig.from_dict(cfg))["counters"]
+        assert counters[batched] == {
+            "design_steps": 3 * 5, "simulator_evaluations": sum(rows),
+            "simulator_calls": len(calls)}
+        assert sum(rows) == 3 * (6 * 64 + 5)
+        assert len(calls) == 3 * (6 + 5 if batched else 6 * 64 + 5)
+        assert (out / "metrics.csv").read_bytes() == \
+            (tmp_path / "plain" / "metrics.csv").read_bytes()
+    assert plain["counters"] == counters[True]
+
+
 def test_design_run_and_replay(tmp_path):
     cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / "design"))
     manifest = run_design(RunConfig.from_dict(cfg))
@@ -261,6 +297,11 @@ def set_alm_growth(cfg):
     cfg["alm"] = {"growth": 0.5}
 
 
+def set_fidelity_without_vectors(cfg):
+    cfg["sampler"]["record_vectors"] = False
+    cfg["reports"] = {"fidelity": True}
+
+
 def set_constraint(doc):
     return lambda cfg: cfg.update(constraint=doc)
 
@@ -295,6 +336,8 @@ CONFIG_ERRORS = {
     "porosity without fraction": (
         set_constraint({"kind": "porosity", "grid": [2, 2]}),
         "porosity constraint needs 'fraction'"),
+    "reports.fidelity without vectors": (set_fidelity_without_vectors,
+                                         "sampler.record_vectors: false"),
 }
 
 
@@ -336,6 +379,13 @@ def test_cli_sample_noisy_halfspace_preset(tmp_path):
     stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert stored["ok"] is True
     assert stored["reports"]["contraction"]["transitions"] > 0
+    # the fidelity report holds what check_fidelity_drift measures, and no
+    # contraction constants it never set
+    fidelity = stored["reports"]["fidelity"]
+    assert set(fidelity) == {"G", "fraction_holding", "transitions",
+                             "cumulative_holds", "cumulative_lhs",
+                             "cumulative_rhs", "space", "kl_series"}
+    assert np.isfinite(fidelity["kl_series"]).all()
 
 
 def test_cli_check_failure_exit_code(tmp_path):
