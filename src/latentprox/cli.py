@@ -63,12 +63,8 @@ def _print_summary(manifest: RunManifest) -> None:
     print(f"manifest:   {out / 'manifest.json'}")
     for err in manifest["chain_errors"]:
         print(f"chain {err['chain']} failed: {err['error']}")
-    for name, ok in manifest["checks"].items():
-        print(f"check {name}: {'pass' if ok else 'FAIL'}")
-    for name, rep in manifest["reports"].items():
-        if isinstance(rep, dict) and "fraction_holding" in rep:
-            print(f"report {name}: fraction_holding="
-                  f"{rep['fraction_holding']:.4f}")
+    for line in manifest["summary"]:
+        print(line)
 
 
 def _cmd_train_score(args) -> int:

@@ -25,8 +25,6 @@ CLOSED_FORM_KINDS = ("halfspace", "l2_ball", "box")
 DEFAULT_MARGIN = 1e-3
 PROX_GRAD_TOL = 1e-8
 PROX_CAP = 10_000
-EIG_TOL = 1e-10
-EIG_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -112,49 +110,23 @@ class CentroidModel:
             raise ParameterError("p_trig must lie in (0, 1)")
 
 
-def _top_two_eigenvectors(C: np.ndarray, rng: np.random.Generator):
-    """Top-2 eigenpairs of a symmetric PSD matrix by power iteration."""
-    dim = C.shape[0]
-    vecs, vals = [], []
-    M = C.copy()
-    for _ in range(2):
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        lam_prev = None
-        for _ in range(EIG_CAP):
-            w = M @ v
-            lam = float(v @ w)
-            nrm = np.linalg.norm(w)
-            if nrm == 0.0:
-                lam = 0.0
-                break
-            v = w / nrm
-            if lam_prev is not None and abs(lam - lam_prev) <= EIG_TOL * max(abs(lam), 1.0):
-                break
-            lam_prev = lam
-        else:
-            raise ConvergenceError("power iteration on covariance did not converge")
-        if lam < 1e-12:
-            raise DegeneracyError(
-                "pooled feature covariance is degenerate (eigenvalue < 1e-12)")
-        # deterministic sign: largest-magnitude entry positive
-        j = int(np.argmax(np.abs(v)))
-        if v[j] < 0:
-            v = -v
-        vecs.append(v)
-        vals.append(lam)
-        M = M - lam * np.outer(v, v)
-    v1, v2 = vecs
-    v2 = v2 - (v2 @ v1) * v1
-    nrm = np.linalg.norm(v2)
-    if nrm < 1e-12:
-        raise DegeneracyError("second principal axis is degenerate")
-    return np.stack([v1, v2 / nrm]), vals
+def _top_two_eigenvectors(C: np.ndarray) -> np.ndarray:
+    """Top-2 eigenvectors of a symmetric PSD matrix as rows, largest first.
+
+    Each row's largest-magnitude entry is positive, so the axes are
+    deterministic.
+    """
+    vals, vecs = np.linalg.eigh(C)
+    if vals.size < 2 or vals[-2] < 1e-12:
+        raise DegeneracyError("pooled feature covariance is degenerate "
+                              "(second eigenvalue < 1e-12)")
+    axes = vecs[:, [-1, -2]].T
+    peak = axes[[0, 1], np.argmax(np.abs(axes), axis=1)]
+    return axes * np.sign(peak)[:, None]
 
 
 def fit_centroid_model(features_pos, features_neg, feature_map=None,
-                       p_trig: float = 0.5,
-                       rng: np.random.Generator | None = None) -> CentroidModel:
+                       p_trig: float = 0.5) -> CentroidModel:
     """Fit principal axes and per-class centroids from labelled features.
 
     ``features_pos`` is the target (allowed) class, ``features_neg`` the
@@ -167,14 +139,12 @@ def fit_centroid_model(features_pos, features_neg, feature_map=None,
         raise ParameterError("need at least 2 samples per class")
     if pos.shape[1] != neg.shape[1]:
         raise ShapeError("feature dimensions differ between classes")
-    if rng is None:
-        rng = np.random.default_rng(0)
     pooled = np.vstack([pos, neg])
     mean = pooled.mean(axis=0)
     centered = pooled - mean
     C = centered.T @ centered / (pooled.shape[0] - 1)
     C = 0.5 * (C + C.T)
-    axes, _ = _top_two_eigenvectors(C, rng)
+    axes = _top_two_eigenvectors(C)
     target = axes @ (pos.mean(axis=0) - mean)
     forbidden = axes @ (neg.mean(axis=0) - mean)
     fmap = None if feature_map is None else np.asarray(feature_map, dtype=float)

@@ -287,6 +287,6 @@ def measured_score_bound(field_: ScoreField, moments, draws: int,
         half = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
         pts = mean + rng.standard_normal((draws, field_.dim)) @ half.T
         level = max(t, 1)  # scores are defined for t >= 1 in the chain
-        for p in pts:
-            G = max(G, float(np.linalg.norm(score_fn(field_, p, level))))
+        norms = np.linalg.norm(score_fn(field_, pts, level), axis=1)
+        G = float(np.max(norms, initial=G))
     return G

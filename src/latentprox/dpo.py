@@ -90,8 +90,22 @@ def _rng_for(cfg: DpoConfig, rng: np.random.Generator | None):
     return rng if rng is not None else np.random.default_rng(cfg.seed)
 
 
+@dataclass
+class SimulatorWork:
+    """Simulator work of a run's chain: ``simulator_evaluations`` counts the
+    points the simulator evaluated and ``simulator_calls`` the calls into its
+    ``fn``."""
+
+    simulator_evaluations: int = 0
+    simulator_calls: int = 0
+
+    def count(self, calls: int, evaluations: int) -> None:
+        self.simulator_calls += calls
+        self.simulator_evaluations += evaluations
+
+
 def _perturbed(sim: Simulator, x: np.ndarray, cfg: DpoConfig, rng,
-               trace: "DesignTrace | None" = None):
+               trace: SimulatorWork | None = None):
     """The M perturbations eps_m and the responses phi(x + nu eps_m).
 
     A batched simulator gets all M points in one call; any other simulator
@@ -121,7 +135,7 @@ def smoothed_value(sim: Simulator, x, cfg: DpoConfig,
 
 
 def _value_and_grad(sim: Simulator, x: np.ndarray, cfg: DpoConfig, rng,
-                    trace: "DesignTrace | None" = None):
+                    trace: SimulatorWork | None = None):
     eps, vals = _perturbed(sim, x, cfg, rng, trace)
     baseline = evaluate(sim, x)
     if trace is not None:
@@ -143,10 +157,12 @@ def smoothed_grad(sim: Simulator, x, cfg: DpoConfig,
 
 
 def dpo_loss_grad(sim: Simulator, x, cfg: DpoConfig,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+                  rng: np.random.Generator | None = None,
+                  trace: SimulatorWork | None = None) -> np.ndarray:
     """Descent direction on the squared tracking loss 0.5||phi_nu(x) - target||^2.
 
-    The residual composed with the smoothed Jacobian estimate.
+    The residual composed with the smoothed Jacobian estimate.  ``trace``,
+    if given, counts the simulator work.
     """
     x = np.asarray(x, dtype=float)
     if cfg.target is None:
@@ -155,27 +171,17 @@ def dpo_loss_grad(sim: Simulator, x, cfg: DpoConfig,
         raise ParameterError(
             f"target of shape {cfg.target.shape} does not match response_dim "
             f"{sim.response_dim}")
-    value, jac = _value_and_grad(sim, x, cfg, _rng_for(cfg, rng))
+    value, jac = _value_and_grad(sim, x, cfg, _rng_for(cfg, rng), trace)
     return jac.T @ (value - cfg.target)
 
 
 @dataclass
-class DesignTrace:
-    """Tracking-MSE history of a design loop run and the work it took.
-
-    ``steps`` counts latent updates, ``simulator_evaluations`` the points
-    the simulator evaluated and ``simulator_calls`` the calls into its
-    ``fn``.
-    """
+class DesignTrace(SimulatorWork):
+    """Tracking-MSE history of a design loop run and the work it took;
+    ``steps`` counts latent updates."""
 
     mse: list = field(default_factory=list)
     steps: int = 0
-    simulator_evaluations: int = 0
-    simulator_calls: int = 0
-
-    def count(self, calls: int, evaluations: int) -> None:
-        self.simulator_calls += calls
-        self.simulator_evaluations += evaluations
 
 
 def design_loop(z0, decoder: DecoderMap, sim: Simulator, cfg: DpoConfig,

@@ -457,32 +457,42 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
 
     checks = _run_checks(cfg, sampler_cfg, finals, reports)
     counters = _trace_counters(traces)
-    summary = [f"experiment {cfg['experiment']}: {len(finals)}/{chains} "
-               f"chains completed",
-               f"counters: {counters['langevin_steps']} Langevin steps, "
-               f"{counters['correction_iterations']} correction iterations, "
-               f"{counters['shortfalls']} shortfall(s), "
-               f"{counters['alm_projections']} ALM projection(s), "
-               f"{counters['alm_unconverged']} unconverged"]
-    for name, rep in reports.items():
-        if "fraction_holding" in rep:
-            summary.append(f"{name}: {rep['fraction_holding']:.4f} of "
-                           f"{rep['transitions']} transitions hold")
-        elif name == "porosity_error":
-            summary.append(f"porosity error: max fraction "
-                           f"{rep['max_fraction']:.4f}, "
-                           f"{rep['samples_above_0.10']} sample(s) above 10%")
-        if isinstance(rep, dict) and rep.get("cumulative_holds") is not None:
-            summary.append(f"{name}: cumulative bound "
-                           f"{'holds' if rep['cumulative_holds'] else 'FAILS'}")
-    for name, okc in checks.items():
-        summary.append(f"check {name}: {'pass' if okc else 'FAIL'}")
+    summary = _summary(
+        cfg, len(finals),
+        f"{counters['langevin_steps']} Langevin steps, "
+        f"{counters['correction_iterations']} correction iterations, "
+        f"{counters['shortfalls']} shortfall(s), "
+        f"{counters['alm_projections']} ALM projection(s), "
+        f"{counters['alm_unconverged']} unconverged, "
+        f"{counters['simulator_evaluations']} simulator evaluation(s) in "
+        f"{counters['simulator_calls']} call(s)", reports, checks)
     artifacts = {"metrics": "metrics.csv", "score": "score.json",
                  "decoder": "decoder.json" if decoder is not None else None,
                  "samples": sorted(p.name for p in samples_dir.iterdir())}
     return _save_manifest(cfg, "sample", started, errors, checks,
                           measured=measured, artifacts=artifacts,
                           reports=reports, counters=counters, summary=summary)
+
+
+def _summary(cfg: RunConfig, completed: int, counters: str, reports: dict,
+             checks: dict) -> list:
+    """The run's summary lines: chains completed, counters, reports, checks."""
+    lines = [f"experiment {cfg['experiment']}: {completed}/"
+             f"{int(cfg['chains'])} chains completed", f"counters: {counters}"]
+    for name, rep in reports.items():
+        if "fraction_holding" in rep:
+            lines.append(f"{name}: {rep['fraction_holding']:.4f} of "
+                         f"{rep['transitions']} transitions hold")
+        elif name == "porosity_error":
+            lines.append(f"porosity error: max fraction "
+                         f"{rep['max_fraction']:.4f}, "
+                         f"{rep['samples_above_0.10']} sample(s) above 10%")
+        if rep.get("cumulative_holds") is not None:
+            lines.append(f"{name}: cumulative bound "
+                         f"{'holds' if rep['cumulative_holds'] else 'FAILS'}")
+    for name, ok in checks.items():
+        lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
+    return lines
 
 
 def _save_manifest(cfg: RunConfig, kind: str, started: float, errors: list,
@@ -518,7 +528,8 @@ def _trace_counters(traces) -> dict:
 
     A shortfall is a correction loop that stopped at ``inner_cap`` with the
     violation still at or above ``delta``; an unconverged ALM projection
-    hit its outer cap and handed back its best iterate.
+    hit its outer cap and handed back its best iterate.  The simulator
+    counts are the dpo solver's.
     """
     phases = [row.phase for trace in traces for row in trace.rows]
     reports = [rep for trace in traces for _, _, rep in trace.alm_reports]
@@ -526,7 +537,10 @@ def _trace_counters(traces) -> dict:
             "correction_iterations": phases.count("correction"),
             "shortfalls": sum(len(trace.shortfalls) for trace in traces),
             "alm_projections": len(reports),
-            "alm_unconverged": sum(not rep.converged for rep in reports)}
+            "alm_unconverged": sum(not rep.converged for rep in reports),
+            "simulator_evaluations": sum(trace.simulator_evaluations
+                                         for trace in traces),
+            "simulator_calls": sum(trace.simulator_calls for trace in traces)}
 
 
 def _fidelity_report(sampler_cfg: SamplerConfig, traces) -> dict:
@@ -613,11 +627,16 @@ def run_design(cfg: RunConfig) -> RunManifest:
     if ratio is not None:
         checks["design_mse_ratio"] = all(
             m[-1] <= float(ratio) * m[0] for m in mses)
+    summary = _summary(
+        cfg, len(mses),
+        f"{counters['design_steps']} design steps, "
+        f"{counters['simulator_evaluations']} simulator evaluation(s) in "
+        f"{counters['simulator_calls']} call(s)", {}, checks)
     return _save_manifest(
         cfg, "design", started, errors, checks, measured={},
         artifacts={"metrics": "metrics.csv", "decoder": "decoder.json"},
         reports={"mse": [[float(v) for v in m] for m in mses]},
-        counters=counters)
+        counters=counters, summary=summary)
 
 
 # keys the schema no longer has, each with the value the code now

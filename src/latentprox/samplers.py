@@ -18,7 +18,7 @@ import numpy as np
 from . import constraints as C
 from .alm import AlmState, alm_project
 from .decoders import DecoderMap, decode, decode_unchecked, vjp_unchecked
-from .dpo import DpoConfig, Simulator, dpo_loss_grad
+from .dpo import DpoConfig, Simulator, SimulatorWork, dpo_loss_grad
 from .errors import (AlmNonConvergence, ConfigError, DivergenceError,
                      ParameterError)
 from .schedules import NoiseSchedule
@@ -44,8 +44,9 @@ class TraceRow:
 
 
 @dataclass
-class SampleTrace:
-    """Complete evidence stream of one chain."""
+class SampleTrace(SimulatorWork):
+    """Complete evidence stream of one chain; the simulator counts stay 0
+    unless the correction solver is dpo."""
 
     rows: list = field(default_factory=list)
     shortfalls: list = field(default_factory=list)  # (t, iterations, violation)
@@ -203,7 +204,7 @@ def sample_projected_ambient(cfg: SamplerConfig,
 
 
 def _correction_direction(cfg: SamplerConfig, x: np.ndarray, residual,
-                          rng: np.random.Generator):
+                          rng: np.random.Generator, trace: SampleTrace):
     """Ambient gradient of the constraint-correction term at x.
 
     ``residual`` is x - project_exact(x) from x's evaluation, which is the
@@ -222,7 +223,7 @@ def _correction_direction(cfg: SamplerConfig, x: np.ndarray, residual,
             y, rep = exc.report.point, exc.report
         return x - y, rep
     # dpo: smoothed tracking-loss gradient through the simulator
-    return dpo_loss_grad(cfg.simulator, x, cfg.dpo, rng=rng), None
+    return dpo_loss_grad(cfg.simulator, x, cfg.dpo, rng, trace), None
 
 
 def _correction_active(cfg: SamplerConfig, t: int, x0: np.ndarray) -> bool:
@@ -252,7 +253,8 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
     x = x0
     v, d, residual = evaluation
     while v >= con.delta and i < cfg.inner_cap:
-        correction, alm_report = _correction_direction(cfg, x, residual, rng)
+        correction, alm_report = _correction_direction(cfg, x, residual, rng,
+                                                       trace)
         if alm_report is not None:
             trace.alm_reports.append((t, i + 1, alm_report))
         direction = correction + (x - x0) / lam

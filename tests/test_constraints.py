@@ -412,6 +412,23 @@ def test_fit_centroid_two_point_clouds():
                        atol=0.3)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_centroid_axes_are_top_eigenvectors(seed):
+    rng = np.random.default_rng(seed)
+    mix = rng.standard_normal((5, 5))
+    pos = rng.standard_normal((60, 5)) @ mix + 2.0
+    neg = rng.standard_normal((50, 5)) @ mix - 2.0
+    model = C.fit_centroid_model(pos, neg)
+    pooled = np.vstack([pos, neg])
+    centered = pooled - pooled.mean(axis=0)
+    _, vecs = np.linalg.eigh(centered.T @ centered / (len(pooled) - 1))
+    oracle = vecs[:, [-1, -2]].T
+    # sign rule: each axis's largest-magnitude entry is positive
+    for axis in oracle:
+        axis *= np.sign(axis[np.argmax(np.abs(axis))])
+    assert np.max(np.abs(model.axes - oracle)) < 1e-12
+
+
 def test_fit_centroid_degenerate():
     p = np.array([[1.0, 2.0], [1.0, 2.0]])
     q = np.array([[1.0, 2.0], [1.0, 2.0]])

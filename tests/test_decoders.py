@@ -95,6 +95,34 @@ def test_lipschitz_matches_eigen_oracle():
     assert abs(ell - oracle) < 1e-8
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_linear_lipschitz_is_spectral_norm(seed):
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((6, 3))
+    # a near-tie between the top two singular values slows power iteration
+    U, _, Vt = np.linalg.svd(W, full_matrices=False)
+    W = U @ np.diag([2.0, 2.0 - 1e-7, 0.5]) @ Vt
+    assert estimate_lipschitz(linear_decoder(W), 1,
+                              np.random.default_rng(0)) == np.linalg.norm(W, 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mlp_lipschitz_is_max_exact_jacobian_norm(seed):
+    dec = random_mlp_decoder(3, 5, hidden=16, seed=seed)
+    probes = 64
+    ell = estimate_lipschitz(dec, probes, np.random.default_rng(seed))
+    # oracle: the same probe points (two candidates, then the draws), each
+    # with its Jacobian W2 diag(1 - tanh^2(W1 z + b1)) W1 written out
+    (W1, b1), (W2, _) = dec.layers
+    rng = np.random.default_rng(seed)
+    points = [np.zeros(3), -np.linalg.pinv(W1) @ b1] + \
+        [rng.standard_normal(3) for _ in range(probes)]
+    norms = [np.linalg.svd(W2 @ ((1.0 - np.tanh(W1 @ z + b1) ** 2)[:, None]
+                                 * W1), compute_uv=False)[0]
+             for z in points]
+    assert abs(ell - 1.05 * max(norms)) <= 1e-12 * ell
+
+
 def test_lipschitz_bound_cached_and_audited():
     dec = random_mlp_decoder(2, 4, hidden=12, seed=4)
     ell = estimate_lipschitz(dec, probes=128, rng=np.random.default_rng(2))

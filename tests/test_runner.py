@@ -190,6 +190,22 @@ def test_design_counters_match_a_counting_simulator(tmp_path, monkeypatch):
     assert plain["counters"] == counters[True]
 
 
+def test_cli_design_prints_manifest_summary(tmp_path, capsys):
+    cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / "d"))
+    cfg["chains"] = 2
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["design", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    summary = json.loads((tmp_path / "d" / "manifest.json").read_text())[
+        "summary"]
+    assert summary == [
+        "experiment design_loop: 2/2 chains completed",
+        "counters: 10 design steps, 778 simulator evaluation(s) in 22 "
+        "call(s)",
+        "check design_mse_ratio: pass"]
+    assert printed[-len(summary):] == summary
+
+
 def test_design_run_and_replay(tmp_path):
     cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / "design"))
     manifest = run_design(RunConfig.from_dict(cfg))
@@ -609,11 +625,33 @@ def test_manifest_counters_match_metrics_and_traces(tmp_path):
         "langevin_steps": phases.count("langevin"),
         "correction_iterations": phases.count("correction"),
         "shortfalls": shortfalls, "alm_projections": 0,
-        "alm_unconverged": 0}
+        "alm_unconverged": 0, "simulator_evaluations": 0,
+        "simulator_calls": 0}
     assert (f"counters: {phases.count('langevin')} Langevin steps, "
             f"{phases.count('correction')} correction iterations, "
             f"{shortfalls} shortfall(s), 0 ALM projection(s), "
-            f"0 unconverged") in manifest["summary"]
+            f"0 unconverged, 0 simulator evaluation(s) in 0 call(s)") \
+        in manifest["summary"]
+
+
+def test_manifest_counts_dpo_solver_simulator_work(tmp_path):
+    # each correction iteration is one estimate: M perturbations in one
+    # batched call, plus a baseline point call
+    cfg = EXP.halfspace_contraction_config(seed=3, chains=2,
+                                           out=str(tmp_path / "h"))
+    cfg["sampler"].update(solver="dpo", inner_cap=30)
+    cfg["dpo"] = {"nu": 0.05, "M": 16, "target": [0.0, 0.0, 0.0],
+                  "simulator": {"name": "linear",
+                                "matrix": np.eye(3).tolist()}}
+    manifest = run_experiment(RunConfig.from_dict(cfg))
+    counters = manifest["counters"]
+    iterations = counters["correction_iterations"]
+    assert iterations > 0
+    assert counters["simulator_evaluations"] == (16 + 1) * iterations
+    assert counters["simulator_calls"] == 2 * iterations
+    assert any(f"{(16 + 1) * iterations} simulator evaluation(s) in "
+               f"{2 * iterations} call(s)" in line
+               for line in manifest["summary"])
 
 
 def test_manifest_counts_alm_projections(tmp_path):
