@@ -22,14 +22,14 @@ from latentprox.experiments import (halfspace_contraction_config,
                                     linear_gaussian_fidelity_case)
 from latentprox.runner import (RunConfig, build_sampler_config,
                                build_schedule, build_score)
-from latentprox.samplers import chain_rng, sample_proximal_latent
+from latentprox.samplers import chain_rng, sample
 
 
 def main():
     cfg = RunConfig.from_dict(halfspace_contraction_config(seed=0,
                                                            out="unused"))
     scfg = build_sampler_config(cfg)
-    traces = [sample_proximal_latent(scfg, chain_rng(seed, 0))[1]
+    traces = [sample(scfg, chain_rng(seed, 0))[1]
               for seed in range(20)]
     rep = check_run_contraction(traces, scfg.constraint, scfg.decoder,
                                 beta=1.0)

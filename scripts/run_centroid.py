@@ -14,7 +14,7 @@ from latentprox import constraints as C
 from latentprox.experiments import centroid_config
 from latentprox.runner import (RunConfig, build_constraint,
                                build_sampler_config)
-from latentprox.samplers import chain_rng, sample_proximal_latent
+from latentprox.samplers import chain_rng, sample
 
 
 def forbidden_rate(constrained: bool, model, chains: int = 200) -> float:
@@ -24,7 +24,7 @@ def forbidden_rate(constrained: bool, model, chains: int = 200) -> float:
     scfg = build_sampler_config(cfg)
     hits = 0
     for i in range(chains):
-        x, _ = sample_proximal_latent(scfg, chain_rng(0, i))
+        x, _ = sample(scfg, chain_rng(0, i))
         p = C.pc_coordinates(model, x)
         hits += (np.linalg.norm(p - model.forbidden_centroid)
                  < np.linalg.norm(p - model.target_centroid))

@@ -15,6 +15,7 @@ import numpy as np
 from . import constraints as C
 from .decoders import decode_unchecked, random_linear_decoder, vjp_unchecked
 from .errors import ConfigError, DivergenceError
+from .samplers import langevin_step
 from .scores import score
 
 
@@ -249,8 +250,10 @@ def fidelity_config(seed: int = 0, chains: int = 10_000,
 
 
 def _score_batch(field_, Z: np.ndarray, t: int) -> np.ndarray:
-    # kept only because perfbench/layers.py traces this name and
-    # perfbench/test_perfbench.py fails when a traced name is absent
+    # called by nothing: sample_population steps through
+    # samplers.langevin_step; kept only because perfbench/layers.py traces
+    # this name and perfbench/test_perfbench.py fails when a traced name is
+    # absent
     return score(field_, Z, t)
 
 
@@ -317,15 +320,12 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
         raise ConfigError(f"population sampling cannot correct {con.kind} "
                           f"constraints with the {cfg.solver} solver")
     sched = cfg.schedule
-    d = cfg.decoder.latent_dim
-    Z = rng.standard_normal((n, d))
+    Z = rng.standard_normal((n, cfg.decoder.latent_dim))
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         corrects = cfg.corrects_at(t)
         for _ in range(sched.inner_steps):
-            S = _score_batch(cfg.score, Z, t)
-            E = rng.standard_normal((n, d))
-            Z = Z + gamma * S + np.sqrt(2.0 * gamma) * cfg.noise_scale * E
+            Z, _ = langevin_step(Z, cfg.score, t, gamma, rng, cfg.noise_scale)
             if corrects and cfg.correct_every_step:
                 Z = _correct_batch(cfg, Z, t)
         if corrects and not cfg.correct_every_step:

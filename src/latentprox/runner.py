@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import numbers
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,8 +22,8 @@ import yaml
 from . import __version__
 from . import constraints as C
 from .alm import AlmState
-from .decoders import (DecoderMap, estimate_lipschitz, linear_decoder,
-                       random_linear_decoder, random_mlp_decoder)
+from .decoders import (DecoderMap, estimate_lipschitz, random_linear_decoder,
+                       random_mlp_decoder)
 from .diagnostics import (BoundReport, GaussianFit, check_fidelity_drift,
                           check_run_contraction, fit_gaussian, gaussian_kl)
 from .dpo import DpoConfig, design_loop, make_simulator
@@ -35,7 +36,7 @@ from .serialize import (load_decoder, load_score_field, save_decoder,
 
 METRICS_HEADER = "chain,t,i,phase,gamma,score_norm,violation,dist"
 ALM_HEADER = ("chain,t,i,outer_iterations,inner_iterations,final_violation,"
-              "final_multiplier,final_penalty")
+              "final_multiplier,final_penalty,converged,final_distance")
 DESIGN_HEADER = "chain,step,mse"
 
 REQUIRED = object()
@@ -77,6 +78,12 @@ SCHEMA = {
 SECTION_NONE_IF_ABSENT = ("score", "decoder", "constraint", "alm", "dpo",
                           "design")
 
+# scalar keys whose schema default is not a number but whose value must be
+NUMBER_KEYS = ("constraint.offset", "constraint.radius", "constraint.fraction",
+               "constraint.accept_radius", "sampler.lr", "dpo.nu", "dpo.M",
+               "checks.contraction_fraction", "checks.design_mse_ratio",
+               "decoder.latent_dim", "decoder.ambient_dim")
+
 # the keys each constraint kind needs set
 CONSTRAINT_KEYS = {"halfspace": ("normal", "offset"), "l2_ball": ("radius",),
                    "box": ("lower", "upper"), "porosity": ("grid", "fraction"),
@@ -108,6 +115,12 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
                                     where)
         elif key in section and section[key] is not None:
             out[key] = section[key]
+            if where in NUMBER_KEYS or type(default) in (int, float):
+                try:
+                    float(out[key])
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{where} must be a number, got "
+                                      f"{out[key]!r}") from None
         elif default is REQUIRED:
             note = " (no implicit seeding)" if where == "seed" else ""
             raise ConfigError(f"missing required key {where!r}{note}")
@@ -119,10 +132,18 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
 def resolve_config(data: dict) -> dict:
     """Validate a raw config mapping and fill in every default.
 
-    Unknown keys are rejected (with a close-match suggestion); the root seed
-    is mandatory so no run is ever implicitly seeded.
+    Unknown keys are rejected (with a close-match suggestion), and so is a
+    numeric key whose value is not a number; the root seed is mandatory so
+    no run is ever implicitly seeded, and it must be a non-negative integer.
     """
-    return _resolve(data, SCHEMA, "")
+    out = _resolve(data, SCHEMA, "")
+    for key, least in (("seed", 0), ("chains", 1)):
+        value = out[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < least:
+            raise ConfigError(f"{key} must be an integer >= {least}, "
+                              f"got {value!r}")
+    return out
 
 
 @dataclass
@@ -184,18 +205,13 @@ def build_decoder(cfg: dict | None) -> DecoderMap | None:
         return load_decoder(cfg["file"])
     init = cfg["init"]
     kind = cfg["kind"]
+    if init["method"] != "orthonormal":
+        raise ConfigError(f"unknown decoder init {init['method']!r}; "
+                          "only 'orthonormal' is supported")
     lat, amb = int(cfg["latent_dim"]), int(cfg["ambient_dim"])
     if kind == "linear":
-        if init["method"] == "orthonormal":
-            dec = random_linear_decoder(lat, amb, seed=int(init["seed"]),
-                                        scale=float(init["scale"]))
-        elif init["method"] == "gaussian":
-            rng = np.random.default_rng(int(init["seed"]))
-            W = float(init["scale"]) * rng.standard_normal((amb, lat)) \
-                / np.sqrt(lat)
-            dec = linear_decoder(W)
-        else:
-            raise ConfigError(f"unknown decoder init {init['method']!r}")
+        dec = random_linear_decoder(lat, amb, seed=int(init["seed"]),
+                                    scale=float(init["scale"]))
     elif kind == "smooth_mlp":
         dec = random_mlp_decoder(lat, amb, hidden=int(init["hidden"]),
                                  seed=int(init["seed"]),
@@ -218,15 +234,16 @@ def build_constraint(cfg: dict | None) -> C.ConstraintSpec | None:
     if kind == "halfspace":
         return C.halfspace(cfg["normal"], cfg["offset"], **common)
     if kind == "l2_ball":
-        return C.l2_ball(cfg["radius"], center=cfg["center"], **common)
+        return C.l2_ball(float(cfg["radius"]), center=cfg["center"],
+                         **common)
     if kind == "box":
         return C.box(cfg["lower"], cfg["upper"], **common)
     if kind == "porosity":
         rows, cols = (int(v) for v in cfg["grid"])
         # round half up, recorded in the manifest as measured.porosity_count
         K = int(np.floor(float(cfg["fraction"]) * rows * cols + 0.5))
-        return C.porosity_constraint((rows, cols), K, margin=cfg["margin"],
-                                     **common)
+        return C.porosity_constraint((rows, cols), K,
+                                     margin=float(cfg["margin"]), **common)
     if kind == "surrogate_centroid":
         m = cfg["model"]
         model = C.CentroidModel(
@@ -237,7 +254,8 @@ def build_constraint(cfg: dict | None) -> C.ConstraintSpec | None:
             p_trig=float(m["p_trig"]),
             feature_map=None if m.get("feature_map") is None
             else np.array(m["feature_map"]))
-        return C.centroid_constraint(model, cfg["accept_radius"], **common)
+        return C.centroid_constraint(model, float(cfg["accept_radius"]),
+                                     **common)
     raise ConfigError(f"cannot build constraint of kind {kind!r}")
 
 
@@ -420,7 +438,8 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
                     f"{i},{t},{it},{rep.outer_iterations},"
                     f"{rep.inner_iterations},{_fmt(rep.final_violation)},"
                     f"{_fmt(rep.final_multiplier)},"
-                    f"{_fmt(rep.final_penalty)}")
+                    f"{_fmt(rep.final_penalty)},{int(rep.converged)},"
+                    f"{_fmt(rep.final_distance)}")
             save_vector(final, samples_dir / f"chain_{i:04d}.txt")
             if constraint is not None and constraint.kind == "porosity":
                 render_grid(final.reshape(constraint.grid_shape),

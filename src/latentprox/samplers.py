@@ -1,7 +1,7 @@
-"""Annealed Langevin samplers: unconstrained, projected-ambient, and the
-latent proximal-correction sampler.
+"""One annealed Langevin chain loop with three modes: unconstrained,
+projected-ambient, and the latent proximal-correction sampler.
 
-The proximal sampler runs M Langevin steps per annealing level, then corrects
+The proximal mode runs M Langevin steps per annealing level, then corrects
 the latent until the decoded violation drops below the constraint tolerance:
 the ambient prox-objective gradient (constraint correction residual plus the
 anchor pull (1/lambda)(x - x0)) is pulled back through the decoder and
@@ -109,9 +109,18 @@ class SamplerConfig:
             raise ConfigError("lr must be positive")
         if self.inner_cap < 1:
             raise ConfigError("inner_cap must be >= 1")
-        if self.mode == "proximal_latent" and self.decoder is None:
-            raise ConfigError("proximal_latent mode requires a decoder")
         con = self.constraint
+        if self.mode == "proximal_latent":
+            if self.decoder is None:
+                raise ConfigError("proximal_latent mode requires a decoder")
+            if self.decoder.latent_dim != self.score.dim:
+                raise ConfigError(
+                    f"decoder latent_dim {self.decoder.latent_dim} does not "
+                    f"match the score's dim {self.score.dim}")
+        if self.mode == "projected_ambient" and (
+                con is None or not C.has_exact_projection(con)):
+            raise ConfigError("projected_ambient requires a constraint with "
+                              "an exact projection")
         if con is not None:
             if con.kind == "porosity" and self.solver != "closed_form":
                 raise ConfigError("porosity constraints require the "
@@ -140,67 +149,21 @@ class SamplerConfig:
 def langevin_step(z, score_field: ScoreField, t: int, gamma: float,
                   rng: np.random.Generator,
                   noise_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """One step z + gamma * s(z, t) + sqrt(2 gamma) * eps.
+    """One step z + gamma * s(z, t) + sqrt(2 gamma) * eps on a point (d,) or
+    a batch of rows (n, d).
 
-    Returns the new state and the score s(z, t) the step used.
+    Returns the new state and the score s(z, t) the step used; the caller
+    checks the new state for finiteness.
     """
     if gamma <= 0:
         raise ParameterError("gamma must be positive")
     z = np.asarray(z, dtype=float)
     s = score(score_field, z, t)
     eps = rng.standard_normal(z.shape)
-    out = z + gamma * s + np.sqrt(2.0 * gamma) * noise_scale * eps
-    if not np.isfinite(out).all():
-        raise DivergenceError(f"langevin step diverged at level {t}")
-    return out, s
+    return z + gamma * s + np.sqrt(2.0 * gamma) * noise_scale * eps, s
 
 
 _NO_EVALUATION = (float("nan"), float("nan"), None)
-
-
-def sample_unconstrained(cfg: SamplerConfig,
-                         rng: np.random.Generator) -> tuple[np.ndarray, SampleTrace]:
-    """Annealed Langevin dynamics from z_T ~ N(0, I) down to z_0."""
-    if cfg.mode != "unconstrained":
-        raise ConfigError("config mode must be 'unconstrained'")
-    sched = cfg.schedule
-    z = rng.standard_normal(cfg.score.dim)
-    trace = SampleTrace()
-    for t in range(sched.T, 0, -1):
-        gamma = sched.gamma_at(t)
-        for i in range(1, sched.inner_steps + 1):
-            z, s = langevin_step(z, cfg.score, t, gamma, rng, cfg.noise_scale)
-            trace.rows.append(TraceRow(
-                t=t, i=i, phase="langevin", gamma=gamma,
-                score_norm=float(np.linalg.norm(s)),
-                violation=float("nan"), dist=float("nan"),
-                z=z.copy() if cfg.record_vectors else None))
-    return z, trace
-
-
-def sample_projected_ambient(cfg: SamplerConfig,
-                             rng: np.random.Generator) -> tuple[np.ndarray, SampleTrace]:
-    """Projected Langevin dynamics: exact projection after every step."""
-    if cfg.mode != "projected_ambient":
-        raise ConfigError("config mode must be 'projected_ambient'")
-    con = cfg.constraint
-    if con is None or not C.has_exact_projection(con):
-        raise ConfigError("projected_ambient requires a constraint with an "
-                          "exact projection")
-    sched = cfg.schedule
-    x = rng.standard_normal(cfg.score.dim)
-    trace = SampleTrace()
-    for t in range(sched.T, 0, -1):
-        gamma = sched.gamma_at(t)
-        for i in range(1, sched.inner_steps + 1):
-            x, s = langevin_step(x, cfg.score, t, gamma, rng, cfg.noise_scale)
-            x = C.project_exact(con, x)
-            v, d, _ = C.evaluate(con, x)
-            trace.rows.append(TraceRow(
-                t=t, i=i, phase="langevin", gamma=gamma,
-                score_norm=float(np.linalg.norm(s)), violation=v, dist=d,
-                x=x.copy() if cfg.record_vectors else None))
-    return x, trace
 
 
 def _correction_direction(cfg: SamplerConfig, x: np.ndarray, residual,
@@ -272,45 +235,54 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
     return z
 
 
-def sample_proximal_latent(cfg: SamplerConfig,
-                           rng: np.random.Generator) -> tuple[np.ndarray, SampleTrace]:
-    """Latent sampler with per-level proximal constraint correction."""
-    if cfg.mode != "proximal_latent":
-        raise ConfigError("config mode must be 'proximal_latent'")
+def sample(cfg: SamplerConfig,
+           rng: np.random.Generator) -> tuple[np.ndarray, SampleTrace]:
+    """Annealed Langevin dynamics from z_T ~ N(0, I) down to z_0, each step
+    followed by the configured mode's step.
+
+    unconstrained returns the latent.  projected_ambient projects the state
+    after every step and returns it.  proximal_latent corrects the latent
+    per level (or per step) when a constraint is set, and returns its
+    decode, optionally projected.
+    """
     sched = cfg.schedule
     dec = cfg.decoder
     con = cfg.constraint
-    z = rng.standard_normal(dec.latent_dim)
+    projected = cfg.mode == "projected_ambient"
+    corrected = cfg.mode == "proximal_latent" and con is not None
+    z = rng.standard_normal(cfg.score.dim)
     trace = SampleTrace()
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         for i in range(1, sched.inner_steps + 1):
-            # langevin_step returns a finite latent of the same shape
             z, s = langevin_step(z, cfg.score, t, gamma, rng, cfg.noise_scale)
-            x = decode_unchecked(dec, z)
-            ev = _NO_EVALUATION if con is None else C.evaluate(con, x)
+            if not np.isfinite(z).all():
+                raise DivergenceError(f"langevin step diverged at level {t}")
+            if projected:
+                z = C.project_exact(con, z)
+                ev = C.evaluate(con, z)
+            elif corrected:
+                x = decode_unchecked(dec, z)
+                ev = C.evaluate(con, x)
+            else:
+                ev = _NO_EVALUATION
+            state = z.copy() if cfg.record_vectors else None
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="langevin", gamma=gamma,
                 score_norm=float(np.linalg.norm(s)), violation=ev[0],
-                dist=ev[1], z=z.copy() if cfg.record_vectors else None))
-            if cfg.correct_every_step and con is not None:
+                dist=ev[1], z=None if projected else state,
+                x=state if projected else None))
+            if corrected and cfg.correct_every_step:
                 z = _run_correction(cfg, z, x, ev, t, gamma, rng, trace)
-        if con is not None and not cfg.correct_every_step:
+        if corrected and not cfg.correct_every_step:
             # x and ev belong to the decode of the level's last Langevin step
             z = _run_correction(cfg, z, x, ev, t, gamma, rng, trace)
+    if cfg.mode != "proximal_latent":
+        return z, trace
     x = decode(dec, z)
     if cfg.final_projection and con is not None and C.has_exact_projection(con):
         x = C.project_exact(con, x)
     return x, trace
-
-
-def sample(cfg: SamplerConfig, rng: np.random.Generator):
-    """Dispatch on the configured mode."""
-    if cfg.mode == "unconstrained":
-        return sample_unconstrained(cfg, rng)
-    if cfg.mode == "projected_ambient":
-        return sample_projected_ambient(cfg, rng)
-    return sample_proximal_latent(cfg, rng)
 
 
 def chain_rng(root_seed: int, chain_index: int) -> np.random.Generator:

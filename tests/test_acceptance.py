@@ -24,9 +24,7 @@ from latentprox.dpo import (DpoConfig, Simulator, design_loop,
 from latentprox.runner import (RunConfig, build_constraint, build_sampler_config,
                                build_schedule, build_score, rerun_from_manifest,
                                run_design, run_experiment)
-from latentprox.samplers import (SamplerConfig, chain_rng,
-                                 sample_projected_ambient,
-                                 sample_proximal_latent, sample_unconstrained)
+from latentprox.samplers import SamplerConfig, chain_rng, sample
 from latentprox.schedules import make_schedule
 from latentprox.scores import standard_normal_field
 from latentprox.serialize import load_vector
@@ -106,7 +104,7 @@ def test_criterion_03_feasibility_contraction():
     cfg = RunConfig.from_dict(EXP.halfspace_contraction_config(seed=0,
                                                                out="unused"))
     scfg = build_sampler_config(cfg)
-    traces = [sample_proximal_latent(scfg, chain_rng(seed, 0))[1]
+    traces = [sample(scfg, chain_rng(seed, 0))[1]
               for seed in range(20)]
     rep = check_run_contraction(traces, scfg.constraint, scfg.decoder,
                                 beta=1.0)
@@ -215,8 +213,8 @@ def test_criterion_07_identity_constraint_equivalence():
     p = SamplerConfig(schedule=sched, score=lat, mode="proximal_latent",
                       decoder=dec, constraint=vac)
     for seed in range(5):
-        zu, tu = sample_unconstrained(u, chain_rng(seed, 0))
-        xp, tp = sample_proximal_latent(p, chain_rng(seed, 0))
+        zu, tu = sample(u, chain_rng(seed, 0))
+        xp, tp = sample(p, chain_rng(seed, 0))
         all_ok &= len(tu.rows) == len(tp.rows)
         all_ok &= all(np.array_equal(a.z, b.z)
                       for a, b in zip(tu.rows, tp.rows))
@@ -225,8 +223,8 @@ def test_criterion_07_identity_constraint_equivalence():
     pa = SamplerConfig(schedule=sched, score=amb, mode="projected_ambient",
                        constraint=vac)
     for seed in range(5):
-        zu, tu = sample_unconstrained(ua, chain_rng(seed, 0))
-        xa, ta = sample_projected_ambient(pa, chain_rng(seed, 0))
+        zu, tu = sample(ua, chain_rng(seed, 0))
+        xa, ta = sample(pa, chain_rng(seed, 0))
         all_ok &= all(np.array_equal(a.z, b.x)
                       for a, b in zip(tu.rows, ta.rows))
         all_ok &= np.array_equal(zu, xa)
@@ -236,8 +234,8 @@ def test_criterion_07_identity_constraint_equivalence():
     p2 = SamplerConfig(schedule=sched, score=lat, mode="proximal_latent",
                        decoder=linear_decoder(np.eye(2)), constraint=vac2)
     for seed in range(5):
-        zu, tu = sample_unconstrained(u, chain_rng(seed, 0))
-        x2, t2 = sample_proximal_latent(p2, chain_rng(seed, 0))
+        zu, tu = sample(u, chain_rng(seed, 0))
+        x2, t2 = sample(p2, chain_rng(seed, 0))
         all_ok &= np.array_equal(zu, x2)
     elapsed = time.time() - started
     ok = all_ok and elapsed < 10
@@ -301,7 +299,7 @@ def test_criterion_09_surrogate_centroid_rates(tmp_path):
         scfg = build_sampler_config(cfg)
         hits = 0
         for i in range(200):
-            x, _ = sample_proximal_latent(scfg, chain_rng(0, i))
+            x, _ = sample(scfg, chain_rng(0, i))
             p = C.pc_coordinates(model, x)
             d_f = np.linalg.norm(p - model.forbidden_centroid)
             d_t = np.linalg.norm(p - model.target_centroid)

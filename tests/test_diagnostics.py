@@ -172,7 +172,7 @@ def test_contraction_fabricated_violation_detected():
 
 def test_contraction_drift_only_run_all_hold():
     # zero-noise drift-only run onto a halfspace with a linear decoder
-    from latentprox.samplers import SamplerConfig, sample_proximal_latent, chain_rng
+    from latentprox.samplers import SamplerConfig, sample, chain_rng
     sched = make_schedule(T=20, abar_end=0.02,
                           gamma_max=0.02, gamma_min=0.005, M=1)
     dec = random_linear_decoder(2, 3, seed=1234, scale=1.0)
@@ -185,7 +185,7 @@ def test_contraction_drift_only_run_all_hold():
                         decoder=dec, constraint=spec, lr=0.5, inner_cap=60,
                         noise_scale=0.0, final_projection=False)
     for seed in range(5):
-        _, trace = sample_proximal_latent(cfg, chain_rng(seed, 0))
+        _, trace = sample(cfg, chain_rng(seed, 0))
         rep = check_feasibility_contraction(trace, spec, dec, beta=1.0)
         assert rep.fraction_holding == 1.0
         assert rep.precondition_ok
@@ -280,7 +280,7 @@ def test_canonical_convex_cumulative_fidelity_all_seeds():
     # inequality must hold on 20/20 seeded runs
     from latentprox.experiments import halfspace_contraction_config
     from latentprox.runner import RunConfig, build_sampler_config
-    from latentprox.samplers import chain_rng, sample_proximal_latent
+    from latentprox.samplers import chain_rng, sample
     cfg = RunConfig.from_dict(halfspace_contraction_config(
         seed=0, out="unused", noise_scale=1.0))
     scfg = build_sampler_config(cfg)
@@ -291,7 +291,7 @@ def test_canonical_convex_cumulative_fidelity_all_seeds():
         by_level = {t: [] for t in range(sched.T + 1)}
         traces = []
         for i in range(60):
-            _, trace = sample_proximal_latent(scfg, chain_rng(seed, i))
+            _, trace = sample(scfg, chain_rng(seed, i))
             traces.append(trace)
             for row in trace.level_final_rows():
                 by_level[row.t - 1].append(row.z)

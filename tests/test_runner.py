@@ -322,7 +322,7 @@ def set_constraint(doc):
     return lambda cfg: cfg.update(constraint=doc)
 
 
-# values a builder rejects, and keys a constraint kind needs
+# values the loader or a builder rejects, and keys a constraint kind needs
 CONFIG_ERRORS = {
     "alm.growth": (set_alm_growth, "growth must exceed 1"),
     "schedule.T": (lambda cfg: cfg["schedule"].update(T=0),
@@ -354,6 +354,19 @@ CONFIG_ERRORS = {
         "porosity constraint needs 'fraction'"),
     "reports.fidelity without vectors": (set_fidelity_without_vectors,
                                          "sampler.record_vectors: false"),
+    "negative seed": (lambda cfg: cfg.update(seed=-1),
+                      "seed must be an integer >= 0, got -1"),
+    "fractional seed": (lambda cfg: cfg.update(seed=1.5),
+                        "seed must be an integer >= 0, got 1.5"),
+    "no chains": (lambda cfg: cfg.update(chains=0),
+                  "chains must be an integer >= 1, got 0"),
+    "unreadable number": (lambda cfg: cfg["constraint"].update(delta="abc"),
+                          "constraint.delta must be a number, got 'abc'"),
+    "gaussian decoder init": (lambda cfg: cfg["decoder"]["init"].update(
+        method="gaussian"), "unknown decoder init 'gaussian'"),
+    "decoder latent_dim": (lambda cfg: cfg["decoder"].update(latent_dim=3),
+                           "decoder latent_dim 3 does not match the "
+                           "score's dim 2"),
 }
 
 
@@ -368,6 +381,41 @@ def test_cli_config_value_error_exit_code(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def centroid_yaml_with_exponent_radius(out):
+    cfg = EXP.centroid_config(seed=0, chains=1, out=str(out))
+    text = yaml.safe_dump(cfg)
+    assert "accept_radius: 1.0\n" in text
+    return text.replace("accept_radius: 1.0\n", "accept_radius: 1e0\n")
+
+
+def minimal_yaml_with_constraint(constraint):
+    def text(out):
+        cfg = minimal_config(out)
+        del cfg["constraint"]
+        return yaml.safe_dump(cfg) + constraint
+    return text
+
+
+# PyYAML reads an exponent without a dot, such as 5e-1, as a string
+EXPONENT_LITERALS = {
+    "l2_ball radius": minimal_yaml_with_constraint(
+        "constraint:\n  kind: l2_ball\n  radius: 5e-1\n"),
+    "porosity margin": minimal_yaml_with_constraint(
+        "constraint:\n  kind: porosity\n  grid: [1, 3]\n"
+        "  fraction: 0.5\n  margin: 1e-3\n"),
+    "centroid accept_radius": centroid_yaml_with_exponent_radius,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_LITERALS))
+def test_cli_reads_exponent_literals(tmp_path, name):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(EXPONENT_LITERALS[name](tmp_path / "run"))
+    assert cli_main(["sample", "--config", str(path)]) == 0
+    stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert stored["ok"] is True
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -667,6 +715,11 @@ def test_manifest_counts_alm_projections(tmp_path):
                .alm_reports]
     unconverged = sum(not rep.converged for rep in reports)
     assert 0 < unconverged < len(reports) == len(rows)
+    # converged and final_distance close each row, as the reports hold them
+    assert [row.split(",")[-2:] for row in rows] == [
+        [str(int(rep.converged)), repr(float(rep.final_distance))]
+        for rep in reports]
+    assert [row.split(",")[-2] for row in rows].count("0") == unconverged
     counters = manifest["counters"]
     assert counters["alm_projections"] == len(rows)
     assert counters["alm_unconverged"] == unconverged

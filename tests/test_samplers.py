@@ -12,9 +12,7 @@ from latentprox.experiments import centroid_config
 from latentprox.runner import RunConfig, build_sampler_config
 from latentprox.samplers import (SampleTrace, SamplerConfig, TraceRow,
                                  _correction_active, chain_rng,
-                                 langevin_step, sample,
-                                 sample_projected_ambient,
-                                 sample_proximal_latent, sample_unconstrained)
+                                 langevin_step, sample)
 from latentprox.schedules import NoiseSchedule, make_schedule
 from latentprox.scores import linear_gaussian_field, standard_normal_field
 
@@ -58,6 +56,20 @@ def test_langevin_drift_only_contracts():
         assert np.linalg.norm(out) < np.linalg.norm(z)
 
 
+def test_langevin_step_batch_leaves_finiteness_to_caller():
+    # a batch of rows steps with the point expression and one noise draw of
+    # the batch's shape; a non-finite row comes back as it is
+    sched = small_schedule()
+    f = standard_normal_field(2, sched)
+    Z = np.array([[0.5, -1.0], [np.nan, 0.0], [2.0, 0.25]])
+    out, s = langevin_step(Z, f, 1, 0.2, np.random.default_rng(4), 0.5)
+    E = np.random.default_rng(4).standard_normal(Z.shape)
+    expected = Z + 0.2 * (-Z) + np.sqrt(2.0 * 0.2) * 0.5 * E
+    assert np.array_equal(s[[0, 2]], -Z[[0, 2]])
+    assert np.array_equal(out[[0, 2]], expected[[0, 2]])
+    assert np.isnan(out[1]).all()
+
+
 def test_langevin_gamma_validation():
     sched = small_schedule()
     f = standard_normal_field(2, sched)
@@ -78,7 +90,7 @@ def test_unconstrained_gaussian_moment_check():
     n = 200
     xs = np.empty((n, 2))
     for i in range(n):
-        xs[i], _ = sample_unconstrained(cfg, chain_rng(0, i))
+        xs[i], _ = sample(cfg, chain_rng(0, i))
     mean = xs.mean(axis=0)
     se = xs.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(mean - mu) < 3 * se)
@@ -106,7 +118,7 @@ def test_unconstrained_zero_level_schedule():
     sched = NoiseSchedule(T=0, abar=np.array([1.0]), gamma=np.zeros(0))
     f = standard_normal_field(2, sched)
     cfg = SamplerConfig(schedule=sched, score=f, mode="unconstrained")
-    z, trace = sample_unconstrained(cfg, chain_rng(3, 0))
+    z, trace = sample(cfg, chain_rng(3, 0))
     assert np.array_equal(z, np.random.default_rng(
         np.random.SeedSequence(entropy=3, spawn_key=(0,))).standard_normal(2))
     assert trace.rows == []
@@ -116,8 +128,8 @@ def test_unconstrained_seeded_determinism():
     sched = small_schedule()
     f = standard_normal_field(2, sched)
     cfg = SamplerConfig(schedule=sched, score=f, mode="unconstrained")
-    z1, t1 = sample_unconstrained(cfg, chain_rng(5, 2))
-    z2, t2 = sample_unconstrained(cfg, chain_rng(5, 2))
+    z1, t1 = sample(cfg, chain_rng(5, 2))
+    z2, t2 = sample(cfg, chain_rng(5, 2))
     assert np.array_equal(z1, z2)
     assert all(np.array_equal(a.z, b.z) for a, b in zip(t1.rows, t2.rows))
 
@@ -129,7 +141,7 @@ def test_projected_ambient_feasible_every_step():
     cfg = SamplerConfig(schedule=sched, score=f, mode="projected_ambient",
                         constraint=spec)
     for i in range(5):
-        x, trace = sample_projected_ambient(cfg, chain_rng(0, i))
+        x, trace = sample(cfg, chain_rng(0, i))
         for row in trace.rows:
             assert row.violation == 0.0
         assert np.linalg.norm(x) <= 1.0 + 1e-12
@@ -147,7 +159,7 @@ def test_projected_ambient_halfspace_mean_shift():
     n = 1500
     acc = np.zeros(2)
     for i in range(n):
-        x, _ = sample_projected_ambient(cfg, chain_rng(1, i))
+        x, _ = sample(cfg, chain_rng(1, i))
         acc += x
     mean = acc / n
     rng = np.random.default_rng(9)
@@ -164,6 +176,12 @@ def test_projected_ambient_requires_exact_projection():
     with pytest.raises(ConfigError):
         SamplerConfig(schedule=sched, score=f, mode="projected_ambient",
                       constraint=spec)
+    # the alm solver accepts a constraint with no exact projection, but
+    # projected_ambient does not; and it needs a constraint at all
+    for con in (spec, None):
+        with pytest.raises(ConfigError, match="projected_ambient requires"):
+            SamplerConfig(schedule=sched, score=f, mode="projected_ambient",
+                          constraint=con, solver="alm")
 
 
 def test_identity_constraint_equivalence_all_modes():
@@ -175,8 +193,8 @@ def test_identity_constraint_equivalence_all_modes():
     u_lat = SamplerConfig(schedule=sched, score=lat, mode="unconstrained")
     prox = SamplerConfig(schedule=sched, score=lat, mode="proximal_latent",
                          decoder=dec, constraint=vacuous_box(3))
-    z, tu = sample_unconstrained(u_lat, chain_rng(9, 0))
-    x, tp = sample_proximal_latent(prox, chain_rng(9, 0))
+    z, tu = sample(u_lat, chain_rng(9, 0))
+    x, tp = sample(prox, chain_rng(9, 0))
     assert len(tu.rows) == len(tp.rows)
     assert all(np.array_equal(a.z, b.z) for a, b in zip(tu.rows, tp.rows))
     assert np.array_equal(decode(dec, z), x)
@@ -184,8 +202,8 @@ def test_identity_constraint_equivalence_all_modes():
     u_amb = SamplerConfig(schedule=sched, score=amb, mode="unconstrained")
     proj = SamplerConfig(schedule=sched, score=amb, mode="projected_ambient",
                          constraint=vacuous_box(3))
-    za, ta = sample_unconstrained(u_amb, chain_rng(9, 0))
-    xa, tb = sample_projected_ambient(proj, chain_rng(9, 0))
+    za, ta = sample(u_amb, chain_rng(9, 0))
+    xa, tb = sample(proj, chain_rng(9, 0))
     assert all(np.array_equal(a.z, b.x) for a, b in zip(ta.rows, tb.rows))
     assert np.array_equal(za, xa)
 
@@ -200,7 +218,7 @@ def test_proximal_latent_porosity_exact():
     cfg = SamplerConfig(schedule=sched, score=f, mode="proximal_latent",
                         decoder=dec, constraint=spec, lr=0.2, inner_cap=100)
     for i in range(10):
-        x, trace = sample_proximal_latent(cfg, chain_rng(4, i))
+        x, trace = sample(cfg, chain_rng(4, i))
         assert C.porosity(x.reshape(grid)) == 4
         assert np.all(np.abs(x) <= 1.0)
 
@@ -212,7 +230,7 @@ def test_proximal_latent_trace_length_invariant():
     spec = C.halfspace([1.0, 0.0, 0.0], 0.2, prox_weight=1e4)
     cfg = SamplerConfig(schedule=sched, score=f, mode="proximal_latent",
                         decoder=dec, constraint=spec, lr=0.5, inner_cap=60)
-    _, trace = sample_proximal_latent(cfg, chain_rng(7, 0))
+    _, trace = sample(cfg, chain_rng(7, 0))
     langevin_rows = [r for r in trace.rows if r.phase == "langevin"]
     correction_rows = [r for r in trace.rows if r.phase == "correction"]
     assert len(langevin_rows) == sched.T * sched.inner_steps
@@ -248,7 +266,7 @@ def test_shortfall_recorded_when_cap_hit():
     spec = C.halfspace([1.0, 0.0, 0.0], -5.0, delta=1e-6, prox_weight=1e6)
     cfg = SamplerConfig(schedule=sched, score=f, mode="proximal_latent",
                         decoder=dec, constraint=spec, lr=1e-6, inner_cap=5)
-    _, trace = sample_proximal_latent(cfg, chain_rng(0, 0))
+    _, trace = sample(cfg, chain_rng(0, 0))
     assert trace.shortfalls
     t, iters, viol = trace.shortfalls[0]
     assert iters == 5 and viol > spec.delta
@@ -333,7 +351,7 @@ def test_output_feasibility_convex_kinds():
                             decoder=dec, constraint=spec, lr=0.3,
                             final_projection=True)
         for i in range(10):
-            x, _ = sample_proximal_latent(cfg, chain_rng(2, i))
+            x, _ = sample(cfg, chain_rng(2, i))
             assert C.violation(spec, x) == 0.0
 
 
@@ -474,7 +492,7 @@ def proximal_cases():
 def test_proximal_latent_matches_reference(name, cfg):
     corrections = shortfalls = alm = 0
     for k in range(12 if name == "centroid_alm" else 3):
-        got = sample_proximal_latent(cfg, chain_rng(5, k))
+        got = sample(cfg, chain_rng(5, k))
         assert_same_chain(got, reference_proximal_latent(cfg, chain_rng(5, k)))
         trace = got[1]
         corrections += sum(r.phase == "correction" for r in trace.rows)
