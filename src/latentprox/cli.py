@@ -19,6 +19,7 @@ from .errors import (ConfigError, DivergenceError, NumericError,
 from .runner import (RunConfig, RunManifest, build_constraint, build_decoder,
                      build_schedule, load_config, load_traces, run_design,
                      run_experiment)
+from .samplers import STOP_REASONS
 from .scores import MlpScoreConfig, train_score
 from .serialize import load_vector, save_score_field, save_vector
 
@@ -118,9 +119,21 @@ def _cmd_project(args) -> int:
     return EXIT_OK
 
 
+def _counters_line(counters: dict) -> str:
+    """One line of a manifest's counters; the correction stops read
+    ``<n> converged / <n> stagnated / <n> capped``."""
+    parts = []
+    for name, value in counters.items():
+        if name == "correction_stops":
+            value = " / ".join(f"{value[r]} {r}" for r in STOP_REASONS)
+        parts.append(f"{name} {value}")
+    return "counters: " + ", ".join(parts)
+
+
 def _cmd_diagnose(args) -> int:
     run_dir = Path(args.run)
     manifest = RunManifest.load(run_dir / "manifest.json")
+    print(_counters_line(manifest.data.get("counters", {})))
     cfg = RunConfig.from_dict(manifest["resolved_config"])
     spec = build_constraint(cfg["constraint"])
     decoder = build_decoder(cfg["decoder"])

@@ -267,6 +267,10 @@ def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
     touched again, so the set only shrinks.  Each row gets exactly the
     updates of the all-rows loop: at most ``inner_cap``, with no check after
     the last one, each along (x - P(x)) + (x - x0) / lambda.
+
+    Unlike the per-chain ``samplers._run_correction``, this loop keeps the
+    fixed step ``lr`` and stops only below ``delta`` or at ``inner_cap``:
+    no secant step, no stagnation stop, no recorded stop reasons.
     """
     con = cfg.constraint
     dec = cfg.decoder

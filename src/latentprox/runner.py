@@ -28,7 +28,8 @@ from .diagnostics import (BoundReport, GaussianFit, check_fidelity_drift,
                           check_run_contraction, fit_gaussian, gaussian_kl)
 from .dpo import DpoConfig, design_loop, make_simulator
 from .errors import ConfigError, DivergenceError, ParameterError
-from .samplers import SampleTrace, SamplerConfig, TraceRow, chain_rng, sample
+from .samplers import (STOP_REASONS, SampleTrace, SamplerConfig, TraceRow,
+                       chain_rng, sample)
 from .schedules import NoiseSchedule, make_schedule
 from .scores import ScoreField, gaussian_mixture_field, linear_gaussian_field
 from .serialize import (load_decoder, load_score_field, save_decoder,
@@ -84,6 +85,13 @@ NUMBER_KEYS = ("constraint.offset", "constraint.radius", "constraint.fraction",
                "checks.contraction_fraction", "checks.design_mse_ratio",
                "decoder.latent_dim", "decoder.ambient_dim")
 
+# keys whose value is a (nested) list of numbers
+NUMBER_LIST_KEYS = ("score.mean", "score.cov", "score.weights", "score.means",
+                    "score.covs", "constraint.normal", "constraint.center",
+                    "constraint.lower", "constraint.upper", "constraint.grid",
+                    "sampler.correct_levels", "dpo.target",
+                    "dpo.simulator.matrix", "dpo.simulator.bias")
+
 # the keys each constraint kind needs set
 CONSTRAINT_KEYS = {"halfspace": ("normal", "offset"), "l2_ball": ("radius",),
                    "box": ("lower", "upper"), "porosity": ("grid", "fraction"),
@@ -121,6 +129,12 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
                 except (TypeError, ValueError):
                     raise ConfigError(f"{where} must be a number, got "
                                       f"{out[key]!r}") from None
+            elif where in NUMBER_LIST_KEYS:
+                try:
+                    np.asarray(out[key], dtype=float)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{where} must be a list of numbers, "
+                                      f"got {out[key]!r}") from None
         elif default is REQUIRED:
             note = " (no implicit seeding)" if where == "seed" else ""
             raise ConfigError(f"missing required key {where!r}{note}")
@@ -133,8 +147,10 @@ def resolve_config(data: dict) -> dict:
     """Validate a raw config mapping and fill in every default.
 
     Unknown keys are rejected (with a close-match suggestion), and so is a
-    numeric key whose value is not a number; the root seed is mandatory so
-    no run is ever implicitly seeded, and it must be a non-negative integer.
+    numeric key whose value is not a number, or a list-valued key with an
+    entry that is not one or rows of unequal length; the root seed is
+    mandatory so no run is ever implicitly seeded, and it must be a
+    non-negative integer.
     """
     out = _resolve(data, SCHEMA, "")
     for key, least in (("seed", 0), ("chains", 1)):
@@ -476,10 +492,13 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
 
     checks = _run_checks(cfg, sampler_cfg, finals, reports)
     counters = _trace_counters(traces)
+    stops = " / ".join(f"{n} {reason}" for reason, n
+                       in counters["correction_stops"].items())
     summary = _summary(
         cfg, len(finals),
         f"{counters['langevin_steps']} Langevin steps, "
         f"{counters['correction_iterations']} correction iterations, "
+        f"correction stops {stops}, "
         f"{counters['shortfalls']} shortfall(s), "
         f"{counters['alm_projections']} ALM projection(s), "
         f"{counters['alm_unconverged']} unconverged, "
@@ -545,15 +564,21 @@ def _chain_error(chain: int, exc: Exception) -> dict:
 def _trace_counters(traces) -> dict:
     """Work done by the completed chains, counted from their traces.
 
-    A shortfall is a correction loop that stopped at ``inner_cap`` with the
-    violation still at or above ``delta``; an unconverged ALM projection
-    hit its outer cap and handed back its best iterate.  The simulator
-    counts are the dpo solver's.
+    Each correction loop that ran an update ends for one reason, counted in
+    ``correction_stops``: ``converged`` (the violation fell below
+    ``delta``), ``stagnated`` (the pulled-back gradient fell to
+    ``samplers.STAGNATION_RATIO`` of its first norm) or ``capped`` (it ran
+    ``inner_cap`` updates).  A shortfall is a loop that stopped with the
+    violation still at or above ``delta``: a stagnated or capped one.  An
+    unconverged ALM projection hit its outer cap and handed back its best
+    iterate.  The simulator counts are the dpo solver's.
     """
     phases = [row.phase for trace in traces for row in trace.rows]
     reports = [rep for trace in traces for _, _, rep in trace.alm_reports]
+    reasons = [reason for trace in traces for _, _, reason in trace.stops]
     return {"langevin_steps": phases.count("langevin"),
             "correction_iterations": phases.count("correction"),
+            "correction_stops": {r: reasons.count(r) for r in STOP_REASONS},
             "shortfalls": sum(len(trace.shortfalls) for trace in traces),
             "alm_projections": len(reports),
             "alm_unconverged": sum(not rep.converged for rep in reports),

@@ -5,7 +5,8 @@ The proximal mode runs M Langevin steps per annealing level, then corrects
 the latent until the decoded violation drops below the constraint tolerance:
 the ambient prox-objective gradient (constraint correction residual plus the
 anchor pull (1/lambda)(x - x0)) is pulled back through the decoder and
-descended with the correction learning rate.  For exact-projection constraint
+descended, with the correction learning rate as the first step of a level and
+a Barzilai-Borwein step after it.  For exact-projection constraint
 kinds an optional final ambient projection restores feasibility exactly.
 """
 
@@ -26,6 +27,10 @@ from .scores import ScoreField, score
 
 MODES = ("unconstrained", "projected_ambient", "proximal_latent")
 SOLVERS = ("closed_form", "alm", "dpo")
+# why a correction level ended: below delta, a stalled gradient, inner_cap
+STOP_REASONS = ("converged", "stagnated", "capped")
+# a level stagnates once ||g_k|| <= STAGNATION_RATIO * ||g_0||
+STAGNATION_RATIO = 1e-2
 
 
 @dataclass
@@ -49,7 +54,10 @@ class SampleTrace(SimulatorWork):
     unless the correction solver is dpo."""
 
     rows: list = field(default_factory=list)
-    shortfalls: list = field(default_factory=list)  # (t, iterations, violation)
+    # one (t, iterations, reason) per correction loop that ran an update
+    stops: list = field(default_factory=list)
+    # (t, iterations, violation) of each loop that stopped at or above delta
+    shortfalls: list = field(default_factory=list)
     alm_reports: list = field(default_factory=list)  # (t, i, AlmReport)
 
     def level_end_rows(self):
@@ -197,31 +205,56 @@ def _correction_active(cfg: SamplerConfig, t: int, x0: np.ndarray) -> bool:
 
 
 def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
-    """Inner while-loop of the correction algorithm; returns the new latent.
+    """Inner loop of the correction algorithm; returns the new latent.
 
     x0 is decode(cfg.decoder, z), the anchor the prox term pulls toward, and
     ``evaluation`` is C.evaluate(cfg.constraint, x0).  Every decoded point is
     evaluated once; z is finite on entry and checked after every update, so
     the decoder kernels run unchecked.
+
+    Each update moves z along g_k, the pullback of the ambient prox-objective
+    gradient.  The first update of a level takes the step ``lr``; later ones
+    take the Barzilai-Borwein step s.s / s.y (s the last change of z, y the
+    change of g), or keep the previous step when s.y <= 0.  A level that
+    starts at or above ``delta`` stops for one of ``STOP_REASONS``, recorded
+    in ``trace.stops``: the violation dropped below ``delta``, ||g_k|| fell
+    to ``STAGNATION_RATIO`` times ||g_0|| (tested once the update along g_k
+    is decoded and evaluated, so no direction is thrown away), or
+    ``inner_cap`` updates ran.
     """
     con = cfg.constraint
     dec = cfg.decoder
-    if not _correction_active(cfg, t, x0):
+    v, d, residual = evaluation
+    if v < con.delta or not _correction_active(cfg, t, x0):
         return z
-    lr = cfg.lr_at(t)
+    step = cfg.lr_at(t)
+    # a dpo direction is a Monte Carlo estimate: the difference of two
+    # estimates measures their noise, not curvature, so a secant step from
+    # it is meaningless and can fling z far off (it sent a 2-d test chain
+    # to |z| ~ 370); dpo keeps the fixed step
+    secant = cfg.solver != "dpo"
     lam = con.prox_weight
     i = 0
     # x is always decode(dec, z): the anchor at entry, then the decode that
     # ends each iteration, which the next iteration starts from
     x = x0
-    v, d, residual = evaluation
-    while v >= con.delta and i < cfg.inner_cap:
+    z_prev = g_prev = reason = None
+    while reason is None:
         correction, alm_report = _correction_direction(cfg, x, residual, rng,
                                                        trace)
         if alm_report is not None:
             trace.alm_reports.append((t, i + 1, alm_report))
-        direction = correction + (x - x0) / lam
-        z = z - lr * vjp_unchecked(dec, z, direction)
+        g = vjp_unchecked(dec, z, correction + (x - x0) / lam)
+        g_norm = float(np.linalg.norm(g))
+        if z_prev is None:
+            g0_norm = g_norm
+        elif secant:
+            s, y = z - z_prev, g - g_prev
+            sy = float(s @ y)
+            if sy > 0.0:
+                step = float(s @ s) / sy
+        z_prev, g_prev = z, g
+        z = z - step * g
         if not np.isfinite(z).all():
             raise DivergenceError(f"correction diverged at level {t}")
         i += 1
@@ -230,6 +263,13 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
         trace.rows.append(TraceRow(
             t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
             violation=v, dist=d, z=z.copy() if cfg.record_vectors else None))
+        if v < con.delta:
+            reason = "converged"
+        elif g_norm <= STAGNATION_RATIO * g0_norm:
+            reason = "stagnated"
+        elif i == cfg.inner_cap:
+            reason = "capped"
+    trace.stops.append((t, i, reason))
     if v >= con.delta:
         trace.shortfalls.append((t, i, v))
     return z

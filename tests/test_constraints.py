@@ -279,6 +279,23 @@ def test_row_wise_rules_match_point_calls(case):
             assert np.array_equal(P[i], p_i)
 
 
+@given(row_batches().filter(lambda case: case[0].kind != "box"))
+def test_closed_form_projection_lands_inside(case):
+    # halfspace and l2_ball results that rounding leaves outside are pulled
+    # in, so a batch and each point land at violation 0 exactly; rows
+    # already inside come back unchanged
+    spec, X = case
+    P = C.project_closed_form(spec, X)
+    assert np.array_equal(C._violation(spec, P), np.zeros(len(X)))
+    inside = C._violation(spec, X) == 0.0
+    assert np.array_equal(P[inside], X[inside])
+    for x in X:
+        p = C.project_closed_form(spec, x)
+        assert C.violation(spec, p) == 0.0
+        if C.violation(spec, x) == 0.0:
+            assert np.array_equal(p, x)
+
+
 def test_ball_gradient_vanishes_exactly_where_violation_does():
     # projected points sit on the sphere, within an ulp of either side
     rng = np.random.default_rng(7)

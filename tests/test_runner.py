@@ -362,6 +362,13 @@ CONFIG_ERRORS = {
                   "chains must be an integer >= 1, got 0"),
     "unreadable number": (lambda cfg: cfg["constraint"].update(delta="abc"),
                           "constraint.delta must be a number, got 'abc'"),
+    "unreadable halfspace normal": (
+        lambda cfg: cfg["constraint"].update(normal=["abc", 0.0, 0.0]),
+        "constraint.normal must be a list of numbers, got "
+        "['abc', 0.0, 0.0]"),
+    "unreadable score mean": (lambda cfg: cfg["score"].update(
+        mean=[0.0, "x"]), "score.mean must be a list of numbers, got "
+        "[0.0, 'x']"),
     "gaussian decoder init": (lambda cfg: cfg["decoder"]["init"].update(
         method="gaussian"), "unknown decoder init 'gaussian'"),
     "decoder latent_dim": (lambda cfg: cfg["decoder"].update(latent_dim=3),
@@ -556,6 +563,28 @@ def test_cli_diagnose_matches_manifest(tmp_path, capsys, preset):
     assert f"precondition_ok: {rep['precondition_ok']}" in printed
 
 
+def test_cli_diagnose_prints_counters_before_contraction(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = dict(EXP.porosity_config(seed=1, chains=2, grid=(8, 8),
+                                   latent_dim=16, out=str(out)),
+               reports={"contraction": True})
+    cfg["sampler"]["inner_cap"] = 10
+    counters = run_experiment(RunConfig.from_dict(cfg))["counters"]
+    stops = counters["correction_stops"]
+    assert stops["stagnated"] > 0 and stops["capped"] > 0
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("counters: ")
+    assert (f"correction_stops {stops['converged']} converged / "
+            f"{stops['stagnated']} stagnated / {stops['capped']} capped"
+            in lines[0])
+    for name in ("langevin_steps", "correction_iterations", "shortfalls",
+                 "alm_projections", "simulator_evaluations"):
+        assert f"{name} {counters[name]}" in lines[0]
+    assert lines[1].startswith("transitions: ")
+
+
 def test_cli_project_roundtrip(tmp_path):
     from latentprox.serialize import load_vector, save_vector
     cfg = {"seed": 0, "out": str(tmp_path / "o"),
@@ -653,30 +682,50 @@ def test_alm_stream_written(tmp_path):
         assert len(lines) > 1
 
 
+def correction_runs(metrics_rows):
+    """Maximal runs of consecutive correction rows of one chain: one per
+    correction loop that ran an update."""
+    runs, prev = 0, None
+    for row in metrics_rows:
+        chain, _, _, phase = row.split(",")[:4]
+        if phase == "correction" and prev != (chain, "correction"):
+            runs += 1
+        prev = (chain, phase)
+    return runs
+
+
 def test_manifest_counters_match_metrics_and_traces(tmp_path):
-    # an 8x8 porosity run: its correction loops stop at inner_cap, so the
-    # run has shortfalls to count
+    # an 8x8 porosity run with a cap of 10: its correction loops stop
+    # stagnated or capped, above delta, so the run has shortfalls to count
     cfg = EXP.porosity_config(fraction=0.3, seed=1, chains=2,
                               out=str(tmp_path / "p"), grid=(8, 8),
                               latent_dim=16)
-    cfg["sampler"]["inner_cap"] = 30
+    cfg["sampler"]["inner_cap"] = 10
     manifest = run_experiment(RunConfig.from_dict(cfg))
     stored = json.loads((tmp_path / "p" / "manifest.json").read_text())
     assert stored["counters"] == manifest["counters"]
-    phases = [line.split(",")[3] for line in
-              (tmp_path / "p" / "metrics.csv").read_text().splitlines()[1:]]
+    rows = (tmp_path / "p" / "metrics.csv").read_text().splitlines()[1:]
+    phases = [line.split(",")[3] for line in rows]
     sampler_cfg = build_sampler_config(RunConfig.from_dict(cfg))
-    shortfalls = sum(len(sample(sampler_cfg, chain_rng(1, i))[1].shortfalls)
-                     for i in range(2))
-    assert shortfalls > 0
+    traces = [sample(sampler_cfg, chain_rng(1, i))[1] for i in range(2)]
+    shortfalls = sum(len(trace.shortfalls) for trace in traces)
+    reasons = [reason for trace in traces for _, _, reason in trace.stops]
+    stops = {reason: reasons.count(reason)
+             for reason in ("converged", "stagnated", "capped")}
+    assert shortfalls > 0 and stops["stagnated"] > 0 and stops["capped"] > 0
+    # one stop per corrected level, each level a run of correction rows
+    assert sum(stops.values()) == correction_runs(rows)
     assert manifest["counters"] == {
         "langevin_steps": phases.count("langevin"),
         "correction_iterations": phases.count("correction"),
+        "correction_stops": stops,
         "shortfalls": shortfalls, "alm_projections": 0,
         "alm_unconverged": 0, "simulator_evaluations": 0,
         "simulator_calls": 0}
     assert (f"counters: {phases.count('langevin')} Langevin steps, "
             f"{phases.count('correction')} correction iterations, "
+            f"correction stops {stops['converged']} converged / "
+            f"{stops['stagnated']} stagnated / {stops['capped']} capped, "
             f"{shortfalls} shortfall(s), 0 ALM projection(s), "
             f"0 unconverged, 0 simulator evaluation(s) in 0 call(s)") \
         in manifest["summary"]
@@ -704,13 +753,14 @@ def test_manifest_counts_dpo_solver_simulator_work(tmp_path):
 
 def test_manifest_counts_alm_projections(tmp_path):
     # two outer iterations are too few for some of the projections, so the
-    # run has unconverged ones to count
-    cfg = EXP.centroid_config(seed=0, chains=6, out=str(tmp_path / "c"))
+    # run has unconverged ones to count; 12 chains give it converged ones
+    # too
+    cfg = EXP.centroid_config(seed=0, chains=12, out=str(tmp_path / "c"))
     cfg["alm"]["max_outer"] = 2
     manifest = run_experiment(RunConfig.from_dict(cfg))
     rows = (tmp_path / "c" / "alm.csv").read_text().splitlines()[1:]
     sampler_cfg = build_sampler_config(RunConfig.from_dict(cfg))
-    reports = [rep for i in range(6)
+    reports = [rep for i in range(12)
                for _, _, rep in sample(sampler_cfg, chain_rng(0, i))[1]
                .alm_reports]
     unconverged = sum(not rep.converged for rep in reports)

@@ -10,9 +10,9 @@ from latentprox.errors import (AlmNonConvergence, ConfigError,
                                DivergenceError, ParameterError)
 from latentprox.experiments import centroid_config
 from latentprox.runner import RunConfig, build_sampler_config
-from latentprox.samplers import (SampleTrace, SamplerConfig, TraceRow,
-                                 _correction_active, chain_rng,
-                                 langevin_step, sample)
+from latentprox.samplers import (STAGNATION_RATIO, SampleTrace,
+                                 SamplerConfig, TraceRow, _correction_active,
+                                 chain_rng, langevin_step, sample)
 from latentprox.schedules import NoiseSchedule, make_schedule
 from latentprox.scores import linear_gaussian_field, standard_normal_field
 
@@ -258,18 +258,51 @@ def test_mode_solver_compatibility():
                       decoder=dec, constraint=smooth, solver="dpo")
 
 
-def test_shortfall_recorded_when_cap_hit():
+def far_halfspace_chain(prox_weight, lr, inner_cap, **kw):
+    """Corrections toward a halfspace that every level starts far outside."""
     sched = small_schedule(T=3, M=1)
-    f = standard_normal_field(2, sched)
-    dec = random_linear_decoder(2, 3, seed=1)
-    # tiny lr so the correction loop cannot reach delta within the cap
-    spec = C.halfspace([1.0, 0.0, 0.0], -5.0, delta=1e-6, prox_weight=1e6)
-    cfg = SamplerConfig(schedule=sched, score=f, mode="proximal_latent",
-                        decoder=dec, constraint=spec, lr=1e-6, inner_cap=5)
-    _, trace = sample(cfg, chain_rng(0, 0))
-    assert trace.shortfalls
-    t, iters, viol = trace.shortfalls[0]
-    assert iters == 5 and viol > spec.delta
+    spec = C.halfspace([1.0, 0.0, 0.0], -5.0, prox_weight=prox_weight, **kw)
+    cfg = SamplerConfig(schedule=sched, score=standard_normal_field(2, sched),
+                        mode="proximal_latent",
+                        decoder=random_linear_decoder(2, 3, seed=1),
+                        constraint=spec, lr=lr, inner_cap=inner_cap)
+    return spec, sample(cfg, chain_rng(0, 0))[1]
+
+
+def test_level_stops_converged_after_a_secant_step():
+    # lr is only the first step: at lr 1e-3 a fixed step would need
+    # thousands of updates, the secant step reaches delta at the second
+    spec, trace = far_halfspace_chain(1e6, 1e-3, 50)
+    assert trace.stops == [(3, 2, "converged"), (2, 2, "converged"),
+                           (1, 2, "converged")]
+    assert trace.shortfalls == []
+    ends = trace.level_final_rows()
+    assert all(row.phase == "correction" and row.violation < spec.delta
+               for row in ends)
+
+
+def test_level_stops_stagnated_when_the_prox_minimizer_is_outside():
+    # a strong anchor pull (lambda 1) puts the minimizer of the proximal
+    # objective outside the set: the gradient stalls above delta, well
+    # before the cap, and the level is a shortfall
+    spec, trace = far_halfspace_chain(1.0, 0.2, 200, delta=1e-6)
+    assert [reason for _, _, reason in trace.stops] == ["stagnated"] * 3
+    assert all(i < 200 for _, i, _ in trace.stops)
+    assert [(t, i) for t, i, _ in trace.shortfalls] == [
+        (t, i) for t, i, _ in trace.stops]
+    assert all(v >= spec.delta for _, _, v in trace.shortfalls)
+
+
+def test_shortfall_recorded_when_cap_hit():
+    # the same outside minimizer, but a tiny first step and a cap of 2 end
+    # each level while its gradient is still near its first norm
+    spec, trace = far_halfspace_chain(1.0, 1e-6, 2, delta=1e-6)
+    assert trace.stops == [(3, 2, "capped"), (2, 2, "capped"),
+                           (1, 2, "capped")]
+    assert len(trace.shortfalls) == 3
+    for (t, iters, viol), (t_stop, _, _) in zip(trace.shortfalls,
+                                                trace.stops):
+        assert t == t_stop and iters == 2 and viol > spec.delta
 
 
 def test_replay_from_seed_lineage():
@@ -364,7 +397,8 @@ def reference_proximal_latent(cfg, rng):
 
     Each decoded point is handed to violation and dist_to_set separately,
     the closed-form direction calls project_exact again, and every decode
-    and vjp validates its latent.
+    and vjp validates its latent.  Corrections take the secant step and
+    stop for the sampler's three reasons.
     """
     sched, dec, con = cfg.schedule, cfg.decoder, cfg.constraint
     trace = SampleTrace()
@@ -386,16 +420,25 @@ def reference_proximal_latent(cfg, rng):
         return x - y, rep
 
     def correct(z, x0, t, gamma):
-        if not _correction_active(cfg, t, x0):
+        v = C.violation(con, x0)
+        if v < con.delta or not _correction_active(cfg, t, x0):
             return z
-        lr, lam = cfg.lr_at(t), con.prox_weight
-        i, x = 0, x0
-        v = C.violation(con, x)
-        while v >= con.delta and i < cfg.inner_cap:
+        step, lam = cfg.lr_at(t), con.prox_weight
+        i, x, reason = 0, x0, None
+        while reason is None:
             corr, rep = direction(x)
             if rep is not None:
                 trace.alm_reports.append((t, i + 1, rep))
-            z = z - lr * vjp(dec, z, corr + (x - x0) / lam)
+            g = vjp(dec, z, corr + (x - x0) / lam)
+            if i == 0:
+                g0 = np.linalg.norm(g)
+            else:
+                # Barzilai-Borwein: s.s / s.y, unless s.y <= 0
+                s, y = z - z_prev, g - g_prev
+                if s @ y > 0:
+                    step = (s @ s) / (s @ y)
+            z_prev, g_prev = z, g
+            z = z - step * g
             if not np.isfinite(z).all():
                 raise DivergenceError(f"correction diverged at level {t}")
             i += 1
@@ -404,6 +447,13 @@ def reference_proximal_latent(cfg, rng):
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
                 violation=v, dist=C.dist_to_set(con, x), z=z.copy()))
+            if v < con.delta:
+                reason = "converged"
+            elif np.linalg.norm(g) <= STAGNATION_RATIO * g0:
+                reason = "stagnated"
+            elif i == cfg.inner_cap:
+                reason = "capped"
+        trace.stops.append((t, i, reason))
         if v >= con.delta:
             trace.shortfalls.append((t, i, v))
         return z
@@ -442,6 +492,7 @@ def assert_same_chain(got, ref):
         for name in ("gamma", "score_norm", "violation", "dist"):
             assert same_float(getattr(row, name), getattr(want, name)), name
         assert np.array_equal(row.z, want.z)
+    assert trace.stops == trace_ref.stops
     assert trace.shortfalls == trace_ref.shortfalls
     assert len(trace.alm_reports) == len(trace_ref.alm_reports)
     for (t, i, rep), (t_ref, i_ref, rep_ref) in zip(trace.alm_reports,
@@ -478,8 +529,10 @@ def proximal_cases():
         correct_every_step=True)
     yield "l2_ball", cfg(f2, lin, C.l2_ball(0.3, center=[1.0, 0.0, 0.0],
                                             prox_weight=100.0))
+    # the secant step ends most box levels in one update; a cap of 3 ends
+    # the others, so the comparison covers capped levels
     yield "box", cfg(f2, lin, C.box([-0.2] * 3, [0.2] * 3, delta=1e-6,
-                                    prox_weight=100.0), inner_cap=15)
+                                    prox_weight=100.0), inner_cap=3)
     yield "smooth_mlp", cfg(f2, mlp, C.halfspace([1.0, -1.0, 0.5, 0.0], 0.0,
                                                  prox_weight=100.0))
     yield "unconstrained", cfg(f2, lin, None)
@@ -491,6 +544,7 @@ def proximal_cases():
                          ids=[name for name, _ in proximal_cases()])
 def test_proximal_latent_matches_reference(name, cfg):
     corrections = shortfalls = alm = 0
+    reasons = set()
     for k in range(12 if name == "centroid_alm" else 3):
         got = sample(cfg, chain_rng(5, k))
         assert_same_chain(got, reference_proximal_latent(cfg, chain_rng(5, k)))
@@ -498,10 +552,15 @@ def test_proximal_latent_matches_reference(name, cfg):
         corrections += sum(r.phase == "correction" for r in trace.rows)
         shortfalls += len(trace.shortfalls)
         alm += len(trace.alm_reports)
+        reasons.update(reason for _, _, reason in trace.stops)
     # the comparison covers the loop, not only the Langevin rows
     if name != "unconstrained":
         assert corrections > 0
     if name in ("porosity", "box"):
         assert shortfalls > 0
+    if name == "porosity":
+        assert reasons == {"converged", "stagnated"}
+    if name == "box":
+        assert reasons == {"converged", "capped"}
     if name == "centroid_alm":
         assert alm > 0
