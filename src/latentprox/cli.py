@@ -17,8 +17,8 @@ from .diagnostics import check_run_contraction
 from .errors import (ConfigError, DivergenceError, NumericError,
                      ParameterError, ShapeError)
 from .runner import (RunConfig, RunManifest, build_constraint, build_decoder,
-                     build_schedule, load_config, load_traces, run_design,
-                     run_experiment)
+                     build_schedule, build_score, load_config, load_traces,
+                     run_design, run_experiment)
 from .samplers import STOP_REASONS
 from .scores import MlpScoreConfig, train_score
 from .serialize import load_vector, save_score_field, save_vector
@@ -77,7 +77,6 @@ def _cmd_train_score(args) -> int:
     if cfg["score"] is None:
         raise ConfigError("train-score needs a score section describing the "
                           "data distribution")
-    from .runner import build_score
     data_field = build_score(cfg["score"], schedule)
     # draw training data from the analytic base distribution
     w, means, covs = data_field.weights, data_field.means, data_field.covs

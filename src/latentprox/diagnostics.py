@@ -24,7 +24,7 @@ from .errors import (DegeneracyError, NumericError, ParameterError,
                      ShapeError)
 from .schedules import NoiseSchedule
 from .samplers import SampleTrace
-from .scores import ScoreField, _level_components
+from .scores import ScoreField, _level_components, score as score_fn
 
 SLACK_TOL = 1e-9
 
@@ -279,7 +279,6 @@ def kl_series_from_moments(moments, field_: ScoreField) -> np.ndarray:
 def measured_score_bound(field_: ScoreField, moments, draws: int,
                          rng: np.random.Generator) -> float:
     """Max score norm over seeded draws from each level's exact state."""
-    from .scores import score as score_fn
     G = 0.0
     for t in sorted(moments):
         mean, cov = moments[t]

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import constraints as C
-from .decoders import decode_unchecked, random_linear_decoder, vjp_unchecked
+from .decoders import decode_unchecked, random_linear_decoder
 from .errors import ConfigError, DivergenceError
-from .samplers import langevin_step
+from .samplers import _correct_rows, langevin_step
 from .scores import score
 
 
@@ -261,59 +261,30 @@ def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
     """Proximal correction of every row of Z whose decoded violation is at
     least ``delta``; returns the corrected latents (Z itself is not changed).
 
-    Works on an active set: all rows are decoded and checked once, then only
-    the rows still at or above ``delta`` are updated, re-decoded and
-    re-checked.  A row that drops below ``delta`` is written back and never
-    touched again, so the set only shrinks.  Each row gets exactly the
-    updates of the all-rows loop: at most ``inner_cap``, with no check after
-    the last one, each along (x - P(x)) + (x - x0) / lambda.
-
-    Unlike the per-chain ``samplers._run_correction``, this loop keeps the
-    fixed step ``lr`` and stops only below ``delta`` or at ``inner_cap``:
-    no secant step, no stagnation stop, no recorded stop reasons.
+    Every row is decoded and checked once here; the rows at or above
+    ``delta`` go to ``samplers._correct_rows``, which gives each of them the
+    per-chain correction rule: the same steps and the same stop reasons as
+    ``samplers._run_correction``.
     """
     con = cfg.constraint
-    dec = cfg.decoder
-    X = decode_unchecked(dec, Z)
+    X = decode_unchecked(cfg.decoder, Z)
     idx = np.flatnonzero(C._violation(con, X) >= con.delta)
     if not idx.size:
         return Z
-    lr = cfg.lr_at(t)
-    lam = con.prox_weight
-    Z = Z.copy()
-    Za, X0 = Z[idx], X[idx]
-    Xa = X0
-    for k in range(cfg.inner_cap):
-        D = (Xa - C._project_exact(con, Xa)) + (Xa - X0) / lam
-        Za = Za - lr * vjp_unchecked(dec, Za, D)
-        if k + 1 == cfg.inner_cap:
-            break
-        # numpy multiplies a lone row on its vector path, whose low bits can
-        # differ from the matrix path that decoded the whole batch; a copy
-        # of the row keeps it on the matrix path
-        m = len(idx)
-        Zp = np.repeat(Za, 2, axis=0) if m == 1 < len(Z) else Za
-        Xp = decode_unchecked(dec, Zp)
-        keep = (C._violation(con, Xp) >= con.delta)[:m]
-        Xa = Xp[:m]
-        if not keep.all():
-            Z[idx[~keep]] = Za[~keep]
-            idx, Za, Xa, X0 = idx[keep], Za[keep], Xa[keep], X0[keep]
-            if not idx.size:
-                break
-    Z[idx] = Za
-    return Z
+    return _correct_rows(cfg, Z, X, idx, t)
 
 
 def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized proximal-latent sampling of n independent chains.
 
-    The per-chain sampler's update rule, constraint rules and correction
-    window, batched; restricted to linear decoders and closed_form
-    corrections of ``constraints.CLOSED_FORM_KINDS``.  Corrections iterate
-    only the chains that still violate (see ``_correct_batch``).  Returns
-    the decoded (and optionally final-projected) samples; raises
-    ``DivergenceError`` if a chain ends non-finite.
+    The per-chain sampler's Langevin kernel, constraint rules, correction
+    rule and correction window, batched; restricted to linear decoders and
+    closed_form corrections of ``constraints.CLOSED_FORM_KINDS``.  A
+    correction takes each violating chain through the per-chain steps and
+    stop reasons, iterating only the chains that have not stopped (see
+    ``_correct_batch``).  Returns the decoded (and optionally
+    final-projected) samples; raises ``DivergenceError`` if a chain ends
+    non-finite.
     """
     if cfg.mode != "proximal_latent" or cfg.decoder.kind != "linear":
         raise ConfigError("population sampling needs proximal_latent mode "

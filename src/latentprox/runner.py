@@ -79,11 +79,14 @@ SCHEMA = {
 SECTION_NONE_IF_ABSENT = ("score", "decoder", "constraint", "alm", "dpo",
                           "design")
 
-# scalar keys whose schema default is not a number but whose value must be
-NUMBER_KEYS = ("constraint.offset", "constraint.radius", "constraint.fraction",
-               "constraint.accept_radius", "sampler.lr", "dpo.nu", "dpo.M",
-               "checks.contraction_fraction", "checks.design_mse_ratio",
-               "decoder.latent_dim", "decoder.ambient_dim")
+# scalar keys whose schema default is not a number but whose value must be,
+# with the kind of number; every other scalar key takes its default's type
+NUMBER_KEYS = {"constraint.offset": float, "constraint.radius": float,
+               "constraint.fraction": float, "constraint.accept_radius": float,
+               "sampler.lr": float, "dpo.nu": float, "dpo.M": int,
+               "checks.contraction_fraction": float,
+               "checks.design_mse_ratio": float, "decoder.latent_dim": int,
+               "decoder.ambient_dim": int}
 
 # keys whose value is a (nested) list of numbers
 NUMBER_LIST_KEYS = ("score.mean", "score.cov", "score.weights", "score.means",
@@ -101,6 +104,26 @@ CONSTRAINT_KEYS = {"halfspace": ("normal", "offset"), "l2_ball": ("radius",),
 def _suggest(key: str, known) -> str:
     close = difflib.get_close_matches(key, list(known), n=1)
     return f"; did you mean {close[0]!r}?" if close else ""
+
+
+def _check_scalar(where: str, value, kind):
+    """``value`` of a scalar key whose value must be a ``kind`` (bool, int
+    or float; other kinds pass as they are); an int key's value comes back
+    as an int."""
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    if kind not in (int, float):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") \
+            from None
+    if kind is float:
+        return value
+    if isinstance(value, bool) or not number.is_integer():
+        raise ConfigError(f"{where} must be a whole number, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else int(number)
 
 
 def _resolve(section: dict, schema: dict, path: str) -> dict:
@@ -122,14 +145,9 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
                 out[key] = _resolve({} if sub is None else sub, default,
                                     where)
         elif key in section and section[key] is not None:
-            out[key] = section[key]
-            if where in NUMBER_KEYS or type(default) in (int, float):
-                try:
-                    float(out[key])
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{where} must be a number, got "
-                                      f"{out[key]!r}") from None
-            elif where in NUMBER_LIST_KEYS:
+            out[key] = _check_scalar(where, section[key],
+                                     NUMBER_KEYS.get(where, type(default)))
+            if where in NUMBER_LIST_KEYS:
                 try:
                     np.asarray(out[key], dtype=float)
                 except (TypeError, ValueError):
@@ -147,10 +165,11 @@ def resolve_config(data: dict) -> dict:
     """Validate a raw config mapping and fill in every default.
 
     Unknown keys are rejected (with a close-match suggestion), and so is a
-    numeric key whose value is not a number, or a list-valued key with an
-    entry that is not one or rows of unequal length; the root seed is
-    mandatory so no run is ever implicitly seeded, and it must be a
-    non-negative integer.
+    boolean key whose value is not true or false, a numeric key whose value
+    is not a number (a whole number for an integer key, whose value is
+    stored as an int), or a list-valued key with an entry that is not one
+    or rows of unequal length; the root seed is mandatory so no run is ever
+    implicitly seeded, and it must be a non-negative integer.
     """
     out = _resolve(data, SCHEMA, "")
     for key, least in (("seed", 0), ("chains", 1)):

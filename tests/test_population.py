@@ -1,5 +1,6 @@
 """The active-set population correction against the all-rows loop it
-replaced, and the population sampler's window, divergence and kind checks."""
+replaced and against the per-chain correction loop, and the population
+sampler's window, divergence and kind checks."""
 
 from dataclasses import replace
 
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from latentprox import constraints as C
 from latentprox import experiments as EXP
-from latentprox.decoders import linear_decoder
+from latentprox.decoders import decode, linear_decoder
 from latentprox.errors import ConfigError, DivergenceError
 from latentprox.runner import RunConfig, build_sampler_config
-from latentprox.samplers import SamplerConfig
+from latentprox.samplers import (STAGNATION_RATIO, SampleTrace,
+                                  SamplerConfig, _run_correction)
 from latentprox.schedules import make_schedule
 from latentprox.scores import standard_normal_field
 
@@ -22,28 +24,56 @@ SCHEDULE = make_schedule(T=2, abar_end=0.02, gamma_max=0.05,
                          gamma_min=0.01)
 
 
-def all_rows_correct(cfg, Z, t, updates=None):
+def all_rows_correct(cfg, Z, t, stops=None):
     """Reference: decode, check and mask every row on every iteration.
 
-    ``updates``, when given, counts the updates each row receives.
+    Each row takes the per-chain rule of ``samplers._run_correction``: the
+    step ``lr`` first, then its own secant step s.s / s.y (its previous
+    step when s.y <= 0).  It stops below ``delta``, once ||g_k|| <=
+    STAGNATION_RATIO ||g_0|| after the update along g_k, or after
+    ``inner_cap`` updates.  ``stops``, when given, receives one
+    ``(updates, reason)`` per row: reason None for a row feasible at entry,
+    else the first of converged, stagnated and capped that holds.
     """
     con = cfg.constraint
     W, b = cfg.decoder.weight, cfg.decoder.bias
+    n = len(Z)
     X0 = Z @ W.T + b
-    lr = cfg.lr_at(t)
     lam = con.prox_weight
-    for _ in range(cfg.inner_cap):
-        X = Z @ W.T + b
-        v = C._violation(con, X)
-        mask = v >= con.delta
-        if not mask.any():
+    step = np.full(n, cfg.lr_at(t))
+    g_norm, g0_norm = np.zeros(n), np.zeros(n)
+    Z_prev, G_prev = np.zeros_like(Z), np.zeros_like(Z)
+    updates = np.zeros(n, dtype=int)
+    reasons = np.full(n, None, dtype=object)
+    active = C._violation(con, X0) >= con.delta
+    X = X0
+    for k in range(1, cfg.inner_cap + 1):
+        if not active.any():
             break
-        D = (X[mask] - C._project_exact(con, X[mask])) \
-            + (X[mask] - X0[mask]) / lam
+        m = active
+        D = (X[m] - C._project_exact(con, X[m])) + (X[m] - X0[m]) / lam
+        G = D @ W
+        g_norm[m] = np.sqrt(np.vecdot(G, G))
+        if k == 1:
+            g0_norm[m] = g_norm[m]
+        else:
+            S = Z[m] - Z_prev[m]
+            sy = np.vecdot(S, G - G_prev[m])
+            secant = np.vecdot(S, S) / np.where(sy > 0.0, sy, 1.0)
+            step[m] = np.where(sy > 0.0, secant, step[m])
+        Z_prev[m], G_prev[m] = Z[m], G
         Z = Z.copy()
-        Z[mask] = Z[mask] - lr * (D @ W)
-        if updates is not None:
-            updates[mask] += 1
+        Z[m] = Z[m] - step[m, None] * G
+        X = Z @ W.T + b
+        for reason, hit in (
+                ("converged", C._violation(con, X) < con.delta),
+                ("stagnated", g_norm <= STAGNATION_RATIO * g0_norm),
+                ("capped", k == cfg.inner_cap)):
+            hit = active & hit
+            reasons[hit], updates[hit] = reason, k
+            active = active & ~hit
+    if stops is not None:
+        stops.extend(zip(updates.tolist(), reasons.tolist()))
     return Z
 
 
@@ -84,51 +114,100 @@ def _geometry(kind, rng, d, lam):
 
 @st.composite
 def correction_cases(draw):
+    """A batch of latents for one correction at level 1, its sampler
+    config, and whether its stalled rows stagnate (else they are capped).
+
+    The decoder is W = s Q (Q orthogonal), so W W^T = s^2 I and a row that
+    violates by v_0 along the outward line of ``_geometry`` stays on that
+    line, where the proximal objective is a quadratic with its minimizer at
+    violation kappa v_0 (kappa = 1 / (1 + lambda)).  The first update
+    leaves v_1 = f1 v_0, f1 = kappa + rho (1 - kappa), and ||g_1|| / ||g_0||
+    = rho; the secant step of the second update is exact on the quadratic
+    and lands on v_2 = kappa v_0.  The batch holds a point inside, a point
+    on the boundary, a row converging at update 1 and one at update 2 (at
+    the geometric means of their v_0 bounds), a stalled row whose
+    minimizer lies outside the set, and free rows around the inside point.
+    A stalled row stagnates at update 2 when rho <= 0.008 and inner_cap >=
+    3, and is capped when rho >= 0.2 and inner_cap = 2.  Every stop test of
+    the designed rows clears its threshold by a factor of at least 1.25.
+    """
     kind = draw(st.sampled_from(["halfspace", "l2_ball", "box"]))
     d = draw(st.integers(1, 4))
-    cap = draw(st.integers(3, 10))
-    rate = draw(st.floats(0.4, 0.7))          # excess shrink per update
     s = draw(st.floats(0.5, 2.0))              # decoder scale
-    lam = draw(st.floats(1e7, 1e9))
     seed = draw(st.integers(0, 2**32 - 1))
     n_free = draw(st.integers(0, 12))
+    stagnates = draw(st.booleans())
+    if stagnates:
+        rho = draw(st.floats(0.002, 0.008))
+        kappa = rho * draw(st.floats(0.05, 0.4))
+        cap = draw(st.integers(3, 10))
+    else:
+        rho = draw(st.floats(0.2, 0.5))
+        kappa = draw(st.floats(0.01, 0.1))
+        cap = 2
+    lam = 1.0 / kappa - 1.0
+    f1 = kappa + rho * (1.0 - kappa)
+    stall = DELTA / kappa * draw(st.floats(1.5, 3.0))
     rng = np.random.default_rng(seed)
     con, p, u, inside = _geometry(kind, rng, d, lam)
-    # X = W z + b with W = s Q (Q orthogonal), so W W^T = s^2 I and one
-    # update moves an outward point by lr s^2 = 1 - rate times its excess
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     W = s * Q
     bias = rng.standard_normal(d)
-    # excess delta * rate^-(k - 1/2) falls below delta at update k
-    excess = [DELTA * rate ** (0.5 - k) for k in range(1, cap)]
-    excess.append(DELTA * rate ** (-cap - 2))   # still violating at the cap
+    excess = [DELTA / np.sqrt(f1), DELTA / np.sqrt(f1 * kappa), stall]
     X = [inside, p] + [p + e * u for e in excess]
     X += list(inside + 4.0 * rng.standard_normal((n_free, d)))
     X = np.array(X)[rng.permutation(len(X))]
     Z = (X - bias) @ Q / s                     # Q^T (x - b) / s, row-wise
+    # the first update moves an outward row by lr s^2 (1 + 1/lambda) =
+    # 1 - rho times its gap to the minimizer
     cfg = SamplerConfig(
         schedule=SCHEDULE, score=standard_normal_field(d, SCHEDULE),
         mode="proximal_latent",
         decoder=linear_decoder(W, bias), constraint=con,
-        lr=(1.0 - rate) / s**2, inner_cap=cap)
-    return cfg, Z
+        lr=(1.0 - rho) / (s**2 * (1.0 + 1.0 / lam)), inner_cap=cap)
+    return cfg, Z, stagnates
 
 
 @settings(max_examples=150, deadline=None)
 @given(correction_cases())
 def test_active_set_matches_all_rows_loop(case):
-    cfg, Z = case
+    cfg, Z, stagnates = case
     Z_in = Z.copy()
-    updates = np.zeros(len(Z), dtype=int)
-    expected = all_rows_correct(cfg, Z, 1, updates)
+    stops = []
+    expected = all_rows_correct(cfg, Z, 1, stops)
     got = EXP._correct_batch(cfg, Z, 1)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(Z, Z_in)   # the input is left alone
     # the case holds rows feasible at entry, rows that converge after
-    # different numbers of updates, and rows that reach the cap
-    cap = cfg.inner_cap
-    assert 0 in updates and cap in updates
-    assert len(set(updates[(updates > 0) & (updates < cap)])) >= 2
+    # different numbers of updates, and rows that stagnate before the cap
+    # or reach it
+    updates = {}
+    for k, reason in stops:
+        updates.setdefault(reason, set()).add(k)
+    assert updates[None] == {0} and len(updates["converged"]) >= 2
+    if stagnates:
+        assert min(updates["stagnated"]) < cfg.inner_cap
+    else:
+        assert updates["capped"] == {cfg.inner_cap}
+
+
+@settings(max_examples=150, deadline=None)
+@given(correction_cases())
+def test_rows_loop_takes_the_per_chain_rule(case):
+    # each row of a population correction equals the per-chain loop run on
+    # that row alone, and stops after as many updates for the same reason
+    cfg, Z, _ = case
+    got = EXP._correct_batch(cfg, Z, 1)
+    stops = []
+    all_rows_correct(cfg, Z, 1, stops)
+    rng = np.random.default_rng(0)
+    for z, row, (k, reason) in zip(Z, got, stops):
+        x0 = decode(cfg.decoder, z)
+        trace = SampleTrace()
+        chain = _run_correction(cfg, z, x0, C.evaluate(cfg.constraint, x0),
+                                1, SCHEDULE.gamma_at(1), rng, trace)
+        np.testing.assert_allclose(row, chain, rtol=0, atol=1e-12)
+        assert trace.stops == ([] if reason is None else [(1, k, reason)])
 
 
 def test_population_matches_all_rows_loop(monkeypatch):

@@ -374,7 +374,36 @@ CONFIG_ERRORS = {
     "decoder latent_dim": (lambda cfg: cfg["decoder"].update(latent_dim=3),
                            "decoder latent_dim 3 does not match the "
                            "score's dim 2"),
+    "string for a boolean": (
+        lambda cfg: cfg["sampler"].update(final_projection="no"),
+        "sampler.final_projection must be true or false, got 'no'"),
+    "string for a report switch": (
+        lambda cfg: cfg.update(reports={"fidelity": "off"}),
+        "reports.fidelity must be true or false, got 'off'"),
+    "integer for a boolean": (
+        lambda cfg: cfg["sampler"].update(record_vectors=0),
+        "sampler.record_vectors must be true or false, got 0"),
+    "fraction for an integer": (
+        lambda cfg: cfg["schedule"].update(T=2.5),
+        "schedule.T must be a whole number, got 2.5"),
+    "fraction for inner_cap": (
+        lambda cfg: cfg["sampler"].update(inner_cap=3.7),
+        "sampler.inner_cap must be a whole number, got 3.7"),
+    "fraction for a dimension": (
+        lambda cfg: cfg["decoder"].update(ambient_dim=3.5),
+        "decoder.ambient_dim must be a whole number, got 3.5"),
 }
+
+
+def test_whole_numbers_resolve_to_integers(tmp_path):
+    # 2.0, and 1e1 (a string to PyYAML), are whole numbers
+    raw = minimal_config(tmp_path / "run")
+    raw["schedule"]["T"] = 2.0
+    raw["sampler"]["inner_cap"] = "1e1"
+    cfg = RunConfig.from_dict(raw)
+    assert cfg["schedule"]["T"] == 2 and type(cfg["schedule"]["T"]) is int
+    assert cfg["sampler"]["inner_cap"] == 10
+    assert build_sampler_config(cfg).inner_cap == 10
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_ERRORS))
