@@ -359,18 +359,11 @@ def _project_closed_form(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
         if out.any():
             # rounding left a row outside: lengthen its step so that the
             # coordinate with the largest |a| moves by at least one ulp of
-            # the row's largest coordinate, doubling each pass.  Only the
-            # flagged rows are recomputed, but each pass checks the whole
-            # batch: a subset's y @ a can round differently
-            extra = np.atleast_1d(
-                np.spacing(np.abs(y).max(axis=-1)) / np.abs(a).max())
-            step = np.atleast_1d(step)
-            # (n, d) views of a point or a batch; writes to Y land in y
-            X, Y = np.atleast_2d(x), np.atleast_2d(y)
+            # the row's largest coordinate, doubling each pass
+            extra = np.spacing(np.abs(y).max(axis=-1)) / np.abs(a).max()
             for _ in range(INSIDE_PASSES):
-                rows = np.flatnonzero(out)
-                step[rows] += extra[rows]
-                Y[rows] = X[rows] - step[rows, None] * a
+                step = np.where(out, step + extra, step)
+                y = x - step[..., None] * a
                 out = y @ a - spec.offset > 0.0
                 if not out.any():
                     break

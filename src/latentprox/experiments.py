@@ -259,19 +259,10 @@ def _score_batch(field_, Z: np.ndarray, t: int) -> np.ndarray:
 
 def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
     """Proximal correction of every row of Z whose decoded violation is at
-    least ``delta``; returns the corrected latents (Z itself is not changed).
-
-    Every row is decoded and checked once here; the rows at or above
-    ``delta`` go to ``samplers._correct_rows``, which gives each of them the
-    per-chain correction rule: the same steps and the same stop reasons as
-    ``samplers._run_correction``.
-    """
-    con = cfg.constraint
-    X = decode_unchecked(cfg.decoder, Z)
-    idx = np.flatnonzero(C._violation(con, X) >= con.delta)
-    if not idx.size:
-        return Z
-    return _correct_rows(cfg, Z, X, idx, t)
+    least ``delta``: ``samplers._correct_rows``, the per-chain correction
+    rule applied row by row.  Kept under this name because the benchmark
+    traces it."""
+    return _correct_rows(cfg, Z, t)
 
 
 def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,7 +273,7 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
     closed_form corrections of ``constraints.CLOSED_FORM_KINDS``.  A
     correction takes each violating chain through the per-chain steps and
     stop reasons, iterating only the chains that have not stopped (see
-    ``_correct_batch``).  Returns the decoded (and optionally
+    ``samplers._correct_rows``).  Returns the decoded (and optionally
     final-projected) samples; raises ``DivergenceError`` if a chain ends
     non-finite.
     """

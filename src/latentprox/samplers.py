@@ -9,13 +9,11 @@ descended, with the correction learning rate as the first step of a level and
 a Barzilai-Borwein step after it.  For exact-projection constraint
 kinds an optional final ambient projection restores feasibility exactly.
 
-The correction rule has two loop shapes: ``_run_correction`` for one chain
-and ``_correct_rows`` for the violating rows of a population, with the same
-steps and stops.  A chain is not run as the one-row case of the rows loop:
-a prototype that did so gave byte-identical chains (a one-row gemm equals
-the point gemv) but spent about 11 us more per correction iteration on
-small-array bookkeeping, and porosity chains/s fell from 38.6 to 31.1
-(-19%, 3 of 3 benchmark pairs, 2-core host).
+The correction rule has two loop shapes with the same steps and stops:
+``_run_correction`` for one chain and ``_correct_rows`` for the violating
+rows of a population.  A chain is not run as the one-row case of the rows
+loop, because the rows loop's array bookkeeping costs more per iteration
+than the point loop; ROADMAP item 3 holds the measurement.
 """
 
 from __future__ import annotations
@@ -283,29 +281,33 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
     return z
 
 
-def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, X: np.ndarray,
-                  idx: np.ndarray, t: int) -> np.ndarray:
-    """``_run_correction``'s rule on the rows ``idx`` of a batch of latents
-    Z at once; returns a copy of Z with those rows corrected.
+def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int) -> np.ndarray:
+    """``_run_correction``'s rule on every row of a batch of latents Z whose
+    decoded violation is at least ``delta``; returns the corrected latents
+    (Z itself is not changed).
 
-    X is decode_unchecked(cfg.decoder, Z), and the rows ``idx`` are those
-    whose violation is at least ``delta``.  Each row takes the per-chain
-    steps, ``lr`` first and then its own secant step s.s / s.y (its previous
-    step when s.y <= 0), and stops for the per-chain reasons: its violation
-    drops below ``delta``, its ||g_k|| falls to ``STAGNATION_RATIO`` times
-    its ||g_0||, or ``inner_cap`` updates ran.  A row that stops is written
-    back and never touched again, so the active set only shrinks; the cap's
-    last update is not decoded.  The loop runs the closed-form kinds
-    through the unchecked violation and projection, records no trace and
-    leaves a non-finite row to its caller's check.
+    Every row is decoded and checked once, then only the violating rows are
+    updated.  Each takes the per-chain steps, ``lr`` first and then its own
+    secant step s.s / s.y (its previous step when s.y <= 0), and stops for
+    the per-chain reasons: its violation drops below ``delta``, its ||g_k||
+    falls to ``STAGNATION_RATIO`` times its ||g_0||, or ``inner_cap``
+    updates ran.  A row that stops is written back and never touched again,
+    so the active set only shrinks; the cap's last update is not decoded.
+    The loop runs the closed-form kinds through the unchecked violation and
+    projection, records no trace and leaves a non-finite row to its
+    caller's check.
     """
     con = cfg.constraint
     dec = cfg.decoder
+    X = decode_unchecked(dec, Z)
+    idx = np.flatnonzero(C._violation(con, X) >= con.delta)
+    if not idx.size:
+        return Z
     lam = con.prox_weight
     Z = Z.copy()
     Za, X0 = Z[idx], X[idx]
     Xa = X0
-    step = np.full(len(idx), cfg.lr_at(t))
+    step = np.full(len(idx), cfg.lr_at(t), dtype=float)
     for k in range(cfg.inner_cap):
         G = vjp_unchecked(dec, Za, (Xa - C._project_exact(con, Xa))
                           + (Xa - X0) / lam)

@@ -112,83 +112,163 @@ def _geometry(kind, rng, d, lam):
     return con, p, u, mid
 
 
+def _anisotropic_decoder(rng, n, lam, mu, beta):
+    """W = B^(-1/2) R diag(sqrt(mu)) V^T, so that the latent Hessian of a
+    halfspace's proximal objective outside the set, W^T B W with B = n n^T
+    + I / lambda (n the unit normal), is V diag(mu) V^T, and an outward
+    gradient g_0 has the share beta of its weight on the first eigenvector
+    and 1 - beta on the second."""
+    d = len(n)
+    U, _ = np.linalg.qr(np.column_stack([n, rng.standard_normal((d, d - 1))]))
+    U[:, 0] = n
+    c, s = np.sqrt(beta), np.sqrt(1.0 - beta)
+    G = np.eye(d)
+    G[:2, :2] = [[c, -s], [s, c]]              # R^T n = G e_1 = (c, s, 0..)
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    nn = np.outer(n, n)
+    B_inv_sqrt = (nn / np.sqrt(1.0 + 1.0 / lam)
+                  + np.sqrt(lam) * (np.eye(d) - nn))
+    return B_inv_sqrt @ U @ G.T @ np.diag(np.sqrt(mu)) @ V.T
+
+
+def _between(lo, hi):
+    """The geometric mean of two bounds on a row's entry violation."""
+    return np.sqrt(lo * hi)
+
+
 @st.composite
 def correction_cases(draw):
     """A batch of latents for one correction at level 1, its sampler
-    config, and whether its stalled rows stagnate (else they are capped).
+    config, and the designed stop ``(updates, reason)`` of some of its rows
+    by row index (reason None for a row feasible at entry).
 
-    The decoder is W = s Q (Q orthogonal), so W W^T = s^2 I and a row that
-    violates by v_0 along the outward line of ``_geometry`` stays on that
-    line, where the proximal objective is a quadratic with its minimizer at
-    violation kappa v_0 (kappa = 1 / (1 + lambda)).  The first update
-    leaves v_1 = f1 v_0, f1 = kappa + rho (1 - kappa), and ||g_1|| / ||g_0||
-    = rho; the secant step of the second update is exact on the quadratic
-    and lands on v_2 = kappa v_0.  The batch holds a point inside, a point
-    on the boundary, a row converging at update 1 and one at update 2 (at
-    the geometric means of their v_0 bounds), a stalled row whose
-    minimizer lies outside the set, and free rows around the inside point.
-    A stalled row stagnates at update 2 when rho <= 0.008 and inner_cap >=
-    3, and is capped when rho >= 0.2 and inner_cap = 2.  Every stop test of
-    the designed rows clears its threshold by a factor of at least 1.25.
+    Every batch holds a point inside, a point on the boundary, rows that
+    violate by chosen amounts v_0 along the outward line of ``_geometry``,
+    and free rows around the inside point.  Every stop test of a designed
+    row clears its threshold by a factor of at least 1.25.
+
+    Designs named after a kind: the decoder is W = s Q (Q orthogonal), so
+    a row stays on its outward line, where the proximal objective is a
+    quadratic with its minimizer at violation kappa v_0 (kappa = 1 / (1 +
+    lambda)).  The first update leaves v_1 = f1 v_0, f1 = kappa + rho (1 -
+    kappa), and ||g_1|| / ||g_0|| = rho; the secant step of the second
+    update is exact and lands on v_2 = kappa v_0.  Rows converge at update
+    1 and at update 2, and a stalled row whose minimizer lies outside the
+    set stagnates at update 2 (rho <= 0.008, inner_cap >= 3) or is capped
+    (rho >= 0.2, inner_cap = 2).
+
+    late, stall_below and stall_above (halfspaces, d >= 2): the decoder of
+    ``_anisotropic_decoder`` makes the latent objective a quadratic with
+    Hessian eigenvalues mu_1 and mu_2 = q mu_1 on the span of g_0.  The
+    step lr = 1 / mu_1 clears the first component, the secant step of
+    update 2 shrinks the second by 1 - alpha_1 mu_2 and the secant step of
+    update 3 is 1 / mu_2, which lands on the minimizer.  Outside the set
+    every row scales with its v_0: v_k = phi_k v_0 with phi_k = kappa + (1
+    - kappa) P_k (P_1 = (1 - beta)(1 - q), P_2 = P_1 (1 - alpha_1 mu_2),
+    phi_3 = kappa), and every row has the same r_k = ||g_k|| / ||g_0||.
+    beta is solved from the drawn r_1.  In late cases r_1 >= 0.12: rows
+    converge at updates 1, 2 and 3, and the stalled row stagnates at update
+    4, once its gradient has vanished (or is capped when inner_cap = 3).
+    In the stall designs r_1 lies within a factor 2 of STAGNATION_RATIO:
+    below it, the stalled row stagnates at update 2 while its next step would
+    still move it; above it, the row takes update 3 and stagnates, since
+    r_2 <= r_1 / 2.  So halving or doubling the threshold changes the
+    result.
     """
-    kind = draw(st.sampled_from(["halfspace", "l2_ball", "box"]))
-    d = draw(st.integers(1, 4))
+    design = draw(st.sampled_from(["halfspace", "l2_ball", "box", "late",
+                                   "stall_below", "stall_above"]))
+    kind = design if design in C.CLOSED_FORM_KINDS else "halfspace"
+    d = draw(st.integers(1 if design == kind else 2, 4))
     s = draw(st.floats(0.5, 2.0))              # decoder scale
     seed = draw(st.integers(0, 2**32 - 1))
     n_free = draw(st.integers(0, 12))
-    stagnates = draw(st.booleans())
-    if stagnates:
-        rho = draw(st.floats(0.002, 0.008))
-        kappa = rho * draw(st.floats(0.05, 0.4))
-        cap = draw(st.integers(3, 10))
-    else:
-        rho = draw(st.floats(0.2, 0.5))
-        kappa = draw(st.floats(0.01, 0.1))
-        cap = 2
-    lam = 1.0 / kappa - 1.0
-    f1 = kappa + rho * (1.0 - kappa)
-    stall = DELTA / kappa * draw(st.floats(1.5, 3.0))
     rng = np.random.default_rng(seed)
-    con, p, u, inside = _geometry(kind, rng, d, lam)
-    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    W = s * Q
+    if design == kind:
+        stagnates = draw(st.booleans())
+        if stagnates:
+            rho = draw(st.floats(0.002, 0.008))
+            kappa = rho * draw(st.floats(0.05, 0.4))
+            cap = draw(st.integers(3, 10))
+        else:
+            rho = draw(st.floats(0.2, 0.5))
+            kappa = draw(st.floats(0.01, 0.1))
+            cap = 2
+        lam = 1.0 / kappa - 1.0
+        f1 = kappa + rho * (1.0 - kappa)
+        con, p, u, inside = _geometry(kind, rng, d, lam)
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        W = s * Q
+        # the first update moves an outward row by lr s^2 (1 + 1/lambda) =
+        # 1 - rho times its gap to the minimizer
+        lr = (1.0 - rho) / (s**2 * (1.0 + 1.0 / lam))
+        rows = {_between(DELTA, DELTA / f1): (1, "converged"),
+                _between(DELTA / f1, DELTA / kappa): (2, "converged"),
+                DELTA / kappa * draw(st.floats(1.5, 3.0)):
+                    (2, "stagnated" if stagnates else "capped")}
+    else:
+        q = draw(st.floats(0.5, 0.7))
+        if design == "late":
+            r1 = (1.0 - q) * draw(st.floats(0.4, 0.6))
+        elif design == "stall_below":
+            r1 = STAGNATION_RATIO * draw(st.floats(0.625, 0.8))
+        else:
+            r1 = STAGNATION_RATIO * draw(st.floats(1.25, 1.6))
+        beta = q * ((1 - q)**2 - r1**2) / ((1 - q) * (r1**2 + q * (1 - q)))
+        alpha1_mu2 = q * (beta + q * (1 - beta)) / (beta + q**2 * (1 - beta))
+        P1 = (1.0 - beta) * (1.0 - q)
+        P2 = P1 * (1.0 - alpha1_mu2)
+        if design == "late":
+            kappa = P2 * draw(st.floats(0.1, 0.3))
+        else:
+            kappa = draw(st.floats(0.01, 0.1))
+        cap = draw(st.integers(3, 10))
+        lam = 1.0 / kappa - 1.0
+        phi1 = kappa + (1.0 - kappa) * P1
+        phi2 = kappa + (1.0 - kappa) * P2
+        con, p, u, inside = _geometry(kind, rng, d, lam)
+        mu1 = s**2
+        W = _anisotropic_decoder(rng, con.normal / np.linalg.norm(con.normal),
+                                 lam, [mu1, q * mu1] + [mu1] * (d - 2), beta)
+        lr = 1.0 / mu1
+        stall = DELTA / kappa * draw(st.floats(1.5, 3.0))
+        rows = {_between(DELTA, DELTA / phi1): (1, "converged")}
+        if design == "late":
+            rows[_between(DELTA / phi1, DELTA / phi2)] = (2, "converged")
+            rows[_between(DELTA / phi2, DELTA / kappa)] = (3, "converged")
+            rows[stall] = (3, "capped") if cap == 3 else (4, "stagnated")
+        else:
+            rows[stall] = (2 if design == "stall_below" else 3, "stagnated")
     bias = rng.standard_normal(d)
-    excess = [DELTA / np.sqrt(f1), DELTA / np.sqrt(f1 * kappa), stall]
-    X = [inside, p] + [p + e * u for e in excess]
+    stops = [(0, None), (0, None)] + list(rows.values())
+    X = [inside, p] + [p + e * u for e in rows]
     X += list(inside + 4.0 * rng.standard_normal((n_free, d)))
-    X = np.array(X)[rng.permutation(len(X))]
-    Z = (X - bias) @ Q / s                     # Q^T (x - b) / s, row-wise
-    # the first update moves an outward row by lr s^2 (1 + 1/lambda) =
-    # 1 - rho times its gap to the minimizer
+    order = rng.permutation(len(X))
+    X = np.array(X)[order]
+    Z = np.linalg.solve(W, (X - bias).T).T
     cfg = SamplerConfig(
         schedule=SCHEDULE, score=standard_normal_field(d, SCHEDULE),
         mode="proximal_latent",
-        decoder=linear_decoder(W, bias), constraint=con,
-        lr=(1.0 - rho) / (s**2 * (1.0 + 1.0 / lam)), inner_cap=cap)
-    return cfg, Z, stagnates
+        decoder=linear_decoder(W, bias), constraint=con, lr=lr,
+        inner_cap=cap)
+    designed = {int(i): stops[j] for i, j in enumerate(order)
+                if j < len(stops)}
+    return cfg, Z, designed
 
 
 @settings(max_examples=150, deadline=None)
 @given(correction_cases())
 def test_active_set_matches_all_rows_loop(case):
-    cfg, Z, stagnates = case
+    cfg, Z, designed = case
     Z_in = Z.copy()
     stops = []
     expected = all_rows_correct(cfg, Z, 1, stops)
     got = EXP._correct_batch(cfg, Z, 1)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(Z, Z_in)   # the input is left alone
-    # the case holds rows feasible at entry, rows that converge after
-    # different numbers of updates, and rows that stagnate before the cap
-    # or reach it
-    updates = {}
-    for k, reason in stops:
-        updates.setdefault(reason, set()).add(k)
-    assert updates[None] == {0} and len(updates["converged"]) >= 2
-    if stagnates:
-        assert min(updates["stagnated"]) < cfg.inner_cap
-    else:
-        assert updates["capped"] == {cfg.inner_cap}
+    # the designed rows: feasible at entry, converging after 1, 2 or 3
+    # updates, stagnating before the cap or reaching it
+    for i, stop in designed.items():
+        assert stops[i] == stop
 
 
 @settings(max_examples=150, deadline=None)
@@ -302,3 +382,17 @@ def test_final_l2_projection_keeps_feasible_rows():
     assert (np.linalg.norm(X - [0.3, -0.2], axis=1) < 50.0).all()
     assert np.array_equal(
         EXP.sample_population(kept, n, np.random.default_rng(1)), X)
+
+
+def test_integer_lr_takes_the_float_steps():
+    # a config built directly may hold an int lr; the rows' secant steps
+    # are floats all the same
+    con = C.halfspace([1.0, 0.0], 0.0, delta=DELTA, prox_weight=100.0)
+    cfg = SamplerConfig(
+        schedule=SCHEDULE, score=standard_normal_field(2, SCHEDULE),
+        mode="proximal_latent", decoder=linear_decoder(0.5 * np.eye(2)),
+        constraint=con, lr=1, inner_cap=10)
+    Z = np.random.default_rng(0).normal(1.0, 1.0, size=(50, 2))
+    got = EXP._correct_batch(cfg, Z, 1)
+    assert (got != Z).any()
+    assert np.array_equal(got, EXP._correct_batch(replace(cfg, lr=1.0), Z, 1))
