@@ -25,7 +25,7 @@ def main():
         chain_cfg = DpoConfig(nu=dpo_cfg.nu, M=dpo_cfg.M, seed=seed,
                               target=dpo_cfg.target)
         _, trace = design_loop(z0, decoder, sim, chain_cfg, steps=5,
-                               step_size=float(cfg["design"]["step_size"]))
+                               step_size=cfg["design"]["step_size"])
         ratio = trace.mse[5] / trace.mse[0]
         ok += ratio <= 0.01
         print(f"seed {seed:2d}: mse " +

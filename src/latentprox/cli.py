@@ -71,7 +71,7 @@ def _print_summary(manifest: RunManifest) -> None:
 def _cmd_train_score(args) -> int:
     cfg = load_config(args.config)
     schedule = build_schedule(cfg["schedule"])
-    seed = int(cfg["seed"]) if args.seed is None else args.seed
+    seed = cfg["seed"] if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     n = args.samples
     if cfg["score"] is None:
@@ -144,7 +144,7 @@ def _cmd_diagnose(args) -> int:
     # the bound the run measured, so the report is the run's own
     decoder.lipschitz_bound = manifest["measured"]["lipschitz"]
     beta = cfg["reports"]["beta"] if args.beta is None else args.beta
-    report = check_run_contraction(traces, spec, decoder, beta=float(beta))
+    report = check_run_contraction(traces, spec, decoder, beta=beta)
     print(f"transitions: {len(report.records)}  fraction_holding: "
           f"{report.fraction_holding:.4f}  G: {report.G:.4f}  "
           f"precondition_ok: {report.precondition_ok}")

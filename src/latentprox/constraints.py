@@ -436,23 +436,17 @@ def project_exact(spec: ConstraintSpec, x) -> np.ndarray:
 
 def dist_to_set(spec: ConstraintSpec, x) -> float:
     """Euclidean distance to the set where a projection exists, else g(x)."""
-    if spec.kind == "halfspace":
-        return violation(spec, x) / float(np.linalg.norm(spec.normal))
-    if spec.kind in ("l2_ball", "box"):
-        return violation(spec, x)  # these violations are already distances
-    if spec.kind == "porosity":
-        x = _as_point(x)
-        return float(np.linalg.norm(x - _project_exact(spec, x)))
-    return violation(spec, x)
+    return evaluate(spec, x)[1]
 
 
 def evaluate(spec: ConstraintSpec, x) -> tuple[float, float, np.ndarray | None]:
     """``(violation, dist, residual)`` of x from one check and one projection.
 
-    The three values equal ``violation(spec, x)``, ``dist_to_set(spec, x)``
-    and ``x - project_exact(spec, x)`` bit for bit.  The residual is the
-    closed-form correction direction at x; kinds without an exact projection
-    return None for it and their violation as the distance.
+    The violation and residual equal ``violation(spec, x)`` and
+    ``x - project_exact(spec, x)`` bit for bit; ``dist_to_set`` returns the
+    distance.  The residual is the closed-form correction direction at x;
+    kinds without an exact projection return None for it and their
+    violation as the distance.
     """
     x = _as_point(x)
     v = _violation(spec, x)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, replace
@@ -59,7 +60,12 @@ SCHEMA = {
                    "normal": None, "offset": None, "radius": None,
                    "center": None, "lower": None, "upper": None,
                    "grid": None, "fraction": None, "margin": 1e-3,
-                   "accept_radius": None, "model": None, "smoothness": 1.0},
+                   "accept_radius": None,
+                   "model": {"axes": REQUIRED, "feature_mean": REQUIRED,
+                             "target_centroid": REQUIRED,
+                             "forbidden_centroid": REQUIRED,
+                             "p_trig": REQUIRED, "feature_map": None},
+                   "smoothness": 1.0},
     "sampler": {"mode": "proximal_latent", "solver": "closed_form",
                 "lr": None, "inner_cap": 500, "final_projection": True,
                 "noise_scale": 1.0, "correct_levels": None,
@@ -76,29 +82,40 @@ SCHEMA = {
                "design_mse_ratio": None},
 }
 
-SECTION_NONE_IF_ABSENT = ("score", "decoder", "constraint", "alm", "dpo",
-                          "design")
+SECTION_NONE_IF_ABSENT = ("score", "decoder", "constraint",
+                          "constraint.model", "alm", "dpo", "design")
 
-# scalar keys whose schema default is not a number but whose value must be,
-# with the kind of number; every other scalar key takes its default's type
-NUMBER_KEYS = {"constraint.offset": float, "constraint.radius": float,
-               "constraint.fraction": float, "constraint.accept_radius": float,
-               "sampler.lr": float, "dpo.nu": float, "dpo.M": int,
-               "checks.contraction_fraction": float,
-               "checks.design_mse_ratio": float, "decoder.latent_dim": int,
-               "decoder.ambient_dim": int}
+# the kind of each key whose schema default does not show it: a number
+# (int or float) or a nested list of numbers ([int] or [float]); every
+# other key takes the kind of its default
+KEY_KINDS = {
+    "score.mean": [float], "score.cov": [float], "score.weights": [float],
+    "score.means": [float], "score.covs": [float],
+    "decoder.latent_dim": int, "decoder.ambient_dim": int,
+    "constraint.normal": [float], "constraint.offset": float,
+    "constraint.radius": float, "constraint.center": [float],
+    "constraint.lower": [float], "constraint.upper": [float],
+    "constraint.grid": [int], "constraint.fraction": float,
+    "constraint.accept_radius": float,
+    "constraint.model.axes": [float], "constraint.model.feature_mean": [float],
+    "constraint.model.target_centroid": [float],
+    "constraint.model.forbidden_centroid": [float],
+    "constraint.model.p_trig": float, "constraint.model.feature_map": [float],
+    "sampler.lr": float, "sampler.correct_levels": [int],
+    "dpo.nu": float, "dpo.M": int, "dpo.target": [float],
+    "dpo.simulator.matrix": [float], "dpo.simulator.bias": [float],
+    "checks.contraction_fraction": float, "checks.design_mse_ratio": float}
 
-# keys whose value is a (nested) list of numbers
-NUMBER_LIST_KEYS = ("score.mean", "score.cov", "score.weights", "score.means",
-                    "score.covs", "constraint.normal", "constraint.center",
-                    "constraint.lower", "constraint.upper", "constraint.grid",
-                    "sampler.correct_levels", "dpo.target",
-                    "dpo.simulator.matrix", "dpo.simulator.bias")
-
-# the keys each constraint kind needs set
-CONSTRAINT_KEYS = {"halfspace": ("normal", "offset"), "l2_ball": ("radius",),
-                   "box": ("lower", "upper"), "porosity": ("grid", "fraction"),
-                   "surrogate_centroid": ("model", "accept_radius")}
+# the keys each kind of a section needs set, unless the section names a file
+NEEDED_KEYS = {
+    "score": {"linear_gaussian": ("mean", "cov"),
+              "gaussian_mixture": ("weights", "means", "covs")},
+    "decoder": {"linear": ("latent_dim", "ambient_dim"),
+                "smooth_mlp": ("latent_dim", "ambient_dim")},
+    "constraint": {"halfspace": ("normal", "offset"), "l2_ball": ("radius",),
+                   "box": ("lower", "upper"),
+                   "porosity": ("grid", "fraction"),
+                   "surrogate_centroid": ("model", "accept_radius")}}
 
 
 def _suggest(key: str, known) -> str:
@@ -106,24 +123,48 @@ def _suggest(key: str, known) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
-def _check_scalar(where: str, value, kind):
-    """``value`` of a scalar key whose value must be a ``kind`` (bool, int
-    or float; other kinds pass as they are); an int key's value comes back
-    as an int."""
-    if kind is bool and not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    if kind not in (int, float):
+def _number(value, kind):
+    """``value`` as a ``kind`` (int or float); a bool is not a number, and
+    an int must be whole.  Raises TypeError or ValueError."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a number")
+    number = float(value)
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ValueError("not a whole number")
+    return int(value) if isinstance(value, numbers.Integral) else int(number)
+
+
+def _nested_numbers(value, kind):
+    """``value``, a number or a nested list, with each entry as a ``kind``."""
+    if isinstance(value, (list, tuple)):
+        return [_nested_numbers(v, kind) for v in value]
+    return _number(value, kind)
+
+
+def _typed(where: str, value, kind):
+    """The value of the key ``where`` as its ``kind``: true or false for
+    bool, a number for int or float, a nested list of numbers for [int] or
+    [float]; a key of any other kind keeps its value."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+        return value
+    is_list = isinstance(kind, list)
+    element = kind[0] if is_list else kind
+    if element not in (int, float):
         return value
     try:
-        number = float(value)
+        if not is_list:
+            return _number(value, kind)
+        out = _nested_numbers(value, element)
+        np.asarray(out, dtype=float)  # rows of unequal length raise
+        return out
     except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") \
-            from None
-    if kind is float:
-        return value
-    if isinstance(value, bool) or not number.is_integer():
-        raise ConfigError(f"{where} must be a whole number, got {value!r}")
-    return int(value) if isinstance(value, numbers.Integral) else int(number)
+        whole = "whole " if element is int else ""
+        what = f"a list of {whole}numbers" if is_list else f"a {whole}number"
+        raise ConfigError(f"{where} must be {what}, got {value!r}") from None
 
 
 def _resolve(section: dict, schema: dict, path: str) -> dict:
@@ -145,14 +186,8 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
                 out[key] = _resolve({} if sub is None else sub, default,
                                     where)
         elif key in section and section[key] is not None:
-            out[key] = _check_scalar(where, section[key],
-                                     NUMBER_KEYS.get(where, type(default)))
-            if where in NUMBER_LIST_KEYS:
-                try:
-                    np.asarray(out[key], dtype=float)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{where} must be a list of numbers, "
-                                      f"got {out[key]!r}") from None
+            out[key] = _typed(where, section[key],
+                              KEY_KINDS.get(where, type(default)))
         elif default is REQUIRED:
             note = " (no implicit seeding)" if where == "seed" else ""
             raise ConfigError(f"missing required key {where!r}{note}")
@@ -162,14 +197,16 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
 
 
 def resolve_config(data: dict) -> dict:
-    """Validate a raw config mapping and fill in every default.
+    """Validate a raw config mapping, fill in every default, and store
+    each value as its kind (``KEY_KINDS``).
 
     Unknown keys are rejected (with a close-match suggestion), and so is a
     boolean key whose value is not true or false, a numeric key whose value
-    is not a number (a whole number for an integer key, whose value is
-    stored as an int), or a list-valued key with an entry that is not one
-    or rows of unequal length; the root seed is mandatory so no run is ever
-    implicitly seeded, and it must be a non-negative integer.
+    is not a number (a whole number for an integer key), a list-valued key
+    with an entry that is not one or rows of unequal length, and a section
+    whose kind lacks a key it needs (``NEEDED_KEYS``); the root seed is
+    mandatory so no run is ever implicitly seeded, and it must be a
+    non-negative integer.
     """
     out = _resolve(data, SCHEMA, "")
     for key, least in (("seed", 0), ("chains", 1)):
@@ -178,6 +215,13 @@ def resolve_config(data: dict) -> dict:
                 or value < least:
             raise ConfigError(f"{key} must be an integer >= {least}, "
                               f"got {value!r}")
+    for name, kinds in NEEDED_KEYS.items():
+        section = out[name]
+        if section is None or section.get("file"):
+            continue
+        for key in kinds.get(section["kind"], ()):
+            if section[key] is None:
+                raise ConfigError(f"{section['kind']} {name} needs {key!r}")
     return out
 
 
@@ -216,9 +260,7 @@ def load_config(path) -> RunConfig:
 
 
 def build_schedule(cfg: dict) -> NoiseSchedule:
-    return make_schedule(T=int(cfg["T"]), abar_end=float(cfg["abar_end"]),
-                         gamma_max=float(cfg["gamma_max"]),
-                         gamma_min=float(cfg["gamma_min"]), M=int(cfg["M"]))
+    return make_schedule(**cfg)
 
 
 def build_score(cfg: dict, schedule: NoiseSchedule) -> ScoreField:
@@ -243,66 +285,48 @@ def build_decoder(cfg: dict | None) -> DecoderMap | None:
     if init["method"] != "orthonormal":
         raise ConfigError(f"unknown decoder init {init['method']!r}; "
                           "only 'orthonormal' is supported")
-    lat, amb = int(cfg["latent_dim"]), int(cfg["ambient_dim"])
+    lat, amb = cfg["latent_dim"], cfg["ambient_dim"]
     if kind == "linear":
-        dec = random_linear_decoder(lat, amb, seed=int(init["seed"]),
-                                    scale=float(init["scale"]))
-    elif kind == "smooth_mlp":
-        dec = random_mlp_decoder(lat, amb, hidden=int(init["hidden"]),
-                                 seed=int(init["seed"]),
-                                 scale=float(init["scale"]))
-    else:
-        raise ConfigError(f"unknown decoder kind {kind!r}")
-    return dec
+        return random_linear_decoder(lat, amb, seed=init["seed"],
+                                     scale=init["scale"])
+    if kind == "smooth_mlp":
+        return random_mlp_decoder(lat, amb, hidden=init["hidden"],
+                                  seed=init["seed"], scale=init["scale"])
+    raise ConfigError(f"unknown decoder kind {kind!r}")
 
 
 def build_constraint(cfg: dict | None) -> C.ConstraintSpec | None:
     if cfg is None:
         return None
     kind = cfg["kind"]
-    for key in CONSTRAINT_KEYS.get(kind, ()):
-        if cfg[key] is None:
-            raise ConfigError(f"{kind} constraint needs {key!r}")
-    common = {"delta": float(cfg["delta"]),
-              "prox_weight": float(cfg["prox_weight"]),
-              "smoothness": float(cfg["smoothness"])}
+    common = {key: cfg[key] for key in ("delta", "prox_weight", "smoothness")}
     if kind == "halfspace":
         return C.halfspace(cfg["normal"], cfg["offset"], **common)
     if kind == "l2_ball":
-        return C.l2_ball(float(cfg["radius"]), center=cfg["center"],
-                         **common)
+        return C.l2_ball(cfg["radius"], center=cfg["center"], **common)
     if kind == "box":
         return C.box(cfg["lower"], cfg["upper"], **common)
     if kind == "porosity":
-        rows, cols = (int(v) for v in cfg["grid"])
+        if np.shape(cfg["grid"]) != (2,):
+            raise ConfigError(f"porosity grid must be [rows, cols], got "
+                              f"{cfg['grid']!r}")
+        rows, cols = cfg["grid"]
         # round half up, recorded in the manifest as measured.porosity_count
-        K = int(np.floor(float(cfg["fraction"]) * rows * cols + 0.5))
-        return C.porosity_constraint((rows, cols), K,
-                                     margin=float(cfg["margin"]), **common)
-    if kind == "surrogate_centroid":
-        m = cfg["model"]
-        model = C.CentroidModel(
-            axes=np.array(m["axes"]),
-            feature_mean=np.array(m["feature_mean"]),
-            target_centroid=np.array(m["target_centroid"]),
-            forbidden_centroid=np.array(m["forbidden_centroid"]),
-            p_trig=float(m["p_trig"]),
-            feature_map=None if m.get("feature_map") is None
-            else np.array(m["feature_map"]))
-        return C.centroid_constraint(model, float(cfg["accept_radius"]),
+        K = math.floor(cfg["fraction"] * rows * cols + 0.5)
+        return C.porosity_constraint((rows, cols), K, margin=cfg["margin"],
                                      **common)
+    if kind == "surrogate_centroid":
+        model = C.CentroidModel(**{
+            key: np.array(value) if isinstance(value, list) else value
+            for key, value in cfg["model"].items()})
+        return C.centroid_constraint(model, cfg["accept_radius"], **common)
     raise ConfigError(f"cannot build constraint of kind {kind!r}")
 
 
 def build_alm(cfg: dict | None) -> AlmState | None:
     if cfg is None:
         return None
-    return AlmState(multiplier=float(cfg["multiplier"]),
-                    penalty=float(cfg["penalty"]), growth=float(cfg["growth"]),
-                    penalty_cap=float(cfg["penalty_cap"]),
-                    inner_step=float(cfg["inner_step"]),
-                    max_inner=int(cfg["max_inner"]),
-                    max_outer=int(cfg["max_outer"]), tol=float(cfg["tol"]))
+    return AlmState(**cfg)
 
 
 def build_dpo(cfg: dict | None):
@@ -310,22 +334,14 @@ def build_dpo(cfg: dict | None):
         return None, None
     sim_cfg = dict(cfg["simulator"])
     name = sim_cfg.pop("name")
-    # scale and slope pass only when set away from their schema default,
-    # which is also the simulator's own, so make_simulator rejects just a
-    # key the config sets for a simulator that does not take it
+    # a parameter passes only when set away from its schema default, which
+    # is also the simulator's own, so make_simulator rejects just a key the
+    # config sets for a simulator that does not take it
     defaults = SCHEMA["dpo"]["simulator"]
-    kwargs = {}
-    for key, value in sim_cfg.items():
-        if key in ("matrix", "bias"):
-            if value is not None:
-                kwargs[key] = np.array(value)
-        elif value != defaults[key]:
-            kwargs[key] = float(value)
-    sim = make_simulator(name, **kwargs)
-    dpo_cfg = DpoConfig(nu=float(cfg["nu"]), M=int(cfg["M"]),
-                        seed=int(cfg["seed"]),
-                        target=None if cfg["target"] is None
-                        else np.array(cfg["target"]))
+    sim = make_simulator(name, **{key: value for key, value in sim_cfg.items()
+                                  if value != defaults[key]})
+    dpo_cfg = DpoConfig(nu=cfg["nu"], M=cfg["M"], seed=cfg["seed"],
+                        target=cfg["target"])
     return sim, dpo_cfg
 
 
@@ -337,20 +353,9 @@ def build_sampler_config(cfg: RunConfig) -> SamplerConfig:
     decoder = build_decoder(cfg["decoder"])
     constraint = build_constraint(cfg["constraint"])
     sim, dpo_cfg = build_dpo(cfg["dpo"])
-    s = cfg["sampler"]
-    window = s["correct_levels"]
-    return SamplerConfig(
-        schedule=schedule, score=score, mode=s["mode"], decoder=decoder,
-        constraint=constraint, solver=s["solver"],
-        lr=None if s["lr"] is None else float(s["lr"]),
-        inner_cap=int(s["inner_cap"]),
-        final_projection=bool(s["final_projection"]),
-        noise_scale=float(s["noise_scale"]),
-        correct_levels=None if window is None else (int(window[0]),
-                                                    int(window[1])),
-        correct_every_step=bool(s["correct_every_step"]),
-        alm=build_alm(cfg["alm"]), simulator=sim, dpo=dpo_cfg,
-        record_vectors=bool(s["record_vectors"]))
+    return SamplerConfig(schedule=schedule, score=score, decoder=decoder,
+                         constraint=constraint, alm=build_alm(cfg["alm"]),
+                         simulator=sim, dpo=dpo_cfg, **cfg["sampler"])
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +447,13 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
 
     measured = {}
     if decoder is not None:
-        probes = int(cfg["decoder"]["lipschitz_probes"])
         measured["lipschitz"] = estimate_lipschitz(
-            decoder, probes, np.random.default_rng(int(cfg["seed"])))
+            decoder, cfg["decoder"]["lipschitz_probes"],
+            np.random.default_rng(cfg["seed"]))
         save_decoder(decoder, out / "decoder.json")
     save_score_field(sampler_cfg.score, out / "score.json")
 
-    chains = int(cfg["chains"])
-    root_seed = int(cfg["seed"])
+    chains, root_seed = cfg["chains"], cfg["seed"]
     finals, traces, errors = [], [], []
     samples_dir = out / "samples"
     samples_dir.mkdir(exist_ok=True)
@@ -500,7 +504,7 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     rep_cfg = cfg["reports"]
     if rep_cfg["contraction"] and constraint is not None and traces:
         report = check_run_contraction(traces, constraint, decoder,
-                                       beta=float(rep_cfg["beta"]))
+                                       beta=rep_cfg["beta"])
         reports["contraction"] = dict(
             _report_doc(report), lipschitz=report.lipschitz,
             beta=report.beta, beta_prime=report.beta_prime,
@@ -535,7 +539,7 @@ def _summary(cfg: RunConfig, completed: int, counters: str, reports: dict,
              checks: dict) -> list:
     """The run's summary lines: chains completed, counters, reports, checks."""
     lines = [f"experiment {cfg['experiment']}: {completed}/"
-             f"{int(cfg['chains'])} chains completed", f"counters: {counters}"]
+             f"{cfg['chains']} chains completed", f"counters: {counters}"]
     for name, rep in reports.items():
         if "fraction_holding" in rep:
             lines.append(f"{name}: {rep['fraction_holding']:.4f} of "
@@ -555,7 +559,7 @@ def _summary(cfg: RunConfig, completed: int, counters: str, reports: dict,
 def _save_manifest(cfg: RunConfig, kind: str, started: float, errors: list,
                    checks: dict, **sections) -> RunManifest:
     """Write and return the manifest of a finished run."""
-    chains, root_seed = int(cfg["chains"]), int(cfg["seed"])
+    chains, root_seed = cfg["chains"], cfg["seed"]
     manifest = RunManifest(data={
         "version": __version__,
         "experiment": cfg["experiment"],
@@ -639,7 +643,7 @@ def _run_checks(cfg, sampler_cfg, finals, reports) -> dict:
         checks["porosity_exact"] = bool(finals) and all(counts)
     if ck["contraction_fraction"] is not None:
         frac = reports.get("contraction", {}).get("fraction_holding", 0.0)
-        checks["contraction_fraction"] = frac >= float(ck["contraction_fraction"])
+        checks["contraction_fraction"] = frac >= ck["contraction_fraction"]
     return checks
 
 
@@ -655,9 +659,7 @@ def run_design(cfg: RunConfig) -> RunManifest:
     if sim is None or dpo_cfg is None or dpo_cfg.target is None:
         raise ConfigError("design experiment requires a dpo section with a "
                           "target")
-    d = cfg["design"]
-    chains = int(cfg["chains"])
-    root_seed = int(cfg["seed"])
+    chains, root_seed = cfg["chains"], cfg["seed"]
     save_decoder(decoder, out / "decoder.json")
     mses, errors = [], []
     counters = {"design_steps": 0, "simulator_evaluations": 0,
@@ -670,9 +672,7 @@ def run_design(cfg: RunConfig) -> RunManifest:
             chain_dpo = replace(dpo_cfg, seed=root_seed * 100_003 + i)
             try:
                 z, trace = design_loop(z0, decoder, sim, chain_dpo,
-                                       steps=int(d["steps"]),
-                                       step_size=float(d["step_size"]),
-                                       tol=float(d["tol"]))
+                                       **cfg["design"])
             except Exception as exc:  # record, keep running other chains
                 errors.append(_chain_error(i, exc))
                 continue
@@ -689,7 +689,7 @@ def run_design(cfg: RunConfig) -> RunManifest:
     ratio = cfg["checks"]["design_mse_ratio"]
     if ratio is not None:
         checks["design_mse_ratio"] = all(
-            m[-1] <= float(ratio) * m[0] for m in mses)
+            m[-1] <= ratio * m[0] for m in mses)
     summary = _summary(
         cfg, len(mses),
         f"{counters['design_steps']} design steps, "

@@ -105,7 +105,7 @@ class SamplerConfig:
     inner_cap: int = 500
     final_projection: bool = True
     noise_scale: float = 1.0
-    correct_levels: tuple | None = None   # inclusive (t_low, t_high) window
+    correct_levels: tuple | list | None = None  # inclusive [t_low, t_high]
     correct_every_step: bool = False
     alm: AlmState | None = None
     simulator: Simulator | None = None
@@ -123,6 +123,10 @@ class SamplerConfig:
             raise ConfigError("lr must be positive")
         if self.inner_cap < 1:
             raise ConfigError("inner_cap must be >= 1")
+        window = self.correct_levels
+        if window is not None and np.shape(window) != (2,):
+            raise ConfigError(f"correct_levels must be [t_low, t_high], got "
+                              f"{window!r}")
         con = self.constraint
         if self.mode == "proximal_latent":
             if self.decoder is None:

@@ -9,7 +9,8 @@ import yaml
 from latentprox import experiments as EXP
 from latentprox.cli import main as cli_main
 from latentprox.errors import ConfigError
-from latentprox.runner import (RunConfig, build_sampler_config, load_config,
+from latentprox.runner import (KEY_KINDS, SCHEMA, RunConfig,
+                               build_sampler_config, load_config,
                                RETIRED_KEYS, render_grid,
                                rerun_from_manifest,
                                resolve_config, run_design, run_experiment)
@@ -93,6 +94,57 @@ def test_committed_config_files_load(path):
     # the presets and the benchmark's frozen configs stay valid under the
     # strict schema
     assert load_config(path)["seed"] is not None
+
+
+PRESETS = {
+    "porosity": EXP.porosity_config,
+    "centroid": EXP.centroid_config,
+    "unconstrained centroid": lambda: EXP.centroid_config(constrained=False),
+    "design_loop": EXP.design_loop_config,
+    "fidelity": EXP.fidelity_config,
+    "halfspace_contraction": EXP.halfspace_contraction_config,
+    "noisy halfspace": lambda: EXP.halfspace_contraction_config(
+        noise_scale=1.0),
+}
+RESOLVED = {str(p.relative_to(ROOT)): lambda p=p: load_config(p).data
+            for p in CONFIG_FILES}
+RESOLVED.update({name: lambda preset=preset: resolve_config(preset())
+                 for name, preset in PRESETS.items()})
+
+
+def resolved_leaves(cfg, schema, path=""):
+    """``(key, value, kind)`` of each leaf of a resolved config."""
+    for key, default in schema.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(default, dict):
+            if cfg[key] is not None:
+                yield from resolved_leaves(cfg[key], default, where)
+        else:
+            yield where, cfg[key], KEY_KINDS.get(where, type(default))
+
+
+def list_entries(value):
+    if isinstance(value, list):
+        for entry in value:
+            yield from list_entries(entry)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVED))
+def test_resolved_values_have_their_kinds(name):
+    cfg = RESOLVED[name]()
+    for where, value, kind in resolved_leaves(cfg, SCHEMA):
+        if value is None:
+            continue
+        if isinstance(kind, list):
+            assert isinstance(value, list), where
+            assert all(type(v) is kind[0] for v in list_entries(value)), where
+        elif kind in (bool, int, float):
+            assert type(value) is kind, where
+    # an already-resolved config resolves to itself (CLI overrides and
+    # replay resolve one again)
+    assert resolve_config(cfg) == cfg
 
 
 def test_load_config_yaml_and_parse_errors(tmp_path):
@@ -322,7 +374,22 @@ def set_constraint(doc):
     return lambda cfg: cfg.update(constraint=doc)
 
 
-# values the loader or a builder rejects, and keys a constraint kind needs
+def set_centroid_model(**change):
+    """A surrogate_centroid constraint on the minimal config's 3-d ambient
+    space; ``change`` sets model keys, and a None drops one."""
+    model = {"axes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+             "feature_mean": [0.0, 0.0, 0.0], "target_centroid": [1.0, 0.0],
+             "forbidden_centroid": [-1.0, 0.0], "p_trig": 0.5, **change}
+
+    def mutate(cfg):
+        cfg["sampler"]["solver"] = "alm"
+        cfg["constraint"] = {
+            "kind": "surrogate_centroid", "accept_radius": 1.0,
+            "model": {k: v for k, v in model.items() if v is not None}}
+    return mutate
+
+
+# values the loader or a builder rejects, and keys a section's kind needs
 CONFIG_ERRORS = {
     "alm.growth": (set_alm_growth, "growth must exceed 1"),
     "schedule.T": (lambda cfg: cfg["schedule"].update(T=0),
@@ -392,6 +459,41 @@ CONFIG_ERRORS = {
     "fraction for a dimension": (
         lambda cfg: cfg["decoder"].update(ambient_dim=3.5),
         "decoder.ambient_dim must be a whole number, got 3.5"),
+    "fractions for a level window": (
+        lambda cfg: cfg["sampler"].update(correct_levels=[2.5, 3.9]),
+        "sampler.correct_levels must be a list of whole numbers, got "
+        "[2.5, 3.9]"),
+    "fraction for a grid side": (
+        set_constraint({"kind": "porosity", "grid": [1.5, 3],
+                        "fraction": 0.5}),
+        "constraint.grid must be a list of whole numbers, got [1.5, 3]"),
+    "one-level window": (
+        lambda cfg: cfg["sampler"].update(correct_levels=[3]),
+        "correct_levels must be [t_low, t_high], got [3]"),
+    "one-sided grid": (
+        set_constraint({"kind": "porosity", "grid": [3], "fraction": 0.5}),
+        "porosity grid must be [rows, cols], got [3]"),
+    "boolean for a number": (lambda cfg: cfg["sampler"].update(lr=True),
+                             "sampler.lr must be a number, got True"),
+    "centroid model without axes": (
+        set_centroid_model(axes=None),
+        "missing required key 'constraint.model.axes'"),
+    "misspelled centroid model key": (
+        set_centroid_model(p_trigger=0.3),
+        "unknown key 'p_trigger' at constraint.model; did you mean "
+        "'p_trig'?"),
+    "unreadable centroid p_trig": (
+        set_centroid_model(p_trig="abc"),
+        "constraint.model.p_trig must be a number, got 'abc'"),
+    "decoder without latent_dim": (
+        lambda cfg: cfg["decoder"].pop("latent_dim"),
+        "linear decoder needs 'latent_dim'"),
+    "mixture without components": (
+        lambda cfg: cfg.update(score={"kind": "gaussian_mixture"}),
+        "gaussian_mixture score needs 'weights'"),
+    "linear_gaussian without cov": (
+        lambda cfg: cfg["score"].pop("cov"),
+        "linear_gaussian score needs 'cov'"),
 }
 
 
@@ -400,8 +502,11 @@ def test_whole_numbers_resolve_to_integers(tmp_path):
     raw = minimal_config(tmp_path / "run")
     raw["schedule"]["T"] = 2.0
     raw["sampler"]["inner_cap"] = "1e1"
+    raw["constraint"]["grid"] = [2.0, 3]
     cfg = RunConfig.from_dict(raw)
     assert cfg["schedule"]["T"] == 2 and type(cfg["schedule"]["T"]) is int
+    grid = cfg["constraint"]["grid"]
+    assert grid == [2, 3] and all(type(side) is int for side in grid)
     assert cfg["sampler"]["inner_cap"] == 10
     assert build_sampler_config(cfg).inner_cap == 10
 

@@ -281,6 +281,7 @@ def test_train_score_deterministic(schedule):
         assert np.array_equal(getattr(f1.mlp, name), getattr(f2.mlp, name))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_score_divergence_carries_epoch(schedule):
     data = np.random.default_rng(0).standard_normal((64, 2))
     cfg = MlpScoreConfig(hidden=(16, 16), learning_rate=1e6, epochs=30,
