@@ -18,7 +18,7 @@ from .errors import (ConfigError, DivergenceError, NumericError,
                      ParameterError, ShapeError)
 from .runner import (RunConfig, RunManifest, build_constraint, build_decoder,
                      build_schedule, build_score, load_config, load_traces,
-                     run_design, run_experiment)
+                     manifest_config, run_design, run_experiment)
 from .samplers import STOP_REASONS
 from .scores import MlpScoreConfig, train_score
 from .serialize import load_vector, save_score_field, save_vector
@@ -133,7 +133,7 @@ def _cmd_diagnose(args) -> int:
     run_dir = Path(args.run)
     manifest = RunManifest.load(run_dir / "manifest.json")
     print(_counters_line(manifest.data.get("counters", {})))
-    cfg = RunConfig.from_dict(manifest["resolved_config"])
+    cfg = manifest_config(manifest)
     spec = build_constraint(cfg["constraint"])
     decoder = build_decoder(cfg["decoder"])
     traces = load_traces(run_dir / "metrics.csv")

@@ -143,6 +143,37 @@ def vjp(m: DecoderMap, z, v) -> np.ndarray:
     return vjp_unchecked(m, z, v)
 
 
+def decode_rows(m: DecoderMap, Z: np.ndarray) -> np.ndarray:
+    """D(z) of each row of a finite float ``(n, latent_dim)`` array.
+
+    np.matvec runs the point's matrix-vector product once per row, so row i
+    is ``decode_unchecked(m, Z[i])`` bit for bit; ``Z @ W.T`` is not.
+    """
+    if m.kind == "linear":
+        return np.matvec(m.weight, Z) + m.bias
+    a = Z
+    for W, b in m.layers[:-1]:
+        a = np.tanh(np.matvec(W, a) + b)
+    W, b = m.layers[-1]
+    return np.matvec(W, a) + b
+
+
+def vjp_rows(m: DecoderMap, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """J(z_i)^T v_i for each row; row i is ``vjp_unchecked(m, Z[i], V[i])``
+    bit for bit, as in ``decode_rows``."""
+    if m.kind == "linear":
+        return np.matvec(m.weight.T, V)
+    activations = []
+    a = Z
+    for W, b in m.layers[:-1]:
+        a = np.tanh(np.matvec(W, a) + b)
+        activations.append(a)
+    g = np.matvec(m.layers[-1][0].T, V)
+    for (W, b), a in zip(reversed(m.layers[:-1]), reversed(activations)):
+        g = np.matvec(W.T, g * (1.0 - a ** 2))
+    return g
+
+
 def estimate_lipschitz(m: DecoderMap, probes: int,
                        rng: np.random.Generator) -> float:
     """Estimate (and cache) an upper bound on the Jacobian operator norm.

@@ -20,9 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .decoders import DecoderMap, decode, vjp
-from .errors import (ConfigError, DivergenceError, ParameterError,
-                     SimulatorError)
+# vjp is no longer called here; perfbench/test_perfbench.py checks that its
+# tracer wraps this module's binding of it
+from .decoders import DecoderMap, decode_rows, vjp, vjp_rows  # noqa: F401
+from .errors import (ConfigError, DivergenceError, NumericError,
+                     ParameterError, ShapeError, SimulatorError)
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,8 @@ class Simulator:
 
     ``batched`` says that ``fn`` also maps a batch of rows ``(M, d)`` to
     ``(M, response_dim)``, each row as the point call would; the estimator
-    then evaluates all M perturbations in one call.
+    then evaluates the M perturbations of every row it estimates at in one
+    call, and their phi(x) baselines in one more.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -40,31 +43,29 @@ class Simulator:
     batched: bool = False
 
 
-def _checked(sim: Simulator, out, shape: tuple,
-             perturbation_index: int | None = None) -> np.ndarray:
-    """``out`` as floats of the expected shape, with every value finite.
-
-    A non-finite row of a batch names the first such row as its
-    ``perturbation_index``.
-    """
+def _shaped(sim: Simulator, out, shape: tuple,
+            perturbation_index: int | None = None) -> np.ndarray:
+    """``out`` as floats of the expected shape."""
     out = np.asarray(out, dtype=float)
     if out.shape != shape:
         raise SimulatorError(
             f"simulator {sim.name!r} returned shape {out.shape}, expected "
             f"{shape}", perturbation_index)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        if out.ndim == 2:
-            perturbation_index = int(bad.any(axis=1).argmax())
-        raise SimulatorError(
-            f"simulator {sim.name!r} returned non-finite values",
-            perturbation_index)
     return out
 
 
+def _non_finite(sim: Simulator,
+                perturbation_index: int | None = None) -> SimulatorError:
+    return SimulatorError(f"simulator {sim.name!r} returned non-finite "
+                          "values", perturbation_index)
+
+
 def evaluate(sim: Simulator, x, perturbation_index: int | None = None) -> np.ndarray:
-    return _checked(sim, sim.fn(np.asarray(x, dtype=float)),
-                    (sim.response_dim,), perturbation_index)
+    out = _shaped(sim, sim.fn(np.asarray(x, dtype=float)), (sim.response_dim,),
+                  perturbation_index)
+    if not np.isfinite(out).all():
+        raise _non_finite(sim, perturbation_index)
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,45 +105,86 @@ class SimulatorWork:
         self.simulator_evaluations += evaluations
 
 
-def _perturbed(sim: Simulator, x: np.ndarray, cfg: DpoConfig, rng,
-               trace: SimulatorWork | None = None):
-    """The M perturbations eps_m and the responses phi(x + nu eps_m).
+def _responses(sim: Simulator, P: np.ndarray, work: SimulatorWork,
+               errors: list, indexed: bool) -> np.ndarray:
+    """phi at the points ``P`` (n, m, d) of each row whose ``errors`` entry
+    is None, as ``(n, m, response_dim)``.
 
-    A batched simulator gets all M points in one call; any other simulator
-    is called once per point.
+    A batched simulator gets the points of all those rows in one call; any
+    other simulator is called once per point.  A row whose points come back
+    non-finite (or raise) stores the exception in its ``errors`` entry, with
+    the first bad point as its ``perturbation_index`` when ``indexed``, and
+    reads NaN; the exception of a batched call is every such row's.
     """
-    eps = rng.standard_normal((cfg.M, x.size))
-    points = x + cfg.nu * eps
-    if sim.batched:
-        vals = _checked(sim, sim.fn(points), (cfg.M, sim.response_dim))
-        calls = 1
-    else:
-        vals = np.empty((cfg.M, sim.response_dim))
-        for m in range(cfg.M):
-            vals[m] = evaluate(sim, points[m], perturbation_index=m)
-        calls = cfg.M
-    if trace is not None:
-        trace.count(calls, cfg.M)
-    return eps, vals
+    n, m, d = P.shape
+    live = [i for i in range(n) if errors[i] is None]
+    vals = np.full((n, m, sim.response_dim), np.nan)
+    if sim.batched and live:
+        work.count(1, len(live) * m)
+        try:
+            out = _shaped(sim, sim.fn(P[live].reshape(-1, d)),
+                          (len(live) * m, sim.response_dim))
+        except Exception as exc:  # the call is every live row's
+            for i in live:
+                errors[i] = exc
+            return vals
+        vals[live] = out.reshape(len(live), m, sim.response_dim)
+        bad = ~np.isfinite(vals[live]).all(axis=2)
+        for j in np.flatnonzero(bad.any(axis=1)):
+            errors[live[j]] = _non_finite(
+                sim, int(bad[j].argmax()) if indexed else None)
+            vals[live[j]] = np.nan
+        return vals
+    for i in live:
+        for j in range(m):
+            work.count(1, 1)
+            try:
+                vals[i, j] = evaluate(sim, P[i, j], j if indexed else None)
+            except Exception as exc:  # fails this row only
+                errors[i] = exc
+                vals[i] = np.nan
+                break
+    return vals
+
+
+def _estimate_rows(sim: Simulator, X: np.ndarray, cfg: DpoConfig, rngs,
+                   work: SimulatorWork, grad: bool = True):
+    """Smoothed value at each row of ``X`` (n, d) and, with ``grad``, the
+    Monte Carlo Jacobian estimate (n, response_dim, d).
+
+    Row i draws its M perturbations from ``rngs[i]``.  Returns the values,
+    the Jacobians (or None) and one error per row: None, or the exception
+    that failed the row, whose value and Jacobian then read NaN.
+    """
+    errors = [None] * len(X)
+    eps = np.stack([rng.standard_normal((cfg.M, X.shape[1])) for rng in rngs])
+    vals = _responses(sim, X[:, None, :] + cfg.nu * eps, work, errors, True)
+    if not grad:
+        return vals.mean(axis=1), None, errors
+    baseline = _responses(sim, X[:, None, :], work, errors, False)
+    # fixed ascending-index reduction keeps each row bit-identical to the
+    # estimate at that row alone
+    jac = np.einsum("nmr,nmd->nrd", vals - baseline, eps) / cfg.M / cfg.nu
+    return vals.mean(axis=1), jac, errors
+
+
+def _estimate(sim: Simulator, x, cfg: DpoConfig, rng,
+              work: SimulatorWork | None = None, grad: bool = True):
+    """``_estimate_rows`` at the point x: its value and Jacobian (or None);
+    raises the point's error."""
+    x = np.asarray(x, dtype=float)
+    value, jac, errors = _estimate_rows(
+        sim, x[None], cfg, [rng], SimulatorWork() if work is None else work,
+        grad)
+    if errors[0] is not None:
+        raise errors[0]
+    return value[0], None if jac is None else jac[0]
 
 
 def smoothed_value(sim: Simulator, x, cfg: DpoConfig,
                    rng: np.random.Generator | None = None) -> np.ndarray:
     """Monte Carlo estimate of E[phi(x + nu eps)]; deterministic given seed."""
-    x = np.asarray(x, dtype=float)
-    _, vals = _perturbed(sim, x, cfg, _rng_for(cfg, rng))
-    return vals.mean(axis=0)
-
-
-def _value_and_grad(sim: Simulator, x: np.ndarray, cfg: DpoConfig, rng,
-                    trace: SimulatorWork | None = None):
-    eps, vals = _perturbed(sim, x, cfg, rng, trace)
-    baseline = evaluate(sim, x)
-    if trace is not None:
-        trace.count(1, 1)
-    # fixed ascending-index reduction keeps results bit-identical
-    jac = np.einsum("mr,md->rd", vals - baseline, eps) / cfg.M / cfg.nu
-    return vals.mean(axis=0), jac
+    return _estimate(sim, x, cfg, _rng_for(cfg, rng), grad=False)[0]
 
 
 def smoothed_grad(sim: Simulator, x, cfg: DpoConfig,
@@ -151,9 +193,16 @@ def smoothed_grad(sim: Simulator, x, cfg: DpoConfig,
 
     Shape (response_dim, dim).
     """
-    x = np.asarray(x, dtype=float)
-    _, jac = _value_and_grad(sim, x, cfg, _rng_for(cfg, rng))
-    return jac
+    return _estimate(sim, x, cfg, _rng_for(cfg, rng))[1]
+
+
+def _check_target(sim: Simulator, cfg: DpoConfig) -> None:
+    if cfg.target is None:
+        raise ParameterError("dpo config has no target response")
+    if cfg.target.shape != (sim.response_dim,):
+        raise ParameterError(
+            f"target of shape {cfg.target.shape} does not match response_dim "
+            f"{sim.response_dim}")
 
 
 def dpo_loss_grad(sim: Simulator, x, cfg: DpoConfig,
@@ -164,14 +213,8 @@ def dpo_loss_grad(sim: Simulator, x, cfg: DpoConfig,
     The residual composed with the smoothed Jacobian estimate.  ``trace``,
     if given, counts the simulator work.
     """
-    x = np.asarray(x, dtype=float)
-    if cfg.target is None:
-        raise ParameterError("dpo config has no target response")
-    if cfg.target.shape != (sim.response_dim,):
-        raise ParameterError(
-            f"target of shape {cfg.target.shape} does not match response_dim "
-            f"{sim.response_dim}")
-    value, jac = _value_and_grad(sim, x, cfg, _rng_for(cfg, rng), trace)
+    _check_target(sim, cfg)
+    value, jac = _estimate(sim, x, cfg, _rng_for(cfg, rng), trace)
     return jac.T @ (value - cfg.target)
 
 
@@ -184,44 +227,103 @@ class DesignTrace(SimulatorWork):
     steps: int = 0
 
 
+@dataclass
+class DesignRows(SimulatorWork):
+    """A block of design chains, one entry per row: the final latents
+    ``z``, each row's tracking-MSE history, its latent updates and the
+    exception that failed it (or None); the simulator counts are the whole
+    block's."""
+
+    z: np.ndarray | None = None
+    mse: list = field(default_factory=list)
+    steps: np.ndarray | None = None
+    errors: list = field(default_factory=list)
+
+
+def design_rows(Z0, decoder: DecoderMap, sim: Simulator, cfg: DpoConfig,
+                seeds, steps: int, step_size: float,
+                tol: float = 0.0) -> DesignRows:
+    """Iterative latent refinement of each row of ``Z0`` against the
+    simulator target.
+
+    Each step decodes the active rows, estimates their tracking-loss
+    gradients (one simulator call for all of them when the simulator is
+    batched), pulls them back through the decoder and descends.  Row i draws
+    step k's perturbations from ``SeedSequence(seeds[i], spawn_key=(k,))``,
+    and every kernel gives a row the bits it gives that row alone, so a row
+    ends where it would alone.  A row leaves the active set once its MSE
+    falls below ``tol``, or when it fails: a non-finite latent, a simulator
+    error, or an update that diverges.  Rows still active after ``steps``
+    updates get a closing MSE, so their trace covers the final state too.
+    """
+    if steps < 1:
+        raise ParameterError("steps must be >= 1")
+    _check_target(sim, cfg)
+    Z = np.array(Z0, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != decoder.latent_dim:
+        raise ShapeError(f"latents of shape {Z.shape}, expected "
+                         f"(rows, {decoder.latent_dim})")
+    n = len(Z)
+    out = DesignRows(z=Z, mse=[[] for _ in range(n)],
+                     steps=np.zeros(n, dtype=int), errors=[None] * n)
+    finite = np.isfinite(Z).all(axis=1)
+    for i in np.flatnonzero(~finite):
+        out.errors[i] = NumericError("latent input contains non-finite values")
+    active = np.flatnonzero(finite)
+    for k in range(steps + 1):
+        if not active.size:
+            break
+        closing = k == steps
+        # fresh perturbations per step, reproducible from the row's seed
+        rngs = [np.random.default_rng(np.random.SeedSequence(
+            entropy=seeds[i], spawn_key=(k,))) for i in active]
+        value, jac, errors = _estimate_rows(
+            sim, decode_rows(decoder, Z[active]), cfg, rngs, out,
+            grad=not closing)
+        ok = np.array([exc is None for exc in errors])
+        for i, exc in zip(active, errors):
+            if exc is not None:
+                out.errors[i] = exc
+        active = active[ok]
+        residual = value[ok] - cfg.target
+        mse = np.mean(residual ** 2, axis=1)
+        for i, v in zip(active, mse.tolist()):
+            out.mse[i].append(v)
+        if closing:
+            break
+        going = ~(mse < tol)
+        active, residual = active[going], residual[going]
+        g = np.matvec(jac[ok][going].mT, residual)
+        z = Z[active] - step_size * vjp_rows(decoder, Z[active], g)
+        Z[active] = z
+        out.steps[active] += 1
+        diverged = ~np.isfinite(z).all(axis=1)
+        for i in active[diverged]:
+            out.errors[i] = DivergenceError(
+                f"latent diverged at design step {k}", step=k)
+        active = active[~diverged]
+    return out
+
+
 def design_loop(z0, decoder: DecoderMap, sim: Simulator, cfg: DpoConfig,
                 steps: int, step_size: float,
                 tol: float = 0.0) -> tuple[np.ndarray, DesignTrace]:
-    """Iterative latent refinement against a simulator target.
+    """Iterative latent refinement against a simulator target: the one row
+    ``z0`` of ``design_rows``, seeded by ``cfg.seed``; raises the error that
+    fails it.
 
     Each step decodes, estimates the tracking-loss gradient with fresh seeded
     perturbations, pulls it back through the decoder, and descends.  Stops
     early once the tracking MSE falls below ``tol``.
     """
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
-    if cfg.target is None:
-        raise ParameterError("design loop requires a target response")
-    z = np.asarray(z0, dtype=float).copy()
-    trace = DesignTrace()
-    for k in range(steps):
-        # fresh perturbations per step, reproducible from the config seed
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
-                                                           spawn_key=(k,)))
-        x = decode(decoder, z)
-        value, jac = _value_and_grad(sim, x, cfg, rng, trace)
-        residual = value - cfg.target
-        mse = float(np.mean(residual ** 2))
-        trace.mse.append(mse)
-        if mse < tol:
-            return z, trace
-        z = z - step_size * vjp(decoder, z, jac.T @ residual)
-        trace.steps += 1
-        if not np.isfinite(z).all():
-            raise DivergenceError(f"latent diverged at design step {k}", step=k)
-    # closing MSE so the trace covers the final state too
-    x = decode(decoder, z)
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=cfg.seed, spawn_key=(steps,)))
-    _, vals = _perturbed(sim, x, cfg, rng, trace)
-    value = vals.mean(axis=0)
-    trace.mse.append(float(np.mean((value - cfg.target) ** 2)))
-    return z, trace
+    rows = design_rows(np.asarray(z0, dtype=float)[None], decoder, sim, cfg,
+                       [cfg.seed], steps, step_size, tol)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    return rows.z[0], DesignTrace(
+        mse=rows.mse[0], steps=int(rows.steps[0]),
+        simulator_evaluations=rows.simulator_evaluations,
+        simulator_calls=rows.simulator_calls)
 
 
 # ---------------------------------------------------------------------------

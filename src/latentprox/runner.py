@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .decoders import (DecoderMap, estimate_lipschitz, random_linear_decoder,
                        random_mlp_decoder)
 from .diagnostics import (BoundReport, GaussianFit, check_fidelity_drift,
                           check_run_contraction, fit_gaussian, gaussian_kl)
-from .dpo import DpoConfig, design_loop, make_simulator
+from .dpo import DpoConfig, design_rows, make_simulator
 from .errors import ConfigError, DivergenceError, ParameterError
 from .samplers import (STOP_REASONS, SampleTrace, SamplerConfig, TraceRow,
                        chain_rng, sample)
@@ -40,6 +40,11 @@ METRICS_HEADER = "chain,t,i,phase,gamma,score_norm,violation,dist"
 ALM_HEADER = ("chain,t,i,outer_iterations,inner_iterations,final_violation,"
               "final_multiplier,final_penalty,converged,final_distance")
 DESIGN_HEADER = "chain,step,mse"
+
+# design chains run this many at a time, as the rows of one design_rows
+# call: one simulator call per step for the block, with (rows, M, d)
+# temporaries that stay small however many chains a run has
+DESIGN_BLOCK_ROWS = 32
 
 REQUIRED = object()
 
@@ -158,6 +163,8 @@ def _typed(where: str, value, kind):
     try:
         if not is_list:
             return _number(value, kind)
+        if not isinstance(value, (list, tuple)):
+            raise TypeError("a bare number is not a list")
         out = _nested_numbers(value, element)
         np.asarray(out, dtype=float)  # rows of unequal length raise
         return out
@@ -666,24 +673,24 @@ def run_design(cfg: RunConfig) -> RunManifest:
                 "simulator_calls": 0}
     with open(out / "metrics.csv", "w") as metrics:
         metrics.write(DESIGN_HEADER + "\n")
-        for i in range(chains):
-            rng = chain_rng(root_seed, i)
-            z0 = rng.standard_normal(decoder.latent_dim)
-            chain_dpo = replace(dpo_cfg, seed=root_seed * 100_003 + i)
-            try:
-                z, trace = design_loop(z0, decoder, sim, chain_dpo,
-                                       **cfg["design"])
-            except Exception as exc:  # record, keep running other chains
-                errors.append(_chain_error(i, exc))
-                continue
-            for k, mse in enumerate(trace.mse):
-                metrics.write(f"{i},{k},{_fmt(mse)}\n")
-            metrics.flush()
-            save_vector(z, out / f"design_{i:04d}.txt")
-            mses.append(trace.mse)
-            counters["design_steps"] += trace.steps
-            counters["simulator_evaluations"] += trace.simulator_evaluations
-            counters["simulator_calls"] += trace.simulator_calls
+        for start in range(0, chains, DESIGN_BLOCK_ROWS):
+            block = range(start, min(start + DESIGN_BLOCK_ROWS, chains))
+            rows = design_rows(
+                [chain_rng(root_seed, i).standard_normal(decoder.latent_dim)
+                 for i in block], decoder, sim, dpo_cfg,
+                [root_seed * 100_003 + i for i in block], **cfg["design"])
+            counters["simulator_evaluations"] += rows.simulator_evaluations
+            counters["simulator_calls"] += rows.simulator_calls
+            for i, z, mse, steps, exc in zip(block, rows.z, rows.mse,
+                                             rows.steps, rows.errors):
+                if exc is not None:
+                    errors.append(_chain_error(i, exc))
+                    continue
+                metrics.write("".join(f"{i},{k},{_fmt(v)}\n"
+                                      for k, v in enumerate(mse)))
+                save_vector(z, out / f"design_{i:04d}.txt")
+                mses.append(mse)
+                counters["design_steps"] += int(steps)
 
     checks = {}
     ratio = cfg["checks"]["design_mse_ratio"]
@@ -728,16 +735,20 @@ def _drop_retired_keys(raw: dict) -> dict:
     return raw
 
 
-def rerun_from_manifest(manifest_path, out_dir) -> RunManifest:
-    """Re-execute a run from its manifest into a fresh directory.
+def manifest_config(manifest: RunManifest, **changes) -> RunConfig:
+    """The run configuration a manifest echoes, with ``changes`` set.
 
-    A manifest written before a key left the schema replays when the key
+    A manifest written before a key left the schema still loads when the key
     holds the value the code now hard-wires (``RETIRED_KEYS``).
     """
+    return RunConfig.from_dict(
+        {**_drop_retired_keys(manifest["resolved_config"]), **changes})
+
+
+def rerun_from_manifest(manifest_path, out_dir) -> RunManifest:
+    """Re-execute a run from its manifest into a fresh directory."""
     manifest = RunManifest.load(manifest_path)
-    raw = _drop_retired_keys(manifest["resolved_config"])
-    raw["out"] = str(out_dir)
-    cfg = RunConfig.from_dict(raw)
+    cfg = manifest_config(manifest, out=str(out_dir))
     if manifest.data.get("experiment_kind") == "design":
         return run_design(cfg)
     return run_experiment(cfg)

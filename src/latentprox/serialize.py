@@ -79,7 +79,7 @@ def score_field_from_doc(doc: dict) -> ScoreField:
 
 
 def save_score_field(f: ScoreField, path) -> None:
-    Path(path).write_text(json.dumps(score_field_doc(f), indent=1))
+    Path(path).write_text(json.dumps(score_field_doc(f)))
 
 
 def load_score_field(path) -> ScoreField:
@@ -115,7 +115,7 @@ def decoder_from_doc(doc: dict) -> DecoderMap:
 
 
 def save_decoder(m: DecoderMap, path) -> None:
-    Path(path).write_text(json.dumps(decoder_doc(m), indent=1))
+    Path(path).write_text(json.dumps(decoder_doc(m)))
 
 
 def load_decoder(path) -> DecoderMap:

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentprox.decoders import (decode, decode_unchecked,
+from latentprox.decoders import (decode, decode_rows, decode_unchecked,
                                  estimate_lipschitz, linear_decoder,
                                  mlp_decoder,
                                  random_linear_decoder, random_mlp_decoder,
-                                 vjp, vjp_unchecked)
+                                 vjp, vjp_rows, vjp_unchecked)
 from latentprox.errors import NumericError, ParameterError, ShapeError
 
 W_EX = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
@@ -219,3 +219,8 @@ def test_kernels_take_a_point_or_a_batch(case):
         assert np.array_equal(vjp(dec, z, v), g)
     assert_rows_near(X, points_x)
     assert_rows_near(G, points_g)
+    # the rows kernels give every row the point call's bits
+    for row, point in zip(decode_rows(dec, Z), points_x):
+        assert np.array_equal(row, point)
+    for row, point in zip(vjp_rows(dec, Z, V), points_g):
+        assert np.array_equal(row, point)

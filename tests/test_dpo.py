@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from latentprox.decoders import decode, random_linear_decoder
+import latentprox.runner as R
+from latentprox import experiments as EXP
+from latentprox.decoders import (decode, random_linear_decoder,
+                                 random_mlp_decoder)
 from latentprox.dpo import (DpoConfig, ExternalProcessSimulator, Simulator,
-                            design_loop, dpo_loss_grad, linear_simulator,
-                            make_simulator, piecewise_simulator,
-                            saturating_simulator, smoothed_grad,
-                            smoothed_value)
+                            design_loop, design_rows, dpo_loss_grad,
+                            linear_simulator, make_simulator,
+                            piecewise_simulator, saturating_simulator,
+                            smoothed_grad, smoothed_value)
 from latentprox.errors import (ConfigError, ParameterError, SimulatorError)
 
 
@@ -326,3 +329,144 @@ def test_external_process_simulator_reports_exit_code_and_stderr():
     with pytest.raises(ParameterError):  # rejected before any child starts
         ExternalProcessSimulator([sys.executable, "-c", code], response_dim=1,
                                  timeout=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The rows loop: a block of design chains as one (rows, d) latent array
+
+
+def test_design_rows_equal_one_row_calls():
+    rng = np.random.default_rng(21)
+    decoders = [random_linear_decoder(3, 4, seed=77),
+                random_mlp_decoder(3, 4, hidden=6, seed=5)]
+    for decoder in decoders:
+        for sim in builtin_simulators(rng.standard_normal((4, 4)), rng):
+            target = sim.fn(decode(decoder, rng.standard_normal(3)))
+            cfg = DpoConfig(nu=0.05, M=16, target=target)
+            Z0 = rng.standard_normal((5, 3))
+            seeds = [int(s) for s in rng.integers(0, 2**32, size=5)]
+            for batched in (True, False):
+                block = design_rows(Z0, decoder, replace(sim, batched=batched),
+                                    cfg, seeds, steps=4, step_size=0.9)
+                for i in range(5):
+                    z, trace = design_loop(
+                        Z0[i], decoder, replace(sim, batched=batched),
+                        replace(cfg, seed=seeds[i]), steps=4, step_size=0.9)
+                    assert block.errors[i] is None
+                    assert np.array_equal(block.z[i], z)
+                    assert np.array_equal(block.mse[i], trace.mse)
+                    assert block.steps[i] == trace.steps == 4
+                # a batched simulator gets one call per estimate and one per
+                # baseline for the whole block
+                assert block.simulator_evaluations == 5 * (5 * 16 + 4)
+                assert block.simulator_calls == \
+                    (5 + 4 if batched else 5 * (5 * 16 + 4))
+
+
+def test_design_rows_one_row_stops_early_at_tol():
+    decoder = random_linear_decoder(3, 4, seed=77)
+    rng = np.random.default_rng(3)
+    sim = saturating_simulator(np.linalg.qr(rng.standard_normal((4, 4)))[0],
+                               scale=3.0)
+    z_star = rng.standard_normal(3)
+    cfg = DpoConfig(nu=0.05, M=64, target=sim.fn(decode(decoder, z_star)))
+    # row 1 starts at the optimum, so its first MSE is already below tol
+    Z0 = np.vstack([rng.standard_normal(3), z_star, rng.standard_normal(3),
+                    rng.standard_normal(3)])
+    seeds = [1, 2, 3, 4]
+    rows = design_rows(Z0, decoder, sim, cfg, seeds, steps=5, step_size=0.9,
+                       tol=1e-4)
+    assert [len(m) for m in rows.mse] == [5, 1, 4, 6]
+    assert list(rows.steps) == [4, 0, 3, 5]
+    assert rows.mse[1][0] < 1e-4 <= min(rows.mse[3])
+    for i in range(4):
+        z, trace = design_loop(Z0[i], decoder, sim, replace(cfg, seed=seeds[i]),
+                               steps=5, step_size=0.9, tol=1e-4)
+        assert np.array_equal(rows.z[i], z)
+        assert np.array_equal(rows.mse[i], trace.mse)
+
+
+def design_cfg(tmp_path, name, chains=3):
+    cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / name))
+    cfg["chains"] = chains
+    return cfg
+
+
+def run_with_simulator(monkeypatch, cfg, wrap):
+    """run_design with each built simulator passed through ``wrap``."""
+    real_make = R.make_simulator
+    monkeypatch.setattr(R, "make_simulator",
+                        lambda name, **params: wrap(real_make(name, **params)))
+    return R.run_design(R.RunConfig.from_dict(cfg))
+
+
+def chain_lines(out, chain):
+    lines = (out / "metrics.csv").read_text().splitlines()[1:]
+    return [line for line in lines if line.startswith(f"{chain},")]
+
+
+def near_chain_1(sim, batched, response):
+    """``sim`` with ``response`` in place of phi wherever x[0] > 3: chain 1
+    of the seed-0 design preset starts there and no other chain comes near."""
+    def fn(X):
+        X = np.asarray(X)
+        out = sim.fn(X)
+        far = X[..., :1] > 3.0
+        return np.where(far, response(X), out)
+    return Simulator(fn=fn, response_dim=sim.response_dim, name=sim.name,
+                     batched=batched)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_non_finite_response_fails_only_its_chain(tmp_path, monkeypatch,
+                                                   batched):
+    clean = R.run_design(R.RunConfig.from_dict(design_cfg(tmp_path, "clean")))
+    cfg = design_cfg(tmp_path, "nan")
+    manifest = run_with_simulator(monkeypatch, cfg, lambda sim: near_chain_1(
+        sim, batched, lambda X: np.full(X.shape, np.nan)))
+    assert manifest["chain_errors"] == [
+        {"chain": 1, "error": "SimulatorError: simulator 'saturating' "
+         "returned non-finite values", "divergence": False}]
+    assert manifest["reports"]["mse"] == [clean["reports"]["mse"][0],
+                                          clean["reports"]["mse"][2]]
+    for chain in (0, 2):
+        assert chain_lines(tmp_path / "nan", chain) == \
+            chain_lines(tmp_path / "clean", chain)
+        name = f"design_{chain:04d}.txt"
+        assert (tmp_path / "nan" / name).read_bytes() == \
+            (tmp_path / "clean" / name).read_bytes()
+    assert not (tmp_path / "nan" / "design_0001.txt").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_diverging_row_is_recorded_as_divergence(tmp_path, monkeypatch):
+    clean = R.run_design(R.RunConfig.from_dict(design_cfg(tmp_path, "clean")))
+    cfg = design_cfg(tmp_path, "div")
+    manifest = run_with_simulator(monkeypatch, cfg, lambda sim: near_chain_1(
+        sim, True, lambda X: 1e200 * X))
+    assert manifest["chain_errors"] == [
+        {"chain": 1, "error": "DivergenceError: latent diverged at design "
+         "step 0", "divergence": True}]
+    assert manifest["reports"]["mse"] == [clean["reports"]["mse"][0],
+                                          clean["reports"]["mse"][2]]
+    assert manifest["ok"] is False
+
+
+def test_blocks_write_the_bytes_of_one_chain_at_a_time(tmp_path, monkeypatch):
+    chains = R.DESIGN_BLOCK_ROWS + 13
+    blocked = R.run_design(R.RunConfig.from_dict(
+        design_cfg(tmp_path, "blocked", chains)))
+    monkeypatch.setattr(R, "DESIGN_BLOCK_ROWS", 1)
+    single = R.run_design(R.RunConfig.from_dict(
+        design_cfg(tmp_path, "single", chains)))
+    names = ["metrics.csv"] + [f"design_{i:04d}.txt" for i in range(chains)]
+    for name in names:
+        assert (tmp_path / "blocked" / name).read_bytes() == \
+            (tmp_path / "single" / name).read_bytes()
+    assert blocked["reports"] == single["reports"]
+    assert blocked["chain_errors"] == single["chain_errors"] == []
+    assert blocked["counters"]["simulator_evaluations"] == \
+        single["counters"]["simulator_evaluations"] == chains * (6 * 64 + 5)
+    assert (blocked["counters"]["simulator_calls"],
+            single["counters"]["simulator_calls"]) == (2 * 11, chains * 11)

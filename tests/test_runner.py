@@ -236,7 +236,9 @@ def test_design_counters_match_a_counting_simulator(tmp_path, monkeypatch):
             "design_steps": 3 * 5, "simulator_evaluations": sum(rows),
             "simulator_calls": len(calls)}
         assert sum(rows) == 3 * (6 * 64 + 5)
-        assert len(calls) == 3 * (6 + 5 if batched else 6 * 64 + 5)
+        # a batched simulator gets one call per estimate and one per
+        # baseline for the whole block of 3 chains
+        assert len(calls) == (6 + 5 if batched else 3 * (6 * 64 + 5))
         assert (out / "metrics.csv").read_bytes() == \
             (tmp_path / "plain" / "metrics.csv").read_bytes()
     assert plain["counters"] == counters[True]
@@ -252,7 +254,7 @@ def test_cli_design_prints_manifest_summary(tmp_path, capsys):
         "summary"]
     assert summary == [
         "experiment design_loop: 2/2 chains completed",
-        "counters: 10 design steps, 778 simulator evaluation(s) in 22 "
+        "counters: 10 design steps, 778 simulator evaluation(s) in 11 "
         "call(s)",
         "check design_mse_ratio: pass"]
     assert printed[-len(summary):] == summary
@@ -473,6 +475,12 @@ CONFIG_ERRORS = {
     "one-sided grid": (
         set_constraint({"kind": "porosity", "grid": [3], "fraction": 0.5}),
         "porosity grid must be [rows, cols], got [3]"),
+    "number for a halfspace normal": (
+        set_constraint({"kind": "halfspace", "normal": 1.0, "offset": 0.5}),
+        "constraint.normal must be a list of numbers, got 1.0"),
+    "number for a level window": (
+        lambda cfg: cfg["sampler"].update(correct_levels=2),
+        "sampler.correct_levels must be a list of whole numbers, got 2"),
     "boolean for a number": (lambda cfg: cfg["sampler"].update(lr=True),
                              "sampler.lr must be a number, got True"),
     "centroid model without axes": (
@@ -697,6 +705,18 @@ def test_cli_diagnose_matches_manifest(tmp_path, capsys, preset):
     assert f"precondition_ok: {rep['precondition_ok']}" in printed
 
 
+def test_cli_diagnose_reads_a_manifest_with_a_retired_key(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = dict(minimal_config(out), reports={"contraction": True})
+    run_experiment(RunConfig.from_dict(cfg))
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["resolved_config"]["schedule"]["abar_start"] = 1.0
+    (out / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 0
+    assert "transitions: " in capsys.readouterr().out
+
+
 def test_cli_diagnose_prints_counters_before_contraction(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = dict(EXP.porosity_config(seed=1, chains=2, grid=(8, 8),
@@ -764,6 +784,14 @@ def test_cli_non_finite_simulator_exit_code(tmp_path, capsys):
     assert stored["chain_errors"] == [
         {"chain": 0, "error": "SimulatorError: simulator 'saturating' "
          "returned non-finite values", "divergence": False}]
+
+
+def test_cli_design_target_of_wrong_length_exit_code(tmp_path, capsys):
+    cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / "d"))
+    cfg["dpo"]["target"] = [0.0] * 3
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["design", "--config", str(path)]) == 3
+    assert "does not match response_dim 4" in capsys.readouterr().err
 
 
 def test_cli_train_score(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from latentprox.decoders import random_linear_decoder, random_mlp_decoder, \
@@ -5,8 +7,9 @@ from latentprox.decoders import random_linear_decoder, random_mlp_decoder, \
 from latentprox.schedules import make_schedule
 from latentprox.scores import (MlpScoreConfig, gaussian_mixture_field,
                                linear_gaussian_field, train_score)
-from latentprox.serialize import (load_decoder, load_score_field, load_vector,
-                                  save_decoder, save_score_field, save_vector)
+from latentprox.serialize import (decoder_doc, load_decoder, load_score_field,
+                                  load_vector, save_decoder, save_score_field,
+                                  save_vector, score_field_doc)
 
 
 def schedule():
@@ -72,6 +75,26 @@ def test_mlp_decoder_roundtrip(tmp_path):
     for (W1, b1), (W2, b2) in zip(dec.layers, loaded.layers):
         assert np.array_equal(W1, W2)
         assert np.array_equal(b1, b2)
+
+
+def test_indented_files_of_old_runs_load_equal(tmp_path):
+    # decoder.json and score.json were once written with indent=1
+    field = gaussian_mixture_field([0.25, 0.75], [[0.1, -0.2], [1.0, 2.0]],
+                                   [np.eye(2), np.eye(2) * np.pi], schedule())
+    decoders = [random_linear_decoder(2, 5, seed=1, scale=1.7),
+                random_mlp_decoder(2, 4, hidden=6, seed=2)]
+    estimate_lipschitz(decoders[0], 3, np.random.default_rng(0))
+    for k, dec in enumerate(decoders):
+        old, new = tmp_path / f"old_dec{k}.json", tmp_path / f"dec{k}.json"
+        old.write_text(json.dumps(decoder_doc(dec), indent=1))
+        save_decoder(dec, new)
+        assert decoder_doc(load_decoder(old)) == \
+            decoder_doc(load_decoder(new)) == decoder_doc(dec)
+    old, new = tmp_path / "old_score.json", tmp_path / "score.json"
+    old.write_text(json.dumps(score_field_doc(field), indent=1))
+    save_score_field(field, new)
+    assert score_field_doc(load_score_field(old)) == \
+        score_field_doc(load_score_field(new)) == score_field_doc(field)
 
 
 def test_vector_roundtrip(tmp_path):
