@@ -4,11 +4,14 @@ Solves argmin_{y : g(y) = 0} ||y - anchor|| through the relaxation
 L = ||y - anchor|| + lambda g(y) + (mu/2) g(y)^2 with multiplier and penalty
 updates across outer iterations.  The distance term is squared inside the
 gradient (its gradient is undefined at y = anchor otherwise); the reported
-distance stays unsquared.
+distance stays unsquared.  Each point is evaluated once, by one oracle
+call for g and its gradient: an accepted line-search trial carries both, and
+its offset from the anchor, into the next inner iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,36 +63,33 @@ class AlmReport:
     point: np.ndarray
 
 
-def alm_project(anchor, g, grad_g, state: AlmState) -> tuple[np.ndarray, AlmReport]:
+def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]:
     """Drive y toward g(y) = 0 while staying close to the anchor.
 
-    ``g`` is the non-negative violation used for termination and multiplier
-    updates; ``grad_g`` is its gradient away from the zero set (zero on it).
-    Raises AlmNonConvergence carrying the report when the outer cap is hit
-    with g(y) >= tol; the caller may accept the attached best iterate.
-
-    ``g`` and ``grad_g`` need not check their input: a non-finite anchor or
-    accepted step raises NumericError, and a non-finite trial point fails
-    the line-search test, so the step is halved.
+    ``oracle(y)`` returns the non-negative violation g(y), used for
+    termination and multiplier updates, and its gradient away from the zero
+    set (zero on it).  It need not check its input: a non-finite anchor or
+    accepted step raises NumericError, and a trial whose value is not finite
+    fails the line-search test, so the step is halved.  Raises
+    AlmNonConvergence carrying the report when the outer cap is hit with
+    g(y) >= tol; the caller may accept the attached best iterate.
     """
     anchor = np.asarray(anchor, dtype=float)
     if not np.isfinite(anchor).all():
         raise NumericError("ALM anchor contains non-finite values")
-    y = anchor.copy()
-    lam = state.multiplier
-    mu = state.penalty
-    inner_total = 0
-    best_y = y.copy()
-    # v is g(y) throughout: each accepted line-search trial carries its value
-    # into the next inner iteration, the multiplier update and the next
-    # outer check, so g is evaluated once per point
-    v = float(g(y))
-    best_v = v
+    lam, mu, inner_total = state.multiplier, state.penalty, 0
 
-    def lagrangian(pt, v):
+    def evaluate(pt):
+        v, grad_g = oracle(pt)
+        d = pt - anchor
+        return pt, float(v), grad_g, d, float(d @ d)
+
+    def lagrangian(v, d2):
         # squared distance inside the optimization; see module docstring
-        return 0.5 * float((pt - anchor) @ (pt - anchor)) + lam * v + 0.5 * mu * v * v
+        return 0.5 * d2 + lam * v + 0.5 * mu * v * v
 
+    y, v, grad_g, d, d2 = evaluate(anchor.copy())
+    best_y, best_v = y.copy(), v
     for outer in range(state.max_outer + 1):
         if v < best_v:
             best_v, best_y = v, y.copy()
@@ -97,29 +97,27 @@ def alm_project(anchor, g, grad_g, state: AlmState) -> tuple[np.ndarray, AlmRepo
             return y, AlmReport(outer_iterations=outer,
                                 inner_iterations=inner_total,
                                 final_violation=v,
-                                final_distance=float(np.linalg.norm(y - anchor)),
+                                final_distance=float(np.linalg.norm(d)),
                                 final_multiplier=lam, final_penalty=mu,
                                 converged=True, point=y)
         if outer == state.max_outer:
             break
         for _ in range(state.max_inner):
-            grad = (y - anchor) + (lam + mu * v) * np.asarray(grad_g(y), float)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= 1e-12:
+            grad = d + (lam + mu * v) * np.asarray(grad_g, float)
+            if math.sqrt(grad.dot(grad)) <= 1e-12:
                 break
             inner_total += 1
             # fixed-step descent, halved when the penalty makes it unstable
             step = state.inner_step
-            base = lagrangian(y, v)
+            base = lagrangian(v, d2)
             for _ in range(40):
-                y_new = y - step * grad
-                v_new = float(g(y_new))
-                if lagrangian(y_new, v_new) <= base + 1e-15:
+                trial = evaluate(y - step * grad)
+                if lagrangian(trial[1], trial[4]) <= base + 1e-15:
                     break
                 step *= 0.5
-            if not np.isfinite(y_new).all():
+            if not np.isfinite(trial[0]).all():
                 raise NumericError("ALM step produced non-finite values")
-            y, v = y_new, v_new
+            y, v, grad_g, d, d2 = trial
         lam = lam + mu * v
         mu = min(state.growth * mu, state.penalty_cap)
 

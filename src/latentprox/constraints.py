@@ -301,43 +301,62 @@ def violation(spec: ConstraintSpec, x) -> float:
     return _violation(spec, _as_point(x))
 
 
-def _violation_gradient(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
-    """``violation_gradient`` of a point already checked by ``_as_point``."""
+def _violation_and_gradient(spec: ConstraintSpec,
+                            x: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(g(x), grad g(x))`` of a point already checked by ``_as_point``.
+
+    Both come from the same intermediates, with the bits of ``_violation``.
+    A trial point of ALM may be non-finite; where its distance is not
+    finite the gradient is NaN, with no warning, since the value alone
+    decides whether the trial is kept.
+    """
     if spec.kind == "halfspace":
-        if spec.normal @ x - spec.offset > 0:
-            return spec.normal.copy()
-        return np.zeros_like(x)
+        excess = x @ spec.normal - spec.offset
+        v = float(np.maximum(excess, 0.0))
+        return v, spec.normal.copy() if excess > 0 else np.zeros_like(x)
     if spec.kind == "l2_ball":
         c = 0.0 if spec.center is None else spec.center
         diff = x - c
-        nrm = np.linalg.norm(diff, axis=-1)   # the norm of _violation
-        if nrm > spec.radius:
-            return diff / nrm
-        return np.zeros_like(x)
+        nrm = np.linalg.norm(diff, axis=-1)
+        v = float(np.maximum(nrm - spec.radius, 0.0))
+        if not np.isfinite(nrm):
+            return v, np.full_like(x, np.nan)
+        return v, diff / nrm if nrm > spec.radius else np.zeros_like(x)
     if spec.kind == "box":
         resid = x - np.clip(x, spec.lower, spec.upper)
         nrm = np.linalg.norm(resid, axis=-1)
-        return resid / nrm if nrm > 0 else np.zeros_like(x)
+        if not np.isfinite(nrm):
+            return float(nrm), np.full_like(x, np.nan)
+        return float(nrm), resid / nrm if nrm > 0 else np.zeros_like(x)
     if spec.kind == "surrogate_centroid":
         m = spec.model
         p = pc_coordinates(m, x)
         diff = p - m.target_centroid
         nrm = np.linalg.norm(diff)
+        v = float(max(nrm - spec.accept_radius, 0.0))
+        if not np.isfinite(nrm):
+            return v, np.full_like(x, np.nan)
         if nrm <= spec.accept_radius or nrm == 0.0:
-            return np.zeros_like(x)
+            return v, np.zeros_like(x)
         u = m.axes.T @ (diff / nrm)
-        return u if m.feature_map is None else m.feature_map.T @ u
+        return v, u if m.feature_map is None else m.feature_map.T @ u
     if spec.kind == "custom_g":
         if spec.grad is None:
             raise UnsupportedKindError("custom constraint lacks a gradient")
-        return np.asarray(spec.grad(x), dtype=float)
+        return float(spec.g(x)), np.asarray(spec.grad(x), dtype=float)
     raise UnsupportedKindError(
         f"violation gradient undefined for kind {spec.kind!r}")
 
 
+def violation_and_gradient(spec: ConstraintSpec, x) -> tuple[float, np.ndarray]:
+    """``(violation(spec, x), violation_gradient(spec, x))`` from one
+    evaluation."""
+    return _violation_and_gradient(spec, _as_point(x))
+
+
 def violation_gradient(spec: ConstraintSpec, x) -> np.ndarray:
     """Gradient of the violation where it is smooth (zero inside the set)."""
-    return _violation_gradient(spec, _as_point(x))
+    return violation_and_gradient(spec, x)[1]
 
 
 def has_exact_projection(spec: ConstraintSpec) -> bool:
@@ -474,24 +493,23 @@ def prox(spec: ConstraintSpec, x, weight: float | None = None) -> np.ndarray:
     if has_exact_projection(spec):
         return project_exact(spec, x)
 
-    def obj(y):
-        return violation(spec, y) + float((y - x) @ (y - x)) / (2.0 * lam)
-
-    def grad(y):
-        return violation_gradient(spec, y) + (y - x) / lam
+    def obj(y, v):
+        return v + float((y - x) @ (y - x)) / (2.0 * lam)
 
     y = x.copy()
     step = min(lam, 1.0)
     for it in range(PROX_CAP):
-        gvec = grad(y)
+        v, grad_g = violation_and_gradient(spec, y)
+        gvec = grad_g + (y - x) / lam
         gnorm = float(np.linalg.norm(gvec))
         if gnorm <= PROX_GRAD_TOL:
             return y
         trial_step = step
-        base = obj(y)
+        base = obj(y, v)
         for _ in range(40):
             y_new = y - trial_step * gvec
-            if obj(y_new) <= base - 0.25 * trial_step * gnorm ** 2:
+            if obj(y_new, violation(spec, y_new)) <= \
+                    base - 0.25 * trial_step * gnorm ** 2:
                 break
             trial_step *= 0.5
         y = y_new

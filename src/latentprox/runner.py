@@ -532,6 +532,7 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
         f"{counters['shortfalls']} shortfall(s), "
         f"{counters['alm_projections']} ALM projection(s), "
         f"{counters['alm_unconverged']} unconverged, "
+        f"{counters['alm_inner_iterations']} ALM inner iteration(s), "
         f"{counters['simulator_evaluations']} simulator evaluation(s) in "
         f"{counters['simulator_calls']} call(s)", reports, checks)
     artifacts = {"metrics": "metrics.csv", "score": "score.json",
@@ -601,7 +602,8 @@ def _trace_counters(traces) -> dict:
     ``inner_cap`` updates).  A shortfall is a loop that stopped with the
     violation still at or above ``delta``: a stagnated or capped one.  An
     unconverged ALM projection hit its outer cap and handed back its best
-    iterate.  The simulator counts are the dpo solver's.
+    iterate; ``alm_inner_iterations`` sums the inner iterations of all the
+    projections.  The simulator counts are the dpo solver's.
     """
     phases = [row.phase for trace in traces for row in trace.rows]
     reports = [rep for trace in traces for _, _, rep in trace.alm_reports]
@@ -612,6 +614,8 @@ def _trace_counters(traces) -> dict:
             "shortfalls": sum(len(trace.shortfalls) for trace in traces),
             "alm_projections": len(reports),
             "alm_unconverged": sum(not rep.converged for rep in reports),
+            "alm_inner_iterations": sum(rep.inner_iterations
+                                        for rep in reports),
             "simulator_evaluations": sum(trace.simulator_evaluations
                                          for trace in traces),
             "simulator_calls": sum(trace.simulator_calls for trace in traces)}

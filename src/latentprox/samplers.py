@@ -13,7 +13,8 @@ The correction rule has two loop shapes with the same steps and stops:
 ``_run_correction`` for one chain and ``_correct_rows`` for the violating
 rows of a population.  A chain is not run as the one-row case of the rows
 loop, because the rows loop's array bookkeeping costs more per iteration
-than the point loop; ROADMAP item 3 holds the measurement.
+than the point loop; ROADMAP item 2's "Cost to record" holds the
+measurement.
 """
 
 from __future__ import annotations
@@ -197,9 +198,8 @@ def _correction_direction(cfg: SamplerConfig, x: np.ndarray, residual,
     if cfg.solver == "alm":
         try:
             # alm_project checks x once and each accepted step
-            y, rep = alm_project(x, lambda p: C._violation(con, p),
-                                 lambda p: C._violation_gradient(con, p),
-                                 cfg.alm)
+            y, rep = alm_project(
+                x, lambda p: C._violation_and_gradient(con, p), cfg.alm)
         except AlmNonConvergence as exc:
             y, rep = exc.report.point, exc.report
         return x - y, rep

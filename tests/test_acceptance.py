@@ -255,11 +255,9 @@ def test_criterion_08_alm_projection_fidelity():
             b = float(rng.uniform(-1, 1))
             anchor = rng.uniform(-3, 3, size=2)
 
-            def g(y, a=a, b=b):
-                return abs(float(a @ y) - b)
-
-            def grad(y, a=a, b=b):
-                return np.sign(float(a @ y) - b) * a
+            def g_and_grad(y, a=a, b=b):
+                return (abs(float(a @ y) - b),
+                        np.sign(float(a @ y) - b) * a)
 
             oracle = anchor - (a @ anchor - b) * a
         else:
@@ -270,14 +268,11 @@ def test_criterion_08_alm_projection_fidelity():
             anchor = center + rng.uniform(radius + 0.5, radius + 3.0) * u
             spec = C.l2_ball(radius, center=center)
 
-            def g(y, s=spec):
-                return C.violation(s, y)
-
-            def grad(y, s=spec):
-                return C.violation_gradient(s, y)
+            def g_and_grad(y, s=spec):
+                return C.violation_and_gradient(s, y)
 
             oracle = C.project_closed_form(spec, anchor)
-        y, rep = alm_project(anchor, g, grad, state)
+        y, rep = alm_project(anchor, g_and_grad, state)
         good += (rep.final_violation < state.tol
                  and np.linalg.norm(y - oracle) < 10 * state.tol)
     elapsed = time.time() - started

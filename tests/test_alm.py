@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import warnings
+
 from latentprox import constraints as C
 from latentprox.alm import AlmState, alm_project
 from latentprox.errors import (AlmNonConvergence, NumericError,
@@ -20,10 +22,19 @@ def hyperplane_violation(a, b):
     return g, grad
 
 
+def pair(g, grad):
+    """The ALM oracle of a value function and its gradient."""
+    return lambda y: (g(y), grad(y))
+
+
+def oracle_of(spec):
+    return lambda p: C._violation_and_gradient(spec, p)
+
+
 def test_hyperplane_projection_matches_oracle():
     # oracle: closed-form projection of (2, 3) onto {y : y[0] = 0} is (0, 3)
-    g, grad = hyperplane_violation([1.0, 0.0], 0.0)
-    y, report = alm_project(np.array([2.0, 3.0]), g, grad,
+    y, report = alm_project(np.array([2.0, 3.0]),
+                            pair(*hyperplane_violation([1.0, 0.0], 0.0)),
                             AlmState(tol=1e-3))
     assert np.linalg.norm(y - np.array([0.0, 3.0])) < 1e-3
     assert report.converged
@@ -32,20 +43,17 @@ def test_hyperplane_projection_matches_oracle():
 
 def test_zero_violation_returns_anchor():
     y, report = alm_project(np.array([1.0, -2.0]),
-                            lambda p: 0.0, lambda p: np.zeros_like(p),
-                            AlmState())
+                            lambda p: (0.0, np.zeros_like(p)), AlmState())
     assert np.array_equal(y, [1.0, -2.0])
     assert report.inner_iterations == 0
     assert report.converged
 
 
 def test_non_finite_anchor_raises():
-    # the solver checks its anchor, so g and grad_g may be unchecked
-    spec = C.l2_ball(1.0)
+    # the solver checks its anchor, so the oracle may be unchecked
     with pytest.raises(NumericError, match="anchor"):
-        alm_project(np.array([np.nan, 3.0]),
-                    lambda p: C._violation(spec, p),
-                    lambda p: C._violation_gradient(spec, p), AlmState())
+        alm_project(np.array([np.nan, 3.0]), oracle_of(C.l2_ball(1.0)),
+                    AlmState())
 
 
 def test_non_finite_accepted_step_raises():
@@ -53,15 +61,16 @@ def test_non_finite_accepted_step_raises():
     # search runs out of halvings and the step it accepts is not finite
     spec = C.l2_ball(1.0)
     with pytest.raises(NumericError, match="step"):
-        alm_project(np.array([3.0, 0.0]), lambda p: C._violation(spec, p),
-                    lambda p: np.array([np.inf, 0.0]), AlmState())
+        alm_project(np.array([3.0, 0.0]),
+                    lambda p: (C._violation(spec, p), np.array([np.inf, 0.0])),
+                    AlmState())
 
 
 def test_feasible_anchor_early_exit():
     spec = C.l2_ball(2.0)
     anchor = np.array([0.5, 0.5])
-    y, report = alm_project(anchor, lambda p: C.violation(spec, p),
-                            lambda p: C.violation_gradient(spec, p),
+    y, report = alm_project(anchor,
+                            lambda p: C.violation_and_gradient(spec, p),
                             AlmState(tol=1e-4))
     assert np.array_equal(y, anchor)
     assert report.inner_iterations == 0
@@ -70,8 +79,8 @@ def test_feasible_anchor_early_exit():
 def test_ball_projection_matches_oracle():
     spec = C.l2_ball(1.0)
     anchor = np.array([3.0, 4.0])
-    y, report = alm_project(anchor, lambda p: C.violation(spec, p),
-                            lambda p: C.violation_gradient(spec, p),
+    y, report = alm_project(anchor,
+                            lambda p: C.violation_and_gradient(spec, p),
                             AlmState(tol=1e-4, inner_step=0.05))
     oracle = C.project_closed_form(spec, anchor)
     assert np.linalg.norm(y - oracle) < 10 * 1e-4
@@ -93,7 +102,7 @@ def test_penalty_never_exceeds_cap_and_is_monotone():
 
     state = AlmState(tol=1e-10, max_outer=8, max_inner=5, penalty_cap=16.0)
     try:
-        _, report = alm_project(np.array([0.0]), g, grad, state)
+        _, report = alm_project(np.array([0.0]), pair(g, grad), state)
     except AlmNonConvergence as exc:
         report = exc.report
     assert report.final_penalty <= 16.0
@@ -109,7 +118,7 @@ def test_nonconvergence_carries_report():
 
     state = AlmState(tol=1e-6, max_outer=3, max_inner=10)
     with pytest.raises(AlmNonConvergence) as err:
-        alm_project(np.array([1.0, 1.0]), g, grad, state)
+        alm_project(np.array([1.0, 1.0]), pair(g, grad), state)
     rep = err.value.report
     assert not rep.converged
     assert rep.final_violation >= 1e-6
@@ -144,7 +153,7 @@ def test_random_2d_suite_within_tolerance():
             g = lambda p, s=spec: C.violation(s, p)
             grad = lambda p, s=spec: C.violation_gradient(s, p)
             oracle = C.project_closed_form(spec, anchor)
-        y, report = alm_project(anchor, g, grad, state)
+        y, report = alm_project(anchor, pair(g, grad), state)
         assert report.final_violation < state.tol
         assert np.linalg.norm(y - oracle) < 10 * state.tol
 
@@ -155,9 +164,9 @@ def _unit(rng):
 
 
 def reference_alm_project(anchor, g, grad_g, state):
-    """The solver as it was before g(y) was carried between iterations: it
-    calls g again on every point it already evaluated.  Returns the point,
-    the report fields and whether it converged."""
+    """The solver before it carried anything between iterations: it calls g
+    and grad_g separately, and again on every point it already evaluated.
+    Returns the point, the report fields and whether it converged."""
     anchor = np.asarray(anchor, dtype=float)
     y = anchor.copy()
     lam, mu, inner_total = state.multiplier, state.penalty, 0
@@ -171,7 +180,8 @@ def reference_alm_project(anchor, g, grad_g, state):
         if v < best_v:
             best_v, best_y = v, y.copy()
         if v < state.tol:
-            return y, (outer, inner_total, v, lam, mu, True)
+            return y, (outer, inner_total, v, float(np.linalg.norm(y - anchor)),
+                       lam, mu, True)
         if outer == state.max_outer:
             break
         for _ in range(state.max_inner):
@@ -190,7 +200,8 @@ def reference_alm_project(anchor, g, grad_g, state):
             y = y_new
         lam = lam + mu * float(g(y))
         mu = min(state.growth * mu, state.penalty_cap)
-    return best_y, (state.max_outer, inner_total, best_v, lam, mu, False)
+    return best_y, (state.max_outer, inner_total, best_v,
+                    float(np.linalg.norm(best_y - anchor)), lam, mu, False)
 
 
 def counting(g):
@@ -203,34 +214,123 @@ def counting(g):
     return counted, calls
 
 
-@pytest.mark.parametrize("case", range(6))
-def test_matches_reference_with_fewer_evaluations(case):
-    # g is deterministic, so reusing g(y) must not move a single bit
+def centroid_spec(rng, feature_map: bool):
+    """A centroid constraint fitted to two random clusters of 3 features,
+    read from 4 ambient coordinates through a map when ``feature_map``."""
+    pos = rng.standard_normal((20, 3)) + [2.0, 1.0, 0.0]
+    neg = rng.standard_normal((20, 3)) - [2.0, 1.0, 0.0]
+    fmap = rng.standard_normal((3, 4)) if feature_map else None
+    model = C.fit_centroid_model(pos, neg, feature_map=fmap)
+    return C.centroid_constraint(model, accept_radius=0.5)
+
+
+KINDS = ("ball", "plane", "never", "centroid", "centroid_map", "custom")
+
+
+@pytest.mark.parametrize("case", range(2 * len(KINDS)))
+def test_matches_reference_with_fewer_evaluations(case, monkeypatch):
+    # the oracle is deterministic, so evaluating each point once must not
+    # move a single bit
     rng = np.random.default_rng(case)
-    kind = ("ball", "plane", "never")[case % 3]
+    kind = KINDS[case % len(KINDS)]
+    spec, state = None, AlmState(tol=1e-3, inner_step=0.05)
     if kind == "ball":
         spec = C.l2_ball(float(rng.uniform(0.5, 2.0)),
                          center=rng.uniform(-1, 1, size=3))
-        g = lambda p: C.violation(spec, p)
-        grad = lambda p: C.violation_gradient(spec, p)
         anchor = spec.center + rng.uniform(2.5, 5.0) * rng.standard_normal(3)
         state = AlmState(tol=1e-4, inner_step=0.05)
     elif kind == "plane":
         g, grad = hyperplane_violation(rng.standard_normal(3), 0.3)
         anchor = rng.uniform(-3, 3, size=3)
         state = AlmState(tol=1e-3, max_inner=30)
-    else:
+    elif kind == "never":
         g, grad = (lambda y: 1.0 + float(y @ y)), (lambda y: 2.0 * y)
         anchor = rng.standard_normal(3)
         state = AlmState(tol=1e-6, max_outer=3, max_inner=10)
-    g_new, new_calls = counting(g)
+    elif kind == "custom":
+        spec = C.custom_constraint(
+            *hyperplane_violation(rng.standard_normal(3), 0.3))
+        anchor = rng.uniform(-3, 3, size=3)
+    else:
+        spec = centroid_spec(rng, feature_map=kind == "centroid_map")
+        m = spec.model
+        # start at the forbidden cluster, far outside the accepted disc
+        anchor = m.feature_mean + m.axes.T @ m.forbidden_centroid
+        if m.feature_map is not None:
+            anchor = np.linalg.lstsq(m.feature_map, anchor, rcond=None)[0]
+    if spec is not None:
+        g = lambda p: C.violation(spec, p)
+        grad = lambda p: C.violation_gradient(spec, p)
+    pc_calls = [0]
+    real_pc = C.pc_coordinates
+
+    def counted_pc(model, x):
+        pc_calls[0] += 1
+        return real_pc(model, x)
+
+    monkeypatch.setattr(C, "pc_coordinates", counted_pc)
     g_ref, ref_calls = counting(g)
     want_y, want = reference_alm_project(anchor, g_ref, grad, state)
+    assert want[1] > 0
+    pc_calls[0] = 0
+    oracle, new_calls = counting(
+        pair(g, grad) if spec is None else oracle_of(spec))
     try:
-        y, rep = alm_project(anchor, g_new, grad, state)
+        y, rep = alm_project(anchor, oracle, state)
     except AlmNonConvergence as exc:
         y, rep = exc.report.point, exc.report
-    assert np.array_equal(y, want_y)
+    assert np.array_equal(y, want_y) and np.array_equal(rep.point, want_y)
     assert (rep.outer_iterations, rep.inner_iterations, rep.final_violation,
-            rep.final_multiplier, rep.final_penalty, rep.converged) == want
+            rep.final_distance, rep.final_multiplier, rep.final_penalty,
+            rep.converged) == want
     assert new_calls[0] < ref_calls[0]
+    # one pc_coordinates call per evaluated point, none for other kinds
+    assert pc_calls[0] == (new_calls[0] if kind.startswith("centroid")
+                           else 0)
+
+
+def test_non_finite_trial_is_halved_without_warning():
+    # an infinite gradient at the anchor leaves every trial non-finite: the
+    # centroid oracle gives each an infinite value, and a NaN gradient
+    # rather than a division warning; each trial is halved, and the step
+    # accepted after 40 halvings raises NumericError
+    spec = centroid_spec(np.random.default_rng(0), feature_map=False)
+    m = spec.model
+    anchor = m.feature_mean + m.axes.T @ m.forbidden_centroid
+    values = []
+
+    def steep(p):
+        v, grad = C._violation_and_gradient(spec, p)
+        values.append(v)
+        return v, grad if len(values) > 1 else np.array([np.inf, 0.0, 0.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="step"):
+            alm_project(anchor, steep, AlmState())
+    assert values[0] > 0 and values[1:] == [np.inf] * 40
+
+
+def test_rejected_trial_gradient_is_not_carried():
+    # the first trial reports what the centroid oracle gives at a
+    # non-finite point, an infinite value and a NaN gradient: the step is
+    # halved, and the accepted trial carries its own gradient
+    spec = centroid_spec(np.random.default_rng(1), feature_map=True)
+    m = spec.model
+    anchor = np.linalg.lstsq(m.feature_map,
+                             m.feature_mean + m.axes.T @ m.forbidden_centroid,
+                             rcond=None)[0]
+    seen = []
+
+    def barrier(p):
+        seen.append(p)
+        if len(seen) == 2:
+            return np.inf, np.full_like(p, np.nan)
+        return C._violation_and_gradient(spec, p)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, rep = alm_project(anchor, barrier, AlmState(tol=1e-3,
+                                                       inner_step=0.05))
+    assert rep.converged and np.isfinite(y).all()
+    assert np.allclose(seen[2] - anchor, 0.5 * (seen[1] - anchor))

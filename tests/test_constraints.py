@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -472,6 +473,41 @@ def test_centroid_trigger_cases():
     gap = np.linalg.norm(model.target_centroid - model.forbidden_centroid)
     assert abs(np.linalg.norm(p - model.forbidden_centroid) - 0.5 * gap) < 1e-9
     assert C.centroid_trigger(model, mid) is False
+
+
+def test_oracle_value_has_the_bits_of_violation():
+    # ALM keeps or halves a trial by its value alone, so the one-call
+    # oracle must give violation's bits
+    rng = np.random.default_rng(9)
+    pos, neg = make_clouds(rng, n=50)
+    centroid = C.centroid_constraint(C.fit_centroid_model(pos, neg), 0.5)
+    specs = [C.halfspace(rng.standard_normal(2), 0.2),
+             C.l2_ball(1.3, center=rng.standard_normal(2)),
+             C.box(-np.ones(2), np.ones(2)), centroid,
+             C.custom_constraint(lambda y: float(y @ y), lambda y: 2 * y)]
+    for spec in specs:
+        for x in 3 * rng.standard_normal((50, 2)):
+            v, _ = C.violation_and_gradient(spec, x)
+            assert type(v) is float and v == C.violation(spec, x)
+    with pytest.raises(UnsupportedKindError):
+        C.violation_and_gradient(C.porosity_constraint((2, 2), 2),
+                                 np.zeros(4))
+
+
+@pytest.mark.parametrize("kind", ["l2_ball", "box", "surrogate_centroid"])
+def test_oracle_at_a_non_finite_point_is_quiet(kind):
+    # an ALM trial may be non-finite: its infinite value rejects it, and
+    # its gradient is NaN instead of an inf / inf division warning
+    rng = np.random.default_rng(10)
+    spec = {"l2_ball": C.l2_ball(1.0),
+            "box": C.box(-np.ones(3), np.ones(3)),
+            "surrogate_centroid": C.centroid_constraint(C.fit_centroid_model(
+                rng.standard_normal((20, 3)) + 2.0,
+                rng.standard_normal((20, 3)) - 2.0), 0.5)}[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, grad = C._violation_and_gradient(spec, np.array([np.inf, 0.0, 0.0]))
+    assert v == np.inf and np.isnan(grad).all()
 
 
 def test_centroid_violation_and_gradient():

@@ -882,14 +882,15 @@ def test_manifest_counters_match_metrics_and_traces(tmp_path):
         "correction_iterations": phases.count("correction"),
         "correction_stops": stops,
         "shortfalls": shortfalls, "alm_projections": 0,
-        "alm_unconverged": 0, "simulator_evaluations": 0,
-        "simulator_calls": 0}
+        "alm_unconverged": 0, "alm_inner_iterations": 0,
+        "simulator_evaluations": 0, "simulator_calls": 0}
     assert (f"counters: {phases.count('langevin')} Langevin steps, "
             f"{phases.count('correction')} correction iterations, "
             f"correction stops {stops['converged']} converged / "
             f"{stops['stagnated']} stagnated / {stops['capped']} capped, "
             f"{shortfalls} shortfall(s), 0 ALM projection(s), "
-            f"0 unconverged, 0 simulator evaluation(s) in 0 call(s)") \
+            f"0 unconverged, 0 ALM inner iteration(s), "
+            f"0 simulator evaluation(s) in 0 call(s)") \
         in manifest["summary"]
 
 
@@ -935,5 +936,8 @@ def test_manifest_counts_alm_projections(tmp_path):
     counters = manifest["counters"]
     assert counters["alm_projections"] == len(rows)
     assert counters["alm_unconverged"] == unconverged
-    assert any(f"{len(rows)} ALM projection(s), {unconverged} unconverged"
+    inner = sum(rep.inner_iterations for rep in reports)
+    assert inner > 0 and counters["alm_inner_iterations"] == inner
+    assert any(f"{len(rows)} ALM projection(s), {unconverged} unconverged, "
+               f"{inner} ALM inner iteration(s)"
                in line for line in manifest["summary"])

@@ -412,9 +412,8 @@ def reference_proximal_latent(cfg, rng):
         if cfg.solver == "closed_form":
             return x - C.project_exact(con, x), None
         try:
-            y, rep = alm_project(x, lambda p: C.violation(con, p),
-                                 lambda p: C.violation_gradient(con, p),
-                                 cfg.alm)
+            y, rep = alm_project(
+                x, lambda p: C.violation_and_gradient(con, p), cfg.alm)
         except AlmNonConvergence as exc:
             y, rep = exc.report.point, exc.report
         return x - y, rep
