@@ -17,9 +17,8 @@ from .diagnostics import check_run_contraction
 from .errors import (ConfigError, DivergenceError, NumericError,
                      ParameterError, ShapeError)
 from .runner import (RunConfig, RunManifest, build_constraint, build_decoder,
-                     build_schedule, build_score, load_config, load_traces,
-                     manifest_config, run_design, run_experiment)
-from .samplers import STOP_REASONS
+                     build_schedule, build_score, counters_line, load_config,
+                     load_traces, manifest_config, run_design, run_experiment)
 from .scores import MlpScoreConfig, train_score
 from .serialize import load_vector, save_score_field, save_vector
 
@@ -118,26 +117,18 @@ def _cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _counters_line(counters: dict) -> str:
-    """One line of a manifest's counters; the correction stops read
-    ``<n> converged / <n> stagnated / <n> capped``."""
-    parts = []
-    for name, value in counters.items():
-        if name == "correction_stops":
-            value = " / ".join(f"{value[r]} {r}" for r in STOP_REASONS)
-        parts.append(f"{name} {value}")
-    return "counters: " + ", ".join(parts)
-
-
 def _cmd_diagnose(args) -> int:
     run_dir = Path(args.run)
     manifest = RunManifest.load(run_dir / "manifest.json")
-    print(_counters_line(manifest.data.get("counters", {})))
+    print(counters_line(manifest.data.get("counters", {})))
     cfg = manifest_config(manifest)
     spec = build_constraint(cfg["constraint"])
     decoder = build_decoder(cfg["decoder"])
-    traces = load_traces(run_dir / "metrics.csv")
-    if spec is None or decoder is None or not traces:
+    # a design run's metrics.csv holds mse rows, not sampling traces
+    sampled = (manifest.data.get("experiment_kind") != "design"
+               and spec is not None and decoder is not None)
+    traces = load_traces(run_dir / "metrics.csv") if sampled else []
+    if not traces:
         print("run has no constraint/decoder or no completed chain; "
               "nothing to diagnose")
         return EXIT_OK

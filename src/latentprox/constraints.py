@@ -363,9 +363,13 @@ def has_exact_projection(spec: ConstraintSpec) -> bool:
     return spec.kind in CLOSED_FORM_KINDS or spec.kind == "porosity"
 
 
-def _project_closed_form(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
-    """Projection of a point or of each row of a batch; rows inside keep
-    their values."""
+def _project_exact(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
+    """``project_exact`` of input already checked by ``_as_point``.
+
+    The halfspace, l2_ball and box rules work on the last axis: a point
+    ``(d,)`` or each row of a batch ``(n, d)``, and rows inside keep their
+    values.  Porosity takes a point only.
+    """
     if spec.kind == "halfspace":
         a = spec.normal
         excess = x @ a - spec.offset
@@ -413,42 +417,33 @@ def _project_closed_form(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
         return y
     if spec.kind == "box":
         return np.clip(x, spec.lower, spec.upper)
-    raise UnsupportedKindError(
-        f"no closed-form projection for kind {spec.kind!r}")
-
-
-def project_closed_form(spec: ConstraintSpec, x) -> np.ndarray:
-    """Euclidean projection for halfspace, l2_ball, and box kinds.
-
-    Every result lies inside: its violation is exactly 0, and a point
-    inside comes back unchanged.  Box results are exact and idempotent.  A
-    halfspace or l2_ball result that rounding leaves outside is pulled in
-    by a few ulps (its halfspace step lengthened, its l2 scale shortened,
-    by a doubling number of ulps per pass), so it can sit that far inside
-    the boundary: over 40 random halfspaces and 40 random l2 balls with
-    2,000 points each at scale 5, every result was inside and no halfspace
-    result lay more than 7.9e-15 inside.
-    """
-    return _project_closed_form(spec, _as_point(x))
-
-
-def _project_exact(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
-    """``project_exact`` of a point already checked by ``_as_point``."""
     if spec.kind == "porosity":
         # choose flip sets on the unclamped values so costs stay L1-optimal,
         # then clamp into the pixel box
         flat = _count_adjust(x.reshape(spec.grid_shape).ravel(),
                              spec.target_count, spec.margin)
         return np.clip(flat, -1.0, 1.0).reshape(x.shape)
-    return _project_closed_form(spec, x)
+    raise UnsupportedKindError(f"no exact projection for kind {spec.kind!r}")
 
 
 def project_exact(spec: ConstraintSpec, x) -> np.ndarray:
-    """Exact projection for any kind that has one (closed-form or porosity).
+    """Euclidean projection for the kinds that have one: halfspace, l2_ball,
+    box and porosity.
 
-    Porosity inputs are clamped into the pixel box first; out-of-range values
-    can only arise from decoded intermediates, and the clamp composes with the
-    count correction to solve the boxed program.
+    Every result lies inside: its violation is exactly 0, and a point
+    inside comes back unchanged (a porosity point up to the clamp below).
+    Box results are exact and idempotent.  A halfspace or l2_ball result
+    that rounding leaves outside is pulled in by a few ulps (its halfspace
+    step lengthened, its l2 scale shortened, by a doubling number of ulps
+    per pass), so it can sit that far inside the boundary: over 40 random
+    halfspaces and 40 random l2 balls with 2,000 points each at scale 5,
+    every result was inside and no halfspace result lay more than 7.9e-15
+    inside.
+
+    Porosity inputs are clamped into the pixel box after the count
+    correction; out-of-range values can only arise from decoded
+    intermediates, and the clamp composes with the count correction to
+    solve the boxed program.
     """
     return _project_exact(spec, _as_point(x))
 
@@ -483,15 +478,19 @@ def prox(spec: ConstraintSpec, x, weight: float | None = None) -> np.ndarray:
     """Proximal map argmin_y g(y) + ||y - x||^2 / (2 lambda).
 
     Indicator-style kinds reduce to their projection regardless of the
-    weight.  Smooth kinds are solved by gradient descent (with backtracking)
-    to first-order stationarity.
+    weight.  The other kinds are solved by gradient descent with
+    backtracking, which stops at first-order stationarity or when 40
+    halvings of the step all fail the sufficient-decrease test; it then
+    returns its current point.  The second stop is reached at a kink of g,
+    such as the edge of the centroid disc, where the gradient norm stays
+    away from 0 at the minimizer.
     """
     lam = spec.prox_weight if weight is None else float(weight)
     if lam <= 0:
         raise ParameterError("prox weight must be positive")
     x = _as_point(x)
     if has_exact_projection(spec):
-        return project_exact(spec, x)
+        return _project_exact(spec, x)
 
     def obj(y, v):
         return v + float((y - x) @ (y - x)) / (2.0 * lam)
@@ -512,6 +511,8 @@ def prox(spec: ConstraintSpec, x, weight: float | None = None) -> np.ndarray:
                     base - 0.25 * trial_step * gnorm ** 2:
                 break
             trial_step *= 0.5
+        else:
+            return y
         y = y_new
     raise ConvergenceError("prox solver hit its iteration cap",
                            residual=gnorm, iterations=PROX_CAP)

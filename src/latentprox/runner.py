@@ -496,12 +496,15 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
 
     measured["G"] = max((t.max_score_norm() for t in traces), default=0.0)
     reports = {}
+    violations = []  # each final's, for the porosity report and the check
+    if constraint is not None and (constraint.kind == "porosity"
+                                   or cfg["checks"]["porosity_exact"]):
+        violations = [C.violation(constraint, f) for f in finals]
     if constraint is not None and constraint.kind == "porosity":
         measured["porosity_count"] = constraint.target_count
         pixels = constraint.grid_shape[0] * constraint.grid_shape[1]
-        errs = [abs(C.porosity(np.clip(f.reshape(constraint.grid_shape),
-                                       -1, 1)) - constraint.target_count)
-                / pixels for f in finals]
+        # a porosity violation is the final's count gap
+        errs = [v / pixels for v in violations]
         # count-gap fraction per sample; > 0.10 mirrors the headline
         # mismatch metric used for grid experiments
         reports["porosity_error"] = {
@@ -518,23 +521,12 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
             precondition_ok=report.precondition_ok)
     if rep_cfg["fidelity"] and traces and \
             sampler_cfg.score.kind == "linear_gaussian":
-        reports["fidelity"] = _fidelity_report(sampler_cfg, traces)
+        reports["fidelity"] = _fidelity_report(sampler_cfg, traces,
+                                               measured["G"])
 
-    checks = _run_checks(cfg, sampler_cfg, finals, reports)
+    checks = _run_checks(cfg, constraint, violations, reports)
     counters = _trace_counters(traces)
-    stops = " / ".join(f"{n} {reason}" for reason, n
-                       in counters["correction_stops"].items())
-    summary = _summary(
-        cfg, len(finals),
-        f"{counters['langevin_steps']} Langevin steps, "
-        f"{counters['correction_iterations']} correction iterations, "
-        f"correction stops {stops}, "
-        f"{counters['shortfalls']} shortfall(s), "
-        f"{counters['alm_projections']} ALM projection(s), "
-        f"{counters['alm_unconverged']} unconverged, "
-        f"{counters['alm_inner_iterations']} ALM inner iteration(s), "
-        f"{counters['simulator_evaluations']} simulator evaluation(s) in "
-        f"{counters['simulator_calls']} call(s)", reports, checks)
+    summary = _summary(cfg, len(finals), counters, reports, checks)
     artifacts = {"metrics": "metrics.csv", "score": "score.json",
                  "decoder": "decoder.json" if decoder is not None else None,
                  "samples": sorted(p.name for p in samples_dir.iterdir())}
@@ -543,11 +535,23 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
                           reports=reports, counters=counters, summary=summary)
 
 
-def _summary(cfg: RunConfig, completed: int, counters: str, reports: dict,
+def counters_line(counters: dict) -> str:
+    """One line of a run's counters, ``name value`` in sorted name order,
+    the order of a saved manifest; the correction stops read
+    ``<n> converged / <n> stagnated / <n> capped``."""
+    parts = []
+    for name, value in sorted(counters.items()):
+        if name == "correction_stops":
+            value = " / ".join(f"{value[r]} {r}" for r in STOP_REASONS)
+        parts.append(f"{name} {value}")
+    return "counters: " + ", ".join(parts)
+
+
+def _summary(cfg: RunConfig, completed: int, counters: dict, reports: dict,
              checks: dict) -> list:
     """The run's summary lines: chains completed, counters, reports, checks."""
     lines = [f"experiment {cfg['experiment']}: {completed}/"
-             f"{cfg['chains']} chains completed", f"counters: {counters}"]
+             f"{cfg['chains']} chains completed", counters_line(counters)]
     for name, rep in reports.items():
         if "fraction_holding" in rep:
             lines.append(f"{name}: {rep['fraction_holding']:.4f} of "
@@ -621,8 +625,9 @@ def _trace_counters(traces) -> dict:
             "simulator_calls": sum(trace.simulator_calls for trace in traces)}
 
 
-def _fidelity_report(sampler_cfg: SamplerConfig, traces) -> dict:
-    """Population KL drift across chains, evaluated in the latent space."""
+def _fidelity_report(sampler_cfg: SamplerConfig, traces, G: float) -> dict:
+    """Population KL drift across chains, evaluated in the latent space;
+    ``G`` is the run's largest Langevin score norm."""
     field_ = sampler_cfg.score
     schedule = sampler_cfg.schedule
     ref = GaussianFit(mean=field_.means[0], cov=field_.covs[0])
@@ -637,7 +642,6 @@ def _fidelity_report(sampler_cfg: SamplerConfig, traces) -> dict:
     for t, pts in by_level.items():
         if len(pts) >= 2:
             kl[t] = gaussian_kl(fit_gaussian(np.array(pts)), ref)
-    G = max(t.max_score_norm() for t in traces)
     report = check_fidelity_drift(kl, schedule, G)
     doc = _report_doc(report)
     doc["space"] = "latent"
@@ -645,13 +649,13 @@ def _fidelity_report(sampler_cfg: SamplerConfig, traces) -> dict:
     return doc
 
 
-def _run_checks(cfg, sampler_cfg, finals, reports) -> dict:
+def _run_checks(cfg, constraint, violations, reports) -> dict:
+    """The configured checks; ``violations`` holds each final's."""
     checks = {}
     ck = cfg["checks"]
-    constraint = sampler_cfg.constraint
     if ck["porosity_exact"] and constraint is not None:
-        counts = [C.violation(constraint, f) == 0.0 for f in finals]
-        checks["porosity_exact"] = bool(finals) and all(counts)
+        checks["porosity_exact"] = bool(violations) and all(
+            v == 0.0 for v in violations)
     if ck["contraction_fraction"] is not None:
         frac = reports.get("contraction", {}).get("fraction_holding", 0.0)
         checks["contraction_fraction"] = frac >= ck["contraction_fraction"]
@@ -701,11 +705,7 @@ def run_design(cfg: RunConfig) -> RunManifest:
     if ratio is not None:
         checks["design_mse_ratio"] = all(
             m[-1] <= ratio * m[0] for m in mses)
-    summary = _summary(
-        cfg, len(mses),
-        f"{counters['design_steps']} design steps, "
-        f"{counters['simulator_evaluations']} simulator evaluation(s) in "
-        f"{counters['simulator_calls']} call(s)", {}, checks)
+    summary = _summary(cfg, len(mses), counters, {}, checks)
     return _save_manifest(
         cfg, "design", started, errors, checks, measured={},
         artifacts={"metrics": "metrics.csv", "decoder": "decoder.json"},

@@ -13,8 +13,8 @@ The correction rule has two loop shapes with the same steps and stops:
 ``_run_correction`` for one chain and ``_correct_rows`` for the violating
 rows of a population.  A chain is not run as the one-row case of the rows
 loop, because the rows loop's array bookkeeping costs more per iteration
-than the point loop; ROADMAP item 2's "Cost to record" holds the
-measurement.
+than the point loop; ROADMAP items 1-2 record the measurements and the
+decision to keep both shapes.
 """
 
 from __future__ import annotations
@@ -144,12 +144,9 @@ class SamplerConfig:
             if con.kind == "porosity" and self.solver != "closed_form":
                 raise ConfigError("porosity constraints require the "
                                   "closed_form solver")
-            if con.kind == "custom_g" and self.solver == "closed_form":
-                raise ConfigError("custom smooth constraints require the alm "
-                                  "or dpo solver")
             if self.solver == "closed_form" and not C.has_exact_projection(con):
                 raise ConfigError(f"{con.kind} has no exact projection; "
-                                  "choose the alm solver")
+                                  "choose the alm or dpo solver")
             if self.solver == "dpo" and (self.simulator is None or self.dpo is None):
                 raise ConfigError("dpo solver requires simulator and dpo config")
             if self.solver == "alm" and self.alm is None:

@@ -271,7 +271,7 @@ def test_criterion_08_alm_projection_fidelity():
             def g_and_grad(y, s=spec):
                 return C.violation_and_gradient(s, y)
 
-            oracle = C.project_closed_form(spec, anchor)
+            oracle = C.project_exact(spec, anchor)
         y, rep = alm_project(anchor, g_and_grad, state)
         good += (rep.final_violation < state.tol
                  and np.linalg.norm(y - oracle) < 10 * state.tol)

@@ -82,7 +82,7 @@ def test_ball_projection_matches_oracle():
     y, report = alm_project(anchor,
                             lambda p: C.violation_and_gradient(spec, p),
                             AlmState(tol=1e-4, inner_step=0.05))
-    oracle = C.project_closed_form(spec, anchor)
+    oracle = C.project_exact(spec, anchor)
     assert np.linalg.norm(y - oracle) < 10 * 1e-4
     assert report.final_violation < 1e-4
     # distance-to-anchor within 10% of the true projection distance
@@ -152,7 +152,7 @@ def test_random_2d_suite_within_tolerance():
             anchor = spec.center + rng.uniform(2.5, 5.0) * _unit(rng)
             g = lambda p, s=spec: C.violation(s, p)
             grad = lambda p, s=spec: C.violation_gradient(s, p)
-            oracle = C.project_closed_form(spec, anchor)
+            oracle = C.project_exact(spec, anchor)
         y, report = alm_project(anchor, pair(g, grad), state)
         assert report.final_violation < state.tol
         assert np.linalg.norm(y - oracle) < 10 * state.tol

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from latentprox import constraints as C
+from latentprox import experiments as EXP
 from latentprox.errors import (ConfigError, DegeneracyError, NumericError,
                                ParameterError, UnsupportedKindError)
+from latentprox.runner import RunConfig, build_constraint
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +288,12 @@ def test_closed_form_projection_lands_inside(case):
     # in, so a batch and each point land at violation 0 exactly; rows
     # already inside come back unchanged
     spec, X = case
-    P = C.project_closed_form(spec, X)
+    P = C.project_exact(spec, X)
     assert np.array_equal(C._violation(spec, P), np.zeros(len(X)))
     inside = C._violation(spec, X) == 0.0
     assert np.array_equal(P[inside], X[inside])
     for x in X:
-        p = C.project_closed_form(spec, x)
+        p = C.project_exact(spec, x)
         assert C.violation(spec, p) == 0.0
         if C.violation(spec, x) == 0.0:
             assert np.array_equal(p, x)
@@ -314,26 +316,31 @@ def test_ball_gradient_vanishes_exactly_where_violation_does():
 
 def test_ball_projection_by_hand():
     spec = C.l2_ball(1.0)
-    assert np.allclose(C.project_closed_form(spec, np.array([3.0, 4.0])),
+    assert np.allclose(C.project_exact(spec, np.array([3.0, 4.0])),
                        [0.6, 0.8])
 
 
 def test_halfspace_projection_by_hand():
     spec = C.halfspace([0.0, 1.0], 0.0)
-    assert np.allclose(C.project_closed_form(spec, np.array([2.0, 5.0])),
+    assert np.allclose(C.project_exact(spec, np.array([2.0, 5.0])),
                        [2.0, 0.0])
 
 
 def test_box_projection_by_hand():
     spec = C.box([-1.0, -1.0], [1.0, 1.0])
-    assert np.allclose(C.project_closed_form(spec, np.array([2.0, -3.0])),
+    assert np.allclose(C.project_exact(spec, np.array([2.0, -3.0])),
                        [1.0, -1.0])
 
 
 def test_projection_unsupported_kind():
-    spec = C.porosity_constraint((2, 2), 2)
-    with pytest.raises(UnsupportedKindError):
-        C.project_closed_form(spec, np.zeros(4))
+    # the kinds with no exact projection
+    pos, neg = make_clouds(np.random.default_rng(4))
+    specs = [C.centroid_constraint(C.fit_centroid_model(pos, neg), 0.5),
+             C.custom_constraint(lambda y: 0.0, lambda y: np.zeros_like(y))]
+    for spec in specs:
+        assert not C.has_exact_projection(spec)
+        with pytest.raises(UnsupportedKindError):
+            C.project_exact(spec, np.zeros(2))
 
 
 def test_projection_zeroes_violation():
@@ -344,7 +351,7 @@ def test_projection_zeroes_violation():
     for spec in specs:
         for _ in range(200):
             x = 5 * rng.standard_normal(3)
-            y = C.project_closed_form(spec, x)
+            y = C.project_exact(spec, x)
             assert C.violation(spec, y) <= spec.delta * 1e-3
 
 
@@ -355,8 +362,8 @@ def test_projection_idempotent_bit_exact():
     for spec in specs:
         for _ in range(100):
             x = 4 * rng.standard_normal(2)
-            y = C.project_closed_form(spec, x)
-            assert np.array_equal(C.project_closed_form(spec, y), y)
+            y = C.project_exact(spec, x)
+            assert np.array_equal(C.project_exact(spec, y), y)
 
 
 def test_projection_nonexpansive():
@@ -366,8 +373,8 @@ def test_projection_nonexpansive():
     for spec in specs:
         for _ in range(1000):
             x, y = 3 * rng.standard_normal((2, 2))
-            px = C.project_closed_form(spec, x)
-            py = C.project_closed_form(spec, y)
+            px = C.project_exact(spec, x)
+            py = C.project_exact(spec, y)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -397,6 +404,38 @@ def test_prox_distance_monotone_in_weight():
              for lam in [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2]]
     assert all(a <= b + 1e-9 for a, b in zip(dists, dists[1:]))
     assert dists[0] < 1e-2  # prox -> identity as lam -> 0
+
+
+def centroid_prox_closed_form(spec, x, lam):
+    """argmin_y g(y) + ||y - x||^2 / (2 lam) for g(y) = max(||B y - q - c||
+    - r, 0), B = axes @ feature_map with B B^T = I: the prox of a distance
+    on the preimage of a co-isometry (Bauschke & Combettes)."""
+    m = spec.model
+    B = m.axes @ m.feature_map
+    u = C.pc_coordinates(m, x) - m.target_centroid
+    s, r = np.linalg.norm(u), spec.accept_radius
+    if s <= r:
+        return x
+    if s <= r + lam:
+        return x - B.T @ u * (1.0 - r / s)
+    return x - lam * B.T @ u / s
+
+
+@pytest.mark.parametrize("weight", [0.01, 1.0, 50.0])
+def test_centroid_prox_matches_its_closed_form(weight):
+    # g has a kink at the disc's edge, where the gradient stays away from
+    # 0 and every halving of the line search fails; prox then returns its
+    # point instead of running to its cap
+    cfg = RunConfig.from_dict(EXP.centroid_config(chains=1, out="unused"))
+    spec = build_constraint(cfg["constraint"])
+    B = spec.model.axes @ spec.model.feature_map
+    np.testing.assert_allclose(B @ B.T, np.eye(2), rtol=0, atol=1e-12)
+    points = [np.array([9.0, 9.0, 9.0, 9.0]), np.array([-5.0, 3.0, -2.0, 4.0]),
+              *3 * np.random.default_rng(12).standard_normal((4, 4))]
+    for x in points:
+        np.testing.assert_allclose(
+            C.prox(spec, x, weight),
+            centroid_prox_closed_form(spec, x, weight), rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

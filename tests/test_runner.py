@@ -254,8 +254,8 @@ def test_cli_design_prints_manifest_summary(tmp_path, capsys):
         "summary"]
     assert summary == [
         "experiment design_loop: 2/2 chains completed",
-        "counters: 10 design steps, 778 simulator evaluation(s) in 11 "
-        "call(s)",
+        "counters: design_steps 10, simulator_calls 11, "
+        "simulator_evaluations 778",
         "check design_mse_ratio: pass"]
     assert printed[-len(summary):] == summary
 
@@ -739,6 +739,32 @@ def test_cli_diagnose_prints_counters_before_contraction(tmp_path, capsys):
     assert lines[1].startswith("transitions: ")
 
 
+@pytest.mark.parametrize("command", ["sample", "design"])
+def test_cli_diagnose_prints_the_summary_counters_line(tmp_path, capsys,
+                                                      command):
+    # a run prints its counters in the key order of its saved manifest, so
+    # diagnose prints the same line; a design run's metrics.csv holds no
+    # sampling trace, so diagnose has nothing more to report
+    out = tmp_path / "run"
+    if command == "design":
+        cfg = dict(EXP.design_loop_config(seed=0, out=str(out)), chains=2)
+    else:
+        cfg = dict(minimal_config(out), reports={"contraction": True})
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main([command, "--config", str(path)]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary[1].startswith("counters: ")
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == summary[1]
+    if command == "design":
+        assert lines[1:] == ["run has no constraint/decoder or no completed "
+                             "chain; nothing to diagnose"]
+    else:
+        assert lines[1].startswith("transitions: ")
+
+
 def test_cli_project_roundtrip(tmp_path):
     from latentprox.serialize import load_vector, save_vector
     cfg = {"seed": 0, "out": str(tmp_path / "o"),
@@ -884,14 +910,14 @@ def test_manifest_counters_match_metrics_and_traces(tmp_path):
         "shortfalls": shortfalls, "alm_projections": 0,
         "alm_unconverged": 0, "alm_inner_iterations": 0,
         "simulator_evaluations": 0, "simulator_calls": 0}
-    assert (f"counters: {phases.count('langevin')} Langevin steps, "
-            f"{phases.count('correction')} correction iterations, "
-            f"correction stops {stops['converged']} converged / "
+    assert (f"counters: alm_inner_iterations 0, alm_projections 0, "
+            f"alm_unconverged 0, "
+            f"correction_iterations {phases.count('correction')}, "
+            f"correction_stops {stops['converged']} converged / "
             f"{stops['stagnated']} stagnated / {stops['capped']} capped, "
-            f"{shortfalls} shortfall(s), 0 ALM projection(s), "
-            f"0 unconverged, 0 ALM inner iteration(s), "
-            f"0 simulator evaluation(s) in 0 call(s)") \
-        in manifest["summary"]
+            f"langevin_steps {phases.count('langevin')}, "
+            f"shortfalls {shortfalls}, simulator_calls 0, "
+            f"simulator_evaluations 0") in manifest["summary"]
 
 
 def test_manifest_counts_dpo_solver_simulator_work(tmp_path):
@@ -909,8 +935,8 @@ def test_manifest_counts_dpo_solver_simulator_work(tmp_path):
     assert iterations > 0
     assert counters["simulator_evaluations"] == (16 + 1) * iterations
     assert counters["simulator_calls"] == 2 * iterations
-    assert any(f"{(16 + 1) * iterations} simulator evaluation(s) in "
-               f"{2 * iterations} call(s)" in line
+    assert any(f"simulator_calls {2 * iterations}, "
+               f"simulator_evaluations {(16 + 1) * iterations}" in line
                for line in manifest["summary"])
 
 
@@ -938,6 +964,7 @@ def test_manifest_counts_alm_projections(tmp_path):
     assert counters["alm_unconverged"] == unconverged
     inner = sum(rep.inner_iterations for rep in reports)
     assert inner > 0 and counters["alm_inner_iterations"] == inner
-    assert any(f"{len(rows)} ALM projection(s), {unconverged} unconverged, "
-               f"{inner} ALM inner iteration(s)"
-               in line for line in manifest["summary"])
+    assert any(line.startswith(
+        f"counters: alm_inner_iterations {inner}, alm_projections "
+        f"{len(rows)}, alm_unconverged {unconverged}, ")
+        for line in manifest["summary"])

@@ -184,6 +184,23 @@ def test_projected_ambient_requires_exact_projection():
                           constraint=con, solver="alm")
 
 
+@pytest.mark.parametrize("kind", ["custom_g", "surrogate_centroid"])
+def test_closed_form_solver_requires_exact_projection(kind):
+    # one rule covers every kind with no exact projection
+    sched = small_schedule()
+    rng = np.random.default_rng(13)
+    spec = {"custom_g": C.custom_constraint(lambda y: 0.0,
+                                            lambda y: np.zeros_like(y)),
+            "surrogate_centroid": C.centroid_constraint(C.fit_centroid_model(
+                rng.standard_normal((20, 3)) + 2.0,
+                rng.standard_normal((20, 3)) - 2.0), 0.5)}[kind]
+    with pytest.raises(ConfigError, match=f"^{kind} has no exact projection; "
+                       "choose the alm or dpo solver$"):
+        SamplerConfig(schedule=sched, score=standard_normal_field(2, sched),
+                      mode="proximal_latent", constraint=spec,
+                      decoder=random_linear_decoder(2, 3, seed=5))
+
+
 def test_identity_constraint_equivalence_all_modes():
     sched = small_schedule()
     lat = standard_normal_field(2, sched)
