@@ -106,6 +106,10 @@ def _cmd_project(args) -> int:
     if spec is None:
         raise ConfigError("project needs a constraint section")
     x = load_vector(args.input)
+    need = C.point_dim(spec)
+    if need is not None and x.size != need:
+        raise ShapeError(f"input has {x.size} values; the {spec.kind} "
+                         f"constraint takes {need}")
     if args.prox:
         y = C.prox(spec, x, args.weight)
     else:
@@ -124,9 +128,11 @@ def _cmd_diagnose(args) -> int:
     cfg = manifest_config(manifest)
     spec = build_constraint(cfg["constraint"])
     decoder = build_decoder(cfg["decoder"])
-    # a design run's metrics.csv holds mse rows, not sampling traces
-    sampled = (manifest.data.get("experiment_kind") != "design"
-               and spec is not None and decoder is not None)
+    if manifest.data.get("experiment_kind") == "design":
+        print("design run: its metrics.csv holds MSE rows and no sampling "
+              "trace; nothing to diagnose")
+        return EXIT_OK
+    sampled = spec is not None and decoder is not None
     traces = load_traces(run_dir / "metrics.csv") if sampled else []
     if not traces:
         print("run has no constraint/decoder or no completed chain; "

@@ -9,6 +9,7 @@ platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,20 +51,39 @@ def porosity(grid) -> int:
     return int(np.count_nonzero(grid < 0.0))
 
 
-def _count_adjust(flat: np.ndarray, K: int, tau: float) -> np.ndarray:
-    """Flip the cheapest pixels (by L1 cost) until exactly K are negative."""
+def _count_adjust(flat: np.ndarray, K: int,
+                  tau: float) -> tuple[np.ndarray, int]:
+    """Flip the cheapest pixels (by L1 cost) until exactly K are negative.
+
+    Returns the adjusted copy of the flat grid and c, its count of negative
+    pixels.  In ascending value order the c negative pixels come first, so
+    the flips are the pixels at ranks c..K-1 (the smallest non-negative
+    ones, set to -tau) or K..c-1 (the negative ones closest to zero, set to
+    0).  One partition finds the value thr at the far end of that range;
+    every pixel strictly inside it flips, and of the pixels tied at thr
+    (-0.0 and 0.0 among them) those earliest in row-major order.
+    """
     out = flat.copy()
-    neg = out < 0.0
-    c = int(neg.sum())
+    neg = flat < 0.0
+    c = int(np.count_nonzero(neg))
     if c < K:
-        idx = np.flatnonzero(~neg)
-        order = idx[np.argsort(out[idx], kind="stable")]
-        out[order[:K - c]] = -tau
+        thr = np.partition(flat, K - 1)[K - 1]
+        flip = flat <= thr
+        flip &= ~neg
+        value, count = -tau, K - c
     elif c > K:
-        idx = np.flatnonzero(neg)
-        order = idx[np.argsort(-out[idx], kind="stable")]
-        out[order[:c - K]] = 0.0
-    return out
+        thr = np.partition(flat, K)[K]
+        flip = flat >= thr
+        flip &= neg
+        value, count = 0.0, c - K
+    else:
+        return out, c
+    surplus = int(np.count_nonzero(flip)) - count
+    if surplus:
+        # keep the ties at thr that come last in row-major order
+        flip[np.flatnonzero(flat == thr)[-surplus:]] = False
+    out[flip] = value
+    return out, c
 
 
 def project_porosity(grid, K: int, tau: float = DEFAULT_MARGIN) -> np.ndarray:
@@ -79,7 +99,29 @@ def project_porosity(grid, K: int, tau: float = DEFAULT_MARGIN) -> np.ndarray:
         raise ParameterError(f"K={K} outside 0..{n_pix}")
     if not 0.0 < tau <= 0.01:
         raise ParameterError("margin tau must lie in (0, 0.01]")
-    return _count_adjust(grid.ravel(), K, tau).reshape(grid.shape)
+    return _count_adjust(grid.ravel(), K, tau)[0].reshape(grid.shape)
+
+
+def _pixels(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
+    """A porosity point's pixels in row-major order, once their number
+    matches the grid; any shape of that size is taken."""
+    rows, cols = spec.grid_shape
+    if x.size != rows * cols:
+        raise ShapeError(f"porosity point has {x.size} values; the "
+                         f"{rows}x{cols} grid needs {rows * cols}")
+    return x.ravel()
+
+
+def _project_pixels(spec: ConstraintSpec,
+                    flat: np.ndarray) -> tuple[np.ndarray, int]:
+    """The projection of a porosity point's flat pixels, and their count
+    of negative pixels."""
+    # choose flip sets on the unclamped values so costs stay L1-optimal,
+    # then clamp into the pixel box
+    y, c = _count_adjust(flat, spec.target_count, spec.margin)
+    np.maximum(y, -1.0, out=y)
+    np.minimum(y, 1.0, out=y)
+    return y, c
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +295,25 @@ def custom_constraint(g, grad=None, **kw) -> ConstraintSpec:
     return ConstraintSpec(kind="custom_g", g=g, grad=grad, **kw)
 
 
+def point_dim(spec: ConstraintSpec) -> int | None:
+    """Length of the points spec takes, or None where any length fits: a
+    custom g, an l2 ball about the origin, a box with scalar bounds."""
+    if spec.kind == "halfspace":
+        return spec.normal.size
+    if spec.kind == "l2_ball":
+        return None if spec.center is None else spec.center.size
+    if spec.kind == "box":
+        shape = np.broadcast_shapes(spec.lower.shape, spec.upper.shape)
+        return shape[-1] if shape else None
+    if spec.kind == "porosity":
+        rows, cols = spec.grid_shape
+        return rows * cols
+    if spec.kind == "surrogate_centroid":
+        fmap = spec.model.feature_map
+        return spec.model.axes.shape[1] if fmap is None else fmap.shape[1]
+    return None
+
+
 def _float_if_point(v):
     """A point's 0-d result as a float; a batch's per-row array as it is."""
     return float(v) if v.ndim == 0 else v
@@ -284,13 +345,11 @@ def _violation(spec: ConstraintSpec, x: np.ndarray) -> float | np.ndarray:
     if spec.kind == "porosity":
         # clamping into the pixel box keeps every sign, so the count of the
         # clamped grid is the count of the raw values
-        grid = x.reshape(spec.grid_shape)
-        return float(abs(int(np.count_nonzero(grid < 0.0))
+        return float(abs(int(np.count_nonzero(_pixels(spec, x) < 0.0))
                          - spec.target_count))
     if spec.kind == "surrogate_centroid":
-        p = pc_coordinates(spec.model, x)
-        d = np.linalg.norm(p - spec.model.target_centroid)
-        return float(max(d - spec.accept_radius, 0.0))
+        diff = pc_coordinates(spec.model, x) - spec.model.target_centroid
+        return max(math.sqrt(diff.dot(diff)) - spec.accept_radius, 0.0)
     if spec.kind == "custom_g":
         return float(spec.g(x))
     raise ConfigError(f"unknown constraint kind {spec.kind!r}")
@@ -332,9 +391,10 @@ def _violation_and_gradient(spec: ConstraintSpec,
         m = spec.model
         p = pc_coordinates(m, x)
         diff = p - m.target_centroid
-        nrm = np.linalg.norm(diff)
-        v = float(max(nrm - spec.accept_radius, 0.0))
-        if not np.isfinite(nrm):
+        # the bits of np.linalg.norm on a 1-D float vector
+        nrm = math.sqrt(diff.dot(diff))
+        v = max(nrm - spec.accept_radius, 0.0)
+        if not math.isfinite(nrm):
             return v, np.full_like(x, np.nan)
         if nrm <= spec.accept_radius or nrm == 0.0:
             return v, np.zeros_like(x)
@@ -418,11 +478,7 @@ def _project_exact(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "box":
         return np.clip(x, spec.lower, spec.upper)
     if spec.kind == "porosity":
-        # choose flip sets on the unclamped values so costs stay L1-optimal,
-        # then clamp into the pixel box
-        flat = _count_adjust(x.reshape(spec.grid_shape).ravel(),
-                             spec.target_count, spec.margin)
-        return np.clip(flat, -1.0, 1.0).reshape(x.shape)
+        return _project_pixels(spec, _pixels(spec, x))[0].reshape(x.shape)
     raise UnsupportedKindError(f"no exact projection for kind {spec.kind!r}")
 
 
@@ -460,17 +516,24 @@ def evaluate(spec: ConstraintSpec, x) -> tuple[float, float, np.ndarray | None]:
     ``x - project_exact(spec, x)`` bit for bit; ``dist_to_set`` returns the
     distance.  The residual is the closed-form correction direction at x;
     kinds without an exact projection return None for it and their
-    violation as the distance.
+    violation as the distance.  A porosity point takes one pass: its
+    negative count gives the violation, the flips chosen from that count
+    and the clamp give the residual, and its norm is the distance.
     """
     x = _as_point(x)
+    if spec.kind == "porosity":
+        flat = _pixels(spec, x)
+        y, c = _project_pixels(spec, flat)
+        r = flat - y
+        # the bits of np.linalg.norm on a 1-D float vector
+        return (float(abs(c - spec.target_count)), math.sqrt(r.dot(r)),
+                r.reshape(x.shape))
     v = _violation(spec, x)
     if not has_exact_projection(spec):
         return v, v, None
     residual = x - _project_exact(spec, x)
     if spec.kind == "halfspace":
         return v, v / float(np.linalg.norm(spec.normal)), residual
-    if spec.kind == "porosity":
-        return v, float(np.linalg.norm(residual)), residual
     return v, v, residual
 
 

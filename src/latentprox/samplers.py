@@ -19,6 +19,7 @@ decision to keep both shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,7 @@ class SamplerConfig:
             raise ConfigError("projected_ambient requires a constraint with "
                               "an exact projection")
         if con is not None:
+            self._check_point_dim(con)
             if con.kind == "porosity" and self.solver != "closed_form":
                 raise ConfigError("porosity constraints require the "
                                   "closed_form solver")
@@ -151,6 +153,20 @@ class SamplerConfig:
                 raise ConfigError("dpo solver requires simulator and dpo config")
             if self.solver == "alm" and self.alm is None:
                 self.alm = AlmState(tol=con.delta)
+
+    def _check_point_dim(self, con: C.ConstraintSpec) -> None:
+        """The constraint takes the points the mode checks: decodes in
+        proximal_latent, chain states in projected_ambient."""
+        if self.mode == "proximal_latent":
+            where, dim = "decoder's ambient_dim", self.decoder.ambient_dim
+        elif self.mode == "projected_ambient":
+            where, dim = "score's dim", self.score.dim
+        else:
+            return
+        need = C.point_dim(con)
+        if need is not None and need != dim:
+            raise ConfigError(f"{con.kind} constraint takes {need}-d points, "
+                              f"but the {where} is {dim}")
 
     def lr_at(self, t: int) -> float:
         return self.lr if self.lr is not None else 0.1 * self.schedule.gamma_at(t)
@@ -252,7 +268,8 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
         if alm_report is not None:
             trace.alm_reports.append((t, i + 1, alm_report))
         g = vjp_unchecked(dec, z, correction + (x - x0) / lam)
-        g_norm = float(np.linalg.norm(g))
+        # the bits of np.linalg.norm on a 1-D float vector
+        g_norm = math.sqrt(g.dot(g))
         if z_prev is None:
             g0_norm = g_norm
         elif secant:

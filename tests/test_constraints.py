@@ -8,7 +8,8 @@ from hypothesis import example, given, strategies as st
 from latentprox import constraints as C
 from latentprox import experiments as EXP
 from latentprox.errors import (ConfigError, DegeneracyError, NumericError,
-                               ParameterError, UnsupportedKindError)
+                               ParameterError, ShapeError,
+                               UnsupportedKindError)
 from latentprox.runner import RunConfig, build_constraint
 
 
@@ -136,13 +137,21 @@ def test_porosity_projection_properties(values, K):
 
 
 def assert_evaluate_matches(spec, x):
-    """evaluate is bit-equal to violation, dist_to_set and the residual of
-    project_exact, each called on its own."""
+    """evaluate is bit-equal to violation, the residual of project_exact and
+    a distance computed without it: the norm of that residual for porosity,
+    violation / |a| for a halfspace, the violation for l2_ball and box."""
     v, d, residual = C.evaluate(spec, x)
     assert type(v) is float and type(d) is float
     assert v == C.violation(spec, x)
-    assert d == C.dist_to_set(spec, x)
-    assert np.array_equal(residual, x - C.project_exact(spec, x))
+    projected = C.project_exact(spec, x)
+    assert np.array_equal(residual, x - projected)
+    if spec.kind == "porosity":
+        dist = float(np.linalg.norm(x - projected))
+    elif spec.kind == "halfspace":
+        dist = C.violation(spec, x) / float(np.linalg.norm(spec.normal))
+    else:
+        dist = C.violation(spec, x)
+    assert d == dist
     return v, d, residual
 
 
@@ -206,6 +215,85 @@ def test_evaluate_porosity_counts_above_and_below_target():
         assert v == gap
         assert d == float(np.linalg.norm(residual))
         assert C.porosity(np.clip((x - residual).reshape(3, 3), -1, 1)) == K
+
+
+def reference_porosity_projection(x, K, tau):
+    """The count correction as separate steps: rank the non-negative pixels
+    (or the negative ones) on their own, flip the cheapest, then clamp."""
+    flat = x.ravel().copy()
+    neg = flat < 0.0
+    c = int(neg.sum())
+    if c < K:
+        idx = np.flatnonzero(~neg)
+        flat[idx[np.argsort(flat[idx], kind="stable")][:K - c]] = -tau
+    elif c > K:
+        idx = np.flatnonzero(neg)
+        flat[idx[np.argsort(-flat[idx], kind="stable")][:c - K]] = 0.0
+    return np.clip(flat, -1.0, 1.0).reshape(x.shape)
+
+
+def workload_porosity_points():
+    """16x16 points against K = 77 around every branch of the flip rule."""
+    rng = np.random.default_rng(19)
+    n, K = 256, 77
+    below = rng.uniform(-0.2, 1.0, n)                 # c < K
+    above = rng.uniform(-1.0, 0.2, n)                 # c > K
+    exact = np.abs(rng.uniform(-1.0, 1.0, n))         # c == K
+    exact[rng.choice(n, K, replace=False)] *= -1.0
+    # 40 negatives and 60 zeros of both signs, scattered; the zeros tie at
+    # the flip boundary and 37 of them flip, in row-major order
+    zeros_tie = rng.uniform(0.1, 1.0, n)
+    perm = rng.permutation(n)
+    zeros_tie[perm[:40]] = -0.5
+    zeros_tie[np.sort(perm[40:100])] = np.where(np.arange(60) % 3, 0.0, -0.0)
+    # 120 negatives, 80 of them tied closest to zero: 43 flip to 0
+    neg_tie = rng.uniform(0.1, 1.0, n)
+    negative = rng.choice(n, 120, replace=False)
+    neg_tie[negative] = -0.75
+    neg_tie[rng.choice(negative, 80, replace=False)] = -1e-3
+    # pixels far outside [-1, 1] on both sides of the count
+    wide_below = rng.uniform(-3.0, 3.0, n) + 1.5
+    wide_above = rng.uniform(-3.0, 3.0, n) - 1.5
+    return K, {"below": below, "above": above, "exact": exact,
+               "zeros_tie": zeros_tie, "neg_tie": neg_tie,
+               "wide_below": wide_below, "wide_above": wide_above,
+               "grid_shaped": below.reshape(16, 16)}
+
+
+@pytest.mark.parametrize("case", sorted(workload_porosity_points()[1]))
+def test_evaluate_porosity_at_workload_size(case):
+    K, points = workload_porosity_points()
+    x = points[case]
+    spec = C.porosity_constraint((16, 16), K, margin=1e-3)
+    c = int(np.count_nonzero(x < 0.0))
+    v, d, residual = assert_evaluate_matches(spec, x)
+    assert v == abs(c - K)
+    assert residual.shape == x.shape
+    projected = C.project_exact(spec, x)
+    assert np.array_equal(projected, reference_porosity_projection(x, K, 1e-3))
+    assert C.porosity(projected.reshape(16, 16)) == K
+    if case.startswith("wide"):
+        assert np.abs(x).max() > 1.0 and np.abs(projected).max() == 1.0
+
+
+def test_porosity_ties_flip_in_row_major_order():
+    K, points = workload_porosity_points()
+    spec = C.porosity_constraint((16, 16), K, margin=1e-3)
+    x = points["zeros_tie"]
+    y = C.project_exact(spec, x)
+    assert np.array_equal(np.flatnonzero(y == -1e-3),
+                          np.flatnonzero(x == 0.0)[:37])
+    x = points["neg_tie"]
+    y = C.project_exact(spec, x)
+    assert np.array_equal(np.flatnonzero(y == 0.0),
+                          np.flatnonzero(x == -1e-3)[:43])
+
+
+@pytest.mark.parametrize("fn", [C.evaluate, C.violation, C.project_exact])
+def test_porosity_point_of_wrong_size_is_rejected(fn):
+    spec = C.porosity_constraint((16, 16), 77)
+    with pytest.raises(ShapeError, match="255 values"):
+        fn(spec, np.zeros(255))
 
 
 def test_evaluate_smooth_kinds_have_no_residual():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from latentprox import constraints as C
 from latentprox import experiments as EXP
 from latentprox.cli import main as cli_main
 from latentprox.errors import ConfigError
@@ -759,8 +760,8 @@ def test_cli_diagnose_prints_the_summary_counters_line(tmp_path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == summary[1]
     if command == "design":
-        assert lines[1:] == ["run has no constraint/decoder or no completed "
-                             "chain; nothing to diagnose"]
+        assert lines[1:] == ["design run: its metrics.csv holds MSE rows "
+                             "and no sampling trace; nothing to diagnose"]
     else:
         assert lines[1].startswith("transitions: ")
 
@@ -776,6 +777,56 @@ def test_cli_project_roundtrip(tmp_path):
                    "--out", str(tmp_path / "y.txt")])
     assert rc == 0
     assert np.allclose(load_vector(tmp_path / "y.txt"), [0.6, 0.8])
+
+
+def test_cli_sample_rejects_a_grid_that_does_not_fit_the_decoder(tmp_path,
+                                                                 capsys):
+    raw = yaml.safe_load((ROOT / "configs" / "porosity.yaml").read_text())
+    raw["constraint"]["grid"] = [8, 8]
+    path = write_yaml(tmp_path / "cfg.yaml", dict(raw, out=str(tmp_path / "p")))
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    assert ("porosity constraint takes 64-d points, but the decoder's "
+            "ambient_dim is 256") in capsys.readouterr().err
+    assert not (tmp_path / "p" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("name, kind, dim", [
+    ("porosity", "porosity", 256), ("halfspace_contraction", "halfspace", 3)])
+def test_cli_project_rejects_a_vector_of_the_wrong_length(tmp_path, capsys,
+                                                         name, kind, dim):
+    from latentprox.serialize import save_vector
+    vec = tmp_path / "x.txt"
+    save_vector(np.zeros(10), vec)
+    rc = cli_main(["project", "--config", str(ROOT / "configs" / f"{name}.yaml"),
+                   "--input", str(vec), "--out", str(tmp_path / "y.txt")])
+    assert rc == 3
+    assert (f"input has 10 values; the {kind} constraint takes {dim}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "y.txt").exists()
+
+
+def test_porosity_one_pass_evaluate_matches_the_composed_reference(
+        tmp_path, monkeypatch):
+    # the chain loop's one-pass evaluate and the reference built from the
+    # separate violation, projection and norm give the same run files
+    raw = yaml.safe_load((ROOT / "configs" / "porosity.yaml").read_text())
+    fast, composed = tmp_path / "fast", tmp_path / "composed"
+    run_experiment(RunConfig.from_dict(dict(raw, chains=2, out=str(fast))))
+    calls = []
+
+    def composed_evaluate(spec, x):
+        calls.append(1)
+        residual = x - C.project_exact(spec, x)
+        return C.violation(spec, x), float(np.linalg.norm(residual)), residual
+
+    monkeypatch.setattr(C, "evaluate", composed_evaluate)
+    run_experiment(RunConfig.from_dict(dict(raw, chains=2,
+                                            out=str(composed))))
+    assert calls
+    names = sorted(p.name for p in (fast / "samples").iterdir())
+    assert names == sorted(p.name for p in (composed / "samples").iterdir())
+    for rel in ["metrics.csv"] + [f"samples/{name}" for name in names]:
+        assert (fast / rel).read_bytes() == (composed / rel).read_bytes(), rel
 
 
 def test_cli_design(tmp_path):

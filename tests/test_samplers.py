@@ -184,6 +184,41 @@ def test_projected_ambient_requires_exact_projection():
                           constraint=con, solver="alm")
 
 
+def test_constraint_must_take_the_points_the_mode_checks():
+    sched = small_schedule()
+    f = standard_normal_field(2, sched)
+    with pytest.raises(ConfigError, match="^porosity constraint takes 64-d "
+                       "points, but the decoder's ambient_dim is 256$"):
+        SamplerConfig(schedule=sched, score=f, mode="proximal_latent",
+                      decoder=random_linear_decoder(2, 256, seed=5),
+                      constraint=C.porosity_constraint((8, 8), 19))
+    with pytest.raises(ConfigError, match="^halfspace constraint takes 3-d "
+                       "points, but the score's dim is 2$"):
+        SamplerConfig(schedule=sched, score=f, mode="projected_ambient",
+                      constraint=C.halfspace([1.0, 0.0, 0.0], 0.5))
+    # a ball about the origin takes points of any length, and an
+    # unconstrained chain never checks its points
+    SamplerConfig(schedule=sched, score=f, mode="projected_ambient",
+                  constraint=C.l2_ball(1.0))
+    SamplerConfig(schedule=sched, score=f, mode="unconstrained",
+                  constraint=C.halfspace([1.0, 0.0, 0.0], 0.5))
+
+
+def test_point_dim_of_each_kind():
+    rng = np.random.default_rng(13)
+    model = C.fit_centroid_model(rng.standard_normal((20, 3)) + 2.0,
+                                 rng.standard_normal((20, 3)) - 2.0,
+                                 feature_map=np.ones((3, 5)))
+    assert C.point_dim(C.halfspace([1.0, 2.0, 3.0], 0.0)) == 3
+    assert C.point_dim(C.l2_ball(1.0, center=[0.0, 1.0])) == 2
+    assert C.point_dim(C.l2_ball(1.0)) is None
+    assert C.point_dim(C.box([-1.0] * 4, [1.0] * 4)) == 4
+    assert C.point_dim(C.box(-1.0, 1.0)) is None
+    assert C.point_dim(C.porosity_constraint((16, 16), 77)) == 256
+    assert C.point_dim(C.centroid_constraint(model, 0.5)) == 5
+    assert C.point_dim(C.custom_constraint(lambda y: 0.0)) is None
+
+
 @pytest.mark.parametrize("kind", ["custom_g", "surrogate_centroid"])
 def test_closed_form_solver_requires_exact_projection(kind):
     # one rule covers every kind with no exact projection
