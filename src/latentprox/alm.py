@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlmNonConvergence, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class AlmReport:
     final_multiplier: float
     final_penalty: float
     converged: bool
-    point: np.ndarray
 
 
 def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]:
@@ -70,9 +69,10 @@ def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]
     termination and multiplier updates, and its gradient away from the zero
     set (zero on it).  It need not check its input: a non-finite anchor or
     accepted step raises NumericError, and a trial whose value is not finite
-    fails the line-search test, so the step is halved.  Raises
-    AlmNonConvergence carrying the report when the outer cap is hit with
-    g(y) >= tol; the caller may accept the attached best iterate.
+    fails the line-search test, so the step is halved.  Returns the best
+    iterate (least violation) and the report; ``converged`` is False when
+    the outer cap is hit with g(y) >= tol, and the caller decides whether to
+    use that iterate.
     """
     anchor = np.asarray(anchor, dtype=float)
     if not np.isfinite(anchor).all():
@@ -89,18 +89,12 @@ def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]
         return 0.5 * d2 + lam * v + 0.5 * mu * v * v
 
     y, v, grad_g, d, d2 = evaluate(anchor.copy())
-    best_y, best_v = y.copy(), v
+    # no step changes y in place, so the best iterate needs no copy
+    best_y, best_v = y, v
     for outer in range(state.max_outer + 1):
         if v < best_v:
-            best_v, best_y = v, y.copy()
-        if v < state.tol:
-            return y, AlmReport(outer_iterations=outer,
-                                inner_iterations=inner_total,
-                                final_violation=v,
-                                final_distance=float(np.linalg.norm(d)),
-                                final_multiplier=lam, final_penalty=mu,
-                                converged=True, point=y)
-        if outer == state.max_outer:
+            best_y, best_v = y, v
+        if v < state.tol or outer == state.max_outer:
             break
         for _ in range(state.max_inner):
             grad = d + (lam + mu * v) * np.asarray(grad_g, float)
@@ -120,13 +114,8 @@ def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]
             y, v, grad_g, d, d2 = trial
         lam = lam + mu * v
         mu = min(state.growth * mu, state.penalty_cap)
-
-    report = AlmReport(outer_iterations=state.max_outer,
-                       inner_iterations=inner_total,
-                       final_violation=best_v,
-                       final_distance=float(np.linalg.norm(best_y - anchor)),
-                       final_multiplier=lam, final_penalty=mu,
-                       converged=False, point=best_y)
-    raise AlmNonConvergence(
-        f"violation {best_v:.3e} still above tol {state.tol:.1e} after "
-        f"{state.max_outer} outer iterations", report)
+    return best_y, AlmReport(
+        outer_iterations=outer, inner_iterations=inner_total,
+        final_violation=best_v,
+        final_distance=float(np.linalg.norm(best_y - anchor)),
+        final_multiplier=lam, final_penalty=mu, converged=best_v < state.tol)

@@ -1,7 +1,8 @@
 """Command-line surface: sample, train-score, design, project, diagnose.
 
 Exit codes: 0 success, 2 acceptance-check failure or a failed chain,
-3 configuration error, 4 numeric divergence (of the run or of one chain).
+3 configuration error (a bad value, a degenerate fit or a path that cannot
+be used), 4 numeric divergence (of the run or of one chain).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import constraints as C
 from .diagnostics import check_run_contraction
-from .errors import (ConfigError, DivergenceError, NumericError,
-                     ParameterError, ShapeError)
+from .errors import (ConfigError, DegeneracyError, DivergenceError,
+                     NumericError, ParameterError, ShapeError)
 from .runner import (RunConfig, RunManifest, build_constraint, build_decoder,
                      build_schedule, build_score, counters_line, load_config,
                      load_traces, manifest_config, run_design, run_experiment)
@@ -202,8 +203,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParameterError, ShapeError) as exc:
-        # a builder rejects an out-of-range or misshapen config value
+    except (ConfigError, ParameterError, ShapeError, DegeneracyError,
+            FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
+        # a builder rejects an out-of-range, misshapen or degenerate config
+        # value, or a path the command was given cannot be used
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, NumericError) as exc:

@@ -237,7 +237,6 @@ class ConstraintSpec:
     accept_radius: float | None = None
     g: Callable | None = None            # custom_g callables
     grad: Callable | None = None
-    smoothness: float = 1.0              # L used by the bound checker
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -6,7 +6,7 @@ The feasibility check evaluates the per-transition contraction inequality
                           + gamma_{t+1}^2 G^2
 
 on consecutive pre-correction iterates of a trace, with G the largest score
-norm observed, ell the decoder bound, and beta' = beta / (ell * L).  The
+norm observed, ell the decoder bound, and beta' = beta / ell.  The
 fidelity check evaluates the one-sided KL drift bound per level and
 cumulatively.  KL and Frechet distances are evaluated in closed form on
 Gaussian moment fits, which is exact for linear-Gaussian suites.
@@ -75,8 +75,7 @@ def check_feasibility_contraction(trace: SampleTrace,
     ell = decoder.lipschitz_bound
     if ell is None:
         ell = estimate_lipschitz(decoder, 64, np.random.default_rng(0))
-    L = constraint.smoothness
-    beta_prime = beta / (ell * L)
+    beta_prime = beta / ell
     gammas = np.array([r.gamma for r in pre])
     precondition_ok = bool(np.all(gammas <= beta / (2.0 * G * G) + SLACK_TOL)) \
         if G > 0 else True

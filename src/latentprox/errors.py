@@ -55,15 +55,3 @@ class SimulatorError(RuntimeError):
         super().__init__(message)
         self.perturbation_index = perturbation_index
 
-
-class AlmNonConvergence(ConvergenceError):
-    """Augmented Lagrangian projection hit its outer cap while infeasible.
-
-    The attached ``report`` carries the best iterate found so the caller can
-    decide whether to accept it.
-    """
-
-    def __init__(self, message, report):
-        super().__init__(message, residual=report.final_violation,
-                         iterations=report.outer_iterations)
-        self.report = report

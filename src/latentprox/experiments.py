@@ -290,12 +290,11 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         corrects = cfg.corrects_at(t)
-        for _ in range(sched.inner_steps):
+        for i in range(1, sched.inner_steps + 1):
             Z, _ = langevin_step(Z, cfg.score, t, gamma, rng, cfg.noise_scale)
-            if corrects and cfg.correct_every_step:
+            if corrects and (cfg.correct_every_step
+                             or i == sched.inner_steps):
                 Z = _correct_batch(cfg, Z, t)
-        if corrects and not cfg.correct_every_step:
-            Z = _correct_batch(cfg, Z, t)
     # a non-finite latent stays non-finite, so one check covers every step
     bad = np.count_nonzero(~np.isfinite(Z).all(axis=1))
     if bad:

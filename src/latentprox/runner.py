@@ -69,8 +69,7 @@ SCHEMA = {
                    "model": {"axes": REQUIRED, "feature_mean": REQUIRED,
                              "target_centroid": REQUIRED,
                              "forbidden_centroid": REQUIRED,
-                             "p_trig": REQUIRED, "feature_map": None},
-                   "smoothness": 1.0},
+                             "p_trig": REQUIRED, "feature_map": None}},
     "sampler": {"mode": "proximal_latent", "solver": "closed_form",
                 "lr": None, "inner_cap": 500, "final_projection": True,
                 "noise_scale": 1.0, "correct_levels": None,
@@ -306,7 +305,7 @@ def build_constraint(cfg: dict | None) -> C.ConstraintSpec | None:
     if cfg is None:
         return None
     kind = cfg["kind"]
-    common = {key: cfg[key] for key in ("delta", "prox_weight", "smoothness")}
+    common = {key: cfg[key] for key in ("delta", "prox_weight")}
     if kind == "halfspace":
         return C.halfspace(cfg["normal"], cfg["offset"], **common)
     if kind == "l2_ball":
@@ -721,7 +720,8 @@ RETIRED_KEYS = {("schedule", "abar_start"): 1.0,
                 ("dpo", "baseline"): True,
                 ("design", "mode"): "chain",
                 ("checks", "feasible_final"): False,
-                ("checks", "fidelity_cumulative"): False}
+                ("checks", "fidelity_cumulative"): False,
+                ("constraint", "smoothness"): 1.0}
 
 
 def _drop_retired_keys(raw: dict) -> dict:

@@ -27,9 +27,9 @@ import numpy as np
 from . import constraints as C
 from .alm import AlmState, alm_project
 from .decoders import DecoderMap, decode, decode_unchecked, vjp_unchecked
-from .dpo import DpoConfig, Simulator, SimulatorWork, dpo_loss_grad
-from .errors import (AlmNonConvergence, ConfigError, DivergenceError,
-                     ParameterError)
+from .dpo import (DpoConfig, Simulator, SimulatorWork, _check_target,
+                  dpo_loss_grad)
+from .errors import ConfigError, DivergenceError, ParameterError
 from .schedules import NoiseSchedule
 from .scores import ScoreField, score
 
@@ -68,25 +68,18 @@ class SampleTrace(SimulatorWork):
     shortfalls: list = field(default_factory=list)
     alm_reports: list = field(default_factory=list)  # (t, i, AlmReport)
 
+    # a level's rows are contiguous and run from level T down, so a dict
+    # keyed by level keeps the last row of each level, in level order
+
     def level_end_rows(self):
-        """Pre-correction rows: the last Langevin row of each level."""
-        out = []
-        for k, row in enumerate(self.rows):
-            if row.phase != "langevin":
-                continue
-            nxt = self.rows[k + 1] if k + 1 < len(self.rows) else None
-            if nxt is None or nxt.phase != "langevin" or nxt.t != row.t:
-                out.append(row)
-        return out
+        """The last Langevin row of each level, one row per level: the
+        state the level-end correction starts from."""
+        ends = {r.t: r for r in self.rows if r.phase == "langevin"}
+        return list(ends.values())
 
     def level_final_rows(self):
         """The last recorded row of each level (post-correction state)."""
-        out = []
-        for k, row in enumerate(self.rows):
-            nxt = self.rows[k + 1] if k + 1 < len(self.rows) else None
-            if nxt is None or nxt.t != row.t:
-                out.append(row)
-        return out
+        return list({r.t: r for r in self.rows}.values())
 
     def max_score_norm(self) -> float:
         norms = [r.score_norm for r in self.rows if r.phase == "langevin"]
@@ -149,8 +142,11 @@ class SamplerConfig:
             if self.solver == "closed_form" and not C.has_exact_projection(con):
                 raise ConfigError(f"{con.kind} has no exact projection; "
                                   "choose the alm or dpo solver")
-            if self.solver == "dpo" and (self.simulator is None or self.dpo is None):
-                raise ConfigError("dpo solver requires simulator and dpo config")
+            if self.solver == "dpo":
+                if self.simulator is None or self.dpo is None:
+                    raise ConfigError("dpo solver requires simulator and dpo "
+                                      "config")
+                _check_target(self.simulator, self.dpo)
             if self.solver == "alm" and self.alm is None:
                 self.alm = AlmState(tol=con.delta)
 
@@ -209,12 +205,10 @@ def _correction_direction(cfg: SamplerConfig, x: np.ndarray, residual,
     if cfg.solver == "closed_form":
         return residual, None
     if cfg.solver == "alm":
-        try:
-            # alm_project checks x once and each accepted step
-            y, rep = alm_project(
-                x, lambda p: C._violation_and_gradient(con, p), cfg.alm)
-        except AlmNonConvergence as exc:
-            y, rep = exc.report.point, exc.report
+        # alm_project checks x once and each accepted step; an unconverged
+        # projection's best iterate is used and counted in alm_unconverged
+        y, rep = alm_project(
+            x, lambda p: C._violation_and_gradient(con, p), cfg.alm)
         return x - y, rep
     # dpo: smoothed tracking-loss gradient through the simulator
     return dpo_loss_grad(cfg.simulator, x, cfg.dpo, rng, trace), None
@@ -397,11 +391,9 @@ def sample(cfg: SamplerConfig,
                 score_norm=float(np.linalg.norm(s)), violation=ev[0],
                 dist=ev[1], z=None if projected else state,
                 x=state if projected else None))
-            if corrected and cfg.correct_every_step:
+            if corrected and (cfg.correct_every_step
+                              or i == sched.inner_steps):
                 z = _run_correction(cfg, z, x, ev, t, gamma, rng, trace)
-        if corrected and not cfg.correct_every_step:
-            # x and ev belong to the decode of the level's last Langevin step
-            z = _run_correction(cfg, z, x, ev, t, gamma, rng, trace)
     if cfg.mode != "proximal_latent":
         return z, trace
     x = decode(dec, z)

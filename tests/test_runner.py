@@ -70,7 +70,8 @@ REMOVED_KEYS = [("schedule", "abar_start", 1.0),
                 ("design", "mode", "chain"),
                 ("constraint", "count", 1),
                 ("checks", "feasible_final", False),
-                ("checks", "fidelity_cumulative", False)]
+                ("checks", "fidelity_cumulative", False),
+                ("constraint", "smoothness", 1.0)]
 
 
 @pytest.mark.parametrize("section, key, value", REMOVED_KEYS,
@@ -272,7 +273,7 @@ def test_design_run_and_replay(tmp_path):
 
 
 def with_retired_keys(manifest_path):
-    """The manifest as it was written while the seven retired keys existed."""
+    """The manifest as it was written while the eight retired keys existed."""
     doc = json.loads(Path(manifest_path).read_text())
     resolved = doc["resolved_config"]
     for (section, key), value in RETIRED_KEYS.items():
@@ -297,6 +298,23 @@ def test_replay_of_a_manifest_with_retired_keys(tmp_path, preset):
     resolved = with_retired_keys(out / "manifest.json")
     assert {s for s, _ in RETIRED_KEYS if resolved[s] is not None} == sections
     rerun_from_manifest(out / "manifest.json", tmp_path / "replay")
+    assert (out / "metrics.csv").read_bytes() == \
+        (tmp_path / "replay" / "metrics.csv").read_bytes()
+
+
+def test_replay_with_smoothness_keeps_the_contraction_report(tmp_path):
+    # constraint.smoothness L divided the contraction constant,
+    # beta / (ell * L); at its only value, 1.0, that is beta / ell bit for
+    # bit, so an old run replays to the same report and files
+    out = tmp_path / "run"
+    cfg = dict(minimal_config(out), reports={"contraction": True})
+    first = run_experiment(RunConfig.from_dict(cfg))
+    assert first["reports"]["contraction"]["transitions"] > 0
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["resolved_config"]["constraint"]["smoothness"] = 1.0
+    (out / "manifest.json").write_text(json.dumps(doc))
+    replay = rerun_from_manifest(out / "manifest.json", tmp_path / "replay")
+    assert replay["reports"]["contraction"] == first["reports"]["contraction"]
     assert (out / "metrics.csv").read_bytes() == \
         (tmp_path / "replay" / "metrics.csv").read_bytes()
 
@@ -393,6 +411,17 @@ def set_centroid_model(**change):
 
 
 # values the loader or a builder rejects, and keys a section's kind needs
+def set_dpo_target(target):
+    # a dpo sampling solver whose simulator answers 2 values per point
+    def mutate(cfg):
+        cfg["sampler"]["solver"] = "dpo"
+        cfg["dpo"] = {"nu": 0.05, "M": 8, "target": target,
+                      "simulator": {"name": "linear",
+                                    "matrix": [[1.0, 0.0, 0.0],
+                                               [0.0, 1.0, 0.0]]}}
+    return mutate
+
+
 CONFIG_ERRORS = {
     "alm.growth": (set_alm_growth, "growth must exceed 1"),
     "schedule.T": (lambda cfg: cfg["schedule"].update(T=0),
@@ -424,6 +453,10 @@ CONFIG_ERRORS = {
         "porosity constraint needs 'fraction'"),
     "reports.fidelity without vectors": (set_fidelity_without_vectors,
                                          "sampler.record_vectors: false"),
+    "dpo sampler without target": (set_dpo_target(None),
+                                   "dpo config has no target response"),
+    "dpo target of wrong length": (set_dpo_target([0.0, 0.0, 0.0]),
+                                   "does not match response_dim 2"),
     "negative seed": (lambda cfg: cfg.update(seed=-1),
                       "seed must be an integer >= 0, got -1"),
     "fractional seed": (lambda cfg: cfg.update(seed=1.5),
@@ -869,6 +902,32 @@ def test_cli_design_target_of_wrong_length_exit_code(tmp_path, capsys):
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
     assert cli_main(["design", "--config", str(path)]) == 3
     assert "does not match response_dim 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--config", "{tmp}/missing.yaml"], "No such file"),
+    (["sample", "--config", "{tmp}"], "Is a directory"),
+    (["project", "--config",
+      str(ROOT / "configs" / "halfspace_contraction.yaml"),
+      "--input", "{tmp}/missing.txt"], "No such file"),
+    (["diagnose", "--run", "{tmp}/missing_run"], "No such file")],
+    ids=["config", "config directory", "input", "run"])
+def test_cli_unreadable_path_exit_code(tmp_path, capsys, argv, message):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert message in err and str(tmp_path) in err
+
+
+def test_cli_degenerate_centroid_exit_code(tmp_path, capsys):
+    cfg = EXP.centroid_config(seed=0, chains=1, out=str(tmp_path / "run"))
+    model = cfg["constraint"]["model"]
+    model["forbidden_centroid"] = model["target_centroid"]
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "configuration error: centroids must be distinct\n")
 
 
 def test_cli_train_score(tmp_path):
