@@ -2,11 +2,12 @@
 
 Solves argmin_{y : g(y) = 0} ||y - anchor|| through the relaxation
 L = ||y - anchor|| + lambda g(y) + (mu/2) g(y)^2 with multiplier and penalty
-updates across outer iterations.  The distance term is squared inside the
-gradient (its gradient is undefined at y = anchor otherwise); the reported
-distance stays unsquared.  Each point is evaluated once, by one oracle
-call for g and its gradient: an accepted line-search trial carries both, and
-its offset from the anchor, into the next inner iteration.
+updates across outer iterations, from lambda = 0 in every projection.  The
+distance term is squared inside the gradient (its gradient is undefined at
+y = anchor otherwise); the reported distance stays unsquared.  Each point is
+evaluated once, by one oracle call for g and its gradient: an accepted
+line-search trial carries both, and its offset from the anchor, into the next
+inner iteration.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .errors import NumericError, ParameterError
 
 @dataclass(frozen=True)
 class AlmState:
-    """Hyperparameters and dual state of the augmented Lagrangian solver."""
+    """Hyperparameters of the augmented Lagrangian solver."""
 
-    multiplier: float = 0.0    # lambda, >= 0
     penalty: float = 1.0       # mu, > 0
     growth: float = 2.0        # alpha, > 1
     penalty_cap: float = 1e4   # mu_max
@@ -33,8 +33,6 @@ class AlmState:
     tol: float = 1e-4          # delta, violation tolerance
 
     def __post_init__(self):
-        if self.multiplier < 0 or not np.isfinite(self.multiplier):
-            raise ParameterError("multiplier must be finite and >= 0")
         if self.penalty <= 0:
             raise ParameterError("penalty must be positive")
         if self.growth <= 1:
@@ -77,7 +75,7 @@ def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]
     anchor = np.asarray(anchor, dtype=float)
     if not np.isfinite(anchor).all():
         raise NumericError("ALM anchor contains non-finite values")
-    lam, mu, inner_total = state.multiplier, state.penalty, 0
+    lam, mu, inner_total = 0.0, state.penalty, 0
 
     def evaluate(pt):
         v, grad_g = oracle(pt)

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 
 LIPSCHITZ_SAFETY = 1.05
+# random probe points of an MLP bound, after the two candidate points
+LIPSCHITZ_PROBES = 64
 
 
 @dataclass

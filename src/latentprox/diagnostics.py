@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import constraints as C
-from .decoders import DecoderMap, estimate_lipschitz
+from .decoders import LIPSCHITZ_PROBES, DecoderMap, estimate_lipschitz
 from .errors import (DegeneracyError, NumericError, ParameterError,
                      ShapeError)
 from .schedules import NoiseSchedule
@@ -74,7 +74,8 @@ def check_feasibility_contraction(trace: SampleTrace,
     G = trace.max_score_norm()
     ell = decoder.lipschitz_bound
     if ell is None:
-        ell = estimate_lipschitz(decoder, 64, np.random.default_rng(0))
+        ell = estimate_lipschitz(decoder, LIPSCHITZ_PROBES,
+                                 np.random.default_rng(0))
     beta_prime = beta / ell
     gammas = np.array([r.gamma for r in pre])
     precondition_ok = bool(np.all(gammas <= beta / (2.0 * G * G) + SLACK_TOL)) \

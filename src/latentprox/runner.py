@@ -9,6 +9,7 @@ header; samples are decimal-text vectors plus portable graymaps for grids.
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import json
 import math
@@ -23,8 +24,8 @@ import yaml
 from . import __version__
 from . import constraints as C
 from .alm import AlmState
-from .decoders import (DecoderMap, estimate_lipschitz, random_linear_decoder,
-                       random_mlp_decoder)
+from .decoders import (LIPSCHITZ_PROBES, DecoderMap, estimate_lipschitz,
+                       random_linear_decoder, random_mlp_decoder)
 from .diagnostics import (BoundReport, GaussianFit, check_fidelity_drift,
                           check_run_contraction, fit_gaussian, gaussian_kl)
 from .dpo import DpoConfig, design_rows, make_simulator
@@ -60,7 +61,7 @@ SCHEMA = {
     "decoder": {"kind": "linear", "latent_dim": None, "ambient_dim": None,
                 "init": {"method": "orthonormal", "seed": 0, "scale": 1.0,
                          "hidden": 16},
-                "file": None, "lipschitz_probes": 64},
+                "file": None},
     "constraint": {"kind": REQUIRED, "delta": 1e-4, "prox_weight": 1.0,
                    "normal": None, "offset": None, "radius": None,
                    "center": None, "lower": None, "upper": None,
@@ -74,9 +75,7 @@ SCHEMA = {
                 "lr": None, "inner_cap": 500, "final_projection": True,
                 "noise_scale": 1.0, "correct_levels": None,
                 "correct_every_step": False, "record_vectors": True},
-    "alm": {"multiplier": 0.0, "penalty": 1.0, "growth": 2.0,
-            "penalty_cap": 1e4, "inner_step": 1e-2, "max_inner": 200,
-            "max_outer": 50, "tol": 1e-4},
+    "alm": {f.name: f.default for f in dataclasses.fields(AlmState)},
     "dpo": {"nu": REQUIRED, "M": REQUIRED, "seed": 0, "target": None,
             "simulator": {"name": REQUIRED, "matrix": None, "bias": None,
                           "scale": 2.0, "slope": 0.3}},
@@ -89,10 +88,12 @@ SCHEMA = {
 SECTION_NONE_IF_ABSENT = ("score", "decoder", "constraint",
                           "constraint.model", "alm", "dpo", "design")
 
-# the kind of each key whose schema default does not show it: a number
-# (int or float) or a nested list of numbers ([int] or [float]); every
-# other key takes the kind of its default
+# the kind of each key whose schema default does not show it: a string, a
+# number (int or float) or a nested list of numbers ([int] or [float]);
+# every other key takes the kind of its default
 KEY_KINDS = {
+    "out": str, "score.kind": str, "score.file": str, "decoder.file": str,
+    "constraint.kind": str, "dpo.simulator.name": str,
     "score.mean": [float], "score.cov": [float], "score.weights": [float],
     "score.means": [float], "score.covs": [float],
     "decoder.latent_dim": int, "decoder.ambient_dim": int,
@@ -149,11 +150,12 @@ def _nested_numbers(value, kind):
 
 def _typed(where: str, value, kind):
     """The value of the key ``where`` as its ``kind``: true or false for
-    bool, a number for int or float, a nested list of numbers for [int] or
-    [float]; a key of any other kind keeps its value."""
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where} must be true or false, got {value!r}")
+    bool, a string for str, a number for int or float, a nested list of
+    numbers for [int] or [float]; a key of any other kind keeps its value."""
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            what = "true or false" if kind is bool else "a string"
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
         return value
     is_list = isinstance(kind, list)
     element = kind[0] if is_list else kind
@@ -329,12 +331,6 @@ def build_constraint(cfg: dict | None) -> C.ConstraintSpec | None:
     raise ConfigError(f"cannot build constraint of kind {kind!r}")
 
 
-def build_alm(cfg: dict | None) -> AlmState | None:
-    if cfg is None:
-        return None
-    return AlmState(**cfg)
-
-
 def build_dpo(cfg: dict | None):
     if cfg is None:
         return None, None
@@ -359,9 +355,10 @@ def build_sampler_config(cfg: RunConfig) -> SamplerConfig:
     decoder = build_decoder(cfg["decoder"])
     constraint = build_constraint(cfg["constraint"])
     sim, dpo_cfg = build_dpo(cfg["dpo"])
+    alm = None if cfg["alm"] is None else AlmState(**cfg["alm"])
     return SamplerConfig(schedule=schedule, score=score, decoder=decoder,
-                         constraint=constraint, alm=build_alm(cfg["alm"]),
-                         simulator=sim, dpo=dpo_cfg, **cfg["sampler"])
+                         constraint=constraint, alm=alm, simulator=sim,
+                         dpo=dpo_cfg, **cfg["sampler"])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +422,10 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        return cls(data=json.loads(Path(path).read_text()))
+        try:
+            return cls(data=json.loads(Path(path).read_text()))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _report_doc(report: BoundReport) -> dict:
@@ -454,8 +454,7 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     measured = {}
     if decoder is not None:
         measured["lipschitz"] = estimate_lipschitz(
-            decoder, cfg["decoder"]["lipschitz_probes"],
-            np.random.default_rng(cfg["seed"]))
+            decoder, LIPSCHITZ_PROBES, np.random.default_rng(cfg["seed"]))
         save_decoder(decoder, out / "decoder.json")
     save_score_field(sampler_cfg.score, out / "score.json")
 
@@ -721,7 +720,9 @@ RETIRED_KEYS = {("schedule", "abar_start"): 1.0,
                 ("design", "mode"): "chain",
                 ("checks", "feasible_final"): False,
                 ("checks", "fidelity_cumulative"): False,
-                ("constraint", "smoothness"): 1.0}
+                ("constraint", "smoothness"): 1.0,
+                ("alm", "multiplier"): 0.0,
+                ("decoder", "lipschitz_probes"): LIPSCHITZ_PROBES}
 
 
 def _drop_retired_keys(raw: dict) -> dict:

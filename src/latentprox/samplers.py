@@ -192,6 +192,7 @@ def langevin_step(z, score_field: ScoreField, t: int, gamma: float,
 
 
 _NO_EVALUATION = (float("nan"), float("nan"), None)
+_PROJECTED = (0.0, 0.0, None)
 
 
 def _correction_direction(cfg: SamplerConfig, x: np.ndarray, residual,
@@ -360,7 +361,8 @@ def sample(cfg: SamplerConfig,
     followed by the configured mode's step.
 
     unconstrained returns the latent.  projected_ambient projects the state
-    after every step and returns it.  proximal_latent corrects the latent
+    after every step, records violation and dist 0.0 (the projection lies
+    inside its set) and returns it.  proximal_latent corrects the latent
     per level (or per step) when a constraint is set, and returns its
     decode, optionally projected.
     """
@@ -379,7 +381,7 @@ def sample(cfg: SamplerConfig,
                 raise DivergenceError(f"langevin step diverged at level {t}")
             if projected:
                 z = C.project_exact(con, z)
-                ev = C.evaluate(con, z)
+                ev = _PROJECTED
             elif corrected:
                 x = decode_unchecked(dec, z)
                 ev = C.evaluate(con, x)

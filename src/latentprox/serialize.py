@@ -129,5 +129,12 @@ def save_vector(x, path) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    text = Path(path).read_text().split()
-    return np.array([float(tok) for tok in text])
+    """The vector ``save_vector`` wrote; a token that is not a number
+    raises ConfigError."""
+    values = []
+    for tok in Path(path).read_text().split():
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ConfigError(f"{path}: {tok!r} is not a number") from None
+    return np.array(values)

@@ -169,7 +169,7 @@ def reference_alm_project(anchor, g, grad_g, state):
     Returns the point, the report fields and whether it converged."""
     anchor = np.asarray(anchor, dtype=float)
     y = anchor.copy()
-    lam, mu, inner_total = state.multiplier, state.penalty, 0
+    lam, mu, inner_total = 0.0, state.penalty, 0
     best_y, best_v = y.copy(), float(g(y))
 
     def lagrangian(pt, v):

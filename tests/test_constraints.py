@@ -454,6 +454,33 @@ def test_projection_idempotent_bit_exact():
             assert np.array_equal(C.project_exact(spec, y), y)
 
 
+@pytest.mark.parametrize("kind", ["halfspace", "l2_ball", "box", "porosity"])
+def test_evaluation_of_a_projected_point_is_zero(kind):
+    # projected_ambient rows record violation and dist 0.0 without
+    # evaluating the projection; this pins that it would read exactly that.
+    # Compared as repr: 0.0 == -0.0, but a metrics row would write "-0.0"
+    rng = np.random.default_rng(11)
+    d = 16 if kind == "porosity" else 3
+    for k in range(20):
+        if kind == "halfspace":
+            spec = C.halfspace(rng.standard_normal(d), rng.standard_normal())
+        elif kind == "l2_ball":
+            spec = C.l2_ball(rng.uniform(0.5, 2.0),
+                             center=rng.standard_normal(d))
+        elif kind == "box":
+            lower = rng.standard_normal(d)
+            spec = C.box(lower, lower + rng.uniform(0.0, 2.0, d))
+        else:
+            spec = C.porosity_constraint((4, 4), k % 17)
+        points = 5 * rng.standard_normal((100, d))
+        # far outside, and on a few axes only
+        points[:10] *= 1e3
+        points[10:20, 1:] = 0.0
+        for x in points:
+            y = C.project_exact(spec, x)
+            assert repr(C.evaluate(spec, y)[:2]) == "(0.0, 0.0)"
+
+
 def test_projection_nonexpansive():
     rng = np.random.default_rng(3)
     specs = [C.halfspace([0.7, 0.7], -0.2), C.l2_ball(1.0),

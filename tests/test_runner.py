@@ -71,7 +71,9 @@ REMOVED_KEYS = [("schedule", "abar_start", 1.0),
                 ("constraint", "count", 1),
                 ("checks", "feasible_final", False),
                 ("checks", "fidelity_cumulative", False),
-                ("constraint", "smoothness", 1.0)]
+                ("constraint", "smoothness", 1.0),
+                ("alm", "multiplier", 0.0),
+                ("decoder", "lipschitz_probes", 64)]
 
 
 @pytest.mark.parametrize("section, key, value", REMOVED_KEYS,
@@ -83,6 +85,12 @@ def test_removed_key_rejected(section, key, value):
     raw.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=f"unknown key '{key}' at {section}"):
         resolve_config(raw)
+
+
+def test_retired_keys_are_not_in_the_schema():
+    assert sorted(RETIRED_KEYS) == sorted((s, k) for s, k, _ in REMOVED_KEYS)
+    for section, key in RETIRED_KEYS:
+        assert key not in SCHEMA[section], f"{section}.{key}"
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,7 +150,7 @@ def test_resolved_values_have_their_kinds(name):
         if isinstance(kind, list):
             assert isinstance(value, list), where
             assert all(type(v) is kind[0] for v in list_entries(value)), where
-        elif kind in (bool, int, float):
+        elif kind in (bool, int, float, str):
             assert type(value) is kind, where
     # an already-resolved config resolves to itself (CLI overrides and
     # replay resolve one again)
@@ -273,7 +281,7 @@ def test_design_run_and_replay(tmp_path):
 
 
 def with_retired_keys(manifest_path):
-    """The manifest as it was written while the eight retired keys existed."""
+    """The manifest as it was written while the retired keys existed."""
     doc = json.loads(Path(manifest_path).read_text())
     resolved = doc["resolved_config"]
     for (section, key), value in RETIRED_KEYS.items():
@@ -283,23 +291,31 @@ def with_retired_keys(manifest_path):
     return resolved
 
 
-@pytest.mark.parametrize("preset", ["design", "porosity"])
+@pytest.mark.parametrize("preset", ["design", "porosity", "centroid"])
 def test_replay_of_a_manifest_with_retired_keys(tmp_path, preset):
     out = tmp_path / "run"
+    files = ["metrics.csv"]
     if preset == "design":
         run_design(RunConfig.from_dict(
             EXP.design_loop_config(seed=0, out=str(out))))
-        sections = {"schedule", "dpo", "design", "checks"}
-    else:
+        sections = {"schedule", "decoder", "dpo", "design", "checks"}
+    elif preset == "porosity":
         run_experiment(RunConfig.from_dict(EXP.porosity_config(
             fraction=0.3, seed=0, chains=2, out=str(out), grid=(8, 8),
             latent_dim=16)))
-        sections = {"schedule", "constraint", "checks"}
+        sections = {"schedule", "decoder", "constraint", "checks"}
+    else:
+        # the ALM projections run at alm.multiplier's one value, 0.0
+        run_experiment(RunConfig.from_dict(EXP.centroid_config(
+            seed=0, chains=3, out=str(out))))
+        sections = {"schedule", "decoder", "constraint", "alm", "checks"}
+        files.append("alm.csv")
     resolved = with_retired_keys(out / "manifest.json")
     assert {s for s, _ in RETIRED_KEYS if resolved[s] is not None} == sections
     rerun_from_manifest(out / "manifest.json", tmp_path / "replay")
-    assert (out / "metrics.csv").read_bytes() == \
-        (tmp_path / "replay" / "metrics.csv").read_bytes()
+    for name in files:
+        assert (out / name).read_bytes() == \
+            (tmp_path / "replay" / name).read_bytes(), name
 
 
 def test_replay_with_smoothness_keeps_the_contraction_report(tmp_path):
@@ -432,8 +448,6 @@ CONFIG_ERRORS = {
                        "radius must be positive"),
     "score.cov": (lambda cfg: cfg["score"].update(
         cov=[[1.0, 2.0], [2.0, 1.0]]), "must be positive definite"),
-    "decoder.lipschitz_probes": (lambda cfg: cfg["decoder"].update(
-        lipschitz_probes=0), "probes must be >= 1"),
     "box without lower": (
         set_constraint({"kind": "box", "upper": [1.0, 1.0, 1.0]}),
         "box constraint needs 'lower'"),
@@ -517,6 +531,24 @@ CONFIG_ERRORS = {
         "sampler.correct_levels must be a list of whole numbers, got 2"),
     "boolean for a number": (lambda cfg: cfg["sampler"].update(lr=True),
                              "sampler.lr must be a number, got True"),
+    "number for the output directory": (lambda cfg: cfg.update(out=5),
+                                        "out must be a string, got 5"),
+    "number for a score file": (
+        lambda cfg: cfg["score"].update(file=7),
+        "score.file must be a string, got 7"),
+    "list for a constraint kind": (
+        lambda cfg: cfg["constraint"].update(kind=["halfspace"]),
+        "constraint.kind must be a string, got ['halfspace']"),
+    "number for a decoder file": (
+        lambda cfg: cfg["decoder"].update(file=1),
+        "decoder.file must be a string, got 1"),
+    "number for a simulator name": (
+        lambda cfg: cfg.update(dpo={"nu": 0.05, "M": 8,
+                                    "simulator": {"name": 3}}),
+        "dpo.simulator.name must be a string, got 3"),
+    "number for the experiment name": (
+        lambda cfg: cfg.update(experiment=3),
+        "experiment must be a string, got 3"),
     "centroid model without axes": (
         set_centroid_model(axes=None),
         "missing required key 'constraint.model.axes'"),
@@ -904,15 +936,27 @@ def test_cli_design_target_of_wrong_length_exit_code(tmp_path, capsys):
     assert "does not match response_dim 4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["sample", "--config", "{tmp}/missing.yaml"], "No such file"),
-    (["sample", "--config", "{tmp}"], "Is a directory"),
-    (["project", "--config",
-      str(ROOT / "configs" / "halfspace_contraction.yaml"),
-      "--input", "{tmp}/missing.txt"], "No such file"),
-    (["diagnose", "--run", "{tmp}/missing_run"], "No such file")],
-    ids=["config", "config directory", "input", "run"])
-def test_cli_unreadable_path_exit_code(tmp_path, capsys, argv, message):
+PROJECT_HALFSPACE = ["project", "--config",
+                     str(ROOT / "configs" / "halfspace_contraction.yaml")]
+
+
+# a path the command cannot read, or a file it reads that does not parse
+@pytest.mark.parametrize("argv, files, message", [
+    (["sample", "--config", "{tmp}/missing.yaml"], {}, "No such file"),
+    (["sample", "--config", "{tmp}"], {}, "Is a directory"),
+    (PROJECT_HALFSPACE + ["--input", "{tmp}/missing.txt"], {},
+     "No such file"),
+    (["diagnose", "--run", "{tmp}/missing_run"], {}, "No such file"),
+    (PROJECT_HALFSPACE + ["--input", "{tmp}/x.txt"], {"x.txt": "1.0 abc\n"},
+     "x.txt: 'abc' is not a number"),
+    (["diagnose", "--run", "{tmp}"], {"manifest.json": "{not json\n"},
+     "manifest.json is not valid JSON")],
+    ids=["config", "config directory", "input", "run", "input token",
+         "manifest"])
+def test_cli_unreadable_path_exit_code(tmp_path, capsys, argv, files,
+                                       message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert cli_main(argv) == 3
     err = capsys.readouterr().err

@@ -146,6 +146,23 @@ def test_projected_ambient_feasible_every_step():
         assert np.linalg.norm(x) <= 1.0 + 1e-12
 
 
+def test_projected_ambient_rows_are_not_evaluated(monkeypatch):
+    # a projection reads (0.0, 0.0) by project_exact's contract
+    # (test_evaluation_of_a_projected_point_is_zero), so no row evaluates it
+    sched = small_schedule()
+    cfg = SamplerConfig(schedule=sched, score=standard_normal_field(2, sched),
+                        mode="projected_ambient",
+                        constraint=C.halfspace([1.0, 0.0], 0.5))
+
+    def evaluate(spec, x):
+        raise AssertionError("a projected point was evaluated")
+
+    monkeypatch.setattr(C, "evaluate", evaluate)
+    _, trace = sample(cfg, chain_rng(0, 0))
+    assert [(r.violation, r.dist) for r in trace.rows] == \
+        [(0.0, 0.0)] * len(trace.rows)
+
+
 def test_projected_ambient_halfspace_mean_shift():
     # oracle: rejection sampling of the constrained Gaussian gives the
     # restricted mean; the projected sampler must shift the same way
