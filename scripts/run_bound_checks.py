@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 
+from latentprox.decoders import estimate_lipschitz
 from latentprox.diagnostics import (check_fidelity_drift, check_run_contraction,
                                     contraction_horizon,
                                     feasibility_hitting_level,
@@ -31,8 +32,8 @@ def main():
     scfg = build_sampler_config(cfg)
     traces = [sample(scfg, chain_rng(seed, 0))[1]
               for seed in range(20)]
-    rep = check_run_contraction(traces, scfg.constraint, scfg.decoder,
-                                beta=1.0)
+    ell = estimate_lipschitz(scfg.decoder, np.random.default_rng(cfg["seed"]))
+    rep = check_run_contraction(traces, ell)
     held = sum(r.holds for r in rep.records)
     total = len(rep.records)
     hits_ok = True

@@ -1,8 +1,9 @@
 """Command-line surface: sample, train-score, design, project, diagnose.
 
 Exit codes: 0 success, 2 acceptance-check failure or a failed chain,
-3 configuration error (a bad value, a degenerate fit or a path that cannot
-be used), 4 numeric divergence (of the run or of one chain).
+3 configuration error (a bad value, a degenerate fit, a path that cannot
+be used or a command line argparse rejects), 4 numeric divergence (of the
+run or of one chain).
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from . import constraints as C
 from .diagnostics import check_run_contraction
 from .errors import (ConfigError, DegeneracyError, DivergenceError,
                      NumericError, ParameterError, ShapeError)
-from .runner import (RunConfig, RunManifest, build_constraint, build_decoder,
-                     build_schedule, build_score, counters_line, load_config,
-                     load_traces, manifest_config, run_design, run_experiment)
+from .runner import (RunConfig, RunManifest, build_constraint, build_schedule,
+                     build_score, counters_line, load_config, load_traces,
+                     manifest_config, run_design, run_experiment)
 from .scores import MlpScoreConfig, train_score
 from .serialize import load_vector, save_score_field, save_vector
 
@@ -27,6 +28,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here reads as a failed
+    check; a missing or unknown flag is a configuration error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -127,22 +137,18 @@ def _cmd_diagnose(args) -> int:
     manifest = RunManifest.load(run_dir / "manifest.json")
     print(counters_line(manifest.data.get("counters", {})))
     cfg = manifest_config(manifest)
-    spec = build_constraint(cfg["constraint"])
-    decoder = build_decoder(cfg["decoder"])
     if manifest.data.get("experiment_kind") == "design":
         print("design run: its metrics.csv holds MSE rows and no sampling "
               "trace; nothing to diagnose")
         return EXIT_OK
-    sampled = spec is not None and decoder is not None
+    sampled = cfg["constraint"] is not None and cfg["decoder"] is not None
     traces = load_traces(run_dir / "metrics.csv") if sampled else []
     if not traces:
         print("run has no constraint/decoder or no completed chain; "
               "nothing to diagnose")
         return EXIT_OK
     # the bound the run measured, so the report is the run's own
-    decoder.lipschitz_bound = manifest["measured"]["lipschitz"]
-    beta = cfg["reports"]["beta"] if args.beta is None else args.beta
-    report = check_run_contraction(traces, spec, decoder, beta=beta)
+    report = check_run_contraction(traces, manifest["measured"]["lipschitz"])
     print(f"transitions: {len(report.records)}  fraction_holding: "
           f"{report.fraction_holding:.4f}  G: {report.G:.4f}  "
           f"precondition_ok: {report.precondition_ok}")
@@ -153,7 +159,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latentprox",
         description="Constrained sampling experiments for latent score models")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -194,9 +200,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("diagnose", help="bound checks over a stored run")
     p.add_argument("--run", required=True)
-    p.add_argument("--beta", type=float, default=None,
-                   help="contraction constant (default: the run's "
-                        "reports.beta)")
     p.add_argument("--min-fraction", type=float, default=None)
     p.set_defaults(fn=_cmd_diagnose)
 

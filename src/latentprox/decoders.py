@@ -31,8 +31,6 @@ class DecoderMap:
     weight: np.ndarray | None = None        # linear: (ambient, latent)
     bias: np.ndarray | None = None          # linear: (ambient,)
     layers: list | None = None              # smooth_mlp: [(W, b), ...], tanh hidden
-    lipschitz_bound: float | None = None
-    lipschitz_probes: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("linear", "smooth_mlp"):
@@ -176,29 +174,23 @@ def vjp_rows(m: DecoderMap, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
     return g
 
 
-def estimate_lipschitz(m: DecoderMap, probes: int,
-                       rng: np.random.Generator) -> float:
-    """Estimate (and cache) an upper bound on the Jacobian operator norm.
+def estimate_lipschitz(m: DecoderMap, rng: np.random.Generator) -> float:
+    """An upper bound on the Jacobian operator norm of ``m``.
 
     Linear maps return the exact largest singular value of the weight.
     Smooth MLPs return the largest spectral norm of the exact Jacobian (built
-    row by row with the VJP kernel) over probe points, inflated by the 1.05
-    safety factor.
+    row by row with the VJP kernel) over the two candidate points and
+    ``LIPSCHITZ_PROBES`` draws from ``rng``, inflated by the 1.05 safety
+    factor.
     """
-    if probes < 1:
-        raise ParameterError("probes must be >= 1")
     if m.kind == "linear":
-        bound = np.linalg.norm(m.weight, 2)
-    else:
-        # candidate points where tanh slopes peak, then random probes; the
-        # first-layer pre-activation zero is where the norm typically maxes
-        W1, b1 = m.layers[0]
-        candidates = [np.zeros(m.latent_dim), -np.linalg.pinv(W1) @ b1]
-        points = candidates + [rng.standard_normal(m.latent_dim)
-                               for _ in range(probes)]
-        basis = np.eye(m.ambient_dim)
-        bound = LIPSCHITZ_SAFETY * max(
-            np.linalg.norm(vjp_unchecked(m, z, basis), 2) for z in points)
-    m.lipschitz_bound = float(bound)
-    m.lipschitz_probes = int(probes)
-    return m.lipschitz_bound
+        return float(np.linalg.norm(m.weight, 2))
+    # candidate points where tanh slopes peak, then random probes; the
+    # first-layer pre-activation zero is where the norm typically maxes
+    W1, b1 = m.layers[0]
+    candidates = [np.zeros(m.latent_dim), -np.linalg.pinv(W1) @ b1]
+    points = candidates + [rng.standard_normal(m.latent_dim)
+                           for _ in range(LIPSCHITZ_PROBES)]
+    basis = np.eye(m.ambient_dim)
+    return float(LIPSCHITZ_SAFETY * max(
+        np.linalg.norm(vjp_unchecked(m, z, basis), 2) for z in points))

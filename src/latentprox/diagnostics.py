@@ -6,7 +6,7 @@ The feasibility check evaluates the per-transition contraction inequality
                           + gamma_{t+1}^2 G^2
 
 on consecutive pre-correction iterates of a trace, with G the largest score
-norm observed, ell the decoder bound, and beta' = beta / ell.  The
+norm observed, ell the decoder bound, and beta' = 1 / ell.  The
 fidelity check evaluates the one-sided KL drift bound per level and
 cumulatively.  KL and Frechet distances are evaluated in closed form on
 Gaussian moment fits, which is exact for linear-Gaussian suites.
@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import constraints as C
-from .decoders import LIPSCHITZ_PROBES, DecoderMap, estimate_lipschitz
 from .errors import (DegeneracyError, NumericError, ParameterError,
                      ShapeError)
 from .schedules import NoiseSchedule
@@ -51,7 +49,6 @@ class BoundReport:
     records: list = field(default_factory=list)
     G: float = 0.0
     lipschitz: float = 0.0
-    beta: float = 1.0
     beta_prime: float = 1.0
     precondition_ok: bool = True
     cumulative: BoundRecord | None = None
@@ -64,23 +61,18 @@ class BoundReport:
 
 
 def check_feasibility_contraction(trace: SampleTrace,
-                                  constraint: C.ConstraintSpec,
-                                  decoder: DecoderMap,
-                                  beta: float = 1.0) -> BoundReport:
-    """Check the distance-contraction inequality on every pre-prox pair."""
+                                  lipschitz: float) -> BoundReport:
+    """Check the distance-contraction inequality on every pre-prox pair,
+    with ``lipschitz`` the decoder bound ell."""
     pre = trace.level_end_rows()
     if len(pre) < 2:
         raise ParameterError("trace has fewer than two levels to compare")
     G = trace.max_score_norm()
-    ell = decoder.lipschitz_bound
-    if ell is None:
-        ell = estimate_lipschitz(decoder, LIPSCHITZ_PROBES,
-                                 np.random.default_rng(0))
-    beta_prime = beta / ell
+    beta_prime = 1.0 / lipschitz
     gammas = np.array([r.gamma for r in pre])
-    precondition_ok = bool(np.all(gammas <= beta / (2.0 * G * G) + SLACK_TOL)) \
+    precondition_ok = bool(np.all(gammas <= 1.0 / (2.0 * G * G) + SLACK_TOL)) \
         if G > 0 else True
-    report = BoundReport(G=G, lipschitz=float(ell), beta=float(beta),
+    report = BoundReport(G=G, lipschitz=float(lipschitz),
                          beta_prime=float(beta_prime),
                          precondition_ok=precondition_ok)
     # pre[k] is level t_{k}; transitions pair (t+1 -> t) with gamma_{t+1}
@@ -93,17 +85,14 @@ def check_feasibility_contraction(trace: SampleTrace,
     return report
 
 
-def check_run_contraction(traces, constraint: C.ConstraintSpec,
-                          decoder: DecoderMap,
-                          beta: float = 1.0) -> BoundReport:
+def check_run_contraction(traces, lipschitz: float) -> BoundReport:
     """Contraction check over every chain of a run, merged into one report.
 
     Each chain is checked against its own G.  The merged report holds every
     transition and the largest G; its precondition holds only when it holds
     for every chain.
     """
-    reports = [check_feasibility_contraction(t, constraint, decoder, beta)
-               for t in traces]
+    reports = [check_feasibility_contraction(t, lipschitz) for t in traces]
     if not reports:
         raise ParameterError("no traces to check")
     return replace(reports[0],

@@ -80,7 +80,7 @@ SCHEMA = {
             "simulator": {"name": REQUIRED, "matrix": None, "bias": None,
                           "scale": 2.0, "slope": 0.3}},
     "design": {"steps": 5, "step_size": 0.5, "tol": 0.0},
-    "reports": {"contraction": False, "fidelity": False, "beta": 1.0},
+    "reports": {"contraction": False, "fidelity": False},
     "checks": {"porosity_exact": False, "contraction_fraction": None,
                "design_mse_ratio": None},
 }
@@ -422,10 +422,16 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
+        """The manifest at ``path``; a file that is not JSON, or not an
+        object whose ``resolved_config`` is an object, raises ConfigError."""
         try:
-            return cls(data=json.loads(Path(path).read_text()))
+            data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        if not (isinstance(data, dict)
+                and isinstance(data.get("resolved_config"), dict)):
+            raise ConfigError(f"{path} is not a run manifest")
+        return cls(data=data)
 
 
 def _report_doc(report: BoundReport) -> dict:
@@ -444,6 +450,10 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     if cfg["reports"]["fidelity"] and not cfg["sampler"]["record_vectors"]:
         raise ConfigError("reports.fidelity needs the latent of each level, "
                           "which sampler.record_vectors: false drops")
+    if cfg["reports"]["contraction"] and cfg["constraint"] is not None \
+            and cfg["decoder"] is None:
+        raise ConfigError("reports.contraction needs a decoder: the check "
+                          "takes the decoder's measured Lipschitz bound")
     started = time.time()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -454,7 +464,7 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     measured = {}
     if decoder is not None:
         measured["lipschitz"] = estimate_lipschitz(
-            decoder, LIPSCHITZ_PROBES, np.random.default_rng(cfg["seed"]))
+            decoder, np.random.default_rng(cfg["seed"]))
         save_decoder(decoder, out / "decoder.json")
     save_score_field(sampler_cfg.score, out / "score.json")
 
@@ -511,11 +521,10 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
         }
     rep_cfg = cfg["reports"]
     if rep_cfg["contraction"] and constraint is not None and traces:
-        report = check_run_contraction(traces, constraint, decoder,
-                                       beta=rep_cfg["beta"])
+        report = check_run_contraction(traces, measured["lipschitz"])
         reports["contraction"] = dict(
             _report_doc(report), lipschitz=report.lipschitz,
-            beta=report.beta, beta_prime=report.beta_prime,
+            beta_prime=report.beta_prime,
             precondition_ok=report.precondition_ok)
     if rep_cfg["fidelity"] and traces and \
             sampler_cfg.score.kind == "linear_gaussian":
@@ -722,7 +731,8 @@ RETIRED_KEYS = {("schedule", "abar_start"): 1.0,
                 ("checks", "fidelity_cumulative"): False,
                 ("constraint", "smoothness"): 1.0,
                 ("alm", "multiplier"): 0.0,
-                ("decoder", "lipschitz_probes"): LIPSCHITZ_PROBES}
+                ("decoder", "lipschitz_probes"): LIPSCHITZ_PROBES,
+                ("reports", "beta"): 1.0}
 
 
 def _drop_retired_keys(raw: dict) -> dict:

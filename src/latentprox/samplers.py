@@ -122,6 +122,9 @@ class SamplerConfig:
         if window is not None and np.shape(window) != (2,):
             raise ConfigError(f"correct_levels must be [t_low, t_high], got "
                               f"{window!r}")
+        if window is not None and window[0] > window[1]:
+            raise ConfigError(f"correct_levels [t_low, t_high] must have "
+                              f"t_low <= t_high, got {window!r}")
         con = self.constraint
         if self.mode == "proximal_latent":
             if self.decoder is None:

@@ -88,9 +88,7 @@ def load_score_field(path) -> ScoreField:
 
 def decoder_doc(m: DecoderMap) -> dict:
     doc = {"type": "decoder", "kind": m.kind, "latent_dim": m.latent_dim,
-           "ambient_dim": m.ambient_dim,
-           "lipschitz_bound": m.lipschitz_bound,
-           "lipschitz_probes": m.lipschitz_probes}
+           "ambient_dim": m.ambient_dim}
     if m.kind == "linear":
         doc["weight"] = _arr(m.weight)
         doc["bias"] = _arr(m.bias)
@@ -100,12 +98,12 @@ def decoder_doc(m: DecoderMap) -> dict:
 
 
 def decoder_from_doc(doc: dict) -> DecoderMap:
+    """The decoder of a ``decoder_doc``; the ``lipschitz_bound`` and
+    ``lipschitz_probes`` keys of an older document are ignored."""
     if doc.get("type") != "decoder":
         raise ConfigError("document is not a decoder")
     kw = dict(kind=doc["kind"], latent_dim=int(doc["latent_dim"]),
-              ambient_dim=int(doc["ambient_dim"]),
-              lipschitz_bound=doc.get("lipschitz_bound"),
-              lipschitz_probes=doc.get("lipschitz_probes"))
+              ambient_dim=int(doc["ambient_dim"]))
     if doc["kind"] == "linear":
         kw["weight"] = np.array(doc["weight"])
         kw["bias"] = np.array(doc["bias"])

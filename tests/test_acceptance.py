@@ -12,7 +12,7 @@ import numpy as np
 from latentprox import constraints as C
 from latentprox import experiments as EXP
 from latentprox.alm import AlmState, alm_project
-from latentprox.decoders import random_linear_decoder
+from latentprox.decoders import estimate_lipschitz, random_linear_decoder
 from latentprox.diagnostics import (check_fidelity_drift, check_run_contraction,
                                     contraction_horizon,
                                     feasibility_hitting_level, fit_gaussian,
@@ -106,8 +106,8 @@ def test_criterion_03_feasibility_contraction():
     scfg = build_sampler_config(cfg)
     traces = [sample(scfg, chain_rng(seed, 0))[1]
               for seed in range(20)]
-    rep = check_run_contraction(traces, scfg.constraint, scfg.decoder,
-                                beta=1.0)
+    ell = estimate_lipschitz(scfg.decoder, np.random.default_rng(cfg["seed"]))
+    rep = check_run_contraction(traces, ell)
     held = sum(r.holds for r in rep.records)
     total = len(rep.records)
     precondition_ok = rep.precondition_ok

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentprox.decoders import (decode, decode_rows, decode_unchecked,
-                                 estimate_lipschitz, linear_decoder,
+from latentprox.decoders import (LIPSCHITZ_PROBES, decode, decode_rows,
+                                 decode_unchecked, estimate_lipschitz,
+                                 linear_decoder,
                                  mlp_decoder,
                                  random_linear_decoder, random_mlp_decoder,
                                  vjp, vjp_rows, vjp_unchecked)
 from latentprox.errors import NumericError, ParameterError, ShapeError
+from latentprox.serialize import decoder_doc
 
 W_EX = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
 
@@ -64,7 +66,7 @@ def test_mlp_vjp_matches_finite_differences():
 
 def test_mlp_lipschitz_probe():
     dec = random_mlp_decoder(2, 3, hidden=8, seed=1)
-    ell = estimate_lipschitz(dec, probes=64, rng=np.random.default_rng(0))
+    ell = estimate_lipschitz(dec, np.random.default_rng(0))
     rng = np.random.default_rng(10)
     z = rng.standard_normal(2)
     h = 1e-3
@@ -77,20 +79,20 @@ def test_mlp_lipschitz_probe():
 
 def test_lipschitz_diagonal_by_hand():
     dec = linear_decoder(np.diag([2.0, 3.0]))
-    ell = estimate_lipschitz(dec, 1, np.random.default_rng(0))
+    ell = estimate_lipschitz(dec, np.random.default_rng(0))
     assert abs(ell - 3.0) < 1e-9
 
 
 def test_lipschitz_identity():
     dec = linear_decoder(np.eye(3))
-    assert abs(estimate_lipschitz(dec, 1, np.random.default_rng(0)) - 1.0) < 1e-9
+    assert abs(estimate_lipschitz(dec, np.random.default_rng(0)) - 1.0) < 1e-9
 
 
 def test_lipschitz_matches_eigen_oracle():
     rng = np.random.default_rng(3)
     W = rng.standard_normal((3, 2))
     dec = linear_decoder(W)
-    ell = estimate_lipschitz(dec, 1, np.random.default_rng(1))
+    ell = estimate_lipschitz(dec, np.random.default_rng(1))
     oracle = np.sqrt(np.linalg.eigvalsh(W.T @ W).max())
     assert abs(ell - oracle) < 1e-8
 
@@ -102,32 +104,40 @@ def test_linear_lipschitz_is_spectral_norm(seed):
     # a near-tie between the top two singular values slows power iteration
     U, _, Vt = np.linalg.svd(W, full_matrices=False)
     W = U @ np.diag([2.0, 2.0 - 1e-7, 0.5]) @ Vt
-    assert estimate_lipschitz(linear_decoder(W), 1,
-                              np.random.default_rng(0)) == np.linalg.norm(W, 2)
+    assert estimate_lipschitz(linear_decoder(W), np.random.default_rng(0)) \
+        == np.linalg.norm(W, 2)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_mlp_lipschitz_is_max_exact_jacobian_norm(seed):
     dec = random_mlp_decoder(3, 5, hidden=16, seed=seed)
-    probes = 64
-    ell = estimate_lipschitz(dec, probes, np.random.default_rng(seed))
+    ell = estimate_lipschitz(dec, np.random.default_rng(seed))
     # oracle: the same probe points (two candidates, then the draws), each
     # with its Jacobian W2 diag(1 - tanh^2(W1 z + b1)) W1 written out
     (W1, b1), (W2, _) = dec.layers
     rng = np.random.default_rng(seed)
     points = [np.zeros(3), -np.linalg.pinv(W1) @ b1] + \
-        [rng.standard_normal(3) for _ in range(probes)]
+        [rng.standard_normal(3) for _ in range(LIPSCHITZ_PROBES)]
     norms = [np.linalg.svd(W2 @ ((1.0 - np.tanh(W1 @ z + b1) ** 2)[:, None]
                                  * W1), compute_uv=False)[0]
              for z in points]
     assert abs(ell - 1.05 * max(norms)) <= 1e-12 * ell
 
 
-def test_lipschitz_bound_cached_and_audited():
+@pytest.mark.parametrize("dec", [
+    random_linear_decoder(2, 5, seed=1, scale=1.7),
+    random_mlp_decoder(2, 4, hidden=6, seed=2)], ids=["linear", "smooth_mlp"])
+def test_estimate_lipschitz_leaves_its_decoder_unchanged(dec):
+    # the bound is returned, not stored: the run records it as
+    # measured.lipschitz
+    doc, names = decoder_doc(dec), set(vars(dec))
+    estimate_lipschitz(dec, np.random.default_rng(0))
+    assert decoder_doc(dec) == doc and set(vars(dec)) == names
+
+
+def test_lipschitz_bound_audited():
     dec = random_mlp_decoder(2, 4, hidden=12, seed=4)
-    ell = estimate_lipschitz(dec, probes=128, rng=np.random.default_rng(2))
-    assert dec.lipschitz_bound == ell
-    assert dec.lipschitz_probes == 128
+    ell = estimate_lipschitz(dec, np.random.default_rng(2))
     # audit: local Jacobian norms at random points never exceed the bound
     rng = np.random.default_rng(17)
     for _ in range(10_000):

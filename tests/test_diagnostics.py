@@ -149,10 +149,7 @@ def synthetic_trace(dists, gamma=0.01, score_norm=1.0):
 
 def test_contraction_feasible_trace_all_hold():
     trace = synthetic_trace([0.0] * 10)
-    dec = random_linear_decoder(2, 3, seed=0)
-    estimate_lipschitz(dec, 1, np.random.default_rng(0))
-    spec = C.halfspace([1.0, 0.0, 0.0], 0.0)
-    rep = check_feasibility_contraction(trace, spec, dec, beta=1.0)
+    rep = check_feasibility_contraction(trace, lipschitz=1.0)
     assert rep.fraction_holding == 1.0
     for r in rep.records:
         assert abs(r.slack - (0.01 ** 2) * rep.G ** 2) < 1e-15
@@ -161,10 +158,7 @@ def test_contraction_feasible_trace_all_hold():
 def test_contraction_fabricated_violation_detected():
     # a jump in dist^2 faster than the bound must flag holds = False
     trace = synthetic_trace([0.2, 0.1, 5.0, 0.05])
-    dec = random_linear_decoder(2, 3, seed=0)
-    estimate_lipschitz(dec, 1, np.random.default_rng(0))
-    spec = C.halfspace([1.0, 0.0, 0.0], 0.0)
-    rep = check_feasibility_contraction(trace, spec, dec, beta=1.0)
+    rep = check_feasibility_contraction(trace, lipschitz=1.0)
     holds = [r.holds for r in rep.records]
     assert holds[0] is True and holds[1] is False
     assert rep.fraction_holding < 1.0
@@ -176,7 +170,7 @@ def test_contraction_drift_only_run_all_hold():
     sched = make_schedule(T=20, abar_end=0.02,
                           gamma_max=0.02, gamma_min=0.005, M=1)
     dec = random_linear_decoder(2, 3, seed=1234, scale=1.0)
-    estimate_lipschitz(dec, 1, np.random.default_rng(0))
+    ell = estimate_lipschitz(dec, np.random.default_rng(0))
     m = np.array([3.0, 0.0])
     f = linear_gaussian_field(m, np.eye(2), sched)
     mu_x = dec.weight @ m
@@ -186,18 +180,15 @@ def test_contraction_drift_only_run_all_hold():
                         noise_scale=0.0, final_projection=False)
     for seed in range(5):
         _, trace = sample(cfg, chain_rng(seed, 0))
-        rep = check_feasibility_contraction(trace, spec, dec, beta=1.0)
+        rep = check_feasibility_contraction(trace, ell)
         assert rep.fraction_holding == 1.0
         assert rep.precondition_ok
 
 
 def test_contraction_precondition_flagged():
     trace = synthetic_trace([0.5] * 5, gamma=10.0, score_norm=2.0)
-    dec = random_linear_decoder(2, 3, seed=0)
-    estimate_lipschitz(dec, 1, np.random.default_rng(0))
-    spec = C.halfspace([1.0, 0.0, 0.0], 0.0)
-    rep = check_feasibility_contraction(trace, spec, dec, beta=1.0)
-    assert not rep.precondition_ok  # gamma > beta / (2 G^2), advisory only
+    rep = check_feasibility_contraction(trace, lipschitz=1.0)
+    assert not rep.precondition_ok  # gamma > 1 / (2 G^2), advisory only
     assert rep.records  # the check still runs
 
 

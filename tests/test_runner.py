@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import yaml
 from latentprox import constraints as C
 from latentprox import experiments as EXP
 from latentprox.cli import main as cli_main
+from latentprox.decoders import random_mlp_decoder
 from latentprox.errors import ConfigError
 from latentprox.runner import (KEY_KINDS, SCHEMA, RunConfig,
                                build_sampler_config, load_config,
@@ -16,6 +18,7 @@ from latentprox.runner import (KEY_KINDS, SCHEMA, RunConfig,
                                rerun_from_manifest,
                                resolve_config, run_design, run_experiment)
 from latentprox.samplers import chain_rng, sample
+from latentprox.serialize import decoder_doc, save_decoder
 
 
 def minimal_config(out):
@@ -73,7 +76,8 @@ REMOVED_KEYS = [("schedule", "abar_start", 1.0),
                 ("checks", "fidelity_cumulative", False),
                 ("constraint", "smoothness", 1.0),
                 ("alm", "multiplier", 0.0),
-                ("decoder", "lipschitz_probes", 64)]
+                ("decoder", "lipschitz_probes", 64),
+                ("reports", "beta", 1.0)]
 
 
 @pytest.mark.parametrize("section, key, value", REMOVED_KEYS,
@@ -298,17 +302,20 @@ def test_replay_of_a_manifest_with_retired_keys(tmp_path, preset):
     if preset == "design":
         run_design(RunConfig.from_dict(
             EXP.design_loop_config(seed=0, out=str(out))))
-        sections = {"schedule", "decoder", "dpo", "design", "checks"}
+        sections = {"schedule", "decoder", "dpo", "design", "reports",
+                    "checks"}
     elif preset == "porosity":
         run_experiment(RunConfig.from_dict(EXP.porosity_config(
             fraction=0.3, seed=0, chains=2, out=str(out), grid=(8, 8),
             latent_dim=16)))
-        sections = {"schedule", "decoder", "constraint", "checks"}
+        sections = {"schedule", "decoder", "constraint", "reports",
+                    "checks"}
     else:
         # the ALM projections run at alm.multiplier's one value, 0.0
         run_experiment(RunConfig.from_dict(EXP.centroid_config(
             seed=0, chains=3, out=str(out))))
-        sections = {"schedule", "decoder", "constraint", "alm", "checks"}
+        sections = {"schedule", "decoder", "constraint", "alm", "reports",
+                    "checks"}
         files.append("alm.csv")
     resolved = with_retired_keys(out / "manifest.json")
     assert {s for s, _ in RETIRED_KEYS if resolved[s] is not None} == sections
@@ -320,8 +327,8 @@ def test_replay_of_a_manifest_with_retired_keys(tmp_path, preset):
 
 def test_replay_with_smoothness_keeps_the_contraction_report(tmp_path):
     # constraint.smoothness L divided the contraction constant,
-    # beta / (ell * L); at its only value, 1.0, that is beta / ell bit for
-    # bit, so an old run replays to the same report and files
+    # 1 / (ell * L); at its only value, 1.0, that is 1 / ell bit for bit,
+    # so an old run replays to the same report and files
     out = tmp_path / "run"
     cfg = dict(minimal_config(out), reports={"contraction": True})
     first = run_experiment(RunConfig.from_dict(cfg))
@@ -520,6 +527,17 @@ CONFIG_ERRORS = {
     "one-level window": (
         lambda cfg: cfg["sampler"].update(correct_levels=[3]),
         "correct_levels must be [t_low, t_high], got [3]"),
+    "contraction report without a decoder": (
+        lambda cfg: cfg.update(
+            decoder=None, sampler={"mode": "projected_ambient"},
+            constraint={"kind": "halfspace", "normal": [1.0, 0.0],
+                        "offset": 0.5},
+            reports={"contraction": True}),
+        "reports.contraction needs a decoder"),
+    "reversed level window": (
+        lambda cfg: cfg["sampler"].update(correct_levels=[5, 1]),
+        "correct_levels [t_low, t_high] must have t_low <= t_high, got "
+        "[5, 1]"),
     "one-sided grid": (
         set_constraint({"kind": "porosity", "grid": [3], "fraction": 0.5}),
         "porosity grid must be [rows, cols], got [3]"),
@@ -950,9 +968,17 @@ PROJECT_HALFSPACE = ["project", "--config",
     (PROJECT_HALFSPACE + ["--input", "{tmp}/x.txt"], {"x.txt": "1.0 abc\n"},
      "x.txt: 'abc' is not a number"),
     (["diagnose", "--run", "{tmp}"], {"manifest.json": "{not json\n"},
-     "manifest.json is not valid JSON")],
+     "manifest.json is not valid JSON"),
+    (["diagnose", "--run", "{tmp}"], {"manifest.json": "[]"},
+     "manifest.json is not a run manifest"),
+    (["diagnose", "--run", "{tmp}"], {"manifest.json": "{}"},
+     "manifest.json is not a run manifest"),
+    (["diagnose", "--run", "{tmp}"],
+     {"manifest.json": '{"resolved_config": 5}'},
+     "manifest.json is not a run manifest")],
     ids=["config", "config directory", "input", "run", "input token",
-         "manifest"])
+         "manifest", "manifest list", "manifest without config",
+         "manifest config not an object"])
 def test_cli_unreadable_path_exit_code(tmp_path, capsys, argv, files,
                                        message):
     for name, text in files.items():
@@ -962,6 +988,95 @@ def test_cli_unreadable_path_exit_code(tmp_path, capsys, argv, files,
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert message in err and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample"],
+    ["diagnose", "--run", "{tmp}", "--beta", "1"],
+    ["smaple", "--config", "{tmp}/cfg.yaml"]],
+    ids=["missing flag", "unknown flag", "unknown command"])
+def test_cli_usage_error_exit_code(tmp_path, capsys, argv):
+    # argparse exits 2 on its own, the code of a failed check
+    with pytest.raises(SystemExit) as exc:
+        cli_main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: latentprox") and "error: " in err
+
+
+FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def cli_help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_readme_cli_block_matches_the_parser(capsys):
+    # one README entry per subcommand, naming each flag its --help prints;
+    # an entry runs on over indented lines
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1] \
+        .split("```")[1]
+    lines = {entry.split()[1]: entry
+             for entry in re.split(r"\n(?=latentprox )", block.strip())}
+    commands = re.search(r"\{([a-z,-]+)\}", cli_help(capsys, [])).group(1)
+    assert sorted(lines) == sorted(commands.split(","))
+    for command, line in lines.items():
+        flags = set(FLAG.findall(cli_help(capsys, [command]))) - {"--help"}
+        assert set(FLAG.findall(line)) == flags, command
+
+
+def test_cli_diagnose_after_the_decoder_file_is_gone(tmp_path, capsys):
+    # the bound diagnose needs is the manifest's measured.lipschitz
+    decoder_file = tmp_path / "decoder.json"
+    save_decoder(random_mlp_decoder(2, 3, hidden=8, seed=1), decoder_file)
+    out = tmp_path / "run"
+    cfg = dict(minimal_config(out), decoder={"kind": "smooth_mlp",
+                                             "file": str(decoder_file)},
+               reports={"contraction": True})
+    rep = run_experiment(RunConfig.from_dict(cfg))["reports"]["contraction"]
+    decoder_file.unlink()
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1] == (
+        f"transitions: {rep['transitions']}  fraction_holding: "
+        f"{rep['fraction_holding']:.4f}  G: {rep['G']:.4f}  "
+        f"precondition_ok: {rep['precondition_ok']}")
+
+
+def test_replay_and_diagnose_of_a_run_with_old_lipschitz_keys(tmp_path,
+                                                              capsys):
+    # a run once wrote reports.beta: 1.0 into its manifest, and the bound
+    # and probe count into decoder.json
+    dec = random_mlp_decoder(2, 3, hidden=8, seed=1)
+    decoder_file = tmp_path / "old_decoder.json"
+    decoder_file.write_text(json.dumps(dict(
+        decoder_doc(dec), lipschitz_bound=1.5, lipschitz_probes=64)))
+    out = tmp_path / "run"
+    cfg = dict(minimal_config(out), decoder={"kind": "smooth_mlp",
+                                             "file": str(decoder_file)},
+               reports={"contraction": True})
+    first = run_experiment(RunConfig.from_dict(cfg))
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["resolved_config"]["reports"]["beta"] = 1.0
+    doc["reports"]["contraction"]["beta"] = 1.0
+    (out / "manifest.json").write_text(json.dumps(doc))
+    replay = rerun_from_manifest(out / "manifest.json", tmp_path / "replay")
+    assert replay["reports"] == first["reports"]
+    names = ["metrics.csv", "decoder.json", "score.json"] + [
+        f"samples/{p.name}" for p in (out / "samples").iterdir()]
+    for name in names:
+        assert (out / name).read_bytes() == \
+            (tmp_path / "replay" / name).read_bytes(), name
+    printed = []
+    for run in (out, tmp_path / "replay"):
+        capsys.readouterr()
+        assert cli_main(["diagnose", "--run", str(run)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and "transitions: " in printed[0]
 
 
 def test_cli_degenerate_centroid_exit_code(tmp_path, capsys):

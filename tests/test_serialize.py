@@ -2,8 +2,7 @@ import json
 
 import numpy as np
 
-from latentprox.decoders import random_linear_decoder, random_mlp_decoder, \
-    estimate_lipschitz
+from latentprox.decoders import random_linear_decoder, random_mlp_decoder
 from latentprox.schedules import make_schedule
 from latentprox.scores import (MlpScoreConfig, gaussian_mixture_field,
                                linear_gaussian_field, train_score)
@@ -56,15 +55,20 @@ def test_mlp_field_roundtrip_within_budget(tmp_path):
     assert g.mlp_config == cfg
 
 
-def test_decoder_roundtrip_embeds_lipschitz(tmp_path):
+def test_decoder_roundtrip_ignores_old_lipschitz_keys(tmp_path):
+    # decoder.json once carried the run's bound and its probe count; the
+    # bound is the manifest's measured.lipschitz
     dec = random_linear_decoder(2, 5, seed=1, scale=1.7)
-    estimate_lipschitz(dec, 3, np.random.default_rng(0))
     path = tmp_path / "dec.json"
     save_decoder(dec, path)
+    assert sorted(json.loads(path.read_text())) == [
+        "ambient_dim", "bias", "kind", "latent_dim", "type", "weight"]
     loaded = load_decoder(path)
     assert np.array_equal(loaded.weight, dec.weight)
-    assert loaded.lipschitz_bound == dec.lipschitz_bound
-    assert loaded.lipschitz_probes == 3
+    old = tmp_path / "old_dec.json"
+    old.write_text(json.dumps(dict(decoder_doc(dec), lipschitz_bound=1.7,
+                                   lipschitz_probes=64)))
+    assert decoder_doc(load_decoder(old)) == decoder_doc(dec)
 
 
 def test_mlp_decoder_roundtrip(tmp_path):
@@ -83,7 +87,6 @@ def test_indented_files_of_old_runs_load_equal(tmp_path):
                                    [np.eye(2), np.eye(2) * np.pi], schedule())
     decoders = [random_linear_decoder(2, 5, seed=1, scale=1.7),
                 random_mlp_decoder(2, 4, hidden=6, seed=2)]
-    estimate_lipschitz(decoders[0], 3, np.random.default_rng(0))
     for k, dec in enumerate(decoders):
         old, new = tmp_path / f"old_dec{k}.json", tmp_path / f"dec{k}.json"
         old.write_text(json.dumps(decoder_doc(dec), indent=1))
