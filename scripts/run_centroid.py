@@ -3,7 +3,9 @@
 
 Compares the forbidden-cluster rate of the unconstrained sampler (prior
 biased toward the forbidden mode) against the constrained sampler, which
-triggers proximal corrections on proximity to the forbidden centroid.
+triggers proximal corrections on proximity to the forbidden centroid, and
+the constrained run's ALM work: its projections, how many did not converge
+and their mean inner iterations.
 """
 
 import sys
@@ -17,27 +19,34 @@ from latentprox.runner import (RunConfig, build_constraint,
 from latentprox.samplers import chain_rng, sample
 
 
-def forbidden_rate(constrained: bool, model, chains: int = 200) -> float:
+def forbidden_rate(constrained: bool, model, chains: int = 200):
+    """The forbidden-cluster rate and the ALM reports of every chain."""
     cfg = RunConfig.from_dict(centroid_config(seed=0, chains=chains,
                                               out="unused",
                                               constrained=constrained))
     scfg = build_sampler_config(cfg)
-    hits = 0
+    hits, reports = 0, []
     for i in range(chains):
-        x, _ = sample(scfg, chain_rng(0, i))
+        x, trace = sample(scfg, chain_rng(0, i))
+        reports += [rep for _, _, rep in trace.alm_reports]
         p = C.pc_coordinates(model, x)
         hits += (np.linalg.norm(p - model.forbidden_centroid)
                  < np.linalg.norm(p - model.target_centroid))
-    return hits / chains
+    return hits / chains, reports
 
 
 def main():
     spec = build_constraint(RunConfig.from_dict(
         centroid_config(seed=0, chains=1, out="unused"))["constraint"])
-    base = forbidden_rate(False, spec.model)
-    steered = forbidden_rate(True, spec.model)
+    base, _ = forbidden_rate(False, spec.model)
+    steered, reports = forbidden_rate(True, spec.model)
     print(f"unconstrained forbidden-cluster rate: {base:.1%}")
     print(f"constrained forbidden-cluster rate:   {steered:.1%}")
+    unconverged = sum(not rep.converged for rep in reports)
+    inner = sum(rep.inner_iterations for rep in reports)
+    print(f"constrained ALM projections: {len(reports)}  unconverged: "
+          f"{unconverged}  mean inner iterations: "
+          f"{inner / len(reports):.1f}")
     return 0 if steered <= 0.10 and base >= 0.40 else 2
 
 

@@ -4,10 +4,14 @@ Solves argmin_{y : g(y) = 0} ||y - anchor|| through the relaxation
 L = ||y - anchor|| + lambda g(y) + (mu/2) g(y)^2 with multiplier and penalty
 updates across outer iterations, from lambda = 0 in every projection.  The
 distance term is squared inside the gradient (its gradient is undefined at
-y = anchor otherwise); the reported distance stays unsquared.  Each point is
-evaluated once, by one oracle call for g and its gradient: an accepted
-line-search trial carries both, and its offset from the anchor, into the next
-inner iteration.
+y = anchor otherwise); the reported distance stays unsquared.
+
+Each inner loop takes ``inner_step`` as its first step, and a secant step
+follows: the Barzilai-Borwein step (Barzilai & Borwein 1988) of
+``secant_step``, the rule of the sampler's correction loop.  A step that makes
+the Lagrangian rise is halved.  Each point is evaluated once, by one oracle
+call for g and its gradient: an accepted line-search trial carries both, and
+its offset from the anchor, into the next inner iteration.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class AlmState:
     penalty: float = 1.0       # mu, > 0
     growth: float = 2.0        # alpha, > 1
     penalty_cap: float = 1e4   # mu_max
-    inner_step: float = 1e-2   # gamma_in
+    inner_step: float = 1e-2   # gamma_in, first step of each inner loop
     max_inner: int = 200
     max_outer: int = 50
     tol: float = 1e-4          # delta, violation tolerance
@@ -58,6 +62,13 @@ class AlmReport:
     final_multiplier: float
     final_penalty: float
     converged: bool
+
+
+def secant_step(s, dy, step: float) -> float:
+    """The Barzilai-Borwein step s.s / s.y of a point's last move s and the
+    change dy of its gradient; ``step`` is kept when s.y <= 0."""
+    sy = float(s @ dy)
+    return float(s @ s) / sy if sy > 0.0 else step
 
 
 def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]:
@@ -94,13 +105,18 @@ def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]
             best_y, best_v = y, v
         if v < state.tol or outer == state.max_outer:
             break
+        # the Lagrangian changes with lam and mu, so each inner loop starts
+        # from inner_step and builds its secant pairs afresh
+        step, y_prev = state.inner_step, None
         for _ in range(state.max_inner):
             grad = d + (lam + mu * v) * np.asarray(grad_g, float)
             if math.sqrt(grad.dot(grad)) <= 1e-12:
                 break
             inner_total += 1
-            # fixed-step descent, halved when the penalty makes it unstable
-            step = state.inner_step
+            if y_prev is not None:
+                step = secant_step(y - y_prev, grad - grad_prev, step)
+            y_prev, grad_prev = y, grad
+            # halved while the Lagrangian rises
             base = lagrangian(v, d2)
             for _ in range(40):
                 trial = evaluate(y - step * grad)

@@ -134,7 +134,8 @@ def _cmd_project(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     run_dir = Path(args.run)
-    manifest = RunManifest.load(run_dir / "manifest.json")
+    path = run_dir / "manifest.json"
+    manifest = RunManifest.load(path)
     print(counters_line(manifest.data.get("counters", {})))
     cfg = manifest_config(manifest)
     if manifest.data.get("experiment_kind") == "design":
@@ -148,7 +149,12 @@ def _cmd_diagnose(args) -> int:
               "nothing to diagnose")
         return EXIT_OK
     # the bound the run measured, so the report is the run's own
-    report = check_run_contraction(traces, manifest["measured"]["lipschitz"])
+    measured = manifest.data.get("measured")
+    if not isinstance(measured, dict):
+        raise ConfigError(f"{path} has no 'measured' section")
+    if "lipschitz" not in measured:
+        raise ConfigError(f"{path} has no 'measured.lipschitz'")
+    report = check_run_contraction(traces, measured["lipschitz"])
     print(f"transitions: {len(report.records)}  fraction_holding: "
           f"{report.fraction_holding:.4f}  G: {report.G:.4f}  "
           f"precondition_ok: {report.precondition_ok}")

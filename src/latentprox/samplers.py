@@ -13,8 +13,9 @@ The correction rule has two loop shapes with the same steps and stops:
 ``_run_correction`` for one chain and ``_correct_rows`` for the violating
 rows of a population.  A chain is not run as the one-row case of the rows
 loop, because the rows loop's array bookkeeping costs more per iteration
-than the point loop; ROADMAP items 1-2 record the measurements and the
-decision to keep both shapes.
+than the point loop; ROADMAP's "Decided, not open" record holds the
+measurements and the decision to keep both shapes.  The point form of the
+secant step is ``alm.secant_step``, which the ALM inner loop takes too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constraints as C
-from .alm import AlmState, alm_project
+from .alm import AlmState, alm_project, secant_step
 from .decoders import DecoderMap, decode, decode_unchecked, vjp_unchecked
 from .dpo import (DpoConfig, Simulator, SimulatorWork, _check_target,
                   dpo_loss_grad)
@@ -271,10 +272,7 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
         if z_prev is None:
             g0_norm = g_norm
         elif secant:
-            s, y = z - z_prev, g - g_prev
-            sy = float(s @ y)
-            if sy > 0.0:
-                step = float(s @ s) / sy
+            step = secant_step(z - z_prev, g - g_prev, step)
         z_prev, g_prev = z, g
         z = z - step * g
         if not np.isfinite(z).all():

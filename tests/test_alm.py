@@ -164,9 +164,11 @@ def _unit(rng):
 
 
 def reference_alm_project(anchor, g, grad_g, state):
-    """The solver before it carried anything between iterations: it calls g
-    and grad_g separately, and again on every point it already evaluated.
-    Returns the point, the report fields and whether it converged."""
+    """The solver before it carried evaluations between iterations: it calls
+    g and grad_g separately, and again on every point it already evaluated,
+    so the secant step recomputes the previous point's gradient; only the
+    previous point and step are kept.  Returns the point, the report fields
+    and whether it converged."""
     anchor = np.asarray(anchor, dtype=float)
     y = anchor.copy()
     lam, mu, inner_total = 0.0, state.penalty, 0
@@ -174,6 +176,10 @@ def reference_alm_project(anchor, g, grad_g, state):
 
     def lagrangian(pt, v):
         return 0.5 * float((pt - anchor) @ (pt - anchor)) + lam * v + 0.5 * mu * v * v
+
+    def lagrangian_grad(pt):
+        v = float(g(pt))
+        return (pt - anchor) + (lam + mu * v) * np.asarray(grad_g(pt), float)
 
     for outer in range(state.max_outer + 1):
         v = float(g(y))
@@ -184,14 +190,21 @@ def reference_alm_project(anchor, g, grad_g, state):
                        lam, mu, True)
         if outer == state.max_outer:
             break
+        # inner_step first, then the Barzilai-Borwein step s.s / s.y; the
+        # previous step stays when s.y <= 0
+        step, y_prev = state.inner_step, None
         for _ in range(state.max_inner):
-            v_cur = float(g(y))
-            grad = (y - anchor) + (lam + mu * v_cur) * np.asarray(grad_g(y), float)
+            grad = lagrangian_grad(y)
             if float(np.linalg.norm(grad)) <= 1e-12:
                 break
             inner_total += 1
-            step = state.inner_step
-            base = lagrangian(y, v_cur)
+            if y_prev is not None:
+                s = y - y_prev
+                sy = float(s @ (grad - lagrangian_grad(y_prev)))
+                if sy > 0.0:
+                    step = float(s @ s) / sy
+            y_prev = y
+            base = lagrangian(y, float(g(y)))
             for _ in range(40):
                 y_new = y - step * grad
                 if lagrangian(y_new, float(g(y_new))) <= base + 1e-15:

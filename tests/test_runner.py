@@ -789,6 +789,25 @@ def test_cli_diagnose_matches_manifest(tmp_path, capsys, preset):
     assert f"precondition_ok: {rep['precondition_ok']}" in printed
 
 
+@pytest.mark.parametrize("drop", ["measured", "measured.lipschitz"])
+def test_cli_diagnose_without_the_measured_bound_exits_3(tmp_path, capsys,
+                                                        drop):
+    out = tmp_path / "run"
+    run_experiment(RunConfig.from_dict(EXP.halfspace_contraction_config(
+        seed=3, chains=3, out=str(out))))
+    doc = json.loads((out / "manifest.json").read_text())
+    if drop == "measured":
+        del doc["measured"]
+    else:
+        del doc["measured"]["lipschitz"]
+    (out / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {out / 'manifest.json'} "
+                          f"has no '{drop}'") and err.count("\n") == 1
+
+
 def test_cli_diagnose_reads_a_manifest_with_a_retired_key(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = dict(minimal_config(out), reports={"contraction": True})

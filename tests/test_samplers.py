@@ -645,3 +645,18 @@ def test_proximal_latent_matches_reference(name, cfg):
         assert reasons == {"converged", "capped"}
     if name == "centroid_alm":
         assert alm > 0
+
+
+def test_centroid_alm_projections_converge_in_few_inner_iterations():
+    # the ALM inner loop takes the secant step after its first inner_step:
+    # 40 preset chains make 74 projections at a mean of about 6 inner
+    # iterations each (about 126 with the fixed step alone)
+    cfg = RunConfig.from_dict(centroid_config(seed=0, chains=40, out="unused"))
+    scfg = build_sampler_config(cfg)
+    reports = []
+    for i in range(40):
+        _, trace = sample(scfg, chain_rng(0, i))
+        reports += [rep for _, _, rep in trace.alm_reports]
+    assert reports and all(rep.converged for rep in reports)
+    mean_inner = sum(rep.inner_iterations for rep in reports) / len(reports)
+    assert mean_inner <= 15
