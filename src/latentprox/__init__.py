@@ -12,9 +12,8 @@ from .decoders import (DecoderMap, decode, estimate_lipschitz,  # noqa: F401
 from .constraints import (CentroidModel, ConstraintSpec,  # noqa: F401
                           centroid_constraint, centroid_trigger,
                           custom_constraint, dist_to_set, fit_centroid_model,
-                          halfspace, l2_ball, box, porosity,
-                          porosity_constraint, project_exact,
-                          project_porosity, prox, violation)
+                          halfspace, l2_ball, box, porosity_constraint,
+                          project_exact, prox, violation)
 from .alm import AlmReport, AlmState, alm_project  # noqa: F401
 from .dpo import (DpoConfig, Simulator, design_loop, dpo_loss_grad,  # noqa: F401
                   linear_simulator, make_simulator, piecewise_simulator,

@@ -34,23 +34,6 @@ INSIDE_PASSES = 64
 # Porosity on image grids
 
 
-def _check_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2:
-        raise ShapeError("image grid must be a 2-D array")
-    if not np.isfinite(grid).all():
-        raise NumericError("image grid contains non-finite values")
-    if grid.min() < -1.0 or grid.max() > 1.0:
-        raise ParameterError("grid values must lie within [-1, 1]")
-    return grid
-
-
-def porosity(grid) -> int:
-    """Count of strictly negative pixels."""
-    grid = _check_grid(grid)
-    return int(np.count_nonzero(grid < 0.0))
-
-
 def _count_adjust(flat: np.ndarray, K: int,
                   tau: float) -> tuple[np.ndarray, int]:
     """Flip the cheapest pixels (by L1 cost) until exactly K are negative.
@@ -84,22 +67,6 @@ def _count_adjust(flat: np.ndarray, K: int,
         flip[np.flatnonzero(flat == thr)[-surplus:]] = False
     out[flip] = value
     return out, c
-
-
-def project_porosity(grid, K: int, tau: float = DEFAULT_MARGIN) -> np.ndarray:
-    """Cheapest (L1) adjustment of the grid to exactly K negative pixels.
-
-    Rank pixels by value: if the count is short, the smallest non-negative
-    pixels are set to -tau; if it overshoots, the negative pixels closest to
-    zero are set to 0.  Ties break by row-major index.
-    """
-    grid = _check_grid(grid)
-    n_pix = grid.size
-    if not 0 <= K <= n_pix:
-        raise ParameterError(f"K={K} outside 0..{n_pix}")
-    if not 0.0 < tau <= 0.01:
-        raise ParameterError("margin tau must lie in (0, 0.01]")
-    return _count_adjust(grid.ravel(), K, tau)[0].reshape(grid.shape)
 
 
 def _pixels(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:

@@ -271,8 +271,7 @@ def measured_score_bound(field_: ScoreField, moments, draws: int,
     G = 0.0
     for t in sorted(moments):
         mean, cov = moments[t]
-        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        half = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+        half = _sqrtm_psd(cov, f"level {t} covariance")
         pts = mean + rng.standard_normal((draws, field_.dim)) @ half.T
         level = max(t, 1)  # scores are defined for t >= 1 in the chain
         norms = np.linalg.norm(score_fn(field_, pts, level), axis=1)

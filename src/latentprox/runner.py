@@ -75,7 +75,9 @@ SCHEMA = {
                 "lr": None, "inner_cap": 500, "final_projection": True,
                 "noise_scale": 1.0, "correct_levels": None,
                 "correct_every_step": False, "record_vectors": True},
-    "alm": {f.name: f.default for f in dataclasses.fields(AlmState)},
+    # alm.tol None: the constraint's delta (see resolve_config)
+    "alm": {**{f.name: f.default for f in dataclasses.fields(AlmState)},
+            "tol": None},
     "dpo": {"nu": REQUIRED, "M": REQUIRED, "seed": 0, "target": None,
             "simulator": {"name": REQUIRED, "matrix": None, "bias": None,
                           "scale": 2.0, "slope": 0.3}},
@@ -106,7 +108,7 @@ KEY_KINDS = {
     "constraint.model.target_centroid": [float],
     "constraint.model.forbidden_centroid": [float],
     "constraint.model.p_trig": float, "constraint.model.feature_map": [float],
-    "sampler.lr": float, "sampler.correct_levels": [int],
+    "sampler.lr": float, "sampler.correct_levels": [int], "alm.tol": float,
     "dpo.nu": float, "dpo.M": int, "dpo.target": [float],
     "dpo.simulator.matrix": [float], "dpo.simulator.bias": [float],
     "checks.contraction_fraction": float, "checks.design_mse_ratio": float}
@@ -214,7 +216,9 @@ def resolve_config(data: dict) -> dict:
     with an entry that is not one or rows of unequal length, and a section
     whose kind lacks a key it needs (``NEEDED_KEYS``); the root seed is
     mandatory so no run is ever implicitly seeded, and it must be a
-    non-negative integer.
+    non-negative integer.  An unset ``alm.tol`` resolves to the
+    constraint's ``delta``, and a run with the alm solver and no alm
+    section gets the section's defaults.
     """
     out = _resolve(data, SCHEMA, "")
     for key, least in (("seed", 0), ("chains", 1)):
@@ -230,6 +234,11 @@ def resolve_config(data: dict) -> dict:
         for key in kinds.get(section["kind"], ()):
             if section[key] is None:
                 raise ConfigError(f"{section['kind']} {name} needs {key!r}")
+    alm, con = out["alm"], out["constraint"]
+    if alm is None and con is not None and out["sampler"]["solver"] == "alm":
+        alm = out["alm"] = _resolve({}, SCHEMA["alm"], "alm")
+    if alm is not None and alm["tol"] is None:
+        alm["tol"] = (con if con is not None else SCHEMA["constraint"])["delta"]
     return out
 
 
@@ -454,6 +463,11 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
             and cfg["decoder"] is None:
         raise ConfigError("reports.contraction needs a decoder: the check "
                           "takes the decoder's measured Lipschitz bound")
+    if cfg["sampler"]["mode"] == "unconstrained" and cfg["constraint"] \
+            is not None and cfg["constraint"]["kind"] == "porosity":
+        raise ConfigError("a porosity constraint needs the grids of a "
+                          "constrained mode; the finals of an unconstrained "
+                          "run are latents")
     started = time.time()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

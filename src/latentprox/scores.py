@@ -54,10 +54,6 @@ class MlpParams:
     W3: np.ndarray
     b3: np.ndarray
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(*(a.copy() for a in
-                           (self.W1, self.b1, self.W2, self.b2, self.W3, self.b3)))
-
 
 @dataclass(frozen=True)
 class ScoreField:

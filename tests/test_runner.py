@@ -892,6 +892,37 @@ def test_cli_sample_rejects_a_grid_that_does_not_fit_the_decoder(tmp_path,
     assert not (tmp_path / "p" / "metrics.csv").exists()
 
 
+def test_cli_sample_refuses_an_unconstrained_porosity_run(tmp_path, capsys):
+    # the finals of an unconstrained run are 16-d latents, not 8x8 grids;
+    # the run is refused before its first chain, not failed after it
+    raw = EXP.porosity_config(fraction=0.3, seed=3, chains=2,
+                              out=str(tmp_path / "p"), grid=(8, 8),
+                              latent_dim=16)
+    raw["sampler"]["mode"] = "unconstrained"
+    path = write_yaml(tmp_path / "cfg.yaml", raw)
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: a porosity constraint ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("alm, tol", [(None, 0.05), ({"growth": 2.0}, 0.05),
+                                      ({"tol": 0.02}, 0.02)],
+                         ids=["no section", "growth only", "tol set"])
+def test_alm_tol_defaults_to_the_constraint_delta(tmp_path, alm, tol):
+    # with or without an alm section, an unset tol is the constraint's
+    # delta (0.05 in the preset), and the manifest records the number
+    raw = EXP.centroid_config(seed=0, chains=1, out=str(tmp_path / "c"))
+    raw["alm"] = alm
+    cfg = RunConfig.from_dict(raw)
+    assert build_sampler_config(cfg).alm.tol == tol
+    manifest = run_experiment(cfg)
+    assert manifest["resolved_config"]["alm"]["tol"] == tol
+    stored = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert stored["resolved_config"]["alm"]["tol"] == tol
+
+
 @pytest.mark.parametrize("name, kind, dim", [
     ("porosity", "porosity", 256), ("halfspace_contraction", "halfspace", 3)])
 def test_cli_project_rejects_a_vector_of_the_wrong_length(tmp_path, capsys,

@@ -1,11 +1,11 @@
 """Every experiment script in scripts/ still imports.
 
-The scripts run long experiments, so the suite does not run them; it loads
+The scripts run long experiments, so this file does not run them; it loads
 each one as a module, which runs its imports but not ``main``.  A name a
-script imports that the package renamed or deleted fails here.
+script imports that the package renamed or deleted fails here.  The
+acceptance suite runs the studies the scripts define.
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -19,8 +19,5 @@ def test_scripts_found():
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
-def test_script_imports_and_defines_main(path):
-    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(getattr(module, "main", None))
+def test_script_imports_and_defines_main(path, load_script):
+    assert callable(getattr(load_script(path.stem), "main", None))
