@@ -6,12 +6,12 @@ updates across outer iterations, from lambda = 0 in every projection.  The
 distance term is squared inside the gradient (its gradient is undefined at
 y = anchor otherwise); the reported distance stays unsquared.
 
-Each inner loop takes ``inner_step`` as its first step, and a secant step
-follows: the Barzilai-Borwein step (Barzilai & Borwein 1988) of
-``secant_step``, the rule of the sampler's correction loop.  A step that makes
-the Lagrangian rise is halved.  Each point is evaluated once, by one oracle
-call for g and its gradient: an accepted line-search trial carries both, and
-its offset from the anchor, into the next inner iteration.
+Each outer iteration runs ``descend``, the inner loop ``constraints.prox``
+runs too: a first step, then the Barzilai-Borwein step (Barzilai & Borwein
+1988) of ``secant_step``, the sampler's correction rule, halved while L
+rises.  It stops converged (||grad L|| <= 1e-12), stalled (40 halvings all
+let L rise, as at a kink of g; the point is kept) or capped.  Each point is
+evaluated once, by one oracle call for g and its gradient.
 """
 
 from __future__ import annotations
@@ -71,62 +71,78 @@ def secant_step(s, dy, step: float) -> float:
     return float(s @ s) / sy if sy > 0.0 else step
 
 
+def descend(oracle, anchor, point, lam: float, mu: float, step: float,
+            cap: int):
+    """Descend L(y) = ||y - anchor||^2 / 2 + lam g(y) + (mu/2) g(y)^2 from
+    ``point`` = (y, g(y), grad g(y)) with first step ``step``.
+
+    Returns the last point, the iterations taken and the stop:
+    "converged", "stalled" or "capped" (see the module docstring).  A line
+    search that ends on a non-finite trial raises NumericError.
+    """
+    y, v, grad_g = point
+    d = y - anchor
+    d2 = float(d @ d)
+    y_prev = None
+    for it in range(cap):
+        grad = d + (lam + mu * v) * np.asarray(grad_g, float)
+        if math.sqrt(grad.dot(grad)) <= 1e-12:
+            return (y, v, grad_g), it, "converged"
+        if y_prev is not None:
+            step = secant_step(y - y_prev, grad - grad_prev, step)
+        y_prev, grad_prev = y, grad
+        base = 0.5 * d2 + lam * v + 0.5 * mu * v * v
+        for _ in range(40):
+            trial = y - step * grad
+            tv, t_grad = oracle(trial)
+            tv, td = float(tv), trial - anchor
+            td2 = float(td @ td)
+            descended = 0.5 * td2 + lam * tv + 0.5 * mu * tv * tv \
+                <= base + 1e-15
+            if descended:
+                break
+            step *= 0.5
+        if not np.isfinite(trial).all():
+            raise NumericError("ALM step produced non-finite values")
+        if not descended:
+            return (y, v, grad_g), it + 1, "stalled"
+        y, v, grad_g, d, d2 = trial, tv, t_grad, td, td2
+    return (y, v, grad_g), cap, "capped"
+
+
 def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]:
     """Drive y toward g(y) = 0 while staying close to the anchor.
 
     ``oracle(y)`` returns the non-negative violation g(y), used for
     termination and multiplier updates, and its gradient away from the zero
-    set (zero on it).  It need not check its input: a non-finite anchor or
-    accepted step raises NumericError, and a trial whose value is not finite
-    fails the line-search test, so the step is halved.  Returns the best
-    iterate (least violation) and the report; ``converged`` is False when
-    the outer cap is hit with g(y) >= tol, and the caller decides whether to
-    use that iterate.
+    set (zero on it).  It need not check its input: a non-finite anchor, or
+    a line search that ends on a non-finite trial, raises NumericError, and
+    a trial whose value is not finite fails the line-search test, so the
+    step is halved.  Returns the best iterate (least violation) and the
+    report; ``converged`` is False when the outer cap is hit with
+    g(y) >= tol, and the caller decides whether to use that iterate.
     """
     anchor = np.asarray(anchor, dtype=float)
     if not np.isfinite(anchor).all():
         raise NumericError("ALM anchor contains non-finite values")
     lam, mu, inner_total = 0.0, state.penalty, 0
-
-    def evaluate(pt):
-        v, grad_g = oracle(pt)
-        d = pt - anchor
-        return pt, float(v), grad_g, d, float(d @ d)
-
-    def lagrangian(v, d2):
-        # squared distance inside the optimization; see module docstring
-        return 0.5 * d2 + lam * v + 0.5 * mu * v * v
-
-    y, v, grad_g, d, d2 = evaluate(anchor.copy())
+    y = anchor.copy()
+    v, grad_g = oracle(y)
+    point = (y, float(v), grad_g)
     # no step changes y in place, so the best iterate needs no copy
-    best_y, best_v = y, v
+    best_y, best_v = point[:2]
     for outer in range(state.max_outer + 1):
+        y, v, _ = point
         if v < best_v:
             best_y, best_v = y, v
         if v < state.tol or outer == state.max_outer:
             break
         # the Lagrangian changes with lam and mu, so each inner loop starts
         # from inner_step and builds its secant pairs afresh
-        step, y_prev = state.inner_step, None
-        for _ in range(state.max_inner):
-            grad = d + (lam + mu * v) * np.asarray(grad_g, float)
-            if math.sqrt(grad.dot(grad)) <= 1e-12:
-                break
-            inner_total += 1
-            if y_prev is not None:
-                step = secant_step(y - y_prev, grad - grad_prev, step)
-            y_prev, grad_prev = y, grad
-            # halved while the Lagrangian rises
-            base = lagrangian(v, d2)
-            for _ in range(40):
-                trial = evaluate(y - step * grad)
-                if lagrangian(trial[1], trial[4]) <= base + 1e-15:
-                    break
-                step *= 0.5
-            if not np.isfinite(trial[0]).all():
-                raise NumericError("ALM step produced non-finite values")
-            y, v, grad_g, d, d2 = trial
-        lam = lam + mu * v
+        point, inner, _ = descend(oracle, anchor, point, lam, mu,
+                                  state.inner_step, state.max_inner)
+        inner_total += inner
+        lam = lam + mu * point[1]
         mu = min(state.growth * mu, state.penalty_cap)
     return best_y, AlmReport(
         outer_iterations=outer, inner_iterations=inner_total,

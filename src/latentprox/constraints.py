@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .alm import descend
 from .errors import (ConfigError, ConvergenceError, DegeneracyError,
                      NumericError, ParameterError, ShapeError,
                      UnsupportedKindError)
@@ -24,7 +25,6 @@ KINDS = ("halfspace", "l2_ball", "box", "porosity", "surrogate_centroid",
 # closed-form kinds: their rules take a point or a batch of rows alike
 CLOSED_FORM_KINDS = ("halfspace", "l2_ball", "box")
 DEFAULT_MARGIN = 1e-3
-PROX_GRAD_TOL = 1e-8
 PROX_CAP = 10_000
 # passes that may pull a rounded closed-form projection inside its set
 INSIDE_PASSES = 64
@@ -507,12 +507,11 @@ def prox(spec: ConstraintSpec, x, weight: float | None = None) -> np.ndarray:
     """Proximal map argmin_y g(y) + ||y - x||^2 / (2 lambda).
 
     Indicator-style kinds reduce to their projection regardless of the
-    weight.  The other kinds are solved by gradient descent with
-    backtracking, which stops at first-order stationarity or when 40
-    halvings of the step all fail the sufficient-decrease test; it then
-    returns its current point.  The second stop is reached at a kink of g,
-    such as the edge of the centroid disc, where the gradient norm stays
-    away from 0 at the minimizer.
+    weight.  The others run ``alm.descend``, the ALM inner loop, at
+    multiplier lambda and penalty 0: its Lagrangian lambda g(y) +
+    ||y - x||^2 / 2 has the same minimizer.  The first step is min(lambda,
+    1).  A kink of g, such as the centroid disc's edge, ends it stalled;
+    ``PROX_CAP`` iterations raise ConvergenceError.
     """
     lam = spec.prox_weight if weight is None else float(weight)
     if lam <= 0:
@@ -521,27 +520,15 @@ def prox(spec: ConstraintSpec, x, weight: float | None = None) -> np.ndarray:
     if has_exact_projection(spec):
         return _project_exact(spec, x)
 
-    def obj(y, v):
-        return v + float((y - x) @ (y - x)) / (2.0 * lam)
+    def oracle(y):
+        return _violation_and_gradient(spec, y)
 
-    y = x.copy()
-    step = min(lam, 1.0)
-    for it in range(PROX_CAP):
-        v, grad_g = violation_and_gradient(spec, y)
-        gvec = grad_g + (y - x) / lam
-        gnorm = float(np.linalg.norm(gvec))
-        if gnorm <= PROX_GRAD_TOL:
-            return y
-        trial_step = step
-        base = obj(y, v)
-        for _ in range(40):
-            y_new = y - trial_step * gvec
-            if obj(y_new, violation(spec, y_new)) <= \
-                    base - 0.25 * trial_step * gnorm ** 2:
-                break
-            trial_step *= 0.5
-        else:
-            return y
-        y = y_new
-    raise ConvergenceError("prox solver hit its iteration cap",
-                           residual=gnorm, iterations=PROX_CAP)
+    # from a copy, so that no stop returns the caller's array
+    (y, _, grad_g), _, stop = descend(oracle, x, (x.copy(), *oracle(x)), lam,
+                                      0.0, min(lam, 1.0), PROX_CAP)
+    if stop == "capped":
+        raise ConvergenceError(
+            "prox solver hit its iteration cap",
+            residual=float(np.linalg.norm(y - x + lam * grad_g)),
+            iterations=PROX_CAP)
+    return y

@@ -96,19 +96,26 @@ def _check_latent(m: DecoderMap, z) -> np.ndarray:
     return z
 
 
-def decode_unchecked(m: DecoderMap, z: np.ndarray) -> np.ndarray:
+def _matmul(W: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """W applied to a point or to each row of a batch: ``a @ W.T``."""
+    return a @ W.T
+
+
+def decode_unchecked(m: DecoderMap, z: np.ndarray,
+                     product=_matmul) -> np.ndarray:
     """D(z) for a finite float latent: a point or a batch of rows.
 
     The checked ``decode`` is this plus ``_check_latent``, for a point;
     loops that validate their latent once per update call this one.
+    ``product(W, a)`` applies each weight to a's last axis.
     """
     if m.kind == "linear":
-        return z @ m.weight.T + m.bias
+        return product(m.weight, z) + m.bias
     a = z
     for W, b in m.layers[:-1]:
-        a = np.tanh(a @ W.T + b)
+        a = np.tanh(product(W, a) + b)
     W, b = m.layers[-1]
-    return a @ W.T + b
+    return product(W, a) + b
 
 
 def decode(m: DecoderMap, z) -> np.ndarray:
@@ -116,21 +123,23 @@ def decode(m: DecoderMap, z) -> np.ndarray:
     return decode_unchecked(m, _check_latent(m, z))
 
 
-def vjp_unchecked(m: DecoderMap, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+def vjp_unchecked(m: DecoderMap, z: np.ndarray, v: np.ndarray,
+                  product=_matmul) -> np.ndarray:
     """J(z)^T v for a checked z and a float v: points or batches of rows.
 
-    The checked ``vjp`` is this plus the input checks, for a point.
+    The checked ``vjp`` is this plus the input checks, for a point;
+    ``product`` is as in ``decode_unchecked``.
     """
     if m.kind == "linear":
-        return v @ m.weight
+        return product(m.weight.T, v)
     activations = []
     a = z
     for W, b in m.layers[:-1]:
-        a = np.tanh(a @ W.T + b)
+        a = np.tanh(product(W, a) + b)
         activations.append(a)
-    g = v @ m.layers[-1][0]
+    g = product(m.layers[-1][0].T, v)
     for (W, b), a in zip(reversed(m.layers[:-1]), reversed(activations)):
-        g = (g * (1.0 - a ** 2)) @ W
+        g = product(W.T, g * (1.0 - a ** 2))
     return g
 
 
@@ -149,29 +158,13 @@ def decode_rows(m: DecoderMap, Z: np.ndarray) -> np.ndarray:
     np.matvec runs the point's matrix-vector product once per row, so row i
     is ``decode_unchecked(m, Z[i])`` bit for bit; ``Z @ W.T`` is not.
     """
-    if m.kind == "linear":
-        return np.matvec(m.weight, Z) + m.bias
-    a = Z
-    for W, b in m.layers[:-1]:
-        a = np.tanh(np.matvec(W, a) + b)
-    W, b = m.layers[-1]
-    return np.matvec(W, a) + b
+    return decode_unchecked(m, Z, np.matvec)
 
 
 def vjp_rows(m: DecoderMap, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
     """J(z_i)^T v_i for each row; row i is ``vjp_unchecked(m, Z[i], V[i])``
     bit for bit, as in ``decode_rows``."""
-    if m.kind == "linear":
-        return np.matvec(m.weight.T, V)
-    activations = []
-    a = Z
-    for W, b in m.layers[:-1]:
-        a = np.tanh(np.matvec(W, a) + b)
-        activations.append(a)
-    g = np.matvec(m.layers[-1][0].T, V)
-    for (W, b), a in zip(reversed(m.layers[:-1]), reversed(activations)):
-        g = np.matvec(W.T, g * (1.0 - a ** 2))
-    return g
+    return vjp_unchecked(m, Z, V, np.matvec)
 
 
 def estimate_lipschitz(m: DecoderMap, rng: np.random.Generator) -> float:

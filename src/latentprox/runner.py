@@ -464,10 +464,10 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
         raise ConfigError("reports.contraction needs a decoder: the check "
                           "takes the decoder's measured Lipschitz bound")
     if cfg["sampler"]["mode"] == "unconstrained" and cfg["constraint"] \
-            is not None and cfg["constraint"]["kind"] == "porosity":
-        raise ConfigError("a porosity constraint needs the grids of a "
-                          "constrained mode; the finals of an unconstrained "
-                          "run are latents")
+            is not None:
+        raise ConfigError(f"a {cfg['constraint']['kind']} constraint needs "
+                          "a constrained mode; an unconstrained run never "
+                          "reads it, and its finals are latents")
     started = time.time()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,11 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from latentprox import constraints as C
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60,
@@ -23,3 +26,18 @@ def load_script():
         spec.loader.exec_module(module)
         return module
     return load
+
+
+def centroid_prox_closed_form(spec, x, lam):
+    """argmin_y g(y) + ||y - x||^2 / (2 lam) for g(y) = max(||B y - q - c||
+    - r, 0), B = axes @ feature_map with B B^T = I: the prox of a distance
+    on the preimage of a co-isometry (Bauschke & Combettes)."""
+    m = spec.model
+    B = m.axes @ m.feature_map
+    u = C.pc_coordinates(m, x) - m.target_centroid
+    s, r = np.linalg.norm(u), spec.accept_radius
+    if s <= r:
+        return x
+    if s <= r + lam:
+        return x - B.T @ u * (1.0 - r / s)
+    return x - lam * B.T @ u / s

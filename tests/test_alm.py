@@ -4,7 +4,7 @@ import pytest
 import warnings
 
 from latentprox import constraints as C
-from latentprox.alm import AlmState, alm_project
+from latentprox.alm import AlmState, alm_project, descend
 from latentprox.errors import NumericError, ParameterError
 
 
@@ -63,6 +63,27 @@ def test_non_finite_accepted_step_raises():
         alm_project(np.array([3.0, 0.0]),
                     lambda p: (C._violation(spec, p), np.array([np.inf, 0.0])),
                     AlmState())
+
+
+def test_a_stalled_line_search_ends_the_inner_loop():
+    # the reported gradient points uphill, so all 40 halvings let the
+    # Lagrangian rise: each inner loop ends after one stalled iteration
+    # and keeps its point, rather than take the last trial and run to
+    # max_inner
+    def uphill(y):
+        grad = np.zeros_like(y)
+        grad[0] = -np.sign(y[0])
+        return max(abs(float(y[0])) - 1.0, 0.0), grad
+
+    anchor = np.array([3.0, 0.0])
+    state = AlmState(max_outer=5, max_inner=20)
+    y, report = alm_project(anchor, uphill, state)
+    assert report.inner_iterations == state.max_outer
+    assert not report.converged
+    assert np.array_equal(y, anchor)
+    point, iterations, stop = descend(uphill, anchor, (anchor, *uphill(anchor)),
+                                      0.0, 1.0, 0.01, 20)
+    assert (iterations, stop) == (1, "stalled") and point[0] is anchor
 
 
 def test_feasible_anchor_early_exit():

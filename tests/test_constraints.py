@@ -7,10 +7,13 @@ from hypothesis import example, given, strategies as st
 
 from latentprox import constraints as C
 from latentprox import experiments as EXP
-from latentprox.errors import (ConfigError, DegeneracyError, NumericError,
+from latentprox.errors import (ConfigError, ConvergenceError,
+                               DegeneracyError, NumericError,
                                ParameterError, ShapeError,
                                UnsupportedKindError)
 from latentprox.runner import RunConfig, build_constraint
+
+from conftest import centroid_prox_closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +518,16 @@ def test_prox_quadratic_closed_form():
     assert np.allclose(y, [1.0, 1.0], atol=1e-7)
 
 
+def test_prox_raises_at_its_iteration_cap(monkeypatch):
+    # the quadratic needs more than one iteration, so a cap of one ends
+    # the descent capped, neither converged nor stalled
+    monkeypatch.setattr(C, "PROX_CAP", 1)
+    spec = C.custom_constraint(lambda y: 0.5 * float(y @ y), lambda y: y)
+    with pytest.raises(ConvergenceError, match="cap") as info:
+        C.prox(spec, np.array([2.0, 2.0]), 1.0)
+    assert info.value.iterations == 1 and info.value.residual > 0
+
+
 def test_prox_zero_g_returns_input():
     spec = C.custom_constraint(lambda y: 0.0, lambda y: np.zeros_like(y))
     x = np.array([0.3, -0.4])
@@ -528,21 +541,6 @@ def test_prox_distance_monotone_in_weight():
              for lam in [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2]]
     assert all(a <= b + 1e-9 for a, b in zip(dists, dists[1:]))
     assert dists[0] < 1e-2  # prox -> identity as lam -> 0
-
-
-def centroid_prox_closed_form(spec, x, lam):
-    """argmin_y g(y) + ||y - x||^2 / (2 lam) for g(y) = max(||B y - q - c||
-    - r, 0), B = axes @ feature_map with B B^T = I: the prox of a distance
-    on the preimage of a co-isometry (Bauschke & Combettes)."""
-    m = spec.model
-    B = m.axes @ m.feature_map
-    u = C.pc_coordinates(m, x) - m.target_centroid
-    s, r = np.linalg.norm(u), spec.accept_radius
-    if s <= r:
-        return x
-    if s <= r + lam:
-        return x - B.T @ u * (1.0 - r / s)
-    return x - lam * B.T @ u / s
 
 
 @pytest.mark.parametrize("weight", [0.01, 1.0, 50.0])

@@ -13,12 +13,16 @@ from latentprox.cli import main as cli_main
 from latentprox.decoders import random_mlp_decoder
 from latentprox.errors import ConfigError
 from latentprox.runner import (KEY_KINDS, SCHEMA, RunConfig,
-                               build_sampler_config, load_config,
+                               build_constraint, build_sampler_config,
+                               load_config,
                                RETIRED_KEYS, render_grid,
                                rerun_from_manifest,
                                resolve_config, run_design, run_experiment)
 from latentprox.samplers import chain_rng, sample
-from latentprox.serialize import decoder_doc, save_decoder
+from latentprox.serialize import (decoder_doc, load_vector, save_decoder,
+                                  save_vector)
+
+from conftest import centroid_prox_closed_form
 
 
 def minimal_config(out):
@@ -881,6 +885,23 @@ def test_cli_project_roundtrip(tmp_path):
     assert np.allclose(load_vector(tmp_path / "y.txt"), [0.6, 0.8])
 
 
+@pytest.mark.parametrize("weight", ["0.5", "50"],
+                         ids=["smooth", "disc edge"])
+def test_cli_project_prox_matches_the_centroid_closed_form(tmp_path, weight):
+    # at weight 0.5 the prox moves the point by 0.5 toward the disc; at 50
+    # it lands on the disc's edge, a kink of the violation
+    config = ROOT / "configs" / "centroid.yaml"
+    x = np.array([-5.0, 3.0, -2.0, 4.0])
+    save_vector(x, tmp_path / "x.txt")
+    assert cli_main(["project", "--config", str(config), "--input",
+                     str(tmp_path / "x.txt"), "--prox", "--weight", weight,
+                     "--out", str(tmp_path / "y.txt")]) == 0
+    spec = build_constraint(load_config(config)["constraint"])
+    np.testing.assert_allclose(
+        load_vector(tmp_path / "y.txt"),
+        centroid_prox_closed_form(spec, x, float(weight)), rtol=0, atol=1e-9)
+
+
 def test_cli_sample_rejects_a_grid_that_does_not_fit_the_decoder(tmp_path,
                                                                  capsys):
     raw = yaml.safe_load((ROOT / "configs" / "porosity.yaml").read_text())
@@ -905,6 +926,24 @@ def test_cli_sample_refuses_an_unconstrained_porosity_run(tmp_path, capsys):
     assert err.startswith("configuration error: a porosity constraint ")
     assert err.count("\n") == 1
     assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("section, key", [("checks", "porosity_exact"),
+                                          ("reports", "contraction")])
+def test_cli_sample_refuses_an_unconstrained_run_with_a_constraint(
+        tmp_path, capsys, section, key):
+    # the sampler never reads the constraint of an unconstrained run, and
+    # its finals are latents, which a check on decoded points cannot take:
+    # the run is refused before its first chain
+    raw = minimal_config(tmp_path / "run")
+    raw["sampler"]["mode"] = "unconstrained"
+    raw[section] = {key: True}
+    path = write_yaml(tmp_path / "cfg.yaml", raw)
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: a halfspace constraint ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("alm, tol", [(None, 0.05), ({"growth": 2.0}, 0.05),
