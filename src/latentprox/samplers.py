@@ -192,7 +192,7 @@ def langevin_step(z, score_field: ScoreField, t: int, gamma: float,
     z = np.asarray(z, dtype=float)
     s = score(score_field, z, t)
     eps = rng.standard_normal(z.shape)
-    return z + gamma * s + np.sqrt(2.0 * gamma) * noise_scale * eps, s
+    return z + gamma * s + math.sqrt(2.0 * gamma) * noise_scale * eps, s
 
 
 _NO_EVALUATION = (float("nan"), float("nan"), None)
@@ -381,7 +381,8 @@ def sample(cfg: SamplerConfig,
             if not np.isfinite(z).all():
                 raise DivergenceError(f"langevin step diverged at level {t}")
             if projected:
-                z = C.project_exact(con, z)
+                # z was just checked finite: skip project_exact's check
+                z = C._project_exact(con, z)
                 ev = _PROJECTED
             elif corrected:
                 x = decode_unchecked(dec, z)
@@ -391,7 +392,7 @@ def sample(cfg: SamplerConfig,
             state = z.copy() if cfg.record_vectors else None
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="langevin", gamma=gamma,
-                score_norm=float(np.linalg.norm(s)), violation=ev[0],
+                score_norm=math.sqrt(s.dot(s)), violation=ev[0],
                 dist=ev[1], z=None if projected else state,
                 x=state if projected else None))
             if corrected and (cfg.correct_every_step

@@ -243,9 +243,9 @@ def test_propagated_moments_match_monte_carlo():
     from latentprox.scores import _level_cache
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
-        _, means, invs, _ = _level_cache(f, t)
+        lv = _level_cache(f, t)
         for _ in range(sched.inner_steps):
-            S = -(Z - means[0]) @ invs[0].T
+            S = -(Z - lv.means[0]) @ lv.invs[0].T
             Z = Z + gamma * S + np.sqrt(2 * gamma) * rng.standard_normal((n, 1))
     m0, S0 = moments[0]
     assert abs(Z.mean() - m0[0]) < 4 * np.sqrt(S0[0, 0] / n)

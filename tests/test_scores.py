@@ -114,7 +114,8 @@ def reference_score(f, x, t):
     if f.kind == "mlp":
         ab = f.schedule.abar_at(t)
         return _mlp_forward(f.mlp, x[None, :], np.array([ab]))[0]
-    logw, means, invs, logdets = _level_cache(f, t)
+    lv = _level_cache(f, t)
+    logw, means, invs, logdets = lv.logw, lv.means, lv.invs, lv.logdets
     K = len(logw)
     if K == 1:
         return -(invs[0] @ (x - means[0]))
@@ -134,7 +135,8 @@ def reference_score(f, x, t):
 def reference_log_density(f, x, t):
     """The point log-density as it was before it shared ``score``'s
     component loop."""
-    logw, means, invs, logdets = _level_cache(f, t)
+    lv = _level_cache(f, t)
+    logw, means, invs, logdets = lv.logw, lv.means, lv.invs, lv.logdets
     logps = np.empty(len(logw))
     for k in range(len(logw)):
         diff = x - means[k]
@@ -192,6 +194,54 @@ def test_score_takes_a_point_or_a_batch(case):
             assert log_density(f, x, t) == reference_log_density(f, x, t)
         assert np.abs(row - point).max() <= 1e-12 * max(np.abs(point).max(),
                                                         1.0)
+
+
+def porosity_preset_field():
+    from latentprox.experiments import porosity_config
+    from latentprox.runner import RunConfig, build_sampler_config
+    return build_sampler_config(RunConfig.from_dict(porosity_config())).score
+
+
+def wide_mixture_field():
+    rng = np.random.default_rng(26)
+    K, d = 5, 16
+    w = rng.uniform(0.1, 1.0, size=K)
+    return gaussian_mixture_field(
+        w / w.sum(), 3.0 * rng.standard_normal((K, d)),
+        [random_spd(rng, d) for _ in range(K)],
+        make_schedule(T=6, abar_end=0.05, gamma_max=0.05, gamma_min=0.01,
+                      M=1))
+
+
+@pytest.mark.parametrize("make_field", [porosity_preset_field,
+                                        wide_mixture_field],
+                         ids=["porosity_preset", "K5_d16"])
+def test_stacked_kernel_matches_the_component_loop(make_field):
+    # fixed cases beyond the hypothesis draws (K <= 3, d <= 8), at every level
+    f = make_field()
+    rng = np.random.default_rng(7)
+    for t in range(f.schedule.T + 1):
+        X = 3.0 * rng.standard_normal((20, f.dim))
+        S = score(f, X, t)
+        for x, row in zip(X, S):
+            point = score(f, x, t)
+            assert np.array_equal(point, reference_score(f, x, t))
+            assert log_density(f, x, t) == reference_log_density(f, x, t)
+            assert np.abs(row - point).max() <= 1e-12 * max(
+                np.abs(point).max(), 1.0)
+
+
+def test_one_component_mixture_is_the_linear_gaussian_field(schedule):
+    rng = np.random.default_rng(3)
+    mean, cov = rng.standard_normal(4), random_spd(rng, 4)
+    mixture = gaussian_mixture_field([1.0], [mean], [cov], schedule)
+    linear = linear_gaussian_field(mean, cov, schedule)
+    X = rng.standard_normal((10, 4))
+    for t in range(schedule.T + 1):
+        assert np.array_equal(score(mixture, X, t), score(linear, X, t))
+        for x in X:
+            assert np.array_equal(score(mixture, x, t), score(linear, x, t))
+            assert log_density(mixture, x, t) == log_density(linear, x, t)
 
 
 def test_dsm_loss_zero_model_closed_form():
