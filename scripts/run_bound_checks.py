@@ -36,7 +36,7 @@ def contraction_study():
     scfg = build_sampler_config(cfg)
     traces = [sample(scfg, chain_rng(seed, 0))[1]
               for seed in range(20)]
-    ell = estimate_lipschitz(scfg.decoder, np.random.default_rng(cfg["seed"]))
+    ell = estimate_lipschitz(scfg.decoder)
     rep = check_run_contraction(traces, ell)
     held = sum(r.holds for r in rep.records)
     total = len(rep.records)

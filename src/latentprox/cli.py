@@ -112,6 +112,8 @@ def _cmd_train_score(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    if args.weight is not None and not args.prox:
+        raise ConfigError("--weight sets the proximal weight; it needs --prox")
     cfg = load_config(args.config)
     spec = build_constraint(cfg["constraint"])
     if spec is None:

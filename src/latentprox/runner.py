@@ -24,8 +24,8 @@ import yaml
 from . import __version__
 from . import constraints as C
 from .alm import AlmState
-from .decoders import (LIPSCHITZ_PROBES, DecoderMap, estimate_lipschitz,
-                       random_linear_decoder, random_mlp_decoder)
+from .decoders import (DecoderMap, estimate_lipschitz, random_linear_decoder,
+                       random_mlp_decoder)
 from .diagnostics import (BoundReport, GaussianFit, check_fidelity_drift,
                           check_run_contraction, fit_gaussian, gaussian_kl)
 from .dpo import DpoConfig, design_rows, make_simulator
@@ -456,29 +456,17 @@ def _report_doc(report: BoundReport) -> dict:
 
 def run_experiment(cfg: RunConfig) -> RunManifest:
     """Execute a sampling experiment: chains, metrics, samples, reports."""
-    if cfg["reports"]["fidelity"] and not cfg["sampler"]["record_vectors"]:
-        raise ConfigError("reports.fidelity needs the latent of each level, "
-                          "which sampler.record_vectors: false drops")
-    if cfg["reports"]["contraction"] and cfg["constraint"] is not None \
-            and cfg["decoder"] is None:
-        raise ConfigError("reports.contraction needs a decoder: the check "
-                          "takes the decoder's measured Lipschitz bound")
-    if cfg["sampler"]["mode"] == "unconstrained" and cfg["constraint"] \
-            is not None:
-        raise ConfigError(f"a {cfg['constraint']['kind']} constraint needs "
-                          "a constrained mode; an unconstrained run never "
-                          "reads it, and its finals are latents")
     started = time.time()
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     sampler_cfg = build_sampler_config(cfg)
     constraint = sampler_cfg.constraint
     decoder = sampler_cfg.decoder
+    _refuse_unrunnable(cfg, sampler_cfg)
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
 
     measured = {}
     if decoder is not None:
-        measured["lipschitz"] = estimate_lipschitz(
-            decoder, np.random.default_rng(cfg["seed"]))
+        measured["lipschitz"] = estimate_lipschitz(decoder)
         save_decoder(decoder, out / "decoder.json")
     save_score_field(sampler_cfg.score, out / "score.json")
 
@@ -534,18 +522,17 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
             "samples_above_0.10": int(sum(e > 0.10 for e in errs)),
         }
     rep_cfg = cfg["reports"]
-    if rep_cfg["contraction"] and constraint is not None and traces:
+    if rep_cfg["contraction"] and traces:
         report = check_run_contraction(traces, measured["lipschitz"])
         reports["contraction"] = dict(
             _report_doc(report), lipschitz=report.lipschitz,
             beta_prime=report.beta_prime,
             precondition_ok=report.precondition_ok)
-    if rep_cfg["fidelity"] and traces and \
-            sampler_cfg.score.kind == "linear_gaussian":
+    if rep_cfg["fidelity"] and traces:
         reports["fidelity"] = _fidelity_report(sampler_cfg, traces,
                                                measured["G"])
 
-    checks = _run_checks(cfg, constraint, violations, reports)
+    checks = _run_checks(cfg, violations, reports)
     counters = _trace_counters(traces)
     summary = _summary(cfg, len(finals), counters, reports, checks)
     artifacts = {"metrics": "metrics.csv", "score": "score.json",
@@ -554,6 +541,39 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     return _save_manifest(cfg, "sample", started, errors, checks,
                           measured=measured, artifacts=artifacts,
                           reports=reports, counters=counters, summary=summary)
+
+
+def _refuse_unrunnable(cfg: RunConfig, sampler_cfg: SamplerConfig) -> None:
+    """Raise ConfigError, before any chain runs, for a constraint the run
+    never reads or a report or check it cannot compute."""
+    reports, checks = cfg["reports"], cfg["checks"]
+    constraint = sampler_cfg.constraint
+    if sampler_cfg.mode == "unconstrained" and constraint is not None:
+        raise ConfigError(f"a {constraint.kind} constraint needs a "
+                          "constrained mode; an unconstrained run never "
+                          "reads it, and its finals are latents")
+    if constraint is None:
+        for name, wanted in (("checks.porosity_exact",
+                              checks["porosity_exact"]),
+                             ("reports.contraction", reports["contraction"])):
+            if wanted:
+                raise ConfigError(f"{name} needs a constraint section")
+    if checks["contraction_fraction"] is not None \
+            and not reports["contraction"]:
+        raise ConfigError("checks.contraction_fraction reads the contraction "
+                          "report; set reports.contraction: true")
+    if reports["contraction"] and sampler_cfg.decoder is None:
+        raise ConfigError("reports.contraction needs a decoder: the check "
+                          "takes the decoder's measured Lipschitz bound")
+    if reports["contraction"] and sampler_cfg.schedule.T < 2:
+        raise ConfigError("reports.contraction compares consecutive levels "
+                          "and needs schedule.T >= 2")
+    if reports["fidelity"] and sampler_cfg.score.kind != "linear_gaussian":
+        raise ConfigError("reports.fidelity needs a linear_gaussian score, "
+                          f"not {sampler_cfg.score.kind}")
+    if reports["fidelity"] and not sampler_cfg.record_vectors:
+        raise ConfigError("reports.fidelity needs the latent of each level, "
+                          "which sampler.record_vectors: false drops")
 
 
 def counters_line(counters: dict) -> str:
@@ -670,11 +690,11 @@ def _fidelity_report(sampler_cfg: SamplerConfig, traces, G: float) -> dict:
     return doc
 
 
-def _run_checks(cfg, constraint, violations, reports) -> dict:
+def _run_checks(cfg, violations, reports) -> dict:
     """The configured checks; ``violations`` holds each final's."""
     checks = {}
     ck = cfg["checks"]
-    if ck["porosity_exact"] and constraint is not None:
+    if ck["porosity_exact"]:
         checks["porosity_exact"] = bool(violations) and all(
             v == 0.0 for v in violations)
     if ck["contraction_fraction"] is not None:
@@ -745,7 +765,7 @@ RETIRED_KEYS = {("schedule", "abar_start"): 1.0,
                 ("checks", "fidelity_cumulative"): False,
                 ("constraint", "smoothness"): 1.0,
                 ("alm", "multiplier"): 0.0,
-                ("decoder", "lipschitz_probes"): LIPSCHITZ_PROBES,
+                ("decoder", "lipschitz_probes"): 64,
                 ("reports", "beta"): 1.0}
 
 

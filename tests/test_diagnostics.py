@@ -170,7 +170,7 @@ def test_contraction_drift_only_run_all_hold():
     sched = make_schedule(T=20, abar_end=0.02,
                           gamma_max=0.02, gamma_min=0.005, M=1)
     dec = random_linear_decoder(2, 3, seed=1234, scale=1.0)
-    ell = estimate_lipschitz(dec, np.random.default_rng(0))
+    ell = estimate_lipschitz(dec)
     m = np.array([3.0, 0.0])
     f = linear_gaussian_field(m, np.eye(2), sched)
     mu_x = dec.weight @ m

@@ -690,11 +690,54 @@ def test_cli_sample_noisy_halfspace_preset(tmp_path):
 
 
 def test_cli_check_failure_exit_code(tmp_path):
-    cfg = minimal_config(tmp_path / "run")
-    # contraction check demanded but reports disabled -> fraction 0 -> fail
-    cfg["checks"] = {"contraction_fraction": 0.99}
+    # without the final projection a 4x4 porosity run misses its count, so
+    # the measured porosity_exact check fails
+    cfg = EXP.porosity_config(seed=0, chains=2, out=str(tmp_path / "run"),
+                              grid=(4, 4), latent_dim=4)
+    cfg["sampler"]["final_projection"] = False
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
     assert cli_main(["sample", "--config", str(path)]) == 2
+    stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert stored["checks"] == {"porosity_exact": False}
+    assert not stored["chain_errors"]
+
+
+# top-level sections each case sets; None drops the section
+UNMEASURABLE = {
+    "contraction check without its report": (
+        {"checks": {"contraction_fraction": 0.99}},
+        "checks.contraction_fraction reads the contraction report"),
+    "porosity check without a constraint": (
+        {"constraint": None, "checks": {"porosity_exact": True}},
+        "checks.porosity_exact needs a constraint section"),
+    "contraction report without a constraint": (
+        {"constraint": None, "reports": {"contraction": True}},
+        "reports.contraction needs a constraint section"),
+    "contraction report on one level": (
+        {"schedule": {"T": 1}, "reports": {"contraction": True}},
+        "reports.contraction compares consecutive levels"),
+    "fidelity report on a mixture": (
+        {"score": {"kind": "gaussian_mixture", "weights": [1.0],
+                   "means": [[0.0, 0.0]], "covs": [[[1.0, 0.0], [0.0, 1.0]]]},
+         "reports": {"fidelity": True}},
+        "reports.fidelity needs a linear_gaussian score")}
+
+
+@pytest.mark.parametrize("sections, message", UNMEASURABLE.values(),
+                         ids=UNMEASURABLE.keys())
+def test_cli_sample_refuses_a_report_or_check_it_cannot_compute(
+        tmp_path, capsys, sections, message):
+    # refused before the first chain, with no run directory left behind,
+    # instead of a FAIL after every chain ran or a silently dropped entry
+    raw = {key: value for key, value in
+           {**minimal_config(tmp_path / "run"), **sections}.items()
+           if value is not None}
+    path = write_yaml(tmp_path / "cfg.yaml", raw)
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -900,6 +943,19 @@ def test_cli_project_prox_matches_the_centroid_closed_form(tmp_path, weight):
     np.testing.assert_allclose(
         load_vector(tmp_path / "y.txt"),
         centroid_prox_closed_form(spec, x, float(weight)), rtol=0, atol=1e-9)
+
+
+def test_cli_project_refuses_a_weight_without_prox(tmp_path, capsys):
+    # the weight is the prox's; a projection would silently ignore it
+    config = ROOT / "configs" / "fidelity.yaml"
+    save_vector(np.array([3.0, 0.0]), tmp_path / "x.txt")
+    assert cli_main(["project", "--config", str(config), "--input",
+                     str(tmp_path / "x.txt"), "--weight", "0.5",
+                     "--out", str(tmp_path / "y.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --weight ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "y.txt").exists()
 
 
 def test_cli_sample_rejects_a_grid_that_does_not_fit_the_decoder(tmp_path,

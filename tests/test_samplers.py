@@ -3,8 +3,9 @@ import pytest
 
 from latentprox import constraints as C
 from latentprox.alm import alm_project
-from latentprox.decoders import (decode, random_linear_decoder,
-                                 random_mlp_decoder, vjp)
+from latentprox.decoders import (decode, estimate_lipschitz,
+                                 random_linear_decoder, random_mlp_decoder,
+                                 vjp)
 from latentprox.dpo import DpoConfig, saturating_simulator
 from latentprox.errors import ConfigError, DivergenceError, ParameterError
 from latentprox.experiments import centroid_config, fidelity_config
@@ -645,6 +646,21 @@ def test_proximal_latent_matches_reference(name, cfg):
         assert reasons == {"converged", "capped"}
     if name == "centroid_alm":
         assert alm > 0
+
+
+def test_decoder_bound_covers_every_latent_a_chain_visits():
+    # the smooth_mlp case, a scale-1.5 MLP: every Langevin and correction
+    # row's latent
+    cfg = dict(proximal_cases())["smooth_mlp"]
+    dec = cfg.decoder
+    ell = estimate_lipschitz(dec)
+    rows = [row for k in range(5)
+            for row in sample(cfg, chain_rng(11, k))[1].rows]
+    assert {row.phase for row in rows} == {"langevin", "correction"}
+    for z in (row.z for row in rows):
+        # row i of J is J^T e_i transposed
+        J = np.stack([vjp(dec, z, e) for e in np.eye(dec.ambient_dim)])
+        assert np.linalg.norm(J, 2) <= ell * (1 + 1e-12)
 
 
 def test_centroid_alm_projections_converge_in_few_inner_iterations():
