@@ -84,6 +84,8 @@ def _cmd_train_score(args) -> int:
     seed = cfg["seed"] if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     n = args.samples
+    if n < 1:
+        raise ConfigError(f"--samples must be >= 1, got {n}")
     if cfg["score"] is None:
         raise ConfigError("train-score needs a score section describing the "
                           "data distribution")

@@ -85,7 +85,13 @@ def random_linear_decoder(latent_dim: int, ambient_dim: int, seed: int,
 
 
 def mlp_decoder(layers) -> DecoderMap:
+    """The smooth_mlp decoder of ``layers``, its dims read from the first
+    and last weights, which must be 2-D."""
     layers = [(np.asarray(W, float), np.asarray(b, float)) for W, b in layers]
+    if not layers:
+        raise ParameterError("smooth_mlp decoder requires layers")
+    if layers[0][0].ndim != 2 or layers[-1][0].ndim != 2:
+        raise ShapeError("the first and last layer weights must be 2-D")
     return DecoderMap(kind="smooth_mlp", latent_dim=layers[0][0].shape[1],
                       ambient_dim=layers[-1][0].shape[0], layers=layers)
 

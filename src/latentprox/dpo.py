@@ -10,11 +10,7 @@ the variance drops sharply at the small M the design loop uses.
 from __future__ import annotations
 
 import inspect
-import os
-import selectors
 import subprocess
-import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -386,98 +382,52 @@ def make_simulator(name: str, **params) -> Simulator:
     return factory(**params)
 
 
-class ExternalProcessSimulator:
-    """Adapter that evaluates phi in a child process over stdin/stdout.
+# ---------------------------------------------------------------------------
+# The external solver: a child process per call
 
-    Protocol: one evaluation per line; the parent writes the input vector as
-    decimal text, flushes, and reads one line of response values back.  A
-    reply that takes longer than ``timeout`` seconds, or a child that closes
-    its output, kills and reaps the child and raises ``SimulatorError`` with
-    its exit code and the tail of its stderr.  Stderr goes to a temporary
-    file, read once the child has exited, so a chatty child cannot block on
-    a full pipe.
+
+STDERR_TAIL = 2000  # characters of a child's stderr quoted in its error
+
+
+def external_simulator(argv, response_dim: int, timeout: float = 60.0,
+                       name: str = "external") -> Simulator:
+    """A batched simulator that runs ``argv`` as one child process per call.
+
+    Protocol: the child reads one point per line, its coordinates as
+    ``repr(float)`` text, until the end of its input, writes one line of
+    ``response_dim`` numbers per point and exits 0.  ``timeout`` bounds the
+    whole call: a child still running then is killed and reaped.  That, a
+    non-zero exit and a reply that is not numbers raise ``SimulatorError``
+    quoting the tail of the child's stderr.
     """
+    if not timeout > 0:
+        raise ParameterError("external simulator timeout must be positive")
+    argv = list(argv)
 
-    STDERR_TAIL = 2000  # characters of stderr quoted in the error
+    def fail(what: str, stderr: bytes | None):
+        tail = (stderr or b"").decode(errors="replace")[-STDERR_TAIL:]
+        raise SimulatorError(f"external simulator {name!r} {what}; stderr: "
+                             f"{tail.strip()!r}")
 
-    def __init__(self, argv: list[str], response_dim: int,
-                 name: str = "external", timeout: float = 60.0):
-        if not timeout > 0:
-            raise ParameterError("external simulator timeout must be positive")
-        self.response_dim = response_dim
-        self.name = name
-        self.timeout = float(timeout)
-        self._stderr = tempfile.TemporaryFile()
+    def fn(x):
+        X = np.asarray(x, dtype=float)
+        text = "".join(" ".join(map(repr, row)) + "\n"
+                       for row in np.atleast_2d(X).tolist())
         try:
-            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
-                                          stdout=subprocess.PIPE,
-                                          stderr=self._stderr)
-        except OSError:
-            self._stderr.close()
-            raise
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._proc.stdout, selectors.EVENT_READ)
-        self._pending = b""
-
-    def _fail(self, what: str):
-        """Kill and reap the child, then raise with its exit code and stderr."""
-        if self._proc.poll() is None:
-            self._proc.kill()
-        code = self._proc.wait()
-        self._stderr.seek(0)
-        tail = self._stderr.read().decode(errors="replace")[-self.STDERR_TAIL:]
-        raise SimulatorError(f"external simulator {self.name!r} {what}; exit "
-                             f"code {code}; stderr: {tail.strip()!r}")
-
-    def _readline(self) -> bytes:
-        deadline = time.monotonic() + self.timeout
-        while b"\n" not in self._pending:
-            left = deadline - time.monotonic()
-            if left <= 0 or not self._selector.select(left):
-                self._fail(f"sent no reply within {self.timeout:g} s")
-            chunk = os.read(self._proc.stdout.fileno(), 65536)
-            if not chunk:
-                self._fail("closed its output")
-            self._pending += chunk
-        line, _, self._pending = self._pending.partition(b"\n")
-        return line
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        line = " ".join(repr(float(v)) for v in np.asarray(x, float))
+            done = subprocess.run(argv, input=text.encode(),
+                                  capture_output=True, timeout=timeout)
+        except subprocess.TimeoutExpired as exc:
+            fail(f"still ran after {timeout:g} s", exc.stderr)
+        if done.returncode != 0:
+            fail(f"exited with code {done.returncode}", done.stderr)
         try:
-            self._proc.stdin.write((line + "\n").encode())
-            self._proc.stdin.flush()
-        except OSError as exc:
-            self._fail(f"pipe failure: {exc}")
-        reply = self._readline().decode(errors="replace")
-        try:
-            return np.array([float(tok) for tok in reply.split()])
+            out = np.array([[float(tok) for tok in line.split()] for line in
+                            done.stdout.decode(errors="replace").splitlines()])
         except ValueError as exc:
-            raise SimulatorError(
-                f"external simulator {self.name!r} sent unparseable line "
-                f"{reply!r}") from exc
+            fail(f"sent a reply that is not rows of numbers ({exc})",
+                 done.stderr)
+        # a point gets one row back; _shaped checks the shape
+        return out if X.ndim == 2 else out.reshape(-1)
 
-    def as_simulator(self) -> Simulator:
-        return Simulator(fn=self, response_dim=self.response_dim,
-                         name=self.name)
-
-    def close(self):
-        try:
-            self._proc.stdin.close()
-        except OSError:
-            pass  # the child is gone; the wait below reaps it
-        try:
-            self._proc.wait(timeout=self.timeout)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
-        finally:
-            self._selector.close()
-            self._proc.stdout.close()
-            self._stderr.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+    return Simulator(fn=fn, response_dim=response_dim, name=name,
+                     batched=True)

@@ -403,17 +403,23 @@ def load_traces(path) -> list[SampleTrace]:
     """One trace per chain, in chain order, rebuilt from a metrics.csv.
 
     The floats are written with repr, so they read back exactly; the rows
-    carry no vectors.
+    carry no vectors.  A row that does not have the header's fields, or a
+    field that is not a number, raises ConfigError naming the line.
     """
     traces: dict = {}
     with open(path) as fh:
         fh.readline()  # header
-        for line in fh:
-            chain, t, i, phase, *floats = line.rstrip("\n").split(",")
-            gamma, score_norm, violation, dist = map(float, floats)
-            traces.setdefault(chain, SampleTrace()).rows.append(TraceRow(
-                t=int(t), i=int(i), phase=phase, gamma=gamma,
-                score_norm=score_norm, violation=violation, dist=dist))
+        for number, line in enumerate(fh, start=2):
+            try:
+                chain, t, i, phase, gamma, score_norm, violation, dist = \
+                    line.rstrip("\n").split(",")
+                row = TraceRow(t=int(t), i=int(i), phase=phase,
+                               gamma=float(gamma),
+                               score_norm=float(score_norm),
+                               violation=float(violation), dist=float(dist))
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {number}: {exc}") from None
+            traces.setdefault(chain, SampleTrace()).rows.append(row)
     return list(traces.values())
 
 
@@ -706,15 +712,24 @@ def _run_checks(cfg, violations, reports) -> dict:
 def run_design(cfg: RunConfig) -> RunManifest:
     """Execute the simulator-in-the-loop design experiment."""
     started = time.time()
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     decoder = build_decoder(cfg["decoder"])
+    sim, dpo_cfg = build_dpo(cfg["dpo"])
+    # refuse what the loop cannot run before the run directory exists
     if decoder is None:
         raise ConfigError("design experiment requires a decoder")
-    sim, dpo_cfg = build_dpo(cfg["dpo"])
-    if sim is None or dpo_cfg is None or dpo_cfg.target is None:
+    if sim is None or dpo_cfg.target is None:
         raise ConfigError("design experiment requires a dpo section with a "
                           "target")
+    if dpo_cfg.target.shape != (sim.response_dim,):
+        raise ConfigError(f"dpo.target of shape {dpo_cfg.target.shape} "
+                          f"does not match response_dim {sim.response_dim} "
+                          f"of simulator {sim.name!r}")
+    # a run without a design section takes the section's defaults
+    design = cfg["design"] or SCHEMA["design"]
+    if design["steps"] < 1:
+        raise ConfigError("design.steps must be >= 1")
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     chains, root_seed = cfg["chains"], cfg["seed"]
     save_decoder(decoder, out / "decoder.json")
     mses, errors = [], []
@@ -727,7 +742,7 @@ def run_design(cfg: RunConfig) -> RunManifest:
             rows = design_rows(
                 [chain_rng(root_seed, i).standard_normal(decoder.latent_dim)
                  for i in block], decoder, sim, dpo_cfg,
-                [root_seed * 100_003 + i for i in block], **cfg["design"])
+                [root_seed * 100_003 + i for i in block], **design)
             counters["simulator_evaluations"] += rows.simulator_evaluations
             counters["simulator_calls"] += rows.simulator_calls
             for i, z, mse, steps, exc in zip(block, rows.z, rows.mse,

@@ -223,6 +223,10 @@ def test_mlp_decoder_layers_validated(tmp_path):
     with pytest.raises(ParameterError):
         mlp_decoder([(np.zeros((4, 3)), np.zeros(4)),
                      (np.zeros((2, 4)), np.zeros(2))])  # ambient 2 < latent 3
+    with pytest.raises(ParameterError):
+        mlp_decoder([])
+    with pytest.raises(ShapeError):  # a 1-D first weight
+        mlp_decoder([(np.ones(2), np.zeros(1)), (np.ones((3, 1)), np.zeros(3))])
     with pytest.raises(ShapeError):
         DecoderMap(kind="smooth_mlp", latent_dim=3, ambient_dim=5,
                    layers=[(np.zeros((4, 2)), np.zeros(4)),

@@ -1,3 +1,4 @@
+import os
 import sys
 import time
 from dataclasses import replace
@@ -12,8 +13,8 @@ import latentprox.runner as R
 from latentprox import experiments as EXP
 from latentprox.decoders import (decode, random_linear_decoder,
                                  random_mlp_decoder)
-from latentprox.dpo import (DpoConfig, ExternalProcessSimulator, Simulator,
-                            design_loop, design_rows, dpo_loss_grad,
+from latentprox.dpo import (DpoConfig, Simulator, design_loop, design_rows,
+                            dpo_loss_grad, external_simulator,
                             linear_simulator, make_simulator,
                             piecewise_simulator, saturating_simulator,
                             smoothed_grad, smoothed_value)
@@ -281,54 +282,86 @@ def test_simulator_registry():
     assert pw.fn(np.array([2.0]))[0] == 2.0
 
 
-def test_external_process_simulator_roundtrip():
-    # child process doubles its input vector, one evaluation per line
-    code = ("import sys\n"
-            "for line in sys.stdin:\n"
-            "    vals = [2.0 * float(t) for t in line.split()]\n"
-            "    print(' '.join(repr(v) for v in vals), flush=True)\n")
-    with ExternalProcessSimulator([sys.executable, "-c", code],
-                                  response_dim=3) as ext:
-        sim = ext.as_simulator()
-        x = np.array([0.5, -1.25, 3.0])
-        assert np.array_equal(sim.fn(x), 2.0 * x)
-        cfg = DpoConfig(nu=0.1, M=8, seed=0)
-        val = smoothed_value(sim, x, cfg)
-        assert val.shape == (3,)
-        assert np.all(np.isfinite(val))
+def python_child(code, response_dim, timeout=30.0):
+    return external_simulator([sys.executable, "-c", code], response_dim,
+                              timeout=timeout)
 
 
-def external_failure(code, timeout):
-    ext = ExternalProcessSimulator([sys.executable, "-c", code],
-                                   response_dim=1, timeout=timeout)
+DOUBLING_CHILD = ("import sys\n"
+                  "for line in sys.stdin:\n"
+                  "    vals = [2.0 * float(t) for t in line.split()]\n"
+                  "    print(' '.join(repr(v) for v in vals))\n")
+
+
+def test_external_simulator_roundtrip():
+    # the child doubles each input point, one point per line
+    sim = python_child(DOUBLING_CHILD, response_dim=3)
+    assert sim.batched
+    x = np.array([0.5, -1.25, 3.0])
+    assert np.array_equal(sim.fn(x), 2.0 * x)
+    X = np.random.default_rng(4).standard_normal((7, 3))
+    assert np.array_equal(sim.fn(X), 2.0 * X)
+    val = smoothed_value(sim, x, DpoConfig(nu=0.1, M=8, seed=0))
+    assert val.shape == (3,)
+    assert np.all(np.isfinite(val))
+
+
+def external_failure(code, timeout=30.0):
     started = time.monotonic()
     with pytest.raises(SimulatorError) as err:
-        ext(np.zeros(1))
-    elapsed = time.monotonic() - started
-    ext.close()
-    assert ext._proc.returncode is not None  # reaped
-    return str(err.value), elapsed
+        python_child(code, response_dim=1, timeout=timeout).fn(np.zeros(1))
+    return str(err.value), time.monotonic() - started
 
 
-def test_external_process_simulator_timeout_kills_the_child():
-    code = ("import sys, time\n"
-            "sys.stdin.readline()\n"
+def test_external_simulator_timeout_kills_the_child(tmp_path):
+    pid_file = tmp_path / "pid"
+    code = ("import os, sys, time\n"
+            "sys.stdin.read()\n"
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
             "sys.stderr.write('thinking\\n'); sys.stderr.flush()\n"
             "time.sleep(60)\n")
     message, elapsed = external_failure(code, timeout=0.5)
-    assert "sent no reply within 0.5 s" in message
-    assert "exit code -9" in message and "thinking" in message
+    assert "still ran after 0.5 s" in message and "thinking" in message
     assert elapsed < 10
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
 
 
-def test_external_process_simulator_reports_exit_code_and_stderr():
+def test_external_simulator_reports_exit_code_and_stderr():
     code = "import sys\nsys.stderr.write('no solver licence\\n')\nsys.exit(3)\n"
-    message, elapsed = external_failure(code, timeout=30.0)
-    assert "exit code 3" in message and "no solver licence" in message
+    message, elapsed = external_failure(code)
+    assert "exited with code 3" in message and "no solver licence" in message
     assert elapsed < 10
-    with pytest.raises(ParameterError):  # rejected before any child starts
-        ExternalProcessSimulator([sys.executable, "-c", code], response_dim=1,
-                                 timeout=0.0)
+    message, _ = external_failure("print('1.0 abc')")
+    assert "not rows of numbers" in message and "'abc'" in message
+    with pytest.raises(ParameterError):  # refused before any child starts
+        external_simulator(["/nonexistent/solver"], response_dim=1,
+                           timeout=0.0)
+
+
+def test_external_simulator_design_matches_the_builtin():
+    # a child computing the saturating response with the same kernel gives
+    # the design rows the built-in simulator's bits
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((4, 4))
+    builtin = saturating_simulator(A, scale=2.0)
+    code = ("import sys\nimport numpy as np\n"
+            f"A = np.array({A.tolist()!r})\n"
+            "X = np.array([[float(t) for t in line.split()] "
+            "for line in sys.stdin])\n"
+            "for row in 2.0 * np.tanh(np.matvec(A, X) / 2.0):\n"
+            "    print(' '.join(repr(float(v)) for v in row))\n")
+    child = python_child(code, response_dim=4)
+    decoder = random_linear_decoder(3, 4, seed=77)
+    cfg = DpoConfig(nu=0.05, M=16,
+                    target=builtin.fn(decode(decoder, rng.standard_normal(3))))
+    Z0 = rng.standard_normal((8, 3))
+    runs = [design_rows(Z0, decoder, sim, cfg, list(range(8)), steps=5,
+                        step_size=0.9) for sim in (builtin, child)]
+    assert runs[1].errors == [None] * 8
+    assert np.array_equal(runs[0].z, runs[1].z)
+    assert runs[0].mse == runs[1].mse
+    assert runs[1].simulator_calls == 11
 
 
 # ---------------------------------------------------------------------------

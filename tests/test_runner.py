@@ -855,6 +855,27 @@ def test_cli_diagnose_without_the_measured_bound_exits_3(tmp_path, capsys,
                           f"has no '{drop}'") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0,1,0,langevin,abc,1.0,0.0,0.0",
+     "could not convert string to float: 'abc'"),
+    ("0,1,0,langevin,0.1", "not enough values to unpack")],
+    ids=["field", "short row"])
+def test_cli_diagnose_of_a_malformed_metrics_row_exits_3(tmp_path, capsys,
+                                                         row, message):
+    out = tmp_path / "run"
+    run_experiment(RunConfig.from_dict(EXP.halfspace_contraction_config(
+        seed=3, chains=2, out=str(out))))
+    metrics = out / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    lines[2] = row
+    metrics.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {metrics} line 3: ")
+    assert message in err and err.count("\n") == 1
+
+
 def test_cli_diagnose_reads_a_manifest_with_a_retired_key(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = dict(minimal_config(out), reports={"contraction": True})
@@ -1097,6 +1118,34 @@ def test_cli_design_target_of_wrong_length_exit_code(tmp_path, capsys):
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
     assert cli_main(["design", "--config", str(path)]) == 3
     assert "does not match response_dim 4" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("section, change, message", [
+    ("design", {"steps": 0}, "design.steps must be >= 1"),
+    ("dpo", {"target": None}, "requires a dpo section with a target"),
+    ("decoder", None, "requires a decoder")])
+def test_cli_design_refuses_before_the_run_directory(tmp_path, capsys,
+                                                     section, change,
+                                                     message):
+    cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / "d"))
+    if change is None:
+        del cfg[section]
+    else:
+        cfg[section].update(change)
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["design", "--config", str(path)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_design_run_without_a_design_section_takes_its_defaults(tmp_path):
+    cfg = EXP.design_loop_config(seed=0, out=str(tmp_path / "d"))
+    del cfg["design"]
+    manifest = run_design(RunConfig.from_dict(cfg))
+    assert manifest["ok"]
+    assert manifest["counters"]["design_steps"] == \
+        cfg["chains"] * SCHEMA["design"]["steps"]
 
 
 PROJECT_HALFSPACE = ["project", "--config",
@@ -1234,13 +1283,17 @@ def test_cli_degenerate_centroid_exit_code(tmp_path, capsys):
         "configuration error: centroids must be distinct\n")
 
 
-def test_cli_train_score(tmp_path):
+def train_score_config(tmp_path):
     cfg = {"seed": 0, "out": str(tmp_path / "o"),
            "schedule": {"T": 4, "abar_end": 0.02, "gamma_max": 0.05,
                         "gamma_min": 0.01},
            "score": {"kind": "linear_gaussian", "mean": [0.0, 0.0],
                      "cov": [[1.0, 0.0], [0.0, 1.0]]}}
-    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    return write_yaml(tmp_path / "cfg.yaml", cfg)
+
+
+def test_cli_train_score(tmp_path):
+    path = train_score_config(tmp_path)
     out = tmp_path / "mlp.json"
     rc = cli_main(["train-score", "--config", str(path), "--out", str(out),
                    "--samples", "128", "--epochs", "3", "--hidden", "8",
@@ -1249,6 +1302,17 @@ def test_cli_train_score(tmp_path):
     from latentprox.serialize import load_score_field
     f = load_score_field(out)
     assert f.kind == "mlp" and f.dim == 2
+
+
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_cli_train_score_refuses_a_sample_count_below_1(tmp_path, capsys,
+                                                        samples):
+    out = tmp_path / "mlp.json"
+    assert cli_main(["train-score", "--config", str(train_score_config(
+        tmp_path)), "--out", str(out), "--samples", samples]) == 3
+    assert capsys.readouterr().err == (
+        f"configuration error: --samples must be >= 1, got {samples}\n")
+    assert not out.exists()
 
 
 def test_extra_chains_do_not_change_earlier_metrics(tmp_path):
