@@ -22,9 +22,9 @@ from latentprox.diagnostics import (check_fidelity_drift, check_run_contraction,
                                     propagate_linear_gaussian)
 from latentprox.experiments import (halfspace_contraction_config,
                                     linear_gaussian_fidelity_case)
-from latentprox.runner import (RunConfig, build_sampler_config,
-                               build_schedule, build_score)
+from latentprox.runner import RunConfig, build_sampler_config, build_score
 from latentprox.samplers import chain_rng, sample
+from latentprox.schedules import make_schedule
 
 
 def contraction_study():
@@ -58,7 +58,7 @@ def kl_drift_study():
     passing = 0
     for seed in range(20):
         case = linear_gaussian_fidelity_case(seed)
-        sched = build_schedule(case["schedule"])
+        sched = make_schedule(**case["schedule"])
         field = build_score(case["score"], sched)
         moments = propagate_linear_gaussian(sched, field)
         kl = kl_series_from_moments(moments, field)

@@ -18,9 +18,10 @@ from . import constraints as C
 from .diagnostics import check_run_contraction
 from .errors import (ConfigError, DegeneracyError, DivergenceError,
                      NumericError, ParameterError, ShapeError)
-from .runner import (RunConfig, RunManifest, build_constraint, build_schedule,
-                     build_score, counters_line, load_config, load_traces,
-                     manifest_config, run_design, run_experiment)
+from .runner import (RunConfig, RunManifest, build_constraint, build_score,
+                     counters_line, load_config, load_traces, manifest_config,
+                     run_design, run_experiment)
+from .schedules import make_schedule
 from .scores import MlpScoreConfig, train_score
 from .serialize import load_vector, save_score_field, save_vector
 
@@ -80,7 +81,7 @@ def _print_summary(manifest: RunManifest) -> None:
 
 def _cmd_train_score(args) -> int:
     cfg = load_config(args.config)
-    schedule = build_schedule(cfg["schedule"])
+    schedule = make_schedule(**cfg["schedule"])
     seed = cfg["seed"] if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     n = args.samples

@@ -1,8 +1,9 @@
 """Latent-to-ambient decoder maps and their Lipschitz bounds.
 
-Two decoder families are provided: exact linear maps (where the theory is
+A decoder is a stack of affine layers with tanh between them.  Two families
+are provided: exact linear maps, the one-layer stack (where the theory is
 checkable in closed form, with the Lipschitz bound equal to the largest
-singular value) and smooth tanh MLPs as a stress case.  Vector-Jacobian
+singular value), and smooth tanh MLPs as a stress case.  Vector-Jacobian
 products are computed exactly for both.  Lipschitz bounds come from the
 weights alone: the product of the layers' spectral norms, tightened to the
 exact constant for one narrow hidden layer.
@@ -27,57 +28,71 @@ VERTEX_HIDDEN_CAP = 12
 class DecoderMap:
     """Differentiable map D from latent to ambient coordinates."""
 
-    kind: str  # "linear" | "smooth_mlp"
+    kind: str  # "linear" (exactly one layer) | "smooth_mlp"
     latent_dim: int
     ambient_dim: int
-    weight: np.ndarray | None = None        # linear: (ambient, latent)
-    bias: np.ndarray | None = None          # linear: (ambient,)
-    layers: list | None = None              # smooth_mlp: [(W, b), ...], tanh hidden
+    layers: list  # [(W, b), ...], tanh between layers
 
     def __post_init__(self):
         if self.kind not in ("linear", "smooth_mlp"):
             raise ParameterError(f"unknown decoder kind {self.kind!r}")
         if self.ambient_dim < self.latent_dim:
             raise ParameterError("ambient_dim must be >= latent_dim")
-        if self.kind == "linear":
-            self.weight = np.asarray(self.weight, dtype=float)
-            if self.weight.shape != (self.ambient_dim, self.latent_dim):
-                raise ShapeError("weight shape does not match declared dims")
-            if self.bias is None:
-                self.bias = np.zeros(self.ambient_dim)
-            self.bias = np.asarray(self.bias, dtype=float)
-            params = [self.weight, self.bias]
-        else:
-            if not self.layers:
-                raise ParameterError("smooth_mlp decoder requires layers")
-            self.layers = [(np.asarray(W, float), np.asarray(b, float))
-                           for W, b in self.layers]
-            # each layer takes the previous one's outputs, the first the
-            # latent, and its bias has one entry per output
-            n_in = self.latent_dim
-            for k, (W, b) in enumerate(self.layers):
-                if W.ndim != 2 or W.shape[1] != n_in \
-                        or b.shape != (W.shape[0],):
-                    raise ShapeError(
-                        f"layer {k} has weight {W.shape} and bias {b.shape}; "
-                        f"it must take {n_in} inputs with one bias per output")
-                n_in = W.shape[0]
-            if n_in != self.ambient_dim:
-                raise ShapeError("last layer does not emit ambient_dim outputs")
-            params = [a for layer in self.layers for a in layer]
-        if not all(np.isfinite(a).all() for a in params):
+        if not self.layers:
+            raise ParameterError(f"{self.kind} decoder requires layers")
+        if self.kind == "linear" and len(self.layers) != 1:
+            raise ParameterError(f"a linear decoder has exactly one layer, "
+                                 f"not {len(self.layers)}")
+        self.layers = [(np.asarray(W, float), np.asarray(b, float))
+                       for W, b in self.layers]
+        # each layer takes the previous one's outputs, the first the
+        # latent, and its bias has one entry per output
+        n_in = self.latent_dim
+        for k, (W, b) in enumerate(self.layers):
+            if W.ndim != 2 or W.shape[1] != n_in \
+                    or b.shape != (W.shape[0],):
+                raise ShapeError(
+                    f"layer {k} has weight {W.shape} and bias {b.shape}; "
+                    f"it must take {n_in} inputs with one bias per output")
+            n_in = W.shape[0]
+        if n_in != self.ambient_dim:
+            raise ShapeError("last layer does not emit ambient_dim outputs")
+        if not all(np.isfinite(a).all() for layer in self.layers
+                   for a in layer):
             raise ParameterError("decoder parameters must be finite")
 
 
+def _from_layers(kind: str, layers) -> DecoderMap:
+    """The ``kind`` decoder of ``layers``, its dims read from the first and
+    last weights, which must be 2-D."""
+    layers = [(np.asarray(W, float), np.asarray(b, float)) for W, b in layers]
+    if not layers:
+        raise ParameterError(f"{kind} decoder requires layers")
+    if layers[0][0].ndim != 2 or layers[-1][0].ndim != 2:
+        raise ShapeError("the first and last layer weights must be 2-D")
+    return DecoderMap(kind=kind, latent_dim=layers[0][0].shape[1],
+                      ambient_dim=layers[-1][0].shape[0], layers=layers)
+
+
 def linear_decoder(weight, bias=None) -> DecoderMap:
-    weight = np.asarray(weight, dtype=float)
-    return DecoderMap(kind="linear", latent_dim=weight.shape[1],
-                      ambient_dim=weight.shape[0], weight=weight, bias=bias)
+    """The linear decoder z -> weight z + bias; a missing bias is zeros."""
+    if bias is None:
+        bias = np.zeros(np.shape(weight)[:1])
+    return _from_layers("linear", [(weight, bias)])
+
+
+def _check_init(seed: int, **sizes) -> None:
+    """Refuse a random decoder's size below 1 or seed below 0."""
+    if min(sizes.values()) < 1 or seed < 0:
+        got = ", ".join(f"{k} {v}" for k, v in dict(sizes, seed=seed).items())
+        raise ParameterError(f"decoder sizes must be >= 1 and its seed >= 0, "
+                             f"got {got}")
 
 
 def random_linear_decoder(latent_dim: int, ambient_dim: int, seed: int,
                           scale: float = 1.0) -> DecoderMap:
     """Random near-isometric linear decoder (orthonormal columns times scale)."""
+    _check_init(seed, latent_dim=latent_dim, ambient_dim=ambient_dim)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((ambient_dim, latent_dim))
     Q, _ = np.linalg.qr(A)
@@ -85,19 +100,14 @@ def random_linear_decoder(latent_dim: int, ambient_dim: int, seed: int,
 
 
 def mlp_decoder(layers) -> DecoderMap:
-    """The smooth_mlp decoder of ``layers``, its dims read from the first
-    and last weights, which must be 2-D."""
-    layers = [(np.asarray(W, float), np.asarray(b, float)) for W, b in layers]
-    if not layers:
-        raise ParameterError("smooth_mlp decoder requires layers")
-    if layers[0][0].ndim != 2 or layers[-1][0].ndim != 2:
-        raise ShapeError("the first and last layer weights must be 2-D")
-    return DecoderMap(kind="smooth_mlp", latent_dim=layers[0][0].shape[1],
-                      ambient_dim=layers[-1][0].shape[0], layers=layers)
+    """The smooth_mlp decoder of ``layers``, as ``_from_layers`` reads them."""
+    return _from_layers("smooth_mlp", layers)
 
 
 def random_mlp_decoder(latent_dim: int, ambient_dim: int, hidden: int,
                        seed: int, scale: float = 1.0) -> DecoderMap:
+    _check_init(seed, latent_dim=latent_dim, ambient_dim=ambient_dim,
+                hidden=hidden)
     rng = np.random.default_rng(seed)
     def layer(n_out, n_in):
         return (scale * rng.standard_normal((n_out, n_in)) / np.sqrt(n_in),
@@ -127,8 +137,6 @@ def decode_unchecked(m: DecoderMap, z: np.ndarray,
     loops that validate their latent once per update call this one.
     ``product(W, a)`` applies each weight to a's last axis.
     """
-    if m.kind == "linear":
-        return product(m.weight, z) + m.bias
     a = z
     for W, b in m.layers[:-1]:
         a = np.tanh(product(W, a) + b)
@@ -148,15 +156,14 @@ def vjp_unchecked(m: DecoderMap, z: np.ndarray, v: np.ndarray,
     The checked ``vjp`` is this plus the input checks, for a point;
     ``product`` is as in ``decode_unchecked``.
     """
-    if m.kind == "linear":
-        return product(m.weight.T, v)
-    activations = []
+    hidden = []  # (W, tanh output) of each hidden layer
     a = z
     for W, b in m.layers[:-1]:
         a = np.tanh(product(W, a) + b)
-        activations.append(a)
+        hidden.append((W, a))
     g = product(m.layers[-1][0].T, v)
-    for (W, b), a in zip(reversed(m.layers[:-1]), reversed(activations)):
+    while hidden:  # cheaper than reversed() when there is no hidden layer
+        W, a = hidden.pop()
         g = product(W.T, g * (1.0 - a ** 2))
     return g
 
@@ -195,7 +202,7 @@ def estimate_lipschitz(m: DecoderMap) -> float:
     D: the exact constant (Virmaux & Scaman, NeurIPS 2018), taken up to
     ``VERTEX_HIDDEN_CAP`` units from the Gram forms W1^T D W2^T W2 D W1.
     """
-    weights = [m.weight] if m.kind == "linear" else [W for W, _ in m.layers]
+    weights = [W for W, _ in m.layers]
     if len(weights) == 2 and len(weights[0]) <= VERTEX_HIDDEN_CAP:
         W1, W2 = weights
         h = len(W1)

@@ -63,7 +63,10 @@ class BoundReport:
 def check_feasibility_contraction(trace: SampleTrace,
                                   lipschitz: float) -> BoundReport:
     """Check the distance-contraction inequality on every pre-prox pair,
-    with ``lipschitz`` the decoder bound ell."""
+    with ``lipschitz`` the decoder bound ell, which must be positive."""
+    if not lipschitz > 0:
+        raise ParameterError(f"the decoder bound must be positive, got "
+                             f"{lipschitz}")
     pre = trace.level_end_rows()
     if len(pre) < 2:
         raise ParameterError("trace has fewer than two levels to compare")
@@ -224,8 +227,7 @@ def frechet_distance(a: GaussianFit, b: GaussianFit) -> float:
 # Closed-form chain moments for linear-Gaussian suites
 
 
-def propagate_linear_gaussian(schedule: NoiseSchedule, field_: ScoreField,
-                              init_mean=None, init_cov=None):
+def propagate_linear_gaussian(schedule: NoiseSchedule, field_: ScoreField):
     """Exact per-level moments of the annealed Langevin chain.
 
     The dynamics are linear when the score field is a single Gaussian, so the
@@ -237,8 +239,7 @@ def propagate_linear_gaussian(schedule: NoiseSchedule, field_: ScoreField,
         raise ParameterError("moment propagation requires a linear_gaussian "
                              "score field")
     d = field_.dim
-    mean = np.zeros(d) if init_mean is None else np.asarray(init_mean, float)
-    cov = np.eye(d) if init_cov is None else np.asarray(init_cov, float)
+    mean, cov = np.zeros(d), np.eye(d)
     moments = {schedule.T: (mean.copy(), cov.copy())}
     eye = np.eye(d)
     for t in range(schedule.T, 0, -1):

@@ -398,11 +398,14 @@ def external_simulator(argv, response_dim: int, timeout: float = 60.0,
     ``response_dim`` numbers per point and exits 0.  ``timeout`` bounds the
     whole call: a child still running then is killed and reaped.  That, a
     non-zero exit and a reply that is not numbers raise ``SimulatorError``
-    quoting the tail of the child's stderr.
+    quoting the tail of the child's stderr; a child that cannot be started
+    raises it naming ``argv[0]``.
     """
     if not timeout > 0:
         raise ParameterError("external simulator timeout must be positive")
     argv = list(argv)
+    if not argv:
+        raise ParameterError("external simulator argv names no program")
 
     def fail(what: str, stderr: bytes | None):
         tail = (stderr or b"").decode(errors="replace")[-STDERR_TAIL:]
@@ -418,6 +421,9 @@ def external_simulator(argv, response_dim: int, timeout: float = 60.0,
                                   capture_output=True, timeout=timeout)
         except subprocess.TimeoutExpired as exc:
             fail(f"still ran after {timeout:g} s", exc.stderr)
+        except OSError as exc:
+            raise SimulatorError(f"external simulator {name!r} cannot start "
+                                 f"{argv[0]!r}: {exc}") from None
         if done.returncode != 0:
             fail(f"exited with code {done.returncode}", done.stderr)
         try:

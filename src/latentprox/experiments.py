@@ -67,7 +67,7 @@ def halfspace_contraction_config(seed: int = 0, chains: int = 1,
     dec = random_linear_decoder(latent_dim, ambient_dim, seed=1234, scale=1.0)
     mean_latent = np.zeros(latent_dim)
     mean_latent[0] = mode_depth
-    mu_x = dec.weight @ mean_latent
+    mu_x = dec.layers[0][0] @ mean_latent
     normal = (-mu_x / np.linalg.norm(mu_x)).tolist()
     return {
         "experiment": "halfspace_contraction",
@@ -122,7 +122,7 @@ def design_loop_config(seed: int = 0, out: str = "runs/design") -> dict:
     dec = random_linear_decoder(latent_dim, ambient_dim, seed=77, scale=1.0)
     z_star = 0.6 * rng.standard_normal(latent_dim)
     scale = 3.0
-    target = scale * np.tanh(A @ (dec.weight @ z_star) / scale)
+    target = scale * np.tanh(A @ (dec.layers[0][0] @ z_star) / scale)
     return {
         "experiment": "design_loop",
         "seed": seed,

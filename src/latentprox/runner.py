@@ -276,10 +276,6 @@ def load_config(path) -> RunConfig:
 # Component builders
 
 
-def build_schedule(cfg: dict) -> NoiseSchedule:
-    return make_schedule(**cfg)
-
-
 def build_score(cfg: dict, schedule: NoiseSchedule) -> ScoreField:
     if cfg.get("file"):
         return load_score_field(cfg["file"])
@@ -359,7 +355,7 @@ def build_dpo(cfg: dict | None):
 def build_sampler_config(cfg: RunConfig) -> SamplerConfig:
     if cfg["score"] is None:
         raise ConfigError("sampling run requires a score section")
-    schedule = build_schedule(cfg["schedule"])
+    schedule = make_schedule(**cfg["schedule"])
     score = build_score(cfg["score"], schedule)
     decoder = build_decoder(cfg["decoder"])
     constraint = build_constraint(cfg["constraint"])
@@ -466,13 +462,13 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     sampler_cfg = build_sampler_config(cfg)
     constraint = sampler_cfg.constraint
     decoder = sampler_cfg.decoder
-    _refuse_unrunnable(cfg, sampler_cfg)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-
     measured = {}
     if decoder is not None:
         measured["lipschitz"] = estimate_lipschitz(decoder)
+    _refuse_unrunnable(cfg, sampler_cfg, measured.get("lipschitz"))
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    if decoder is not None:
         save_decoder(decoder, out / "decoder.json")
     save_score_field(sampler_cfg.score, out / "score.json")
 
@@ -549,9 +545,11 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
                           reports=reports, counters=counters, summary=summary)
 
 
-def _refuse_unrunnable(cfg: RunConfig, sampler_cfg: SamplerConfig) -> None:
+def _refuse_unrunnable(cfg: RunConfig, sampler_cfg: SamplerConfig,
+                       lipschitz: float | None) -> None:
     """Raise ConfigError, before any chain runs, for a constraint the run
-    never reads or a report or check it cannot compute."""
+    never reads or a report or check it cannot compute; ``lipschitz`` is
+    the decoder's bound, None without a decoder."""
     reports, checks = cfg["reports"], cfg["checks"]
     constraint = sampler_cfg.constraint
     if sampler_cfg.mode == "unconstrained" and constraint is not None:
@@ -568,9 +566,9 @@ def _refuse_unrunnable(cfg: RunConfig, sampler_cfg: SamplerConfig) -> None:
             and not reports["contraction"]:
         raise ConfigError("checks.contraction_fraction reads the contraction "
                           "report; set reports.contraction: true")
-    if reports["contraction"] and sampler_cfg.decoder is None:
-        raise ConfigError("reports.contraction needs a decoder: the check "
-                          "takes the decoder's measured Lipschitz bound")
+    if reports["contraction"] and not lipschitz:
+        raise ConfigError("reports.contraction needs a decoder with a "
+                          "positive Lipschitz bound: the check divides by it")
     if reports["contraction"] and sampler_cfg.schedule.T < 2:
         raise ConfigError("reports.contraction compares consecutive levels "
                           "and needs schedule.T >= 2")
@@ -578,8 +576,8 @@ def _refuse_unrunnable(cfg: RunConfig, sampler_cfg: SamplerConfig) -> None:
         raise ConfigError("reports.fidelity needs a linear_gaussian score, "
                           f"not {sampler_cfg.score.kind}")
     if reports["fidelity"] and not sampler_cfg.record_vectors:
-        raise ConfigError("reports.fidelity needs the latent of each level, "
-                          "which sampler.record_vectors: false drops")
+        raise ConfigError("reports.fidelity needs the chain state of each "
+                          "level, which sampler.record_vectors: false drops")
 
 
 def counters_line(counters: dict) -> str:
@@ -673,8 +671,8 @@ def _trace_counters(traces) -> dict:
 
 
 def _fidelity_report(sampler_cfg: SamplerConfig, traces, G: float) -> dict:
-    """Population KL drift across chains, evaluated in the latent space;
-    ``G`` is the run's largest Langevin score norm."""
+    """Population KL drift across chains, evaluated on the chain states the
+    score reads; ``G`` is the run's largest Langevin score norm."""
     field_ = sampler_cfg.score
     schedule = sampler_cfg.schedule
     ref = GaussianFit(mean=field_.means[0], cov=field_.covs[0])
@@ -691,7 +689,8 @@ def _fidelity_report(sampler_cfg: SamplerConfig, traces, G: float) -> dict:
             kl[t] = gaussian_kl(fit_gaussian(np.array(pts)), ref)
     report = check_fidelity_drift(kl, schedule, G)
     doc = _report_doc(report)
-    doc["space"] = "latent"
+    doc["space"] = "ambient" if sampler_cfg.mode == "projected_ambient" \
+        else "latent"
     doc["kl_series"] = [float(v) for v in kl]
     return doc
 

@@ -53,8 +53,7 @@ class TraceRow:
     score_norm: float
     violation: float
     dist: float
-    z: np.ndarray | None = None   # unconstrained and proximal rows
-    x: np.ndarray | None = None   # projected-ambient rows: the chain state
+    z: np.ndarray | None = None   # the chain state, where the score is read
 
 
 @dataclass
@@ -106,8 +105,8 @@ class SamplerConfig:
     alm: AlmState | None = None
     simulator: Simulator | None = None
     dpo: DpoConfig | None = None
-    # rows keep a copy of the chain state: z in the latent modes, x in
-    # projected_ambient; a proximal row never copies its decoded point
+    # rows keep a copy of the chain state, the latent in proximal_latent;
+    # a proximal row never copies its decoded point
     record_vectors: bool = True
 
     def __post_init__(self):
@@ -389,12 +388,10 @@ def sample(cfg: SamplerConfig,
                 ev = C.evaluate(con, x)
             else:
                 ev = _NO_EVALUATION
-            state = z.copy() if cfg.record_vectors else None
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="langevin", gamma=gamma,
                 score_norm=math.sqrt(s.dot(s)), violation=ev[0],
-                dist=ev[1], z=None if projected else state,
-                x=state if projected else None))
+                dist=ev[1], z=z.copy() if cfg.record_vectors else None))
             if corrected and (cfg.correct_every_step
                               or i == sched.inner_steps):
                 z = _run_correction(cfg, z, x, ev, t, gamma, rng, trace)

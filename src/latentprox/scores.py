@@ -265,14 +265,6 @@ def _dsm_draws(batch: np.ndarray, schedule: NoiseSchedule,
     return xt, ab, target
 
 
-def _dsm_loss_of(predict, batch: np.ndarray, schedule: NoiseSchedule,
-                 rng: np.random.Generator) -> float:
-    """Score-matching loss for any predictor taking (x_t batch, abar batch)."""
-    xt, ab, target = _dsm_draws(batch, schedule, rng)
-    pred = predict(xt, ab)
-    return float(np.mean((pred - target) ** 2))
-
-
 def dsm_loss(f: ScoreField, batch, schedule: NoiseSchedule,
              rng: np.random.Generator) -> float:
     """Denoising score-matching objective of an MLP field on a data batch.
@@ -288,8 +280,8 @@ def dsm_loss(f: ScoreField, batch, schedule: NoiseSchedule,
         raise ParameterError("batch must be a non-empty (n, dim) array")
     if batch.shape[1] != f.dim:
         raise ShapeError("batch dimension does not match field")
-    return _dsm_loss_of(lambda X, ab: _mlp_forward(f.mlp, X, ab),
-                        batch, schedule, rng)
+    xt, ab, target = _dsm_draws(batch, schedule, rng)
+    return float(np.mean((_mlp_forward(f.mlp, xt, ab) - target) ** 2))
 
 
 def train_score(data, cfg: MlpScoreConfig, schedule: NoiseSchedule,

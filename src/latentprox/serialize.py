@@ -69,13 +69,9 @@ def score_field_from_doc(doc: dict) -> ScoreField:
                                  batch_size=c["batch_size"], seed=c["seed"])
         return ScoreField(kind="mlp", dim=int(doc["dim"]), schedule=schedule,
                           mlp=p, mlp_config=cfg)
-    means = np.array(doc["means"])
-    covs = np.array(doc["covs"])
-    if kind == "linear_gaussian":
-        means = means.reshape(int(doc["dim"]))
-        covs = covs.reshape(int(doc["dim"]), int(doc["dim"]))
     return ScoreField(kind=kind, dim=int(doc["dim"]), schedule=schedule,
-                      weights=np.array(doc["weights"]), means=means, covs=covs)
+                      weights=np.array(doc["weights"]),
+                      means=np.array(doc["means"]), covs=np.array(doc["covs"]))
 
 
 def save_score_field(f: ScoreField, path) -> None:
@@ -89,9 +85,9 @@ def load_score_field(path) -> ScoreField:
 def decoder_doc(m: DecoderMap) -> dict:
     doc = {"type": "decoder", "kind": m.kind, "latent_dim": m.latent_dim,
            "ambient_dim": m.ambient_dim}
-    if m.kind == "linear":
-        doc["weight"] = _arr(m.weight)
-        doc["bias"] = _arr(m.bias)
+    if m.kind == "linear":  # its one layer, as weight and bias
+        (W, b), = m.layers
+        doc["weight"], doc["bias"] = _arr(W), _arr(b)
     else:
         doc["layers"] = [[_arr(W), _arr(b)] for W, b in m.layers]
     return doc
@@ -102,14 +98,10 @@ def decoder_from_doc(doc: dict) -> DecoderMap:
     ``lipschitz_probes`` keys of an older document are ignored."""
     if doc.get("type") != "decoder":
         raise ConfigError("document is not a decoder")
-    kw = dict(kind=doc["kind"], latent_dim=int(doc["latent_dim"]),
-              ambient_dim=int(doc["ambient_dim"]))
-    if doc["kind"] == "linear":
-        kw["weight"] = np.array(doc["weight"])
-        kw["bias"] = np.array(doc["bias"])
-    else:
-        kw["layers"] = [(np.array(W), np.array(b)) for W, b in doc["layers"]]
-    return DecoderMap(**kw)
+    layers = ([(doc["weight"], doc["bias"])] if doc["kind"] == "linear"
+              else doc["layers"])
+    return DecoderMap(kind=doc["kind"], latent_dim=int(doc["latent_dim"]),
+                      ambient_dim=int(doc["ambient_dim"]), layers=layers)
 
 
 def save_decoder(m: DecoderMap, path) -> None:

@@ -164,7 +164,7 @@ def test_criterion_07_identity_constraint_equivalence():
     for seed in range(5):
         zu, tu = sample(ua, chain_rng(seed, 0))
         xa, ta = sample(pa, chain_rng(seed, 0))
-        all_ok &= all(np.array_equal(a.z, b.x)
+        all_ok &= all(np.array_equal(a.z, b.z)
                       for a, b in zip(tu.rows, ta.rows))
         all_ok &= np.array_equal(zu, xa)
     # unconstrained sampler with a vacuous constraint configured (mode 3:

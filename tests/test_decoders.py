@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -51,6 +52,38 @@ def test_decode_errors():
         decode(dec, np.array([np.nan, 0.0]))
     with pytest.raises(ParameterError):
         linear_decoder(np.zeros((2, 3)))  # ambient < latent
+
+
+def test_linear_decoder_is_its_one_layer():
+    dec = linear_decoder(W_EX)
+    assert [f.name for f in dataclasses.fields(dec)] == [
+        "kind", "latent_dim", "ambient_dim", "layers"]
+    (W, b), = dec.layers
+    assert np.array_equal(W, W_EX) and np.array_equal(b, np.zeros(3))
+    # the builder reads the dims from a 2-D weight, as mlp_decoder does
+    with pytest.raises(ShapeError):
+        linear_decoder(np.ones(3))
+    with pytest.raises(ShapeError):
+        linear_decoder(W_EX, np.zeros(2))
+    with pytest.raises(ParameterError):
+        DecoderMap(kind="linear", latent_dim=2, ambient_dim=3,
+                   layers=[(np.ones((4, 2)), np.zeros(4)),
+                           (np.ones((3, 4)), np.zeros(3))])
+
+
+BAD_INITS = {
+    "latent_dim 0": lambda: random_linear_decoder(0, 3, seed=0),
+    "ambient_dim -3": lambda: random_linear_decoder(2, -3, seed=0),
+    "linear seed -1": lambda: random_linear_decoder(2, 3, seed=-1),
+    "hidden 0": lambda: random_mlp_decoder(2, 3, hidden=0, seed=0),
+    "hidden -1": lambda: random_mlp_decoder(2, 3, hidden=-1, seed=0),
+    "mlp seed -1": lambda: random_mlp_decoder(2, 3, hidden=4, seed=-1)}
+
+
+@pytest.mark.parametrize("build", BAD_INITS.values(), ids=BAD_INITS.keys())
+def test_random_decoders_refuse_sizes_below_1_and_negative_seeds(build):
+    with pytest.raises(ParameterError):
+        build()
 
 
 def test_mlp_vjp_matches_finite_differences():
@@ -257,7 +290,8 @@ def test_mlp_decoder_layers_validated(tmp_path):
 
 def reference_decode(m, z):
     if m.kind == "linear":
-        return m.weight @ z + m.bias
+        W, b = m.layers[0]
+        return W @ z + b
     a = z
     for W, b in m.layers[:-1]:
         a = np.tanh(W @ a + b)
@@ -267,7 +301,7 @@ def reference_decode(m, z):
 
 def reference_vjp(m, z, v):
     if m.kind == "linear":
-        return m.weight.T @ v
+        return m.layers[0][0].T @ v
     activations = []
     a = z
     for W, b in m.layers[:-1]:
@@ -288,7 +322,8 @@ def decoder_batches(draw):
     if draw(st.booleans()):
         dec = random_linear_decoder(latent, ambient, seed=seed,
                                     scale=draw(st.floats(0.1, 10.0)))
-        dec.bias = np.random.default_rng(seed).standard_normal(ambient)
+        dec.layers[0] = (dec.layers[0][0],
+                         np.random.default_rng(seed).standard_normal(ambient))
     else:
         dec = random_mlp_decoder(latent, ambient,
                                  hidden=draw(st.integers(1, 24)), seed=seed,

@@ -155,6 +155,12 @@ def test_contraction_feasible_trace_all_hold():
         assert abs(r.slack - (0.01 ** 2) * rep.G ** 2) < 1e-15
 
 
+@pytest.mark.parametrize("lipschitz", [0.0, -1.0, float("nan")])
+def test_contraction_refuses_a_bound_that_is_not_positive(lipschitz):
+    with pytest.raises(ParameterError):
+        check_feasibility_contraction(synthetic_trace([0.2, 0.1]), lipschitz)
+
+
 def test_contraction_fabricated_violation_detected():
     # a jump in dist^2 faster than the bound must flag holds = False
     trace = synthetic_trace([0.2, 0.1, 5.0, 0.05])
@@ -173,7 +179,7 @@ def test_contraction_drift_only_run_all_hold():
     ell = estimate_lipschitz(dec)
     m = np.array([3.0, 0.0])
     f = linear_gaussian_field(m, np.eye(2), sched)
-    mu_x = dec.weight @ m
+    mu_x = dec.layers[0][0] @ m
     spec = C.halfspace(-mu_x / np.linalg.norm(mu_x), -1.0, prox_weight=1e5)
     cfg = SamplerConfig(schedule=sched, score=f, mode="proximal_latent",
                         decoder=dec, constraint=spec, lr=0.5, inner_cap=60,

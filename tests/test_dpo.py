@@ -339,6 +339,15 @@ def test_external_simulator_reports_exit_code_and_stderr():
                            timeout=0.0)
 
 
+def test_external_simulator_needs_a_program_it_can_start(tmp_path):
+    with pytest.raises(ParameterError):  # refused before any call
+        external_simulator([], response_dim=1)
+    missing = str(tmp_path / "no_such_solver")
+    sim = external_simulator([missing], response_dim=1)
+    with pytest.raises(SimulatorError, match="no_such_solver"):
+        sim.fn(np.zeros(1))
+
+
 def test_external_simulator_design_matches_the_builtin():
     # a child computing the saturating response with the same kernel gives
     # the design rows the built-in simulator's bits

@@ -36,7 +36,7 @@ def all_rows_correct(cfg, Z, t, stops=None):
     else the first of converged, stagnated and capped that holds.
     """
     con = cfg.constraint
-    W, b = cfg.decoder.weight, cfg.decoder.bias
+    (W, b), = cfg.decoder.layers
     n = len(Z)
     X0 = Z @ W.T + b
     lam = con.prox_weight

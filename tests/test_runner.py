@@ -390,6 +390,42 @@ def test_cli_sample_and_diagnose(tmp_path, capsys):
     assert rc == 0
 
 
+def test_cli_diagnose_refuses_a_zero_bound(tmp_path, capsys):
+    cfg = minimal_config(tmp_path / "run")
+    cfg["reports"] = {"contraction": True}
+    assert cli_main(["sample", "--config",
+                     str(write_yaml(tmp_path / "cfg.yaml", cfg))]) == 0
+    path = tmp_path / "run" / "manifest.json"
+    stored = json.loads(path.read_text())
+    stored["measured"]["lipschitz"] = 0.0
+    path.write_text(json.dumps(stored))
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(tmp_path / "run")]) == 3
+    assert "decoder bound must be positive" in capsys.readouterr().err
+
+
+# decoder values the random builders refuse, before the run directory
+DECODER_VALUES = {
+    "latent_dim -1": {"latent_dim": -1},
+    "ambient_dim -3": {"ambient_dim": -3},
+    "hidden -1": {"kind": "smooth_mlp", "init": {"seed": 1, "hidden": -1}},
+    "hidden 0": {"kind": "smooth_mlp", "init": {"seed": 1, "hidden": 0}},
+    "init seed -1": {"init": {"seed": -1}}}
+
+
+@pytest.mark.parametrize("change", DECODER_VALUES.values(),
+                         ids=DECODER_VALUES.keys())
+def test_cli_sample_refuses_decoder_values(tmp_path, capsys, change):
+    cfg = minimal_config(tmp_path / "run")
+    cfg["decoder"].update(change)
+    cfg["reports"] = {"contraction": True}
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "configuration error: decoder sizes must be >= 1")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_overrides(tmp_path):
     cfg = minimal_config(tmp_path / "runA")
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
@@ -689,6 +725,24 @@ def test_cli_sample_noisy_halfspace_preset(tmp_path):
     assert np.isfinite(fidelity["kl_series"]).all()
 
 
+def test_cli_projected_run_reports_a_finite_fidelity(tmp_path):
+    # a projected chain's state is where its score is read, so the
+    # fidelity report fits every level from it
+    cfg = EXP.halfspace_contraction_config(seed=3, chains=6, noise_scale=1.0,
+                                           out=str(tmp_path / "run"))
+    del cfg["decoder"]
+    cfg["constraint"] = {"kind": "halfspace", "normal": [1.0, 0.0],
+                         "offset": 1.0}
+    cfg["sampler"] = {"mode": "projected_ambient", "noise_scale": 1.0}
+    cfg["reports"] = {"fidelity": True}
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 0
+    stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    fidelity = stored["reports"]["fidelity"]
+    assert fidelity["space"] == "ambient"
+    assert np.isfinite(fidelity["kl_series"]).all()
+
+
 def test_cli_check_failure_exit_code(tmp_path):
     # without the final projection a 4x4 porosity run misses its count, so
     # the measured porosity_exact check fails
@@ -716,6 +770,11 @@ UNMEASURABLE = {
     "contraction report on one level": (
         {"schedule": {"T": 1}, "reports": {"contraction": True}},
         "reports.contraction compares consecutive levels"),
+    "contraction report on a zero decoder": (
+        {"decoder": {"kind": "linear", "latent_dim": 2, "ambient_dim": 3,
+                     "init": {"seed": 1, "scale": 0.0}},
+         "reports": {"contraction": True}},
+        "reports.contraction needs a decoder with a positive Lipschitz"),
     "fidelity report on a mixture": (
         {"score": {"kind": "gaussian_mixture", "weights": [1.0],
                    "means": [[0.0, 0.0]], "covs": [[[1.0, 0.0], [0.0, 1.0]]]},

@@ -273,7 +273,7 @@ def test_identity_constraint_equivalence_all_modes():
                          constraint=vacuous_box(3))
     za, ta = sample(u_amb, chain_rng(9, 0))
     xa, tb = sample(proj, chain_rng(9, 0))
-    assert all(np.array_equal(a.z, b.x) for a, b in zip(ta.rows, tb.rows))
+    assert all(np.array_equal(a.z, b.z) for a, b in zip(ta.rows, tb.rows))
     assert np.array_equal(za, xa)
 
 
@@ -418,13 +418,13 @@ def test_trace_rows_copy_the_chain_state_only():
     phases = {row.phase for row in trace.rows}
     assert phases == {"langevin", "correction"}
     # a proximal row keeps its latent; the decoded point is not copied
-    assert all(row.x is None and row.z.shape == (2,) for row in trace.rows)
+    assert all(row.z.shape == (2,) for row in trace.rows)
 
     proj = SamplerConfig(schedule=sched, score=standard_normal_field(3, sched),
                          mode="projected_ambient", constraint=spec)
     x, trace = sample(proj, chain_rng(3, 0))
-    assert all(row.z is None and row.x.shape == (3,) for row in trace.rows)
-    assert np.array_equal(trace.rows[-1].x, x)
+    assert all(row.z.shape == (3,) for row in trace.rows)
+    assert np.array_equal(trace.rows[-1].z, x)
 
 
 def test_dpo_solver_corrects_each_level_and_replays():

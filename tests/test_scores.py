@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from latentprox.errors import DivergenceError, ParameterError, ShapeError
 from latentprox.schedules import make_schedule
-from latentprox.scores import (MlpScoreConfig, ScoreField, _dsm_loss_of,
+from latentprox.scores import (MlpScoreConfig, ScoreField, _dsm_draws,
                                _level_cache, _mlp_forward, dsm_loss,
                                gaussian_mixture_field, init_mlp_params,
                                linear_gaussian_field, log_density, score,
@@ -273,8 +273,8 @@ def test_dsm_loss_perfect_predictor_is_zero(schedule):
     def predict(xt, ab):
         return -(xt - np.sqrt(ab)[:, None] * x0) / (1 - ab)[:, None]
 
-    loss = _dsm_loss_of(predict, batch, schedule, np.random.default_rng(5))
-    assert loss < 1e-24
+    xt, ab, target = _dsm_draws(batch, schedule, np.random.default_rng(5))
+    assert np.mean((predict(xt, ab) - target) ** 2) < 1e-24
 
 
 def test_dsm_loss_nonnegative(schedule):

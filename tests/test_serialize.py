@@ -64,7 +64,7 @@ def test_decoder_roundtrip_ignores_old_lipschitz_keys(tmp_path):
     assert sorted(json.loads(path.read_text())) == [
         "ambient_dim", "bias", "kind", "latent_dim", "type", "weight"]
     loaded = load_decoder(path)
-    assert np.array_equal(loaded.weight, dec.weight)
+    assert np.array_equal(loaded.layers[0][0], dec.layers[0][0])
     old = tmp_path / "old_dec.json"
     old.write_text(json.dumps(dict(decoder_doc(dec), lipschitz_bound=1.7,
                                    lipschitz_probes=64)))
