@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import constraints as C
-from .diagnostics import check_run_contraction
+from .diagnostics import check_run_contraction, correction_loop_violations
 from .errors import (ConfigError, DegeneracyError, DivergenceError,
                      NumericError, ParameterError, ShapeError)
 from .runner import (RunConfig, RunManifest, build_constraint, build_score,
@@ -137,6 +137,17 @@ def _cmd_project(args) -> int:
     return EXIT_OK
 
 
+def _correction_loops_line(ends) -> str:
+    """The number of correction loops and the median violation at their
+    entry and at their exit."""
+    line = f"correction loops: {len(ends)}"
+    if ends:
+        entry, exit_ = np.median(ends, axis=0)
+        line += (f", median violation at entry {entry:.6g}, "
+                 f"at exit {exit_:.6g}")
+    return line
+
+
 def _cmd_diagnose(args) -> int:
     run_dir = Path(args.run)
     path = run_dir / "manifest.json"
@@ -163,6 +174,8 @@ def _cmd_diagnose(args) -> int:
     print(f"transitions: {len(report.records)}  fraction_holding: "
           f"{report.fraction_holding:.4f}  G: {report.G:.4f}  "
           f"precondition_ok: {report.precondition_ok}")
+    if cfg["sampler"]["mode"] == "proximal_latent":
+        print(_correction_loops_line(correction_loop_violations(traces)))
     threshold = args.min_fraction
     if threshold is not None and report.fraction_holding < threshold:
         return EXIT_CHECK_FAILED

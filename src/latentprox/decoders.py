@@ -82,11 +82,15 @@ def linear_decoder(weight, bias=None) -> DecoderMap:
 
 
 def _check_init(seed: int, **sizes) -> None:
-    """Refuse a random decoder's size below 1 or seed below 0."""
+    """Refuse a random decoder's size below 1, seed below 0, or latent_dim
+    above ambient_dim (a reduced QR would quietly shrink the latent)."""
     if min(sizes.values()) < 1 or seed < 0:
         got = ", ".join(f"{k} {v}" for k, v in dict(sizes, seed=seed).items())
         raise ParameterError(f"decoder sizes must be >= 1 and its seed >= 0, "
                              f"got {got}")
+    if sizes["latent_dim"] > sizes["ambient_dim"]:
+        raise ParameterError(f"decoder latent_dim {sizes['latent_dim']} "
+                             f"exceeds its ambient_dim {sizes['ambient_dim']}")
 
 
 def random_linear_decoder(latent_dim: int, ambient_dim: int, seed: int,

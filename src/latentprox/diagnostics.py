@@ -104,6 +104,21 @@ def check_run_contraction(traces, lipschitz: float) -> BoundReport:
                    precondition_ok=all(r.precondition_ok for r in reports))
 
 
+def correction_loop_violations(traces) -> list:
+    """``[entry, exit]`` violations of every correction loop of the traces:
+    the row just before a loop's first correction row, and its last one."""
+    ends = []
+    for trace in traces:
+        rows = trace.rows
+        for k, row in enumerate(rows):
+            if row.phase != "correction":
+                continue
+            if row.i == 1:  # a loop's first update follows its entry row
+                ends.append([rows[k - 1].violation, None])
+            ends[-1][1] = row.violation
+    return ends
+
+
 def feasibility_hitting_level(trace: SampleTrace, threshold: float) -> int | None:
     """Index (0-based, from level T) of the first pre-prox dist < threshold."""
     for k, row in enumerate(trace.level_end_rows()):

@@ -47,6 +47,11 @@ DESIGN_HEADER = "chain,step,mse"
 # temporaries that stay small however many chains a run has
 DESIGN_BLOCK_ROWS = 32
 
+# libyaml's C scanner and parser composed with PyYAML's own safe
+# constructor and resolver, so values resolve as under yaml.safe_load; the
+# pure-Python loader where PyYAML was built without libyaml
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 REQUIRED = object()
 
 SCHEMA = {
@@ -263,12 +268,15 @@ def load_config(path) -> RunConfig:
     """Load and validate a YAML (or JSON) configuration document."""
     text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" \
             if mark else ""
-        raise ConfigError(f"cannot parse {path}{where}: {exc}") from exc
+        # the problem alone: the full text repeats the position on a line
+        # of its own
+        problem = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"cannot parse {path}{where}: {problem}") from exc
     return RunConfig.from_dict(raw)
 
 

@@ -33,6 +33,22 @@ def _schedule_from(doc: dict) -> NoiseSchedule:
                          inner_steps=int(doc["inner_steps"]))
 
 
+def _load_doc(path, from_doc):
+    """``from_doc`` of the JSON document at ``path``; a file that is not
+    JSON, not the document ``from_doc`` reads, or without a key its kind
+    reads raises ConfigError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return from_doc(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{path} has no key {exc.args[0]!r}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def score_field_doc(f: ScoreField) -> dict:
     doc = {"type": "score_field", "kind": f.kind, "dim": f.dim,
            "schedule": _schedule_doc(f.schedule)}
@@ -54,7 +70,7 @@ def score_field_doc(f: ScoreField) -> dict:
 
 
 def score_field_from_doc(doc: dict) -> ScoreField:
-    if doc.get("type") != "score_field":
+    if not isinstance(doc, dict) or doc.get("type") != "score_field":
         raise ConfigError("document is not a score_field")
     schedule = _schedule_from(doc["schedule"])
     kind = doc["kind"]
@@ -79,7 +95,7 @@ def save_score_field(f: ScoreField, path) -> None:
 
 
 def load_score_field(path) -> ScoreField:
-    return score_field_from_doc(json.loads(Path(path).read_text()))
+    return _load_doc(path, score_field_from_doc)
 
 
 def decoder_doc(m: DecoderMap) -> dict:
@@ -96,7 +112,7 @@ def decoder_doc(m: DecoderMap) -> dict:
 def decoder_from_doc(doc: dict) -> DecoderMap:
     """The decoder of a ``decoder_doc``; the ``lipschitz_bound`` and
     ``lipschitz_probes`` keys of an older document are ignored."""
-    if doc.get("type") != "decoder":
+    if not isinstance(doc, dict) or doc.get("type") != "decoder":
         raise ConfigError("document is not a decoder")
     layers = ([(doc["weight"], doc["bias"])] if doc["kind"] == "linear"
               else doc["layers"])
@@ -109,7 +125,7 @@ def save_decoder(m: DecoderMap, path) -> None:
 
 
 def load_decoder(path) -> DecoderMap:
-    return decoder_from_doc(json.loads(Path(path).read_text()))
+    return _load_doc(path, decoder_from_doc)
 
 
 def save_vector(x, path) -> None:

@@ -86,6 +86,18 @@ def test_random_decoders_refuse_sizes_below_1_and_negative_seeds(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: random_linear_decoder(5, 3, seed=0),
+    lambda: random_mlp_decoder(5, 3, hidden=4, seed=0)],
+    ids=["linear", "smooth_mlp"])
+def test_random_decoders_refuse_a_latent_wider_than_the_ambient(build):
+    # a reduced QR of the (3, 5) draw has 3 columns: the linear decoder was
+    # silently 3 -> 3
+    with pytest.raises(ParameterError,
+                       match="latent_dim 5 exceeds its ambient_dim 3"):
+        build()
+
+
 def test_mlp_vjp_matches_finite_differences():
     dec = random_mlp_decoder(3, 5, hidden=16, seed=2)
     rng = np.random.default_rng(5)

@@ -12,7 +12,8 @@ from latentprox import experiments as EXP
 from latentprox.cli import main as cli_main
 from latentprox.decoders import random_mlp_decoder
 from latentprox.errors import ConfigError
-from latentprox.runner import (KEY_KINDS, SCHEMA, RunConfig,
+from latentprox import runner
+from latentprox.runner import (KEY_KINDS, SCHEMA, YAML_LOADER, RunConfig,
                                build_constraint, build_sampler_config,
                                load_config,
                                RETIRED_KEYS, render_grid,
@@ -163,6 +164,55 @@ def test_resolved_values_have_their_kinds(name):
     # an already-resolved config resolves to itself (CLI overrides and
     # replay resolve one again)
     assert resolve_config(cfg) == cfg
+
+
+@pytest.mark.parametrize("loader", [YAML_LOADER, yaml.SafeLoader],
+                         ids=["default", "without libyaml"])
+def test_committed_configs_load_as_under_safe_load(monkeypatch, loader):
+    # the default loader is libyaml's when PyYAML has it; either loader
+    # resolves every committed config to what yaml.safe_load gives
+    monkeypatch.setattr(runner, "YAML_LOADER", loader)
+    for path in CONFIG_FILES:
+        reference = yaml.safe_load(path.read_text())
+        assert load_config(path).data == \
+            RunConfig.from_dict(reference).data, path
+
+
+@pytest.mark.parametrize("loader", [YAML_LOADER, yaml.SafeLoader],
+                         ids=["default", "without libyaml"])
+def test_load_config_reads_an_exponent_without_a_point(tmp_path, monkeypatch,
+                                                       loader):
+    # YAML 1.1 reads 5e-1 as a string; the float key still gets 0.5
+    monkeypatch.setattr(runner, "YAML_LOADER", loader)
+    cfg = minimal_config(tmp_path / "run")
+    text = yaml.safe_dump(cfg).replace("lr: 0.5", "lr: 5e-1")
+    assert "lr: 5e-1" in text
+    assert yaml.load(text, Loader=loader)["sampler"]["lr"] == "5e-1"
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert load_config(path)["sampler"]["lr"] == 0.5
+
+
+@pytest.mark.parametrize("loader", [YAML_LOADER, yaml.SafeLoader],
+                         ids=["default", "without libyaml"])
+def test_malformed_yaml_names_its_line_and_column(tmp_path, monkeypatch,
+                                                  loader):
+    monkeypatch.setattr(runner, "YAML_LOADER", loader)
+    path = tmp_path / "bad.yaml"
+    path.write_text("a: b: c\n")
+    with pytest.raises(ConfigError, match=f"cannot parse {re.escape(str(path))}"
+                       " at line 1, column 5: "):
+        load_config(path)
+
+
+def test_cli_sample_of_malformed_yaml_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("a: b: c\n")
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot parse {path} at "
+                          "line 1, column 5: ")
+    assert err.count("\n") == 1
 
 
 def test_load_config_yaml_and_parse_errors(tmp_path):
@@ -423,6 +473,44 @@ def test_cli_sample_refuses_decoder_values(tmp_path, capsys, change):
     assert cli_main(["sample", "--config", str(path)]) == 3
     assert capsys.readouterr().err.startswith(
         "configuration error: decoder sizes must be >= 1")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_sample_refuses_a_latent_wider_than_the_ambient(tmp_path,
+                                                          capsys):
+    cfg = minimal_config(tmp_path / "run")
+    cfg["decoder"].update(latent_dim=5, ambient_dim=3)
+    cfg["score"] = {"kind": "linear_gaussian", "mean": [0.0] * 5,
+                    "cov": np.eye(5).tolist()}
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("configuration error: decoder latent_dim 5 exceeds its "
+                   "ambient_dim 3\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section, text, names", [
+    ("decoder", "{not json", " is not valid JSON: "),
+    ("decoder", json.dumps({"type": "decoder", "kind": "linear",
+                            "latent_dim": 2, "ambient_dim": 3}),
+     " has no key 'weight'"),
+    ("score", "{not json", " is not valid JSON: "),
+    ("score", json.dumps({"type": "score_field", "kind": "linear_gaussian",
+                          "dim": 2}), " has no key 'schedule'")],
+    ids=["decoder not json", "decoder without weight", "score not json",
+         "score without schedule"])
+def test_cli_sample_refuses_an_unreadable_file(tmp_path, capsys, section,
+                                               text, names):
+    doc = tmp_path / f"{section}.json"
+    doc.write_text(text)
+    cfg = minimal_config(tmp_path / "run")
+    cfg[section] = {"kind": cfg[section]["kind"], "file": str(doc)}
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {doc}{names}")
+    assert err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 
@@ -969,6 +1057,49 @@ def test_cli_diagnose_prints_counters_before_contraction(tmp_path, capsys):
     assert lines[1].startswith("transitions: ")
 
 
+def correction_loop_medians(metrics):
+    """The median violation at the entry and at the exit of the correction
+    loops in a metrics.csv: the row before a loop's first correction row,
+    and its last correction row."""
+    rows = [line.split(",") for line in metrics.read_text().splitlines()[1:]]
+    entries, exits = [], []
+    for k, (chain, t, i, phase, *_, violation, dist) in enumerate(rows):
+        if phase != "correction":
+            continue
+        if i == "1":
+            entries.append(float(rows[k - 1][6]))
+        if k + 1 == len(rows) or rows[k + 1][3] != "correction" \
+                or rows[k + 1][2] == "1":
+            exits.append(float(violation))
+    assert len(entries) == len(exits)
+    return len(entries), np.median(entries), np.median(exits)
+
+
+def test_cli_diagnose_prints_the_correction_loop_medians(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = EXP.porosity_config(seed=1, chains=2, grid=(8, 8), out=str(out))
+    counters = run_experiment(RunConfig.from_dict(cfg))["counters"]
+    loops, entry, exit_ = correction_loop_medians(out / "metrics.csv")
+    assert loops == sum(counters["correction_stops"].values()) > 0
+    assert exit_ < entry
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (f"correction loops: {loops}, median violation at "
+                         f"entry {entry:.6g}, at exit {exit_:.6g}")
+
+
+def test_cli_diagnose_of_a_run_without_correction_loops(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = minimal_config(out)
+    cfg["constraint"]["offset"] = 1e3  # every decoded point is feasible
+    counters = run_experiment(RunConfig.from_dict(cfg))["counters"]
+    assert sum(counters["correction_stops"].values()) == 0
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "correction loops: 0"
+
+
 @pytest.mark.parametrize("command", ["sample", "design"])
 def test_cli_diagnose_prints_the_summary_counters_line(tmp_path, capsys,
                                                       command):
@@ -1040,7 +1171,8 @@ def test_cli_project_refuses_a_weight_without_prox(tmp_path, capsys):
 
 def test_cli_sample_rejects_a_grid_that_does_not_fit_the_decoder(tmp_path,
                                                                  capsys):
-    raw = yaml.safe_load((ROOT / "configs" / "porosity.yaml").read_text())
+    raw = yaml.load((ROOT / "configs" / "porosity.yaml").read_text(),
+                    Loader=YAML_LOADER)
     raw["constraint"]["grid"] = [8, 8]
     path = write_yaml(tmp_path / "cfg.yaml", dict(raw, out=str(tmp_path / "p")))
     assert cli_main(["sample", "--config", str(path)]) == 3
@@ -1117,7 +1249,8 @@ def test_porosity_one_pass_evaluate_matches_the_composed_reference(
         tmp_path, monkeypatch):
     # the chain loop's one-pass evaluate and the reference built from the
     # separate violation, projection and norm give the same run files
-    raw = yaml.safe_load((ROOT / "configs" / "porosity.yaml").read_text())
+    raw = yaml.load((ROOT / "configs" / "porosity.yaml").read_text(),
+                    Loader=YAML_LOADER)
     fast, composed = tmp_path / "fast", tmp_path / "composed"
     run_experiment(RunConfig.from_dict(dict(raw, chains=2, out=str(fast))))
     calls = []

@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from latentprox.decoders import random_linear_decoder, random_mlp_decoder
+from latentprox.errors import ConfigError
 from latentprox.schedules import make_schedule
 from latentprox.scores import (MlpScoreConfig, gaussian_mixture_field,
                                linear_gaussian_field, train_score)
@@ -98,6 +100,41 @@ def test_indented_files_of_old_runs_load_equal(tmp_path):
     save_score_field(field, new)
     assert score_field_doc(load_score_field(old)) == \
         score_field_doc(load_score_field(new)) == score_field_doc(field)
+
+
+def without(doc, key):
+    return json.dumps({k: v for k, v in doc.items() if k != key})
+
+
+LINEAR_DOC = decoder_doc(random_linear_decoder(2, 3, seed=1))
+MIXTURE_DOC = score_field_doc(gaussian_mixture_field(
+    [1.0], [[0.0, 0.0]], [np.eye(2)], schedule()))
+# (loader, file text, what the error names after the file)
+UNREADABLE = {
+    "decoder not json": (load_decoder, "{not json", " is not valid JSON"),
+    "decoder without weight": (load_decoder, without(LINEAR_DOC, "weight"),
+                               " has no key 'weight'"),
+    "decoder without latent_dim": (load_decoder,
+                                   without(LINEAR_DOC, "latent_dim"),
+                                   " has no key 'latent_dim'"),
+    "decoder list": (load_decoder, "[1, 2]", ": document is not a decoder"),
+    "score not json": (load_score_field, "{not json", " is not valid JSON"),
+    "score without covs": (load_score_field, without(MIXTURE_DOC, "covs"),
+                           " has no key 'covs'"),
+    "score without schedule": (load_score_field,
+                               without(MIXTURE_DOC, "schedule"),
+                               " has no key 'schedule'")}
+
+
+@pytest.mark.parametrize("load, text, names", UNREADABLE.values(),
+                         ids=UNREADABLE.keys())
+def test_unreadable_documents_are_configuration_errors(tmp_path, load, text,
+                                                       names):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}{names}")
 
 
 def test_vector_roundtrip(tmp_path):
