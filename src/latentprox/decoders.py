@@ -1,12 +1,12 @@
 """Latent-to-ambient decoder maps and their Lipschitz bounds.
 
-A decoder is a stack of affine layers with tanh between them.  Two families
-are provided: exact linear maps, the one-layer stack (where the theory is
-checkable in closed form, with the Lipschitz bound equal to the largest
-singular value), and smooth tanh MLPs as a stress case.  Vector-Jacobian
-products are computed exactly for both.  Lipschitz bounds come from the
-weights alone: the product of the layers' spectral norms, tightened to the
-exact constant for one narrow hidden layer.
+A decoder, like the MLP score network, is a stack of affine layers with tanh
+between them; the two share one check (``check_layers``) and one forward
+kernel (``decode_unchecked``).  Two decoder families are provided: exact
+linear maps, the one-layer stack (the Lipschitz bound is the largest singular
+value), and smooth tanh MLPs as a stress case.  Vector-Jacobian products are
+exact for both.  Lipschitz bounds come from the weights alone: the product of
+the layers' spectral norms, exact for one narrow hidden layer.
 """
 
 from __future__ import annotations
@@ -24,6 +24,27 @@ from .errors import NumericError, ParameterError, ShapeError
 VERTEX_HIDDEN_CAP = 12
 
 
+def check_layers(layers, n_in: int, n_out: int, what: str) -> list:
+    """``layers`` as float ``(W, b)`` pairs: a non-empty, finite stack of
+    2-D weights, each taking the previous layer's outputs (the first
+    ``n_in``) with one bias per output, the last emitting ``n_out``."""
+    if not layers:
+        raise ParameterError(f"{what} requires layers")
+    layers = [(np.asarray(W, float), np.asarray(b, float)) for W, b in layers]
+    for k, (W, b) in enumerate(layers):
+        if W.ndim != 2 or W.shape[1] != n_in or b.shape != (W.shape[0],):
+            raise ShapeError(
+                f"{what} layer {k} has weight {W.shape} and bias {b.shape}; "
+                f"it must take {n_in} inputs with one bias per output")
+        n_in = W.shape[0]
+    if n_in != n_out:
+        raise ShapeError(f"{what}: last layer emits {n_in} outputs, "
+                         f"not {n_out}")
+    if not all(np.isfinite(a).all() for layer in layers for a in layer):
+        raise ParameterError(f"{what} parameters must be finite")
+    return layers
+
+
 @dataclass
 class DecoderMap:
     """Differentiable map D from latent to ambient coordinates."""
@@ -36,42 +57,25 @@ class DecoderMap:
     def __post_init__(self):
         if self.kind not in ("linear", "smooth_mlp"):
             raise ParameterError(f"unknown decoder kind {self.kind!r}")
+        self.layers = check_layers(self.layers, self.latent_dim,
+                                   self.ambient_dim, f"{self.kind} decoder")
         if self.ambient_dim < self.latent_dim:
             raise ParameterError("ambient_dim must be >= latent_dim")
-        if not self.layers:
-            raise ParameterError(f"{self.kind} decoder requires layers")
         if self.kind == "linear" and len(self.layers) != 1:
             raise ParameterError(f"a linear decoder has exactly one layer, "
                                  f"not {len(self.layers)}")
-        self.layers = [(np.asarray(W, float), np.asarray(b, float))
-                       for W, b in self.layers]
-        # each layer takes the previous one's outputs, the first the
-        # latent, and its bias has one entry per output
-        n_in = self.latent_dim
-        for k, (W, b) in enumerate(self.layers):
-            if W.ndim != 2 or W.shape[1] != n_in \
-                    or b.shape != (W.shape[0],):
-                raise ShapeError(
-                    f"layer {k} has weight {W.shape} and bias {b.shape}; "
-                    f"it must take {n_in} inputs with one bias per output")
-            n_in = W.shape[0]
-        if n_in != self.ambient_dim:
-            raise ShapeError("last layer does not emit ambient_dim outputs")
-        if not all(np.isfinite(a).all() for layer in self.layers
-                   for a in layer):
-            raise ParameterError("decoder parameters must be finite")
 
 
 def _from_layers(kind: str, layers) -> DecoderMap:
     """The ``kind`` decoder of ``layers``, its dims read from the first and
     last weights, which must be 2-D."""
-    layers = [(np.asarray(W, float), np.asarray(b, float)) for W, b in layers]
     if not layers:
         raise ParameterError(f"{kind} decoder requires layers")
-    if layers[0][0].ndim != 2 or layers[-1][0].ndim != 2:
+    first, last = np.shape(layers[0][0]), np.shape(layers[-1][0])
+    if len(first) != 2 or len(last) != 2:
         raise ShapeError("the first and last layer weights must be 2-D")
-    return DecoderMap(kind=kind, latent_dim=layers[0][0].shape[1],
-                      ambient_dim=layers[-1][0].shape[0], layers=layers)
+    return DecoderMap(kind=kind, latent_dim=first[1], ambient_dim=last[0],
+                      layers=layers)
 
 
 def linear_decoder(weight, bias=None) -> DecoderMap:
@@ -133,39 +137,43 @@ def _matmul(W: np.ndarray, a: np.ndarray) -> np.ndarray:
     return a @ W.T
 
 
-def decode_unchecked(m: DecoderMap, z: np.ndarray,
-                     product=_matmul) -> np.ndarray:
-    """D(z) for a finite float latent: a point or a batch of rows.
+def decode_unchecked(layers: list, z: np.ndarray, product=_matmul,
+                     hidden: list | None = None) -> np.ndarray:
+    """The stack ``layers`` on a finite float point or batch of rows.
 
     The checked ``decode`` is this plus ``_check_latent``, for a point;
     loops that validate their latent once per update call this one.
-    ``product(W, a)`` applies each weight to a's last axis.
+    ``product(W, a)`` applies each weight to a's last axis.  A ``hidden``
+    list gets each hidden layer's tanh output (the score's training).
     """
     a = z
-    for W, b in m.layers[:-1]:
+    for W, b in layers[:-1]:
         a = np.tanh(product(W, a) + b)
-    W, b = m.layers[-1]
+        if hidden is not None:
+            hidden.append(a)
+    W, b = layers[-1]
     return product(W, a) + b
 
 
 def decode(m: DecoderMap, z) -> np.ndarray:
     """Apply D(z)."""
-    return decode_unchecked(m, _check_latent(m, z))
+    return decode_unchecked(m.layers, _check_latent(m, z))
 
 
-def vjp_unchecked(m: DecoderMap, z: np.ndarray, v: np.ndarray,
+def vjp_unchecked(layers: list, z: np.ndarray, v: np.ndarray,
                   product=_matmul) -> np.ndarray:
-    """J(z)^T v for a checked z and a float v: points or batches of rows.
+    """J(z)^T v of ``layers`` for a checked z and a float v: points or
+    batches of rows.
 
     The checked ``vjp`` is this plus the input checks, for a point;
     ``product`` is as in ``decode_unchecked``.
     """
     hidden = []  # (W, tanh output) of each hidden layer
     a = z
-    for W, b in m.layers[:-1]:
+    for W, b in layers[:-1]:
         a = np.tanh(product(W, a) + b)
         hidden.append((W, a))
-    g = product(m.layers[-1][0].T, v)
+    g = product(layers[-1][0].T, v)
     while hidden:  # cheaper than reversed() when there is no hidden layer
         W, a = hidden.pop()
         g = product(W.T, g * (1.0 - a ** 2))
@@ -178,22 +186,22 @@ def vjp(m: DecoderMap, z, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (m.ambient_dim,):
         raise ShapeError(f"covector of shape {v.shape}, expected ({m.ambient_dim},)")
-    return vjp_unchecked(m, z, v)
+    return vjp_unchecked(m.layers, z, v)
 
 
 def decode_rows(m: DecoderMap, Z: np.ndarray) -> np.ndarray:
     """D(z) of each row of a finite float ``(n, latent_dim)`` array.
 
     np.matvec runs the point's matrix-vector product once per row, so row i
-    is ``decode_unchecked(m, Z[i])`` bit for bit; ``Z @ W.T`` is not.
+    is ``decode_unchecked`` of Z[i] bit for bit; ``Z @ W.T`` is not.
     """
-    return decode_unchecked(m, Z, np.matvec)
+    return decode_unchecked(m.layers, Z, np.matvec)
 
 
 def vjp_rows(m: DecoderMap, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """J(z_i)^T v_i for each row; row i is ``vjp_unchecked(m, Z[i], V[i])``
-    bit for bit, as in ``decode_rows``."""
-    return vjp_unchecked(m, Z, V, np.matvec)
+    """J(z_i)^T v_i for each row; row i is ``vjp_unchecked`` of Z[i] and
+    V[i] bit for bit, as in ``decode_rows``."""
+    return vjp_unchecked(m.layers, Z, V, np.matvec)
 
 
 def estimate_lipschitz(m: DecoderMap) -> float:

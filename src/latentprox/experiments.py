@@ -152,8 +152,8 @@ def _cluster_features(seed: int, n_per_class: int = 200):
     m = np.array([sep, 0.0])
     z_pos = m + rng.standard_normal((n_per_class, latent_dim))
     z_neg = -m + rng.standard_normal((n_per_class, latent_dim))
-    feats_pos = decode_unchecked(dec, z_pos) @ fmap.T
-    feats_neg = decode_unchecked(dec, z_neg) @ fmap.T
+    feats_pos = decode_unchecked(dec.layers, z_pos) @ fmap.T
+    feats_neg = decode_unchecked(dec.layers, z_neg) @ fmap.T
     return dec, fmap, m, feats_pos, feats_neg
 
 
@@ -300,7 +300,7 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
     if bad:
         raise DivergenceError(f"population sampling diverged: {bad} of {n} "
                               "chains are non-finite")
-    X = decode_unchecked(cfg.decoder, Z)
+    X = decode_unchecked(cfg.decoder.layers, Z)
     if cfg.final_projection and con is not None:
         X = C._project_exact(con, X)
     return X

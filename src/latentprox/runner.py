@@ -35,7 +35,7 @@ from .samplers import (STOP_REASONS, SampleTrace, SamplerConfig, TraceRow,
 from .schedules import NoiseSchedule, make_schedule
 from .scores import ScoreField, gaussian_mixture_field, linear_gaussian_field
 from .serialize import (load_decoder, load_score_field, save_decoder,
-                        save_score_field, save_vector)
+                        save_score_field, save_vector, typed)
 
 METRICS_HEADER = "chain,t,i,phase,gamma,score_norm,violation,dist"
 ALM_HEADER = ("chain,t,i,outer_iterations,inner_iterations,final_violation,"
@@ -135,53 +135,6 @@ def _suggest(key: str, known) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
-def _number(value, kind):
-    """``value`` as a ``kind`` (int or float); a bool is not a number, and
-    an int must be whole.  Raises TypeError or ValueError."""
-    if isinstance(value, bool):
-        raise TypeError("a bool is not a number")
-    number = float(value)
-    if kind is float:
-        return number
-    if not number.is_integer():
-        raise ValueError("not a whole number")
-    return int(value) if isinstance(value, numbers.Integral) else int(number)
-
-
-def _nested_numbers(value, kind):
-    """``value``, a number or a nested list, with each entry as a ``kind``."""
-    if isinstance(value, (list, tuple)):
-        return [_nested_numbers(v, kind) for v in value]
-    return _number(value, kind)
-
-
-def _typed(where: str, value, kind):
-    """The value of the key ``where`` as its ``kind``: true or false for
-    bool, a string for str, a number for int or float, a nested list of
-    numbers for [int] or [float]; a key of any other kind keeps its value."""
-    if kind in (bool, str):
-        if not isinstance(value, kind):
-            what = "true or false" if kind is bool else "a string"
-            raise ConfigError(f"{where} must be {what}, got {value!r}")
-        return value
-    is_list = isinstance(kind, list)
-    element = kind[0] if is_list else kind
-    if element not in (int, float):
-        return value
-    try:
-        if not is_list:
-            return _number(value, kind)
-        if not isinstance(value, (list, tuple)):
-            raise TypeError("a bare number is not a list")
-        out = _nested_numbers(value, element)
-        np.asarray(out, dtype=float)  # rows of unequal length raise
-        return out
-    except (TypeError, ValueError):
-        whole = "whole " if element is int else ""
-        what = f"a list of {whole}numbers" if is_list else f"a {whole}number"
-        raise ConfigError(f"{where} must be {what}, got {value!r}") from None
-
-
 def _resolve(section: dict, schema: dict, path: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{path or 'configuration document'} must be a "
@@ -201,7 +154,7 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
                 out[key] = _resolve({} if sub is None else sub, default,
                                     where)
         elif key in section and section[key] is not None:
-            out[key] = _typed(where, section[key],
+            out[key] = typed(where, section[key],
                               KEY_KINDS.get(where, type(default)))
         elif default is REQUIRED:
             note = " (no implicit seeding)" if where == "seed" else ""

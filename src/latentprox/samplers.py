@@ -244,7 +244,7 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
     ``inner_cap`` updates ran.
     """
     con = cfg.constraint
-    dec = cfg.decoder
+    layers = cfg.decoder.layers
     v, d, residual = evaluation
     if v < con.delta or not _correction_active(cfg, t, x0):
         return z
@@ -265,7 +265,7 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
                                                        trace)
         if alm_report is not None:
             trace.alm_reports.append((t, i + 1, alm_report))
-        g = vjp_unchecked(dec, z, correction + (x - x0) / lam)
+        g = vjp_unchecked(layers, z, correction + (x - x0) / lam)
         # the bits of np.linalg.norm on a 1-D float vector
         g_norm = math.sqrt(g.dot(g))
         if z_prev is None:
@@ -277,7 +277,7 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
         if not np.isfinite(z).all():
             raise DivergenceError(f"correction diverged at level {t}")
         i += 1
-        x = decode_unchecked(dec, z)
+        x = decode_unchecked(layers, z)
         v, d, residual = C.evaluate(con, x)
         trace.rows.append(TraceRow(
             t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
@@ -311,8 +311,8 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int) -> np.ndarray:
     caller's check.
     """
     con = cfg.constraint
-    dec = cfg.decoder
-    X = decode_unchecked(dec, Z)
+    layers = cfg.decoder.layers
+    X = decode_unchecked(layers, Z)
     idx = np.flatnonzero(C._violation(con, X) >= con.delta)
     if not idx.size:
         return Z
@@ -322,7 +322,7 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int) -> np.ndarray:
     Xa = X0
     step = np.full(len(idx), cfg.lr_at(t), dtype=float)
     for k in range(cfg.inner_cap):
-        G = vjp_unchecked(dec, Za, (Xa - C._project_exact(con, Xa))
+        G = vjp_unchecked(layers, Za, (Xa - C._project_exact(con, Xa))
                           + (Xa - X0) / lam)
         g_norm = np.sqrt(np.vecdot(G, G))
         if k == 0:
@@ -340,7 +340,7 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int) -> np.ndarray:
         # of the row keeps it on the matrix path
         m = len(idx)
         Zd = np.repeat(Za, 2, axis=0) if m == 1 < len(Z) else Za
-        Xd = decode_unchecked(dec, Zd)
+        Xd = decode_unchecked(layers, Zd)
         keep = ((C._violation(con, Xd) >= con.delta)[:m]
                 & (g_norm > STAGNATION_RATIO * g0_norm))
         Xa = Xd[:m]
@@ -384,7 +384,7 @@ def sample(cfg: SamplerConfig,
                 z = C._project_exact(con, z)
                 ev = _PROJECTED
             elif corrected:
-                x = decode_unchecked(dec, z)
+                x = decode_unchecked(dec.layers, z)
                 ev = C.evaluate(con, x)
             else:
                 ev = _NO_EVALUATION

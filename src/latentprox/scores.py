@@ -3,8 +3,11 @@
 Analytic fields score the exact level-t marginal of their base distribution
 (means scaled by sqrt(abar_t), covariances abar_t * Sigma + (1 - abar_t) * I),
 so the sampler math can be verified independently of any learning error.  The
-MLP field is a two-hidden-layer tanh network trained by denoising score
-matching with hand-written backpropagation.
+MLP field is a two-hidden-layer tanh network on the rows [x, abar_t], trained
+by denoising score matching.  It is a ``[(W, b), ...]`` layer stack, as a
+decoder is, so the two share one check (``decoders.check_layers``) and one
+forward kernel (``decoders.decode_unchecked``); backpropagation is one loop
+over the layers.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .decoders import check_layers, decode_unchecked
 from .errors import DivergenceError, ParameterError, ShapeError
 from .schedules import NoiseSchedule, noised_sample
 
@@ -41,21 +45,6 @@ class MlpScoreConfig:
             raise ParameterError("batch_size must be >= 1")
 
 
-@dataclass
-class MlpParams:
-    """Weights of the two-hidden-layer tanh score network.
-
-    Input is [x, abar_t]; output has the dimension of x.
-    """
-
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    W3: np.ndarray
-    b3: np.ndarray
-
-
 @dataclass(frozen=True)
 class ScoreField:
     """A source of s(x, t), the gradient of the level-t log-density."""
@@ -66,15 +55,15 @@ class ScoreField:
     weights: np.ndarray | None = None
     means: np.ndarray | None = None
     covs: np.ndarray | None = None
-    mlp: MlpParams | None = None
+    mlp: list | None = None  # [(W, b), ...]: [x, abar_t] in, dim out
     mlp_config: MlpScoreConfig | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown score field kind {self.kind!r}")
         if self.kind == "mlp":
-            if self.mlp is None:
-                raise ParameterError("mlp field requires parameters")
+            object.__setattr__(self, "mlp", check_layers(
+                self.mlp, self.dim + 1, self.dim, "score network"))
             return
         w, means, covs = _normalized_components(self)
         object.__setattr__(self, "weights", w)
@@ -216,42 +205,34 @@ def score(f: ScoreField, x, t: int) -> np.ndarray:
 # MLP forward / backward
 
 
-def _mlp_forward(p: MlpParams, X: np.ndarray, abar: np.ndarray,
-                 cache: bool = False):
+def _mlp_forward(layers: list, X: np.ndarray, abar: np.ndarray,
+                 acts: list | None = None) -> np.ndarray:
+    """The network on the rows [x, abar]; when ``acts`` is a list, the
+    input and each hidden layer's output are appended to it."""
     A0 = np.concatenate([X, abar[:, None]], axis=1)
-    Z1 = A0 @ p.W1.T + p.b1
-    A1 = np.tanh(Z1)
-    Z2 = A1 @ p.W2.T + p.b2
-    A2 = np.tanh(Z2)
-    out = A2 @ p.W3.T + p.b3
-    if cache:
-        return out, (A0, A1, A2)
-    return out
+    if acts is not None:
+        acts.append(A0)
+    return decode_unchecked(layers, A0, hidden=acts)
 
 
-def _mlp_backward(p: MlpParams, caches, dout: np.ndarray):
-    A0, A1, A2 = caches
-    dW3 = dout.T @ A2
-    db3 = dout.sum(axis=0)
-    dA2 = dout @ p.W3
-    dZ2 = dA2 * (1.0 - A2 ** 2)
-    dW2 = dZ2.T @ A1
-    db2 = dZ2.sum(axis=0)
-    dA1 = dZ2 @ p.W2
-    dZ1 = dA1 * (1.0 - A1 ** 2)
-    dW1 = dZ1.T @ A0
-    db1 = dZ1.sum(axis=0)
-    return dW1, db1, dW2, db2, dW3, db3
+def _mlp_backward(layers: list, acts: list, dout: np.ndarray) -> list:
+    """Each layer's (dW, db) for the output gradient ``dout``, from the
+    ``acts`` that ``_mlp_forward`` appended."""
+    grads, d = [], dout
+    for k in range(len(layers) - 1, -1, -1):
+        grads.append((d.T @ acts[k], d.sum(axis=0)))
+        if k:
+            d = (d @ layers[k][0]) * (1.0 - acts[k] ** 2)
+    return grads[::-1]
 
 
 def init_mlp_params(dim: int, cfg: MlpScoreConfig,
-                    rng: np.random.Generator) -> MlpParams:
-    h1, h2 = (int(h) for h in cfg.hidden)
-    def layer(n_out, n_in):
-        return rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
-    return MlpParams(W1=layer(h1, dim + 1), b1=np.zeros(h1),
-                     W2=layer(h2, h1), b2=np.zeros(h2),
-                     W3=layer(dim, h2), b3=np.zeros(dim))
+                    rng: np.random.Generator) -> list:
+    """Layers of widths [dim + 1, *cfg.hidden, dim], drawn first to last:
+    standard normal weights over sqrt(fan-in) and zero biases."""
+    widths = [dim + 1, *(int(h) for h in cfg.hidden), dim]
+    return [(rng.standard_normal((n_out, n_in)) / np.sqrt(n_in),
+             np.zeros(n_out)) for n_in, n_out in zip(widths, widths[1:])]
 
 
 def _dsm_draws(batch: np.ndarray, schedule: NoiseSchedule,
@@ -297,7 +278,7 @@ def train_score(data, cfg: MlpScoreConfig, schedule: NoiseSchedule,
         raise ParameterError("data must be a non-empty (n, dim) array")
     n, dim = X.shape
     rng = np.random.default_rng(cfg.seed)
-    params = init_mlp_params(dim, cfg, rng)
+    layers = init_mlp_params(dim, cfg, rng)
     lr = cfg.learning_rate
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -306,19 +287,16 @@ def train_score(data, cfg: MlpScoreConfig, schedule: NoiseSchedule,
         for start in range(0, n, cfg.batch_size):
             xb = X[perm[start:start + cfg.batch_size]]
             xt, ab, target = _dsm_draws(xb, schedule, rng)
-            pred, caches = _mlp_forward(params, xt, ab, cache=True)
-            diff = pred - target
+            acts = []
+            diff = _mlp_forward(layers, xt, ab, acts) - target
             loss = float(np.mean(diff ** 2))
             epoch_loss += loss
             batches += 1
             dout = 2.0 * diff / diff.size
-            grads = _mlp_backward(params, caches, dout)
-            params.W1 -= lr * grads[0]
-            params.b1 -= lr * grads[1]
-            params.W2 -= lr * grads[2]
-            params.b2 -= lr * grads[3]
-            params.W3 -= lr * grads[4]
-            params.b3 -= lr * grads[5]
+            for (W, b), (dW, db) in zip(layers,
+                                        _mlp_backward(layers, acts, dout)):
+                W -= lr * dW
+                b -= lr * db
         mean_loss = epoch_loss / batches
         if not np.isfinite(mean_loss):
             raise DivergenceError(
@@ -326,4 +304,4 @@ def train_score(data, cfg: MlpScoreConfig, schedule: NoiseSchedule,
         if loss_history is not None:
             loss_history.append(mean_loss)
     return ScoreField(kind="mlp", dim=dim, schedule=schedule,
-                      mlp=params, mlp_config=cfg)
+                      mlp=layers, mlp_config=cfg)

@@ -356,12 +356,12 @@ def assert_rows_near(batch, points):
 @given(decoder_batches())
 def test_kernels_take_a_point_or_a_batch(case):
     dec, Z, V = case
-    X = decode_unchecked(dec, Z)
-    G = vjp_unchecked(dec, Z, V)
+    X = decode_unchecked(dec.layers, Z)
+    G = vjp_unchecked(dec.layers, Z, V)
     assert X.shape == (len(Z), dec.ambient_dim)
     assert G.shape == Z.shape
-    points_x = [decode_unchecked(dec, z) for z in Z]
-    points_g = [vjp_unchecked(dec, z, v) for z, v in zip(Z, V)]
+    points_x = [decode_unchecked(dec.layers, z) for z in Z]
+    points_g = [vjp_unchecked(dec.layers, z, v) for z, v in zip(Z, V)]
     for z, v, x, g in zip(Z, V, points_x, points_g):
         assert np.array_equal(x, reference_decode(dec, z))
         assert np.array_equal(g, reference_vjp(dec, z, v))

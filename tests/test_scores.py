@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from latentprox.errors import DivergenceError, ParameterError, ShapeError
 from latentprox.schedules import make_schedule
 from latentprox.scores import (MlpScoreConfig, ScoreField, _dsm_draws,
-                               _level_cache, _mlp_forward, dsm_loss,
-                               gaussian_mixture_field, init_mlp_params,
+                               _level_cache, _mlp_backward, _mlp_forward,
+                               dsm_loss, gaussian_mixture_field,
+                               init_mlp_params,
                                linear_gaussian_field, log_density, score,
                                standard_normal_field, train_score)
 
@@ -108,12 +109,62 @@ def test_score_shape_error(schedule):
             score(f, bad, 0)
 
 
+def reference_forward(layers, X, abar):
+    """The score network's forward pass as it was written out by hand
+    before it ran on the decoder's layer stack: the output and the caches
+    (A0, A1, A2) that ``reference_backward`` takes."""
+    (W1, b1), (W2, b2), (W3, b3) = layers
+    A0 = np.concatenate([X, abar[:, None]], axis=1)
+    Z1 = A0 @ W1.T + b1
+    A1 = np.tanh(Z1)
+    Z2 = A1 @ W2.T + b2
+    A2 = np.tanh(Z2)
+    out = A2 @ W3.T + b3
+    return out, (A0, A1, A2)
+
+
+def reference_backward(layers, caches, dout):
+    """The hand-written backward pass: dW1, db1, dW2, db2, dW3, db3."""
+    (_, _), (W2, _), (W3, _) = layers
+    A0, A1, A2 = caches
+    dW3 = dout.T @ A2
+    db3 = dout.sum(axis=0)
+    dA2 = dout @ W3
+    dZ2 = dA2 * (1.0 - A2 ** 2)
+    dW2 = dZ2.T @ A1
+    db2 = dZ2.sum(axis=0)
+    dA1 = dZ2 @ W2
+    dZ1 = dA1 * (1.0 - A1 ** 2)
+    dW1 = dZ1.T @ A0
+    db1 = dZ1.sum(axis=0)
+    return dW1, db1, dW2, db2, dW3, db3
+
+
+@pytest.mark.parametrize("dim", [2, 5, 32])
+def test_layer_stack_is_the_hand_written_network(schedule, dim):
+    rng = np.random.default_rng(dim)
+    layers = [(W, 0.1 * rng.standard_normal(len(b))) for W, b in
+              init_mlp_params(dim, MlpScoreConfig(hidden=(16, 16)), rng)]
+    X = 2.0 * rng.standard_normal((500, dim))
+    abar = schedule.abar[rng.integers(1, schedule.T + 1, size=500)]
+    dout = rng.standard_normal((500, dim))
+    acts = []
+    out = _mlp_forward(layers, X, abar, acts)
+    ref_out, caches = reference_forward(layers, X, abar)
+    assert np.array_equal(out, ref_out)
+    grads = [g for layer in _mlp_backward(layers, acts, dout) for g in layer]
+    ref_grads = reference_backward(layers, caches, dout)
+    assert len(grads) == len(ref_grads) == 6
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
 def reference_score(f, x, t):
     """The point score as it was before ``score`` took a batch: gemv forms
     and a loop over the mixture components."""
     if f.kind == "mlp":
         ab = f.schedule.abar_at(t)
-        return _mlp_forward(f.mlp, x[None, :], np.array([ab]))[0]
+        return reference_forward(f.mlp, x[None, :], np.array([ab]))[0][0]
     lv = _level_cache(f, t)
     logw, means, invs, logdets = lv.logw, lv.means, lv.invs, lv.logdets
     K = len(logw)
@@ -255,8 +306,9 @@ def test_dsm_loss_zero_model_closed_form():
     expected = per_level.mean()
     cfg = MlpScoreConfig(hidden=(4, 4), epochs=0, seed=0)
     params = init_mlp_params(1, cfg, np.random.default_rng(0))
-    params.W3[:] = 0.0
-    params.b3[:] = 0.0
+    W3, b3 = params[-1]
+    W3[:] = 0.0
+    b3[:] = 0.0
     f = ScoreField(kind="mlp", dim=1, schedule=sched, mlp=params,
                    mlp_config=cfg)
     rng = np.random.default_rng(3)
@@ -318,8 +370,8 @@ def test_train_score_zero_epochs_returns_init(schedule):
     cfg = MlpScoreConfig(hidden=(4, 4), epochs=0, seed=12)
     f = train_score(data, cfg, schedule)
     expect = init_mlp_params(2, cfg, np.random.default_rng(12))
-    assert np.array_equal(f.mlp.W1, expect.W1)
-    assert np.array_equal(f.mlp.W3, expect.W3)
+    assert np.array_equal(f.mlp[0][0], expect[0][0])
+    assert np.array_equal(f.mlp[2][0], expect[2][0])
 
 
 def test_train_score_deterministic(schedule):
@@ -327,8 +379,9 @@ def test_train_score_deterministic(schedule):
     cfg = MlpScoreConfig(hidden=(8, 8), epochs=5, batch_size=16, seed=7)
     f1 = train_score(data, cfg, schedule)
     f2 = train_score(data, cfg, schedule)
-    for name in ("W1", "b1", "W2", "b2", "W3", "b3"):
-        assert np.array_equal(getattr(f1.mlp, name), getattr(f2.mlp, name))
+    for layer1, layer2 in zip(f1.mlp, f2.mlp, strict=True):
+        for a1, a2 in zip(layer1, layer2):
+            assert np.array_equal(a1, a2)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

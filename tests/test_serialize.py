@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
+from latentprox.cli import main as cli_main
 from latentprox.decoders import random_linear_decoder, random_mlp_decoder
 from latentprox.errors import ConfigError
 from latentprox.schedules import make_schedule
-from latentprox.scores import (MlpScoreConfig, gaussian_mixture_field,
+from latentprox.scores import (MlpScoreConfig, ScoreField,
+                               gaussian_mixture_field, init_mlp_params,
                                linear_gaussian_field, train_score)
 from latentprox.serialize import (decoder_doc, load_decoder, load_score_field,
                                   load_vector, save_decoder, save_score_field,
@@ -51,9 +54,9 @@ def test_mlp_field_roundtrip_within_budget(tmp_path):
     path = tmp_path / "mlp.json"
     save_score_field(f, path)
     g = load_score_field(path)
-    for name in ("W1", "b1", "W2", "b2", "W3", "b3"):
-        a, b = getattr(f.mlp, name), getattr(g.mlp, name)
-        assert np.max(np.abs(a - b)) <= 1e-12  # repr round-trip is exact
+    for layer_f, layer_g in zip(f.mlp, g.mlp, strict=True):
+        for a, b in zip(layer_f, layer_g):
+            assert np.max(np.abs(a - b)) <= 1e-12  # repr round-trip is exact
     assert g.mlp_config == cfg
 
 
@@ -106,9 +109,18 @@ def without(doc, key):
     return json.dumps({k: v for k, v in doc.items() if k != key})
 
 
+def changed(doc, **values):
+    return json.dumps(dict(doc, **values))
+
+
 LINEAR_DOC = decoder_doc(random_linear_decoder(2, 3, seed=1))
 MIXTURE_DOC = score_field_doc(gaussian_mixture_field(
     [1.0], [[0.0, 0.0]], [np.eye(2)], schedule()))
+MLP_DOC = score_field_doc(ScoreField(
+    kind="mlp", dim=2, schedule=schedule(),
+    mlp=init_mlp_params(2, MlpScoreConfig(hidden=(3, 4)),
+                        np.random.default_rng(0))))
+MLP_W1 = MLP_DOC["mlp"]["W1"]
 # (loader, file text, what the error names after the file)
 UNREADABLE = {
     "decoder not json": (load_decoder, "{not json", " is not valid JSON"),
@@ -123,7 +135,30 @@ UNREADABLE = {
                            " has no key 'covs'"),
     "score without schedule": (load_score_field,
                                without(MIXTURE_DOC, "schedule"),
-                               " has no key 'schedule'")}
+                               " has no key 'schedule'"),
+    "decoder latent_dim not a number": (
+        load_decoder, changed(LINEAR_DOC, latent_dim="x"),
+        ": latent_dim must be a whole number, got 'x'"),
+    "decoder bias of the wrong shape": (
+        load_decoder, changed(LINEAR_DOC, bias=[0.0, 0.0]),
+        ": linear decoder layer 0 has weight (3, 2) and bias (2,)"),
+    "score schedule list": (load_score_field,
+                            changed(MIXTURE_DOC, schedule=[4, 0.5]),
+                            ": schedule must be a mapping, got [4, 0.5]"),
+    "mlp score W1 of the wrong width": (
+        load_score_field,
+        changed(MLP_DOC, mlp=dict(MLP_DOC["mlp"],
+                                  W1=[row[:2] for row in MLP_W1])),
+        ": score network layer 0 has weight (3, 2) and bias (3,)"),
+    "mlp score NaN bias": (
+        load_score_field,
+        changed(MLP_DOC, mlp=dict(MLP_DOC["mlp"], b2=[0.0, np.nan, 0.0, 0.0])),
+        ": score network parameters must be finite"),
+    "mlp score without W2": (
+        load_score_field,
+        changed(MLP_DOC, mlp={k: v for k, v in MLP_DOC["mlp"].items()
+                              if k != "W2"}),
+        " has no key 'W2'")}
 
 
 @pytest.mark.parametrize("load, text, names", UNREADABLE.values(),
@@ -135,6 +170,21 @@ def test_unreadable_documents_are_configuration_errors(tmp_path, load, text,
     with pytest.raises(ConfigError) as info:
         load(path)
     assert str(info.value).startswith(f"{path}{names}")
+
+
+def test_sample_on_a_score_file_with_a_nan_bias_is_a_configuration_error(
+        tmp_path):
+    score_file = tmp_path / "score.json"
+    score_file.write_text(UNREADABLE["mlp score NaN bias"][1])
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "seed": 0, "out": str(tmp_path / "run"),
+        "schedule": {"T": 4, "abar_end": 0.02, "gamma_max": 0.07,
+                     "gamma_min": 0.013, "M": 2},
+        "score": {"kind": "mlp", "file": str(score_file)},
+        "sampler": {"mode": "unconstrained"}}))
+    assert cli_main(["sample", "--config", str(cfg)]) == 3
+    assert not (tmp_path / "run").exists()
 
 
 def test_vector_roundtrip(tmp_path):
