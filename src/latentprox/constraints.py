@@ -497,10 +497,18 @@ def evaluate(spec: ConstraintSpec, x) -> tuple[float, float, np.ndarray | None]:
     v = _violation(spec, x)
     if not has_exact_projection(spec):
         return v, v, None
-    residual = x - _project_exact(spec, x)
+    return v, _dist_from_violation(spec, v), x - _project_exact(spec, x)
+
+
+def _dist_from_violation(spec: ConstraintSpec, v):
+    """The distance to the set of a closed-form kind, from its violation
+    (a float, or one per row): a halfspace's excess over ``||normal||``,
+    an l2_ball's or box's violation itself."""
     if spec.kind == "halfspace":
-        return v, v / float(np.linalg.norm(spec.normal)), residual
-    return v, v, residual
+        a = spec.normal
+        # the bits of np.linalg.norm on a 1-D float vector
+        return v / math.sqrt(a.dot(a))
+    return v
 
 
 def prox(spec: ConstraintSpec, x, weight: float | None = None) -> np.ndarray:

@@ -96,26 +96,28 @@ SECTION_NONE_IF_ABSENT = ("score", "decoder", "constraint",
                           "constraint.model", "alm", "dpo", "design")
 
 # the kind of each key whose schema default does not show it: a string, a
-# number (int or float) or a nested list of numbers ([int] or [float]);
-# every other key takes the kind of its default
+# number (int or float), a flat list of numbers ([int] or [float]) or a
+# nested one ([[float]]); every other key takes the kind of its default
 KEY_KINDS = {
     "out": str, "score.kind": str, "score.file": str, "decoder.file": str,
     "constraint.kind": str, "dpo.simulator.name": str,
-    "score.mean": [float], "score.cov": [float], "score.weights": [float],
-    "score.means": [float], "score.covs": [float],
+    "score.mean": [float], "score.cov": [[float]], "score.weights": [float],
+    "score.means": [[float]], "score.covs": [[float]],
     "decoder.latent_dim": int, "decoder.ambient_dim": int,
     "constraint.normal": [float], "constraint.offset": float,
     "constraint.radius": float, "constraint.center": [float],
     "constraint.lower": [float], "constraint.upper": [float],
     "constraint.grid": [int], "constraint.fraction": float,
     "constraint.accept_radius": float,
-    "constraint.model.axes": [float], "constraint.model.feature_mean": [float],
+    "constraint.model.axes": [[float]],
+    "constraint.model.feature_mean": [float],
     "constraint.model.target_centroid": [float],
     "constraint.model.forbidden_centroid": [float],
-    "constraint.model.p_trig": float, "constraint.model.feature_map": [float],
+    "constraint.model.p_trig": float,
+    "constraint.model.feature_map": [[float]],
     "sampler.lr": float, "sampler.correct_levels": [int], "alm.tol": float,
     "dpo.nu": float, "dpo.M": int, "dpo.target": [float],
-    "dpo.simulator.matrix": [float], "dpo.simulator.bias": [float],
+    "dpo.simulator.matrix": [[float]], "dpo.simulator.bias": [float],
     "checks.contraction_fraction": float, "checks.design_mse_ratio": float}
 
 # the keys each kind of a section needs set, unless the section names a file
@@ -318,6 +320,10 @@ def build_sampler_config(cfg: RunConfig) -> SamplerConfig:
         raise ConfigError("sampling run requires a score section")
     schedule = make_schedule(**cfg["schedule"])
     score = build_score(cfg["score"], schedule)
+    if score.schedule.T < schedule.T:
+        raise ConfigError(f"score.file {cfg['score']['file']} holds a "
+                          f"schedule of {score.schedule.T} levels, fewer "
+                          f"than schedule.T {schedule.T}")
     decoder = build_decoder(cfg["decoder"])
     constraint = build_constraint(cfg["constraint"])
     sim, dpo_cfg = build_dpo(cfg["dpo"])
@@ -608,8 +614,10 @@ def _trace_counters(traces) -> dict:
     Each correction loop that ran an update ends for one reason, counted in
     ``correction_stops``: ``converged`` (the violation fell below
     ``delta``), ``stagnated`` (the pulled-back gradient fell to
-    ``samplers.STAGNATION_RATIO`` of its first norm) or ``capped`` (it ran
-    ``inner_cap`` updates).  A shortfall is a loop that stopped with the
+    ``samplers.STAGNATION_RATIO`` of its first norm, or an update from the
+    second on cut the distance to the set by less than
+    ``samplers.PROGRESS_RATIO`` of the distance before it) or ``capped``
+    (it ran ``inner_cap`` updates).  A shortfall is a loop that stopped with the
     violation still at or above ``delta``: a stagnated or capped one.  An
     unconverged ALM projection hit its outer cap and handed back its best
     iterate; ``alm_inner_iterations`` sums the inner iterations of all the

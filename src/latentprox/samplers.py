@@ -6,8 +6,15 @@ the latent until the decoded violation drops below the constraint tolerance:
 the ambient prox-objective gradient (constraint correction residual plus the
 anchor pull (1/lambda)(x - x0)) is pulled back through the decoder and
 descended, with the correction learning rate as the first step of a level and
-a Barzilai-Borwein step after it.  For exact-projection constraint
-kinds an optional final ambient projection restores feasibility exactly.
+a Barzilai-Borwein step after it.  A level stops once the violation is below
+the tolerance, once the gradient has stalled, or, from its second update on,
+once an update cuts the distance to the set by less than ``PROGRESS_RATIO``
+of the distance before it.  The anchor pull can keep the prox minimizer
+outside the set (for a fixed set of porosity flips it is x0 + lambda/(1 +
+lambda)(P(x0) - x0); Parikh & Boyd, *Proximal Algorithms*, 2014), and a
+level would then spend most of its updates moving the decode a few
+thousandths closer.  For exact-projection constraint kinds an optional
+final ambient projection restores feasibility exactly.
 
 The correction rule has two loop shapes with the same steps and stops:
 ``_run_correction`` for one chain and ``_correct_rows`` for the violating
@@ -40,6 +47,9 @@ SOLVERS = ("closed_form", "alm", "dpo")
 STOP_REASONS = ("converged", "stagnated", "capped")
 # a level stagnates once ||g_k|| <= STAGNATION_RATIO * ||g_0||
 STAGNATION_RATIO = 1e-2
+# or, from its second update on, once an update cuts dist by less than
+# PROGRESS_RATIO times the dist before it
+PROGRESS_RATIO = 1e-2
 
 
 @dataclass
@@ -238,10 +248,14 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
     take the Barzilai-Borwein step s.s / s.y (s the last change of z, y the
     change of g), or keep the previous step when s.y <= 0.  A level that
     starts at or above ``delta`` stops for one of ``STOP_REASONS``, recorded
-    in ``trace.stops``: the violation dropped below ``delta``, ||g_k|| fell
-    to ``STAGNATION_RATIO`` times ||g_0|| (tested once the update along g_k
-    is decoded and evaluated, so no direction is thrown away), or
-    ``inner_cap`` updates ran.
+    in ``trace.stops``: the violation dropped below ``delta`` (converged);
+    ||g_k|| fell to ``STAGNATION_RATIO`` times ||g_0|| (tested once the
+    update along g_k is decoded and evaluated, so no direction is thrown
+    away), or an update from the second on cut ``dist`` (from
+    ``C.evaluate``) by less than ``PROGRESS_RATIO`` times the ``dist``
+    before it (stagnated; the first update takes the fixed ``lr`` and is
+    exempt, and so is every update of the dpo solver); or ``inner_cap``
+    updates ran (capped).
     """
     con = cfg.constraint
     layers = cfg.decoder.layers
@@ -252,7 +266,8 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
     # a dpo direction is a Monte Carlo estimate: the difference of two
     # estimates measures their noise, not curvature, so a secant step from
     # it is meaningless and can fling z far off (it sent a 2-d test chain
-    # to |z| ~ 370); dpo keeps the fixed step
+    # to |z| ~ 370); dpo keeps the fixed step, and since a change of dist
+    # between two of its updates is noise too, it takes no progress stop
     secant = cfg.solver != "dpo"
     lam = con.prox_weight
     i = 0
@@ -278,13 +293,15 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
             raise DivergenceError(f"correction diverged at level {t}")
         i += 1
         x = decode_unchecked(layers, z)
+        d_prev = d
         v, d, residual = C.evaluate(con, x)
         trace.rows.append(TraceRow(
             t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
             violation=v, dist=d, z=z.copy() if cfg.record_vectors else None))
         if v < con.delta:
             reason = "converged"
-        elif g_norm <= STAGNATION_RATIO * g0_norm:
+        elif g_norm <= STAGNATION_RATIO * g0_norm or (
+                secant and i > 1 and d_prev - d < PROGRESS_RATIO * d_prev):
             reason = "stagnated"
         elif i == cfg.inner_cap:
             reason = "capped"
@@ -303,12 +320,15 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int) -> np.ndarray:
     updated.  Each takes the per-chain steps, ``lr`` first and then its own
     secant step s.s / s.y (its previous step when s.y <= 0), and stops for
     the per-chain reasons: its violation drops below ``delta``, its ||g_k||
-    falls to ``STAGNATION_RATIO`` times its ||g_0||, or ``inner_cap``
-    updates ran.  A row that stops is written back and never touched again,
-    so the active set only shrinks; the cap's last update is not decoded.
-    The loop runs the closed-form kinds through the unchecked violation and
-    projection, records no trace and leaves a non-finite row to its
-    caller's check.
+    falls to ``STAGNATION_RATIO`` times its ||g_0|| or an update from its
+    second on cuts its distance to the set by less than ``PROGRESS_RATIO``
+    of the distance before it, or ``inner_cap`` updates ran.  The distance
+    comes from the violation already computed (``C._dist_from_violation``),
+    not from a projection.  A row that stops is written back and never
+    touched again, so the active set only shrinks; the cap's last update
+    is not decoded.  The loop runs the closed-form kinds through the
+    unchecked violation and projection, records no trace and leaves a
+    non-finite row to its caller's check.
     """
     con = cfg.constraint
     layers = cfg.decoder.layers
@@ -341,15 +361,21 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int) -> np.ndarray:
         m = len(idx)
         Zd = np.repeat(Za, 2, axis=0) if m == 1 < len(Z) else Za
         Xd = decode_unchecked(layers, Zd)
-        keep = ((C._violation(con, Xd) >= con.delta)[:m]
-                & (g_norm > STAGNATION_RATIO * g0_norm))
-        Xa = Xd[:m]
+        v = C._violation(con, Xd)[:m]
+        keep = (v >= con.delta) & (g_norm > STAGNATION_RATIO * g0_norm)
+        # the first update takes no progress test, and when every row
+        # stops anyway no dist is needed
+        if k and keep.any():
+            d_prev = C._dist_from_violation(con, v_prev)
+            d = C._dist_from_violation(con, v)
+            keep &= d_prev - d >= PROGRESS_RATIO * d_prev
+        Xa, v_prev = Xd[:m], v
         if not keep.all():
             Z[idx[~keep]] = Za[~keep]
             idx, Za, Xa, X0 = idx[keep], Za[keep], Xa[keep], X0[keep]
             if not idx.size:
                 break
-            step, g0_norm = step[keep], g0_norm[keep]
+            step, g0_norm, v_prev = step[keep], g0_norm[keep], v_prev[keep]
             Z_prev, G_prev = Z_prev[keep], G_prev[keep]
     Z[idx] = Za
     return Z

@@ -49,15 +49,17 @@ KIND_NAMES = {bool: "true or false", str: "a string", dict: "a mapping",
 
 def typed(where: str, value, kind):
     """The value of a config's or a document's key ``where`` as its
-    ``kind`` (a ``KIND_NAMES`` type, int, float, [int] or [float]: a nested
-    list of numbers), else ConfigError; other kinds keep their value."""
+    ``kind`` (a ``KIND_NAMES`` type, int, float, [int] or [float]: a flat
+    list of numbers, or [[float]]: a list of numbers nested to any depth),
+    else ConfigError; other kinds keep their value."""
     if kind in list(KIND_NAMES):
         if not isinstance(value, kind):
             raise ConfigError(f"{where} must be {KIND_NAMES[kind]}, "
                               f"got {value!r}")
         return value
     is_list = isinstance(kind, list)
-    element = kind[0] if is_list else kind
+    nested = is_list and isinstance(kind[0], list)
+    element = kind[0][0] if nested else kind[0] if is_list else kind
     if element not in (int, float):
         return value
     try:
@@ -65,6 +67,8 @@ def typed(where: str, value, kind):
             return _number(value, kind)
         if not isinstance(value, (list, tuple)):
             raise TypeError("a bare number is not a list")
+        if not nested:  # _number refuses an entry that is a list
+            return [_number(v, element) for v in value]
         out = _nested_numbers(value, element)
         np.asarray(out, dtype=float)  # rows of unequal length raise
         return out
@@ -131,8 +135,9 @@ def score_field_from_doc(doc: dict) -> ScoreField:
     head = dict(_read(doc, None, kind=str, dim=int), schedule=schedule)
     if head["kind"] != "mlp":
         return ScoreField(**head, **_read(doc, None, weights=[float],
-                                          means=[float], covs=[float]))
-    mlp = _read(doc, "mlp", **{k: [float] for keys in MLP_KEYS for k in keys})
+                                          means=[[float]], covs=[[float]]))
+    mlp = _read(doc, "mlp", **{k: kind for w, b in MLP_KEYS
+                               for k, kind in ((w, [[float]]), (b, [float]))})
     cfg = None
     if "mlp_config" in doc:
         c = _read(doc, "mlp_config", hidden=[int], learning_rate=float,
@@ -169,12 +174,13 @@ def decoder_from_doc(doc: dict) -> DecoderMap:
     head = _read(doc, None, kind=str, latent_dim=int, ambient_dim=int)
     if head["kind"] == "linear":
         return DecoderMap(**head, layers=[tuple(_read(
-            doc, None, weight=[float], bias=[float]).values())])
+            doc, None, weight=[[float]], bias=[float]).values())])
     layers = []
     for k, pair in enumerate(_read(doc, None, layers=list)["layers"]):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"layers[{k}] must be a [weight, bias] pair")
-        layers.append([typed(f"layers[{k}]", a, [float]) for a in pair])
+        layers.append([typed(f"layers[{k}]", a, kind)
+                       for a, kind in zip(pair, ([[float]], [float]))])
     return DecoderMap(**head, layers=layers)
 
 

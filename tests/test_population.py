@@ -2,6 +2,7 @@
 replaced and against the per-chain correction loop, and the population
 sampler's window, divergence and kind checks."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from latentprox import constraints as C
 from latentprox import experiments as EXP
-from latentprox.decoders import decode, linear_decoder
+from latentprox import samplers
+from latentprox.decoders import decode, linear_decoder, random_mlp_decoder
 from latentprox.errors import ConfigError, DivergenceError
 from latentprox.runner import RunConfig, build_sampler_config
-from latentprox.samplers import (STAGNATION_RATIO, SampleTrace,
-                                  SamplerConfig, _run_correction)
+from latentprox.samplers import (PROGRESS_RATIO, STAGNATION_RATIO,
+                                  SampleTrace, SamplerConfig, _run_correction)
 from latentprox.schedules import make_schedule
 from latentprox.scores import standard_normal_field
 
@@ -30,8 +32,10 @@ def all_rows_correct(cfg, Z, t, stops=None):
     Each row takes the per-chain rule of ``samplers._run_correction``: the
     step ``lr`` first, then its own secant step s.s / s.y (its previous
     step when s.y <= 0).  It stops below ``delta``, once ||g_k|| <=
-    STAGNATION_RATIO ||g_0|| after the update along g_k, or after
-    ``inner_cap`` updates.  ``stops``, when given, receives one
+    STAGNATION_RATIO ||g_0|| after the update along g_k or, from the second
+    update on, once an update cuts the row's dist (``C.dist_to_set``) by
+    less than PROGRESS_RATIO of its previous dist, or after ``inner_cap``
+    updates.  ``stops``, when given, receives one
     ``(updates, reason)`` per row: reason None for a row feasible at entry,
     else the first of converged, stagnated and capped that holds.
     """
@@ -46,7 +50,7 @@ def all_rows_correct(cfg, Z, t, stops=None):
     updates = np.zeros(n, dtype=int)
     reasons = np.full(n, None, dtype=object)
     active = C._violation(con, X0) >= con.delta
-    X = X0
+    X, dist = X0, np.zeros(n)
     for k in range(1, cfg.inner_cap + 1):
         if not active.any():
             break
@@ -65,9 +69,13 @@ def all_rows_correct(cfg, Z, t, stops=None):
         Z = Z.copy()
         Z[m] = Z[m] - step[m, None] * G
         X = Z @ W.T + b
+        dist_prev = dist
+        dist = np.array([C.dist_to_set(con, x) for x in X])
         for reason, hit in (
                 ("converged", C._violation(con, X) < con.delta),
-                ("stagnated", g_norm <= STAGNATION_RATIO * g0_norm),
+                ("stagnated", (g_norm <= STAGNATION_RATIO * g0_norm)
+                 | ((k >= 2)
+                    & (dist_prev - dist < PROGRESS_RATIO * dist_prev))),
                 ("capped", k == cfg.inner_cap)):
             hit = active & hit
             reasons[hit], updates[hit] = reason, k
@@ -173,7 +181,9 @@ def correction_cases(draw):
     below it, the stalled row stagnates at update 2 while its next step would
     still move it; above it, the row takes update 3 and stagnates, since
     r_2 <= r_1 / 2.  So halving or doubling the threshold changes the
-    result.
+    result.  There kappa = c (P_1 - P_2), c in [5, 20], so the second
+    update cuts the stalled row's dist by 4.5-16%: the progress stop
+    (PROGRESS_RATIO) does not end it.
     """
     design = draw(st.sampled_from(["halfspace", "l2_ball", "box", "late",
                                    "stall_below", "stall_above"]))
@@ -220,7 +230,7 @@ def correction_cases(draw):
         if design == "late":
             kappa = P2 * draw(st.floats(0.1, 0.3))
         else:
-            kappa = draw(st.floats(0.01, 0.1))
+            kappa = (P1 - P2) * draw(st.floats(5.0, 20.0))
         cap = draw(st.integers(3, 10))
         lam = 1.0 / kappa - 1.0
         phi1 = kappa + (1.0 - kappa) * P1
@@ -396,3 +406,53 @@ def test_integer_lr_takes_the_float_steps():
     got = EXP._correct_batch(cfg, Z, 1)
     assert (got != Z).any()
     assert np.array_equal(got, EXP._correct_batch(replace(cfg, lr=1.0), Z, 1))
+
+
+def test_a_level_whose_dist_stops_falling_stagnates_in_both_loop_shapes(
+        monkeypatch):
+    # the prox minimizer of an l2 ball at lambda 1 lies outside it; under a
+    # smooth decoder the secant steps approach it slowly, so dist flattens
+    # long before the gradient falls to STAGNATION_RATIO of its first norm
+    dec = random_mlp_decoder(2, 3, hidden=8, seed=3, scale=1.5)
+    con = C.l2_ball(0.3, center=[1.0, 0.0, 0.0], delta=1e-6, prox_weight=1.0)
+    cfg = SamplerConfig(
+        schedule=SCHEDULE, score=standard_normal_field(2, SCHEDULE),
+        mode="proximal_latent", decoder=dec, constraint=con, lr=0.3,
+        inner_cap=100)
+    Z = np.random.default_rng(0).normal(0.0, 2.0, size=(8, 2))
+
+    def chains():
+        out = []
+        for z in Z:
+            x0 = decode(dec, z)
+            trace = SampleTrace()
+            z = _run_correction(cfg, z, x0, C.evaluate(con, x0), 1,
+                                SCHEDULE.gamma_at(1),
+                                np.random.default_rng(0), trace)
+            out.append((z, trace))
+        return out
+
+    stopped = chains()
+    for _, trace in stopped:
+        (_, k, reason), = trace.stops
+        assert reason == "stagnated" and k < cfg.inner_cap
+        dist = [row.dist for row in trace.rows]
+        # cuts[j] is the cut of update j + 2; the first update takes none
+        cuts = [(a - b) / a for a, b in zip(dist, dist[1:])]
+        assert len(cuts) == k - 1
+        assert all(c >= PROGRESS_RATIO for c in cuts[:-1])
+        assert cuts[-1] < PROGRESS_RATIO
+    rows = EXP._correct_batch(cfg, Z, 1)
+    np.testing.assert_allclose(rows, [z for z, _ in stopped], rtol=0,
+                               atol=1e-12)
+    # without the stop every level takes the same first updates and goes
+    # on, so neither the gradient rule nor the cap ended it; the rows loop
+    # goes on too
+    monkeypatch.setattr(samplers, "PROGRESS_RATIO", -math.inf)
+    for (_, trace), (_, longer) in zip(stopped, chains()):
+        (_, k, _), = trace.stops
+        (_, k_off, _), = longer.stops
+        assert k_off > k
+        assert [r.z.tobytes() for r in longer.rows[:k]] == [
+            r.z.tobytes() for r in trace.rows]
+    assert (EXP._correct_batch(cfg, Z, 1) != rows).any(axis=1).all()

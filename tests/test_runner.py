@@ -20,8 +20,10 @@ from latentprox.runner import (KEY_KINDS, SCHEMA, YAML_LOADER, RunConfig,
                                rerun_from_manifest,
                                resolve_config, run_design, run_experiment)
 from latentprox.samplers import chain_rng, sample
+from latentprox.schedules import make_schedule
+from latentprox.scores import MlpScoreConfig, ScoreField, init_mlp_params
 from latentprox.serialize import (decoder_doc, load_vector, save_decoder,
-                                  save_vector)
+                                  save_score_field, save_vector)
 
 from conftest import centroid_prox_closed_form
 
@@ -158,7 +160,10 @@ def test_resolved_values_have_their_kinds(name):
             continue
         if isinstance(kind, list):
             assert isinstance(value, list), where
-            assert all(type(v) is kind[0] for v in list_entries(value)), where
+            nested = isinstance(kind[0], list)
+            entries = list_entries(value) if nested else value
+            element = kind[0][0] if nested else kind[0]
+            assert all(type(v) is element for v in entries), where
         elif kind in (bool, int, float, str):
             assert type(value) is kind, where
     # an already-resolved config resolves to itself (CLI overrides and
@@ -621,6 +626,14 @@ CONFIG_ERRORS = {
     "unreadable score mean": (lambda cfg: cfg["score"].update(
         mean=[0.0, "x"]), "score.mean must be a list of numbers, got "
         "[0.0, 'x']"),
+    "nested halfspace normal": (
+        lambda cfg: cfg["constraint"].update(normal=[[1.0], [0.0], [0.0]]),
+        "constraint.normal must be a list of numbers, got "
+        "[[1.0], [0.0], [0.0]]"),
+    "nested level window": (
+        lambda cfg: cfg["sampler"].update(correct_levels=[[1, 2]]),
+        "sampler.correct_levels must be a list of whole numbers, got "
+        "[[1, 2]]"),
     "gaussian decoder init": (lambda cfg: cfg["decoder"]["init"].update(
         method="gaussian"), "unknown decoder init 'gaussian'"),
     "decoder latent_dim": (lambda cfg: cfg["decoder"].update(latent_dim=3),
@@ -742,6 +755,45 @@ def test_cli_config_value_error_exit_code(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_nested_list_keys_keep_their_nesting(tmp_path):
+    # the keys of kind [[float]] take a list nested to any depth, as a flat
+    # list key did before it refused nesting
+    cfg = minimal_config(tmp_path / "run")
+    cfg["score"] = {"kind": "gaussian_mixture", "weights": [0.5, 0.5],
+                    "means": [[0.0, 0.0], [1.0, 1]],
+                    "covs": [[[1.0, 0.0], [0.0, 1.0]]] * 2,
+                    "cov": [1, 2]}
+    score = RunConfig.from_dict(cfg)["score"]
+    assert score["means"] == [[0.0, 0.0], [1.0, 1.0]]
+    assert score["covs"] == [[[1.0, 0.0], [0.0, 1.0]]] * 2
+    assert score["cov"] == [1.0, 2.0]
+    assert [KEY_KINDS[f"score.{k}"] for k in ("means", "covs", "cov")] == [
+        [[float]]] * 3
+
+
+def test_cli_sample_refuses_a_score_file_with_a_shorter_schedule(tmp_path,
+                                                                 capsys):
+    score_file = tmp_path / "score.json"
+    save_score_field(ScoreField(
+        kind="mlp", dim=2, schedule=make_schedule(
+            T=4, abar_end=0.02, gamma_max=0.05, gamma_min=0.01),
+        mlp=init_mlp_params(2, MlpScoreConfig(hidden=(3, 4)),
+                            np.random.default_rng(0))), score_file)
+    cfg = minimal_config(tmp_path / "run")
+    cfg["schedule"]["T"] = 5
+    cfg["score"] = {"kind": "mlp", "file": str(score_file)}
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"configuration error: score.file {score_file} holds a schedule of "
+        "4 levels, fewer than schedule.T 5\n")
+    assert not (tmp_path / "run").exists()
+    # a file schedule as long as the config's runs
+    cfg["schedule"]["T"] = 4
+    write_yaml(path, cfg)
+    assert cli_main(["sample", "--config", str(path)]) == 0
 
 
 def centroid_yaml_with_exponent_radius(out):

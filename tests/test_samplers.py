@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latentprox import constraints as C
+from latentprox import samplers
 from latentprox.alm import alm_project
 from latentprox.decoders import (decode, estimate_lipschitz,
                                  random_linear_decoder, random_mlp_decoder,
@@ -10,9 +11,10 @@ from latentprox.dpo import DpoConfig, saturating_simulator
 from latentprox.errors import ConfigError, DivergenceError, ParameterError
 from latentprox.experiments import centroid_config, fidelity_config
 from latentprox.runner import RunConfig, build_sampler_config
-from latentprox.samplers import (STAGNATION_RATIO, SampleTrace,
-                                 SamplerConfig, TraceRow, _correction_active,
-                                 chain_rng, langevin_step, sample)
+from latentprox.samplers import (PROGRESS_RATIO, STAGNATION_RATIO,
+                                 SampleTrace, SamplerConfig, TraceRow,
+                                 _correction_active, chain_rng, langevin_step,
+                                 sample)
 from latentprox.schedules import NoiseSchedule, make_schedule
 from latentprox.scores import linear_gaussian_field, standard_normal_field
 
@@ -427,9 +429,9 @@ def test_trace_rows_copy_the_chain_state_only():
     assert np.array_equal(trace.rows[-1].z, x)
 
 
-def test_dpo_solver_corrects_each_level_and_replays():
-    # a custom smooth constraint whose g is the tracking loss of a
-    # saturating simulator, corrected by the smoothed-gradient estimator
+def dpo_chain_config():
+    """A custom smooth constraint whose g is the tracking loss of a
+    saturating simulator, corrected by the smoothed-gradient estimator."""
     sched = small_schedule(T=6, M=1)
     dec = random_linear_decoder(2, 4, seed=3, scale=2.0)
     sim = saturating_simulator(
@@ -442,6 +444,11 @@ def test_dpo_solver_corrects_each_level_and_replays():
                         mode="proximal_latent", decoder=dec, constraint=spec,
                         solver="dpo", lr=0.1, inner_cap=30, simulator=sim,
                         dpo=DpoConfig(nu=0.05, M=64, target=target))
+    return cfg
+
+
+def test_dpo_solver_corrects_each_level_and_replays():
+    cfg = dpo_chain_config()
     x, trace = sample(cfg, chain_rng(1, 0))
     starts, ends = trace.level_end_rows(), trace.level_final_rows()
     assert [r.t for r in starts] == [r.t for r in ends] == [6, 5, 4, 3, 2, 1]
@@ -455,6 +462,26 @@ def test_dpo_solver_corrects_each_level_and_replays():
     for row, again in zip(trace.rows, trace2.rows):
         assert row.violation == again.violation
         assert np.array_equal(row.z, again.z)
+
+
+def test_dpo_levels_take_no_progress_stop(monkeypatch):
+    # a dpo update's change of dist is Monte Carlo noise: updates from the
+    # second on that cut dist by less than PROGRESS_RATIO (or raise it) do
+    # not end their level, and no ratio changes the chain
+    cfg = dpo_chain_config()
+    x, trace = sample(cfg, chain_rng(1, 0))
+    iterations = {t: i for t, i, _ in trace.stops}
+    small_cuts = [(b.t, b.i) for a, b in zip(trace.rows, trace.rows[1:])
+                  if a.phase == b.phase == "correction"
+                  and a.dist - b.dist < PROGRESS_RATIO * a.dist]
+    assert any(i < iterations[t] for t, i in small_cuts)
+    # a ratio of 1 would end any other solver's level at its second update
+    monkeypatch.setattr(samplers, "PROGRESS_RATIO", 1.0)
+    x2, trace2 = sample(cfg, chain_rng(1, 0))
+    assert np.array_equal(x, x2)
+    assert trace2.stops == trace.stops
+    assert [r.z.tobytes() for r in trace2.rows] == [
+        r.z.tobytes() for r in trace.rows]
 
 
 def test_output_feasibility_convex_kinds():
@@ -485,7 +512,9 @@ def reference_proximal_latent(cfg, rng):
     Each decoded point is handed to violation and dist_to_set separately,
     the closed-form direction calls project_exact again, and every decode
     and vjp validates its latent.  Corrections take the secant step and
-    stop for the sampler's three reasons.
+    stop for the sampler's three reasons; from the second update on, a
+    cut of dist by less than PROGRESS_RATIO of the previous dist
+    stagnates, except under the dpo solver.
     """
     sched, dec, con = cfg.schedule, cfg.decoder, cfg.constraint
     trace = SampleTrace()
@@ -507,7 +536,7 @@ def reference_proximal_latent(cfg, rng):
         if v < con.delta or not _correction_active(cfg, t, x0):
             return z
         step, lam = cfg.lr_at(t), con.prox_weight
-        i, x, reason = 0, x0, None
+        i, x, d, reason = 0, x0, None, None
         while reason is None:
             corr, rep = direction(x)
             if rep is not None:
@@ -526,13 +555,15 @@ def reference_proximal_latent(cfg, rng):
                 raise DivergenceError(f"correction diverged at level {t}")
             i += 1
             x = decode(dec, z)
-            v = C.violation(con, x)
+            v, d_prev, d = C.violation(con, x), d, C.dist_to_set(con, x)
             trace.rows.append(TraceRow(
                 t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
-                violation=v, dist=C.dist_to_set(con, x), z=z.copy()))
+                violation=v, dist=d, z=z.copy()))
             if v < con.delta:
                 reason = "converged"
-            elif np.linalg.norm(g) <= STAGNATION_RATIO * g0:
+            elif np.linalg.norm(g) <= STAGNATION_RATIO * g0 or (
+                    cfg.solver != "dpo" and i >= 2
+                    and d_prev - d < PROGRESS_RATIO * d_prev):
                 reason = "stagnated"
             elif i == cfg.inner_cap:
                 reason = "capped"
@@ -611,10 +642,13 @@ def proximal_cases():
         correct_every_step=True)
     yield "l2_ball", cfg(f2, lin, C.l2_ball(0.3, center=[1.0, 0.0, 0.0],
                                             prox_weight=100.0))
-    # the secant step ends most box levels in one update; a cap of 3 ends
-    # the others, so the comparison covers capped levels
-    yield "box", cfg(f2, lin, C.box([-0.2] * 3, [0.2] * 3, delta=1e-6,
-                                    prox_weight=100.0), inner_cap=3)
+    # the first update ends most box levels; a cap of 1 ends the others,
+    # so the comparison covers capped levels
+    box = C.box([-0.2] * 3, [0.2] * 3, delta=1e-6, prox_weight=100.0)
+    yield "box", cfg(f2, lin, box, inner_cap=1)
+    # with a cap of 3, the second update of each of those levels raises its
+    # dist, and the progress stop ends it
+    yield "box_progress", cfg(f2, lin, box, inner_cap=3)
     yield "smooth_mlp", cfg(f2, mlp, C.halfspace([1.0, -1.0, 0.5, 0.0], 0.0,
                                                  prox_weight=100.0))
     yield "unconstrained", cfg(f2, lin, None)
@@ -638,12 +672,14 @@ def test_proximal_latent_matches_reference(name, cfg):
     # the comparison covers the loop, not only the Langevin rows
     if name != "unconstrained":
         assert corrections > 0
-    if name in ("porosity", "box"):
+    if name in ("porosity", "box", "box_progress"):
         assert shortfalls > 0
     if name == "porosity":
         assert reasons == {"converged", "stagnated"}
     if name == "box":
         assert reasons == {"converged", "capped"}
+    if name == "box_progress":
+        assert reasons == {"converged", "stagnated"}
     if name == "centroid_alm":
         assert alm > 0
 

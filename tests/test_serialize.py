@@ -154,6 +154,19 @@ UNREADABLE = {
         load_score_field,
         changed(MLP_DOC, mlp=dict(MLP_DOC["mlp"], b2=[0.0, np.nan, 0.0, 0.0])),
         ": score network parameters must be finite"),
+    "mlp score nested hidden": (
+        load_score_field,
+        changed(MLP_DOC, mlp_config={"hidden": [[3], [4]],
+                                     "learning_rate": 0.01, "epochs": 1,
+                                     "batch_size": 8, "seed": 0}),
+        ": mlp_config.hidden must be a list of whole numbers, got "
+        "[[3], [4]]"),
+    "mixture score nested weights": (
+        load_score_field, changed(MIXTURE_DOC, weights=[[1.0]]),
+        ": weights must be a list of numbers, got [[1.0]]"),
+    "decoder nested bias": (
+        load_decoder, changed(LINEAR_DOC, bias=[[0.0], [0.0], [0.0]]),
+        ": bias must be a list of numbers, got [[0.0], [0.0], [0.0]]"),
     "mlp score without W2": (
         load_score_field,
         changed(MLP_DOC, mlp={k: v for k, v in MLP_DOC["mlp"].items()
@@ -170,6 +183,26 @@ def test_unreadable_documents_are_configuration_errors(tmp_path, load, text,
     with pytest.raises(ConfigError) as info:
         load(path)
     assert str(info.value).startswith(f"{path}{names}")
+
+
+def test_nested_document_keys_keep_loading(tmp_path):
+    # means, covs and the weights take nested lists; each kind of document
+    # reads back to itself
+    mixture = score_field_doc(gaussian_mixture_field(
+        [0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [np.eye(2), 2.0 * np.eye(2)],
+        schedule()))
+    mlp = changed(MLP_DOC, mlp_config={"hidden": [3, 4],
+                                       "learning_rate": 0.01, "epochs": 1,
+                                       "batch_size": 8, "seed": 0})
+    smooth = decoder_doc(random_mlp_decoder(2, 4, hidden=3, seed=0))
+    for load, doc, to_doc in (
+            (load_score_field, mixture, score_field_doc),
+            (load_score_field, json.loads(mlp), score_field_doc),
+            (load_decoder, LINEAR_DOC, decoder_doc),
+            (load_decoder, smooth, decoder_doc)):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert to_doc(load(path)) == doc
 
 
 def test_sample_on_a_score_file_with_a_nan_bias_is_a_configuration_error(
