@@ -2,7 +2,8 @@
 
 Solves argmin_{y : g(y) = 0} ||y - anchor|| through the relaxation
 L = ||y - anchor|| + lambda g(y) + (mu/2) g(y)^2 with multiplier and penalty
-updates across outer iterations, from lambda = 0 in every projection.  The
+updates across outer iterations, from lambda = 0 and mu = PENALTY in every
+projection; mu grows GROWTH-fold per outer iteration up to PENALTY_CAP.  The
 distance term is squared inside the gradient (its gradient is undefined at
 y = anchor otherwise); the reported distance stays unsquared.
 
@@ -24,25 +25,23 @@ import numpy as np
 from .errors import NumericError, ParameterError
 
 
+# the penalty mu of the first outer iteration, its growth factor alpha per
+# outer iteration and its cap mu_max
+PENALTY = 1.0
+GROWTH = 2.0
+PENALTY_CAP = 1e4
+
+
 @dataclass(frozen=True)
 class AlmState:
     """Hyperparameters of the augmented Lagrangian solver."""
 
-    penalty: float = 1.0       # mu, > 0
-    growth: float = 2.0        # alpha, > 1
-    penalty_cap: float = 1e4   # mu_max
     inner_step: float = 1e-2   # gamma_in, first step of each inner loop
     max_inner: int = 200
     max_outer: int = 50
     tol: float = 1e-4          # delta, violation tolerance
 
     def __post_init__(self):
-        if self.penalty <= 0:
-            raise ParameterError("penalty must be positive")
-        if self.growth <= 1:
-            raise ParameterError("growth must exceed 1")
-        if self.penalty_cap < self.penalty:
-            raise ParameterError("penalty_cap must be >= penalty")
         if self.inner_step <= 0:
             raise ParameterError("inner_step must be positive")
         if self.max_inner < 1 or self.max_outer < 1:
@@ -125,7 +124,7 @@ def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]
     anchor = np.asarray(anchor, dtype=float)
     if not np.isfinite(anchor).all():
         raise NumericError("ALM anchor contains non-finite values")
-    lam, mu, inner_total = 0.0, state.penalty, 0
+    lam, mu, inner_total = 0.0, PENALTY, 0
     y = anchor.copy()
     v, grad_g = oracle(y)
     point = (y, float(v), grad_g)
@@ -143,7 +142,7 @@ def alm_project(anchor, oracle, state: AlmState) -> tuple[np.ndarray, AlmReport]
                                   state.inner_step, state.max_inner)
         inner_total += inner
         lam = lam + mu * point[1]
-        mu = min(state.growth * mu, state.penalty_cap)
+        mu = min(GROWTH * mu, PENALTY_CAP)
     return best_y, AlmReport(
         outer_iterations=outer, inner_iterations=inner_total,
         final_violation=best_v,

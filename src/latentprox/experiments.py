@@ -40,8 +40,7 @@ def porosity_config(fraction: float = 0.3, seed: int = 0, chains: int = 20,
                            np.eye(latent_dim).tolist()]},
         "decoder": {"kind": "linear", "latent_dim": latent_dim,
                     "ambient_dim": rows * cols,
-                    "init": {"method": "orthonormal", "seed": seed + 1,
-                             "scale": 2.0}},
+                    "init": {"seed": seed + 1, "scale": 2.0}},
         "constraint": {"kind": "porosity", "grid": [rows, cols],
                        "fraction": fraction, "margin": 1e-3,
                        "delta": 0.5, "prox_weight": 50.0},
@@ -80,8 +79,7 @@ def halfspace_contraction_config(seed: int = 0, chains: int = 1,
                   "cov": np.eye(latent_dim).tolist()},
         "decoder": {"kind": "linear", "latent_dim": latent_dim,
                     "ambient_dim": ambient_dim,
-                    "init": {"method": "orthonormal", "seed": 1234,
-                             "scale": 1.0}},
+                    "init": {"seed": 1234, "scale": 1.0}},
         "constraint": {"kind": "halfspace", "normal": normal, "offset": -1.0,
                        "delta": 1e-4, "prox_weight": 1e5},
         "sampler": {"mode": "proximal_latent", "solver": "closed_form",
@@ -130,10 +128,8 @@ def design_loop_config(seed: int = 0, out: str = "runs/design") -> dict:
         "out": out,
         "decoder": {"kind": "linear", "latent_dim": latent_dim,
                     "ambient_dim": ambient_dim,
-                    "init": {"method": "orthonormal", "seed": 77,
-                             "scale": 1.0}},
-        "dpo": {"nu": 0.05, "M": 64, "seed": seed,
-                "target": target.tolist(),
+                    "init": {"seed": 77, "scale": 1.0}},
+        "dpo": {"nu": 0.05, "M": 64, "target": target.tolist(),
                 "simulator": {"name": "saturating", "matrix": A.tolist(),
                               "scale": scale}},
         "design": {"steps": 5, "step_size": 0.9, "tol": 0.0},
@@ -184,8 +180,7 @@ def centroid_config(seed: int = 0, chains: int = 200,
                            np.eye(latent_dim).tolist()]},
         "decoder": {"kind": "linear", "latent_dim": latent_dim,
                     "ambient_dim": 4,
-                    "init": {"method": "orthonormal", "seed": 4321,
-                             "scale": 1.0}},
+                    "init": {"seed": 4321, "scale": 1.0}},
         "constraint": None,
         "sampler": {"mode": "proximal_latent", "solver": "closed_form",
                     "final_projection": False},
@@ -207,8 +202,7 @@ def centroid_config(seed: int = 0, chains: int = 200,
         # so the trigger is reliable and no drift-back remains afterwards
         cfg["sampler"].update({"solver": "alm", "lr": 0.3, "inner_cap": 25,
                                "correct_levels": [1, 5]})
-        cfg["alm"] = {"penalty": 1.0, "growth": 2.0, "penalty_cap": 1e4,
-                      "inner_step": 0.2, "max_inner": 60, "max_outer": 30,
+        cfg["alm"] = {"inner_step": 0.2, "max_inner": 60, "max_outer": 30,
                       "tol": 0.02}
     return cfg
 
@@ -233,15 +227,14 @@ def fidelity_config(seed: int = 0, chains: int = 10_000,
         "score": {"kind": "linear_gaussian", "mean": [0.0] * dim,
                   "cov": np.eye(dim).tolist()},
         "decoder": {"kind": "linear", "latent_dim": dim, "ambient_dim": dim,
-                    "init": {"method": "orthonormal", "seed": 31,
-                             "scale": 1.0}},
+                    "init": {"seed": 31, "scale": 1.0}},
         "constraint": {"kind": "halfspace", "normal": [1.0, 0.0],
                        "offset": 1.0, "delta": 1e-4, "prox_weight": 1e4},
         # per-step correction keeps the chain on the restricted stationary
         # law; level-end-only correction samples the clamped law instead
         "sampler": {"mode": "proximal_latent", "solver": "closed_form",
                     "lr": 0.5, "inner_cap": 100, "final_projection": True,
-                    "correct_every_step": True, "record_vectors": False},
+                    "correct_every_step": True},
     }
 
 
@@ -269,7 +262,7 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized proximal-latent sampling of n independent chains.
 
     The per-chain sampler's Langevin kernel, constraint rules, correction
-    rule and correction window, batched; restricted to linear decoders and
+    rule and correction window, batched, on any decoder stack; restricted to
     closed_form corrections of ``constraints.CLOSED_FORM_KINDS``.  A
     correction takes each violating chain through the per-chain steps and
     stop reasons, iterating only the chains that have not stopped (see
@@ -277,9 +270,8 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
     final-projected) samples; raises ``DivergenceError`` if a chain ends
     non-finite.
     """
-    if cfg.mode != "proximal_latent" or cfg.decoder.kind != "linear":
-        raise ConfigError("population sampling needs proximal_latent mode "
-                          "and a linear decoder")
+    if cfg.mode != "proximal_latent":
+        raise ConfigError("population sampling needs proximal_latent mode")
     con = cfg.constraint
     if con is not None and (cfg.solver != "closed_form"
                             or con.kind not in C.CLOSED_FORM_KINDS):

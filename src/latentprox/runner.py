@@ -1,7 +1,8 @@
 """Run configuration, experiment orchestration, and persistence.
 
-Configs are strict: unknown keys are rejected with a suggestion, every
-resolved default is echoed into the manifest, and a manifest alone suffices
+Configs are strict: unknown keys are rejected with a suggestion, a retired
+key loads only at the value the code hard-wires, every resolved default is
+echoed into the manifest, and a manifest alone suffices
 to reproduce a run bit-exactly (all randomness flows from the root seed
 through per-chain spawn keys).  Metrics are append-only CSV rows with a fixed
 header; samples are decimal-text vectors plus portable graymaps for grids.
@@ -23,7 +24,7 @@ import yaml
 
 from . import __version__
 from . import constraints as C
-from .alm import AlmState
+from .alm import GROWTH, PENALTY, PENALTY_CAP, AlmState
 from .decoders import (DecoderMap, estimate_lipschitz, random_linear_decoder,
                        random_mlp_decoder)
 from .diagnostics import (BoundReport, GaussianFit, check_fidelity_drift,
@@ -64,8 +65,7 @@ SCHEMA = {
     "score": {"kind": REQUIRED, "mean": None, "cov": None, "weights": None,
               "means": None, "covs": None, "file": None},
     "decoder": {"kind": "linear", "latent_dim": None, "ambient_dim": None,
-                "init": {"method": "orthonormal", "seed": 0, "scale": 1.0,
-                         "hidden": 16},
+                "init": {"seed": 0, "scale": 1.0, "hidden": 16},
                 "file": None},
     "constraint": {"kind": REQUIRED, "delta": 1e-4, "prox_weight": 1.0,
                    "normal": None, "offset": None, "radius": None,
@@ -79,11 +79,11 @@ SCHEMA = {
     "sampler": {"mode": "proximal_latent", "solver": "closed_form",
                 "lr": None, "inner_cap": 500, "final_projection": True,
                 "noise_scale": 1.0, "correct_levels": None,
-                "correct_every_step": False, "record_vectors": True},
+                "correct_every_step": False},
     # alm.tol None: the constraint's delta (see resolve_config)
     "alm": {**{f.name: f.default for f in dataclasses.fields(AlmState)},
             "tol": None},
-    "dpo": {"nu": REQUIRED, "M": REQUIRED, "seed": 0, "target": None,
+    "dpo": {"nu": REQUIRED, "M": REQUIRED, "target": None,
             "simulator": {"name": REQUIRED, "matrix": None, "bias": None,
                           "scale": 2.0, "slope": 0.3}},
     "design": {"steps": 5, "step_size": 0.5, "tol": 0.0},
@@ -131,6 +131,30 @@ NEEDED_KEYS = {
                    "porosity": ("grid", "fraction"),
                    "surrogate_centroid": ("model", "accept_radius")}}
 
+ANY = object()
+
+# keys the schema no longer has, by section path, each with the one value
+# the code now hard-wires; a config or a manifest written while they existed
+# still loads when it holds that value, and a key at ANY, which no run ever
+# read, loads at any value
+RETIRED_KEYS = {("schedule", "abar_start"): 1.0,
+                ("constraint", "count"): None,
+                ("dpo", "absorb_scale"): False,
+                ("dpo", "baseline"): True,
+                ("design", "mode"): "chain",
+                ("checks", "feasible_final"): False,
+                ("checks", "fidelity_cumulative"): False,
+                ("constraint", "smoothness"): 1.0,
+                ("alm", "multiplier"): 0.0,
+                ("decoder", "lipschitz_probes"): 64,
+                ("reports", "beta"): 1.0,
+                ("decoder.init", "method"): "orthonormal",
+                ("dpo", "seed"): ANY,
+                ("alm", "penalty"): PENALTY,
+                ("alm", "growth"): GROWTH,
+                ("alm", "penalty_cap"): PENALTY_CAP,
+                ("sampler", "record_vectors"): ANY}
+
 
 def _suggest(key: str, known) -> str:
     close = difflib.get_close_matches(key, list(known), n=1)
@@ -141,10 +165,17 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{path or 'configuration document'} must be a "
                           "mapping")
-    for key in section:
-        if key not in schema:
+    for key, value in section.items():
+        if key in schema:
+            continue
+        if (path, key) not in RETIRED_KEYS:
             raise ConfigError(f"unknown key {key!r} at {path or 'top level'}"
                               f"{_suggest(key, schema)}")
+        # a retired key is left out of the resolved section
+        runs = RETIRED_KEYS[path, key]
+        if runs is not ANY and value != runs:
+            raise ConfigError(f"{path}.{key} = {value!r} is retired: this "
+                              f"version runs only {runs!r}")
     out = {}
     for key, default in schema.items():
         where = f"{path}.{key}" if path else key
@@ -171,6 +202,7 @@ def resolve_config(data: dict) -> dict:
     each value as its kind (``KEY_KINDS``).
 
     Unknown keys are rejected (with a close-match suggestion), and so is a
+    retired key (``RETIRED_KEYS``) at a value other than the one it runs, a
     boolean key whose value is not true or false, a numeric key whose value
     is not a number (a whole number for an integer key), a list-valued key
     with an entry that is not one or rows of unequal length, and a section
@@ -258,9 +290,6 @@ def build_decoder(cfg: dict | None) -> DecoderMap | None:
         return load_decoder(cfg["file"])
     init = cfg["init"]
     kind = cfg["kind"]
-    if init["method"] != "orthonormal":
-        raise ConfigError(f"unknown decoder init {init['method']!r}; "
-                          "only 'orthonormal' is supported")
     lat, amb = cfg["latent_dim"], cfg["ambient_dim"]
     if kind == "linear":
         return random_linear_decoder(lat, amb, seed=init["seed"],
@@ -310,8 +339,7 @@ def build_dpo(cfg: dict | None):
     defaults = SCHEMA["dpo"]["simulator"]
     sim = make_simulator(name, **{key: value for key, value in sim_cfg.items()
                                   if value != defaults[key]})
-    dpo_cfg = DpoConfig(nu=cfg["nu"], M=cfg["M"], seed=cfg["seed"],
-                        target=cfg["target"])
+    dpo_cfg = DpoConfig(nu=cfg["nu"], M=cfg["M"], target=cfg["target"])
     return sim, dpo_cfg
 
 
@@ -427,6 +455,8 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     """Execute a sampling experiment: chains, metrics, samples, reports."""
     started = time.time()
     sampler_cfg = build_sampler_config(cfg)
+    # the fidelity report is the one reader of the rows' chain states
+    sampler_cfg.record_vectors = cfg["reports"]["fidelity"]
     constraint = sampler_cfg.constraint
     decoder = sampler_cfg.decoder
     measured = {}
@@ -542,9 +572,6 @@ def _refuse_unrunnable(cfg: RunConfig, sampler_cfg: SamplerConfig,
     if reports["fidelity"] and sampler_cfg.score.kind != "linear_gaussian":
         raise ConfigError("reports.fidelity needs a linear_gaussian score, "
                           f"not {sampler_cfg.score.kind}")
-    if reports["fidelity"] and not sampler_cfg.record_vectors:
-        raise ConfigError("reports.fidelity needs the chain state of each "
-                          "level, which sampler.record_vectors: false drops")
 
 
 def counters_line(counters: dict) -> str:
@@ -648,8 +675,7 @@ def _fidelity_report(sampler_cfg: SamplerConfig, traces, G: float) -> dict:
     by_level = {t: [] for t in range(schedule.T + 1)}
     for trace in traces:
         for row in trace.level_final_rows():
-            if row.z is not None:
-                by_level[row.t - 1].append(row.z)
+            by_level[row.t - 1].append(row.z)
     kl = np.full(schedule.T + 1, np.nan)
     kl[schedule.T] = gaussian_kl(GaussianFit(
         mean=np.zeros(field_.dim), cov=np.eye(field_.dim)), ref)
@@ -737,44 +763,9 @@ def run_design(cfg: RunConfig) -> RunManifest:
         counters=counters, summary=summary)
 
 
-# keys the schema no longer has, each with the value the code now
-# hard-wires; a manifest written while they existed still echoes them
-RETIRED_KEYS = {("schedule", "abar_start"): 1.0,
-                ("constraint", "count"): None,
-                ("dpo", "absorb_scale"): False,
-                ("dpo", "baseline"): True,
-                ("design", "mode"): "chain",
-                ("checks", "feasible_final"): False,
-                ("checks", "fidelity_cumulative"): False,
-                ("constraint", "smoothness"): 1.0,
-                ("alm", "multiplier"): 0.0,
-                ("decoder", "lipschitz_probes"): 64,
-                ("reports", "beta"): 1.0}
-
-
-def _drop_retired_keys(raw: dict) -> dict:
-    """``raw`` without the retired keys that hold their hard-wired value."""
-    raw = dict(raw)
-    for (section, key), value in RETIRED_KEYS.items():
-        sub = raw.get(section)
-        if not isinstance(sub, dict) or key not in sub:
-            continue
-        if sub[key] != value:
-            raise ConfigError(
-                f"cannot replay {section}.{key} = {sub[key]!r}: the key is "
-                f"retired and this version runs only {value!r}")
-        raw[section] = {k: v for k, v in sub.items() if k != key}
-    return raw
-
-
 def manifest_config(manifest: RunManifest, **changes) -> RunConfig:
-    """The run configuration a manifest echoes, with ``changes`` set.
-
-    A manifest written before a key left the schema still loads when the key
-    holds the value the code now hard-wires (``RETIRED_KEYS``).
-    """
-    return RunConfig.from_dict(
-        {**_drop_retired_keys(manifest["resolved_config"]), **changes})
+    """The run configuration a manifest echoes, with ``changes`` set."""
+    return RunConfig.from_dict({**manifest["resolved_config"], **changes})
 
 
 def rerun_from_manifest(manifest_path, out_dir) -> RunManifest:

@@ -41,3 +41,14 @@ def centroid_prox_closed_form(spec, x, lam):
     if s <= r + lam:
         return x - B.T @ u * (1.0 - r / s)
     return x - lam * B.T @ u / s
+
+
+def same_states(rows, other):
+    """Whether two traces' rows, pair by pair, hold bit-equal chain states.
+    Each state must be an array: np.array_equal(None, None) is True, so a
+    comparison of rows that carry no state would pass."""
+    pairs = list(zip(rows, other))
+    for a, b in pairs:
+        assert isinstance(a.z, np.ndarray) and isinstance(b.z, np.ndarray), \
+            "a trace row carries no chain state"
+    return all(np.array_equal(a.z, b.z) for a, b in pairs)

@@ -24,6 +24,8 @@ from latentprox.samplers import SamplerConfig, chain_rng, sample
 from latentprox.schedules import make_schedule
 from latentprox.scores import standard_normal_field
 
+from conftest import same_states
+
 
 def report(name, ok, detail=""):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}"
@@ -155,8 +157,7 @@ def test_criterion_07_identity_constraint_equivalence():
         zu, tu = sample(u, chain_rng(seed, 0))
         xp, tp = sample(p, chain_rng(seed, 0))
         all_ok &= len(tu.rows) == len(tp.rows)
-        all_ok &= all(np.array_equal(a.z, b.z)
-                      for a, b in zip(tu.rows, tp.rows))
+        all_ok &= same_states(tu.rows, tp.rows)
     # projected_ambient vs unconstrained (ambient space)
     ua = SamplerConfig(schedule=sched, score=amb, mode="unconstrained")
     pa = SamplerConfig(schedule=sched, score=amb, mode="projected_ambient",
@@ -164,8 +165,7 @@ def test_criterion_07_identity_constraint_equivalence():
     for seed in range(5):
         zu, tu = sample(ua, chain_rng(seed, 0))
         xa, ta = sample(pa, chain_rng(seed, 0))
-        all_ok &= all(np.array_equal(a.z, b.z)
-                      for a, b in zip(tu.rows, ta.rows))
+        all_ok &= same_states(tu.rows, ta.rows)
         all_ok &= np.array_equal(zu, xa)
     # unconstrained sampler with a vacuous constraint configured (mode 3:
     # proximal run in the latent space of a 2-d ambient-identity decoder)

@@ -4,7 +4,8 @@ import pytest
 import warnings
 
 from latentprox import constraints as C
-from latentprox.alm import AlmState, alm_project, descend
+from latentprox.alm import (GROWTH, PENALTY, PENALTY_CAP, AlmState,
+                            alm_project, descend)
 from latentprox.errors import NumericError, ParameterError
 
 
@@ -110,19 +111,23 @@ def test_ball_projection_matches_oracle():
 
 
 def test_penalty_never_exceeds_cap_and_is_monotone():
-    calls = []
-
+    # a never-feasible violation runs every outer iteration, each growing
+    # the penalty GROWTH-fold until it reaches PENALTY_CAP, 2**14 > 1e4
     def g(y):
-        return abs(float(y[0]) - 5.0)
+        return 1.0 + float(y @ y)
 
     def grad(y):
-        out = np.zeros_like(y)
-        out[0] = np.sign(float(y[0]) - 5.0)
-        return out
+        return 2.0 * y
 
-    state = AlmState(tol=1e-10, max_outer=8, max_inner=5, penalty_cap=16.0)
-    _, report = alm_project(np.array([0.0]), pair(g, grad), state)
-    assert report.final_penalty <= 16.0
+    penalties = []
+    for outer in range(1, 17):
+        state = AlmState(tol=1e-10, max_outer=outer, max_inner=5)
+        _, report = alm_project(np.array([1.0]), pair(g, grad), state)
+        assert report.outer_iterations == outer
+        penalties.append(report.final_penalty)
+    assert penalties == [min(PENALTY * GROWTH ** k, PENALTY_CAP)
+                         for k in range(1, 17)]
+    assert penalties[-3:] == [PENALTY_CAP] * 3
 
 
 def test_nonconvergence_carries_report():
@@ -147,11 +152,11 @@ def test_nonconvergence_carries_report():
 
 
 def test_state_validation():
-    with pytest.raises(ParameterError):
-        AlmState(growth=1.0)
-    with pytest.raises(ParameterError):
-        AlmState(penalty=-1.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="inner_step"):
+        AlmState(inner_step=0.0)
+    with pytest.raises(ParameterError, match="caps"):
+        AlmState(max_outer=0)
+    with pytest.raises(ParameterError, match="tol"):
         AlmState(tol=0.0)
 
 
@@ -192,7 +197,7 @@ def reference_alm_project(anchor, g, grad_g, state):
     and whether it converged."""
     anchor = np.asarray(anchor, dtype=float)
     y = anchor.copy()
-    lam, mu, inner_total = 0.0, state.penalty, 0
+    lam, mu, inner_total = 0.0, PENALTY, 0
     best_y, best_v = y.copy(), float(g(y))
 
     def lagrangian(pt, v):
@@ -233,7 +238,7 @@ def reference_alm_project(anchor, g, grad_g, state):
                 step *= 0.5
             y = y_new
         lam = lam + mu * float(g(y))
-        mu = min(state.growth * mu, state.penalty_cap)
+        mu = min(GROWTH * mu, PENALTY_CAP)
     return best_y, (state.max_outer, inner_total, best_v,
                     float(np.linalg.norm(best_y - anchor)), lam, mu, False)
 

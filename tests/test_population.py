@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from latentprox import constraints as C
 from latentprox import experiments as EXP
 from latentprox import samplers
-from latentprox.decoders import decode, linear_decoder, random_mlp_decoder
+from latentprox.decoders import (decode, decode_unchecked, linear_decoder,
+                                 random_mlp_decoder, vjp_unchecked)
 from latentprox.errors import ConfigError, DivergenceError
 from latentprox.runner import RunConfig, build_sampler_config
 from latentprox.samplers import (PROGRESS_RATIO, STAGNATION_RATIO,
@@ -40,9 +41,9 @@ def all_rows_correct(cfg, Z, t, stops=None):
     else the first of converged, stagnated and capped that holds.
     """
     con = cfg.constraint
-    (W, b), = cfg.decoder.layers
+    layers = cfg.decoder.layers
     n = len(Z)
-    X0 = Z @ W.T + b
+    X0 = decode_unchecked(layers, Z)
     lam = con.prox_weight
     step = np.full(n, cfg.lr_at(t))
     g_norm, g0_norm = np.zeros(n), np.zeros(n)
@@ -56,7 +57,7 @@ def all_rows_correct(cfg, Z, t, stops=None):
             break
         m = active
         D = (X[m] - C._project_exact(con, X[m])) + (X[m] - X0[m]) / lam
-        G = D @ W
+        G = vjp_unchecked(layers, Z[m], D)
         g_norm[m] = np.sqrt(np.vecdot(G, G))
         if k == 1:
             g0_norm[m] = g_norm[m]
@@ -68,9 +69,10 @@ def all_rows_correct(cfg, Z, t, stops=None):
         Z_prev[m], G_prev[m] = Z[m], G
         Z = Z.copy()
         Z[m] = Z[m] - step[m, None] * G
-        X = Z @ W.T + b
-        dist_prev = dist
-        dist = np.array([C.dist_to_set(con, x) for x in X])
+        X = decode_unchecked(layers, Z)
+        # a stopped row's dist is never read again
+        dist_prev, dist = dist, dist.copy()
+        dist[m] = [C.dist_to_set(con, x) for x in X[m]]
         for reason, hit in (
                 ("converged", C._violation(con, X) < con.delta),
                 ("stagnated", (g_norm <= STAGNATION_RATIO * g0_norm)
@@ -330,6 +332,37 @@ def _fidelity(n, constraint=None, **sections):
     for section, values in sections.items():
         cfg[section].update(values)
     return build_sampler_config(RunConfig.from_dict(cfg))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mlp_population_matches_all_rows_loop(monkeypatch, seed):
+    # the rows loop decodes and pulls back through the decoder's own stack,
+    # so a tanh decoder takes the same path as a linear one; the halfspace
+    # is moved in to 0.3, inside the range of every decoder here (at 1.0
+    # three of them never leave it), and 40 steps a level keep the
+    # reference's per-row dists quick
+    n = 300
+    halfspace = {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.3,
+                 "delta": 1e-4, "prox_weight": 1e4}
+    cfg = _fidelity(n, constraint=halfspace, schedule={"M": 40},
+                    sampler={"inner_cap": 30},
+                    decoder={"kind": "smooth_mlp",
+                             "init": {"seed": seed, "hidden": 8}})
+    assert cfg.decoder.layers[0][0].shape == (8, 2)
+    correct, moved = EXP._correct_batch, []
+
+    def recording(cfg_, Z, t):
+        out = correct(cfg_, Z, t)
+        moved.append(np.count_nonzero((out != Z).any(axis=1)))
+        return out
+
+    monkeypatch.setattr(EXP, "_correct_batch", recording)
+    got = EXP.sample_population(cfg, n, np.random.default_rng(seed))
+    assert sum(moved) > 0
+    monkeypatch.setattr(EXP, "_correct_batch", all_rows_correct)
+    expected = EXP.sample_population(cfg, n, np.random.default_rng(seed))
+    assert np.array_equal(got, expected)
+    assert (C._violation(cfg.constraint, got) == 0.0).all()
 
 
 def test_correction_window_outside_schedule_never_corrects():

@@ -73,35 +73,105 @@ def test_missing_seed_rejected():
         resolve_config(raw)
 
 
-# keys removed from the schema, each with a value it used to accept
-REMOVED_KEYS = [("schedule", "abar_start", 1.0),
-                ("dpo", "absorb_scale", False),
-                ("dpo", "baseline", True),
-                ("design", "mode", "chain"),
+# keys removed from the schema, each with a value other than the one it
+# now runs
+REMOVED_KEYS = [("schedule", "abar_start", 0.9),
+                ("dpo", "absorb_scale", True),
+                ("dpo", "baseline", False),
+                ("design", "mode", "population"),
                 ("constraint", "count", 1),
-                ("checks", "feasible_final", False),
-                ("checks", "fidelity_cumulative", False),
-                ("constraint", "smoothness", 1.0),
-                ("alm", "multiplier", 0.0),
-                ("decoder", "lipschitz_probes", 64),
-                ("reports", "beta", 1.0)]
+                ("checks", "feasible_final", True),
+                ("checks", "fidelity_cumulative", True),
+                ("constraint", "smoothness", 2.0),
+                ("alm", "multiplier", 0.5),
+                ("decoder", "lipschitz_probes", 16),
+                ("reports", "beta", 0.5),
+                ("decoder.init", "method", "gaussian"),
+                ("alm", "penalty", 10.0),
+                ("alm", "growth", 0.5),
+                ("alm", "penalty_cap", 16.0)]
+# the sections of the replay test's presets that hold retired keys; between
+# them they hold every one
+REPLAY_SECTIONS = {
+    "design": {"schedule", "decoder", "decoder.init", "sampler", "dpo",
+               "design", "reports", "checks"},
+    "porosity": {"schedule", "decoder", "decoder.init", "constraint",
+                 "sampler", "reports", "checks"},
+    "centroid": {"schedule", "decoder", "decoder.init", "constraint",
+                 "sampler", "alm", "reports", "checks"}}
+
+
+def with_key(raw, path, key, value):
+    """``raw`` with ``key`` set in its section at the dotted ``path``."""
+    section = raw
+    for name in path.split("."):
+        section = section.setdefault(name, {})
+    section[key] = value
+    return raw
+
+
+def retired_key_base(path):
+    """A config that resolves with the key of a retired entry at ``path``
+    set, since it has the section's required keys."""
+    if path in ("dpo", "design"):
+        return EXP.design_loop_config(out="x")
+    if path == "alm":
+        return EXP.centroid_config(out="x")
+    return minimal_config("x")
 
 
 @pytest.mark.parametrize("section, key, value", REMOVED_KEYS,
                          ids=[f"{s}.{k}" for s, k, _ in REMOVED_KEYS])
-def test_removed_key_rejected(section, key, value):
-    # a config that still sets the key is refused; only
-    # rerun_from_manifest drops it, and only at its hard-wired value
-    raw = minimal_config("x")
-    raw.setdefault(section, {})[key] = value
-    with pytest.raises(ConfigError, match=f"unknown key '{key}' at {section}"):
+def test_removed_key_rejected(section, key, value, tmp_path, capsys):
+    # a config that sets the key to another value than the one the code
+    # runs is refused, naming both, before a run directory is made
+    raw = with_key(retired_key_base(section), section, key, value)
+    message = (f"{section}.{key} = {value!r} is retired: this version runs "
+               f"only {RETIRED_KEYS[section, key]!r}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
         resolve_config(raw)
+    raw["out"] = str(tmp_path / "run")
+    path = write_yaml(tmp_path / "cfg.yaml", raw)
+    command = "design" if section in ("dpo", "design") else "sample"
+    assert cli_main([command, "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+RETIRED_VALUES = [(path, key, value)
+                  for (path, key), runs in sorted(RETIRED_KEYS.items())
+                  for value in ([runs] if runs is not runner.ANY
+                                else [0, True, "any"])]
+
+
+@pytest.mark.parametrize("section, key, value", RETIRED_VALUES,
+                         ids=[f"{s}.{k}={v!r}" for s, k, v in RETIRED_VALUES])
+def test_retired_key_loads_at_its_value(section, key, value, tmp_path):
+    # a config that still sets the key to the one value it runs, or to any
+    # value for a key no run read, resolves, from a file too, as the config
+    # without it: the key leaves the resolved config the manifest echoes
+    want = resolve_config(retired_key_base(section))
+    raw = with_key(retired_key_base(section), section, key, value)
+    assert resolve_config(raw) == want
+    path = write_yaml(tmp_path / "cfg.yaml", raw)
+    assert load_config(path).data == want
+    assert RunConfig.from_dict(dict(raw, seed=9)).data == dict(want, seed=9)
 
 
 def test_retired_keys_are_not_in_the_schema():
-    assert sorted(RETIRED_KEYS) == sorted((s, k) for s, k, _ in REMOVED_KEYS)
-    for section, key in RETIRED_KEYS:
-        assert key not in SCHEMA[section], f"{section}.{key}"
+    assert sorted(RETIRED_KEYS) == sorted(
+        {(s, k) for s, k, _ in REMOVED_KEYS + RETIRED_VALUES})
+    assert len(RETIRED_KEYS) == 17
+    for path, key in RETIRED_KEYS:
+        section = SCHEMA
+        for name in path.split("."):
+            section = section[name]
+        assert key not in section, f"{path}.{key}"
+    # only the keys no run read are dropped at any value
+    assert sorted(k for k, v in RETIRED_KEYS.items() if v is runner.ANY) == [
+        ("dpo", "seed"), ("sampler", "record_vectors")]
+    assert set().union(*REPLAY_SECTIONS.values()) == {
+        path for path, _ in RETIRED_KEYS}
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -344,14 +414,22 @@ def test_design_run_and_replay(tmp_path):
 
 
 def with_retired_keys(manifest_path):
-    """The manifest as it was written while the retired keys existed."""
+    """The manifest as it was written while the retired keys existed, a key
+    that no run read at an arbitrary value; returns the manifest's resolved
+    config before the change and the sections that took a key."""
     doc = json.loads(Path(manifest_path).read_text())
     resolved = doc["resolved_config"]
-    for (section, key), value in RETIRED_KEYS.items():
-        if resolved[section] is not None:
-            resolved[section][key] = value
+    before = json.loads(json.dumps(resolved))
+    sections = set()
+    for (path, key), value in RETIRED_KEYS.items():
+        section = resolved
+        for name in path.split("."):
+            section = section[name] if section is not None else None
+        if section is not None:
+            section[key] = 7 if value is runner.ANY else value
+            sections.add(path)
     Path(manifest_path).write_text(json.dumps(doc))
-    return resolved
+    return before, sections
 
 
 @pytest.mark.parametrize("preset", ["design", "porosity", "centroid"])
@@ -361,27 +439,24 @@ def test_replay_of_a_manifest_with_retired_keys(tmp_path, preset):
     if preset == "design":
         run_design(RunConfig.from_dict(
             EXP.design_loop_config(seed=0, out=str(out))))
-        sections = {"schedule", "decoder", "dpo", "design", "reports",
-                    "checks"}
     elif preset == "porosity":
         run_experiment(RunConfig.from_dict(EXP.porosity_config(
             fraction=0.3, seed=0, chains=2, out=str(out), grid=(8, 8),
             latent_dim=16)))
-        sections = {"schedule", "decoder", "constraint", "reports",
-                    "checks"}
     else:
-        # the ALM projections run at alm.multiplier's one value, 0.0
+        # the ALM projections run at the one value of each retired alm key
         run_experiment(RunConfig.from_dict(EXP.centroid_config(
             seed=0, chains=3, out=str(out))))
-        sections = {"schedule", "decoder", "constraint", "alm", "reports",
-                    "checks"}
         files.append("alm.csv")
-    resolved = with_retired_keys(out / "manifest.json")
-    assert {s for s, _ in RETIRED_KEYS if resolved[s] is not None} == sections
-    rerun_from_manifest(out / "manifest.json", tmp_path / "replay")
+    before, sections = with_retired_keys(out / "manifest.json")
+    assert sections == REPLAY_SECTIONS[preset]
+    replay = rerun_from_manifest(out / "manifest.json", tmp_path / "replay")
     for name in files:
         assert (out / name).read_bytes() == \
             (tmp_path / "replay" / name).read_bytes(), name
+    # the retired keys leave the replay's resolved config
+    assert replay["resolved_config"] == dict(before,
+                                             out=str(tmp_path / "replay"))
 
 
 def test_replay_with_smoothness_keeps_the_contraction_report(tmp_path):
@@ -537,14 +612,45 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["sample", "--config", str(path)]) == 3
 
 
-def set_alm_growth(cfg):
-    cfg["sampler"]["solver"] = "alm"
-    cfg["alm"] = {"growth": 0.5}
+def test_cli_overrides_a_config_with_retired_keys(tmp_path):
+    # each retired key the minimal config can hold, at the one value it
+    # runs (any value for a key no run read), leaves the manifest
+    raw = minimal_config(tmp_path / "runA")
+    for (path, key), value in RETIRED_KEYS.items():
+        if path.split(".")[0] in raw:
+            with_key(raw, path, key, 0 if value is runner.ANY else value)
+    path = write_yaml(tmp_path / "cfg.yaml", raw)
+    assert cli_main(["sample", "--config", str(path), "--seed", "9",
+                     "--out", str(tmp_path / "runB"), "--chains", "1"]) == 0
+    stored = json.loads((tmp_path / "runB" / "manifest.json").read_text())
+    assert stored["resolved_config"] == resolve_config(dict(
+        minimal_config(tmp_path / "runB"), seed=9, chains=1))
 
 
-def set_fidelity_without_vectors(cfg):
-    cfg["sampler"]["record_vectors"] = False
-    cfg["reports"] = {"fidelity": True}
+@pytest.mark.parametrize("fidelity", [False, True])
+def test_a_run_copies_chain_states_only_for_the_fidelity_report(
+        tmp_path, monkeypatch, fidelity):
+    # the fidelity report is the one reader of a row's state; a config's
+    # sampler.record_vectors, read by nothing, does not change that
+    states = []
+
+    def recording(cfg, rng):
+        final, trace = sample(cfg, rng)
+        states.extend(row.z is not None for row in trace.rows)
+        return final, trace
+
+    monkeypatch.setattr(runner, "sample", recording)
+    raw = minimal_config(tmp_path / "run")
+    raw["sampler"]["record_vectors"] = not fidelity
+    raw["reports"] = {"fidelity": fidelity}
+    manifest = run_experiment(RunConfig.from_dict(raw))
+    assert states and set(states) == {fidelity}
+    assert ("fidelity" in manifest["reports"]) is fidelity
+
+
+def set_alm(**keys):
+    return lambda cfg: cfg.update(alm=keys,
+                                  sampler=dict(cfg["sampler"], solver="alm"))
 
 
 def set_constraint(doc):
@@ -579,7 +685,10 @@ def set_dpo_target(target):
 
 
 CONFIG_ERRORS = {
-    "alm.growth": (set_alm_growth, "growth must exceed 1"),
+    "alm.growth": (set_alm(growth=0.5), "alm.growth = 0.5 is retired: this "
+                   "version runs only 2.0"),
+    "alm.inner_step": (set_alm(inner_step=0.0),
+                       "inner_step must be positive"),
     "schedule.T": (lambda cfg: cfg["schedule"].update(T=0),
                    "T must be >= 1"),
     "constraint.delta": (lambda cfg: cfg["constraint"].update(delta=-1),
@@ -605,8 +714,6 @@ CONFIG_ERRORS = {
     "porosity without fraction": (
         set_constraint({"kind": "porosity", "grid": [2, 2]}),
         "porosity constraint needs 'fraction'"),
-    "reports.fidelity without vectors": (set_fidelity_without_vectors,
-                                         "sampler.record_vectors: false"),
     "dpo sampler without target": (set_dpo_target(None),
                                    "dpo config has no target response"),
     "dpo target of wrong length": (set_dpo_target([0.0, 0.0, 0.0]),
@@ -635,7 +742,8 @@ CONFIG_ERRORS = {
         "sampler.correct_levels must be a list of whole numbers, got "
         "[[1, 2]]"),
     "gaussian decoder init": (lambda cfg: cfg["decoder"]["init"].update(
-        method="gaussian"), "unknown decoder init 'gaussian'"),
+        method="gaussian"), "decoder.init.method = 'gaussian' is retired: "
+        "this version runs only 'orthonormal'"),
     "decoder latent_dim": (lambda cfg: cfg["decoder"].update(latent_dim=3),
                            "decoder latent_dim 3 does not match the "
                            "score's dim 2"),
@@ -646,8 +754,8 @@ CONFIG_ERRORS = {
         lambda cfg: cfg.update(reports={"fidelity": "off"}),
         "reports.fidelity must be true or false, got 'off'"),
     "integer for a boolean": (
-        lambda cfg: cfg["sampler"].update(record_vectors=0),
-        "sampler.record_vectors must be true or false, got 0"),
+        lambda cfg: cfg["sampler"].update(final_projection=0),
+        "sampler.final_projection must be true or false, got 0"),
     "fraction for an integer": (
         lambda cfg: cfg["schedule"].update(T=2.5),
         "schedule.T must be a whole number, got 2.5"),
@@ -1079,9 +1187,7 @@ def test_cli_diagnose_reads_a_manifest_with_a_retired_key(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = dict(minimal_config(out), reports={"contraction": True})
     run_experiment(RunConfig.from_dict(cfg))
-    doc = json.loads((out / "manifest.json").read_text())
-    doc["resolved_config"]["schedule"]["abar_start"] = 1.0
-    (out / "manifest.json").write_text(json.dumps(doc))
+    with_retired_keys(out / "manifest.json")
     capsys.readouterr()
     assert cli_main(["diagnose", "--run", str(out)]) == 0
     assert "transitions: " in capsys.readouterr().out
