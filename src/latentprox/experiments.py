@@ -250,12 +250,15 @@ def _score_batch(field_, Z: np.ndarray, t: int) -> np.ndarray:
     return score(field_, Z, t)
 
 
-def _correct_batch(cfg, Z: np.ndarray, t: int) -> np.ndarray:
+def _correct_batch(cfg, Z: np.ndarray, t: int,
+                   steps: np.ndarray | None = None) -> np.ndarray:
     """Proximal correction of every row of Z whose decoded violation is at
     least ``delta``: ``samplers._correct_rows``, the per-chain correction
-    rule applied row by row.  Kept under this name because the benchmark
+    rule applied row by row, each row starting from its carried step in
+    ``steps`` (NaN: never corrected, so ``lr_at(t)``) and writing back the
+    step it stopped with.  Kept under this name because the benchmark
     traces it."""
-    return _correct_rows(cfg, Z, t)
+    return _correct_rows(cfg, Z, t, steps)
 
 
 def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -266,7 +269,10 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
     closed_form corrections of ``constraints.CLOSED_FORM_KINDS``.  A
     correction takes each violating chain through the per-chain steps and
     stop reasons, iterating only the chains that have not stopped (see
-    ``samplers._correct_rows``).  Returns the decoded (and optionally
+    ``samplers._correct_rows``).  Each chain's correction step carries from
+    one correction to the next, as in ``samplers.sample``: a chain's first
+    correction starts at ``lr_at(t)``, each later one at the step its
+    previous correction ended with.  Returns the decoded (and optionally
     final-projected) samples; raises ``DivergenceError`` if a chain ends
     non-finite.
     """
@@ -279,6 +285,7 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
                           f"constraints with the {cfg.solver} solver")
     sched = cfg.schedule
     Z = rng.standard_normal((n, cfg.decoder.latent_dim))
+    steps = np.full(n, np.nan)   # each chain's carried correction step
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         corrects = cfg.corrects_at(t)
@@ -286,7 +293,7 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
             Z, _ = langevin_step(Z, cfg.score, t, gamma, rng, cfg.noise_scale)
             if corrects and (cfg.correct_every_step
                              or i == sched.inner_steps):
-                Z = _correct_batch(cfg, Z, t)
+                Z = _correct_batch(cfg, Z, t, steps)
     # a non-finite latent stays non-finite, so one check covers every step
     bad = np.count_nonzero(~np.isfinite(Z).all(axis=1))
     if bad:

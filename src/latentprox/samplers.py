@@ -5,16 +5,22 @@ The proximal mode runs M Langevin steps per annealing level, then corrects
 the latent until the decoded violation drops below the constraint tolerance:
 the ambient prox-objective gradient (constraint correction residual plus the
 anchor pull (1/lambda)(x - x0)) is pulled back through the decoder and
-descended, with the correction learning rate as the first step of a level and
-a Barzilai-Borwein step after it.  A level stops once the violation is below
-the tolerance, once the gradient has stalled, or, from its second update on,
-once an update cuts the distance to the set by less than ``PROGRESS_RATIO``
-of the distance before it.  The anchor pull can keep the prox minimizer
-outside the set (for a fixed set of porosity flips it is x0 + lambda/(1 +
-lambda)(P(x0) - x0); Parikh & Boyd, *Proximal Algorithms*, 2014), and a
-level would then spend most of its updates moving the decode a few
-thousandths closer.  For exact-projection constraint kinds an optional
-final ambient projection restores feasibility exactly.
+descended with the Barzilai-Borwein step (Barzilai & Borwein, *IMA J. Numer.
+Anal.* 8, 1988).  A chain's step carries from one correction to the next
+(Raydan, *SIAM J. Optim.* 7, 1997): a level's first update takes the step
+the chain's previous correction ended with, and only the chain's first
+correction takes the correction learning rate.  Consecutive levels correct
+nearly the same decode, and a restart from the learning rate let the secant
+steps after it overshoot.  The dpo solver keeps the fixed learning rate on
+every update.  A level stops once the violation is below the tolerance,
+once the gradient has stalled, or, from its second update on, once an
+update cuts the distance to the set by less than ``PROGRESS_RATIO`` of the
+distance before it.  The anchor pull can keep the prox minimizer outside the
+set (for a fixed set of porosity flips it is x0 + lambda/(1 + lambda)
+(P(x0) - x0); Parikh & Boyd, *Proximal Algorithms*, 2014), and a level would then
+spend most of its updates moving the decode a few thousandths closer.  For
+exact-projection constraint kinds an optional final ambient projection
+restores feasibility exactly.
 
 The correction rule has two loop shapes with the same steps and stops:
 ``_run_correction`` for one chain and ``_correct_rows`` for the violating
@@ -106,7 +112,9 @@ class SamplerConfig:
     decoder: DecoderMap | None = None
     constraint: C.ConstraintSpec | None = None
     solver: str = "closed_form"
-    lr: float | None = None          # None: 0.1 * gamma_t per level
+    # a chain's first correction step; None: 0.1 * gamma_t at that level
+    # (the dpo solver takes it on every update, so 0.1 * gamma_t per level)
+    lr: float | None = None
     inner_cap: int = 500
     final_projection: bool = True
     noise_scale: float = 1.0
@@ -235,8 +243,10 @@ def _correction_active(cfg: SamplerConfig, t: int, x0: np.ndarray) -> bool:
     return con.kind != "surrogate_centroid" or C.centroid_trigger(con.model, x0)
 
 
-def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
-    """Inner loop of the correction algorithm; returns the new latent.
+def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace,
+                    step=None):
+    """Inner loop of the correction algorithm; returns the new latent and
+    the step of its last update (``step`` itself when no update ran).
 
     x0 is decode(cfg.decoder, z), the anchor the prox term pulls toward, and
     ``evaluation`` is C.evaluate(cfg.constraint, x0).  Every decoded point is
@@ -244,31 +254,34 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
     the decoder kernels run unchecked.
 
     Each update moves z along g_k, the pullback of the ambient prox-objective
-    gradient.  The first update of a level takes the step ``lr``; later ones
-    take the Barzilai-Borwein step s.s / s.y (s the last change of z, y the
-    change of g), or keep the previous step when s.y <= 0.  A level that
+    gradient.  The first update of a level takes ``step``, the step the
+    chain's previous level ended with, or ``cfg.lr_at(t)`` when ``step`` is
+    None (the chain's first correction); later ones take the
+    Barzilai-Borwein step s.s / s.y (s the last change of z, y the change
+    of g), or keep the previous step when s.y <= 0.  The dpo solver takes
+    ``cfg.lr_at(t)`` on every update of every level.  A level that
     starts at or above ``delta`` stops for one of ``STOP_REASONS``, recorded
     in ``trace.stops``: the violation dropped below ``delta`` (converged);
     ||g_k|| fell to ``STAGNATION_RATIO`` times ||g_0|| (tested once the
     update along g_k is decoded and evaluated, so no direction is thrown
     away), or an update from the second on cut ``dist`` (from
     ``C.evaluate``) by less than ``PROGRESS_RATIO`` times the ``dist``
-    before it (stagnated; the first update takes the fixed ``lr`` and is
-    exempt, and so is every update of the dpo solver); or ``inner_cap``
-    updates ran (capped).
+    before it (stagnated; a level's first update is exempt, and so is
+    every update of the dpo solver); or ``inner_cap`` updates ran (capped).
     """
     con = cfg.constraint
     layers = cfg.decoder.layers
     v, d, residual = evaluation
     if v < con.delta or not _correction_active(cfg, t, x0):
-        return z
-    step = cfg.lr_at(t)
+        return z, step
     # a dpo direction is a Monte Carlo estimate: the difference of two
     # estimates measures their noise, not curvature, so a secant step from
     # it is meaningless and can fling z far off (it sent a 2-d test chain
     # to |z| ~ 370); dpo keeps the fixed step, and since a change of dist
     # between two of its updates is noise too, it takes no progress stop
     secant = cfg.solver != "dpo"
+    if step is None or not secant:
+        step = cfg.lr_at(t)
     lam = con.prox_weight
     i = 0
     # x is always decode(dec, z): the anchor at entry, then the decode that
@@ -308,17 +321,24 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace):
     trace.stops.append((t, i, reason))
     if v >= con.delta:
         trace.shortfalls.append((t, i, v))
-    return z
+    return z, step
 
 
-def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int) -> np.ndarray:
+def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
+                  steps: np.ndarray | None = None) -> np.ndarray:
     """``_run_correction``'s rule on every row of a batch of latents Z whose
     decoded violation is at least ``delta``; returns the corrected latents
     (Z itself is not changed).
 
+    ``steps`` holds each row's carried step, NaN for a row never corrected;
+    a corrected row's entry is overwritten with the step of its last
+    update, and the others are left alone.  Without it every row starts
+    at ``cfg.lr_at(t)``.
+
     Every row is decoded and checked once, then only the violating rows are
-    updated.  Each takes the per-chain steps, ``lr`` first and then its own
-    secant step s.s / s.y (its previous step when s.y <= 0), and stops for
+    updated.  Each takes the per-chain steps, its carried step first and
+    then its own secant step s.s / s.y (its previous step when s.y <= 0),
+    and stops for
     the per-chain reasons: its violation drops below ``delta``, its ||g_k||
     falls to ``STAGNATION_RATIO`` times its ||g_0|| or an update from its
     second on cuts its distance to the set by less than ``PROGRESS_RATIO``
@@ -340,7 +360,8 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int) -> np.ndarray:
     Z = Z.copy()
     Za, X0 = Z[idx], X[idx]
     Xa = X0
-    step = np.full(len(idx), cfg.lr_at(t), dtype=float)
+    step = np.full(len(idx), np.nan) if steps is None else steps[idx]
+    step[np.isnan(step)] = cfg.lr_at(t)
     for k in range(cfg.inner_cap):
         G = vjp_unchecked(layers, Za, (Xa - C._project_exact(con, Xa))
                           + (Xa - X0) / lam)
@@ -372,12 +393,17 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int) -> np.ndarray:
         Xa, v_prev = Xd[:m], v
         if not keep.all():
             Z[idx[~keep]] = Za[~keep]
-            idx, Za, Xa, X0 = idx[keep], Za[keep], Xa[keep], X0[keep]
+            if steps is not None:
+                steps[idx[~keep]] = step[~keep]
+            idx, Za, step = idx[keep], Za[keep], step[keep]
             if not idx.size:
                 break
-            step, g0_norm, v_prev = step[keep], g0_norm[keep], v_prev[keep]
+            Xa, X0 = Xa[keep], X0[keep]
+            g0_norm, v_prev = g0_norm[keep], v_prev[keep]
             Z_prev, G_prev = Z_prev[keep], G_prev[keep]
     Z[idx] = Za
+    if steps is not None:
+        steps[idx] = step
     return Z
 
 
@@ -399,6 +425,7 @@ def sample(cfg: SamplerConfig,
     corrected = cfg.mode == "proximal_latent" and con is not None
     z = rng.standard_normal(cfg.score.dim)
     trace = SampleTrace()
+    step = None     # the correction step, carried from level to level
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         for i in range(1, sched.inner_steps + 1):
@@ -420,7 +447,8 @@ def sample(cfg: SamplerConfig,
                 dist=ev[1], z=z.copy() if cfg.record_vectors else None))
             if corrected and (cfg.correct_every_step
                               or i == sched.inner_steps):
-                z = _run_correction(cfg, z, x, ev, t, gamma, rng, trace)
+                z, step = _run_correction(cfg, z, x, ev, t, gamma, rng,
+                                          trace, step)
     if cfg.mode != "proximal_latent":
         return z, trace
     x = decode(dec, z)

@@ -27,12 +27,14 @@ SCHEDULE = make_schedule(T=2, abar_end=0.02, gamma_max=0.05,
                          gamma_min=0.01)
 
 
-def all_rows_correct(cfg, Z, t, stops=None):
+def all_rows_correct(cfg, Z, t, steps=None, stops=None):
     """Reference: decode, check and mask every row on every iteration.
 
-    Each row takes the per-chain rule of ``samplers._run_correction``: the
-    step ``lr`` first, then its own secant step s.s / s.y (its previous
-    step when s.y <= 0).  It stops below ``delta``, once ||g_k|| <=
+    Each row takes the per-chain rule of ``samplers._run_correction``: its
+    carried step from ``steps`` first (``lr_at(t)`` where the entry is NaN
+    or no ``steps`` is given), then its own secant step s.s / s.y (its
+    previous step when s.y <= 0); a corrected row writes the step of its
+    last update back to ``steps``.  It stops below ``delta``, once ||g_k|| <=
     STAGNATION_RATIO ||g_0|| after the update along g_k or, from the second
     update on, once an update cuts the row's dist (``C.dist_to_set``) by
     less than PROGRESS_RATIO of its previous dist, or after ``inner_cap``
@@ -45,7 +47,8 @@ def all_rows_correct(cfg, Z, t, stops=None):
     n = len(Z)
     X0 = decode_unchecked(layers, Z)
     lam = con.prox_weight
-    step = np.full(n, cfg.lr_at(t))
+    step = np.full(n, np.nan) if steps is None else steps.copy()
+    step[np.isnan(step)] = cfg.lr_at(t)
     g_norm, g0_norm = np.zeros(n), np.zeros(n)
     Z_prev, G_prev = np.zeros_like(Z), np.zeros_like(Z)
     updates = np.zeros(n, dtype=int)
@@ -82,6 +85,8 @@ def all_rows_correct(cfg, Z, t, stops=None):
             hit = active & hit
             reasons[hit], updates[hit] = reason, k
             active = active & ~hit
+    if steps is not None:
+        steps[updates > 0] = step[updates > 0]
     if stops is not None:
         stops.extend(zip(updates.tolist(), reasons.tolist()))
     return Z
@@ -273,7 +278,7 @@ def test_active_set_matches_all_rows_loop(case):
     cfg, Z, designed = case
     Z_in = Z.copy()
     stops = []
-    expected = all_rows_correct(cfg, Z, 1, stops)
+    expected = all_rows_correct(cfg, Z, 1, stops=stops)
     got = EXP._correct_batch(cfg, Z, 1)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(Z, Z_in)   # the input is left alone
@@ -291,15 +296,82 @@ def test_rows_loop_takes_the_per_chain_rule(case):
     cfg, Z, _ = case
     got = EXP._correct_batch(cfg, Z, 1)
     stops = []
-    all_rows_correct(cfg, Z, 1, stops)
+    all_rows_correct(cfg, Z, 1, stops=stops)
     rng = np.random.default_rng(0)
     for z, row, (k, reason) in zip(Z, got, stops):
         x0 = decode(cfg.decoder, z)
         trace = SampleTrace()
-        chain = _run_correction(cfg, z, x0, C.evaluate(cfg.constraint, x0),
-                                1, SCHEDULE.gamma_at(1), rng, trace)
+        chain, _ = _run_correction(cfg, z, x0,
+                                   C.evaluate(cfg.constraint, x0), 1,
+                                   SCHEDULE.gamma_at(1), rng, trace)
         np.testing.assert_allclose(row, chain, rtol=0, atol=1e-12)
         assert trace.stops == ([] if reason is None else [(1, k, reason)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(correction_cases(), st.integers(0, 2**32 - 1))
+def test_rows_loop_carries_each_rows_step(case, seed):
+    # two consecutive corrections of a batch, the second from a Langevin-
+    # like perturbation of the first's output, with the step array carried
+    # between them.  In each call every row equals the per-chain loop run
+    # from the row's entry (None for NaN): its latent within 1e-12, and the
+    # step it writes back is the one the chain returns.  A row that a call
+    # does not correct keeps its entry bit for bit.
+    #
+    # A level that ends at its first update returns the step it started
+    # from, bit for bit.  A later step is the secant step s.s / s.y of the
+    # last change s of the latent; the two loop shapes round the latent
+    # differently in its last bits (about 1e-14 here), so s, and with it
+    # the step, agree relatively to within 1e-12 / ||s||: on the stalled
+    # rows of the stagnation designs, ||s|| falls to about 0.01 and the
+    # steps differ by up to 1.2e-11 of their value
+    cfg, Z, _ = case
+    rng = np.random.default_rng(seed)
+    n = len(Z)
+    steps = np.where(rng.random(n) < 0.5, np.nan,
+                     cfg.lr * rng.uniform(0.5, 2.0, size=n))
+    for call in range(2):
+        before = steps.copy()
+        got = samplers._correct_rows(cfg, Z, 1, steps)
+        for i, z in enumerate(Z):
+            x0 = decode(cfg.decoder, z)
+            trace = SampleTrace()
+            first = None if np.isnan(before[i]) else before[i]
+            chain, step = _run_correction(
+                cfg, z, x0, C.evaluate(cfg.constraint, x0), 1,
+                SCHEDULE.gamma_at(1), rng, trace, first)
+            np.testing.assert_allclose(got[i], chain, rtol=0, atol=1e-12)
+            if not trace.stops:
+                assert steps[i].tobytes() == before[i].tobytes()
+            elif len(trace.rows) == 1:
+                assert steps[i] == step == (cfg.lr if first is None
+                                            else first)
+            else:
+                s = np.linalg.norm(trace.rows[-2].z - (
+                    trace.rows[-3].z if len(trace.rows) > 2 else z))
+                assert abs(steps[i] - step) <= 1e-12 * step / min(1.0, s)
+        Z = got + 0.3 * rng.standard_normal(Z.shape)
+
+
+def test_rows_loop_takes_lr_at_t_only_for_a_row_never_corrected():
+    # with lr None a row whose entry is NaN starts at 0.1 * gamma_t, and a
+    # row with a carried step never reads gamma_t
+    con = C.halfspace([1.0, 0.0], 0.0, delta=DELTA, prox_weight=100.0)
+    cfg = SamplerConfig(
+        schedule=SCHEDULE, score=standard_normal_field(2, SCHEDULE),
+        mode="proximal_latent", decoder=linear_decoder(0.5 * np.eye(2)),
+        constraint=con, lr=None, inner_cap=10)
+    Z = np.random.default_rng(0).normal(1.0, 1.0, size=(50, 2))
+    fresh = np.full(len(Z), np.nan)
+    got = samplers._correct_rows(cfg, Z, 2, fresh)
+    first = replace(cfg, lr=0.1 * SCHEDULE.gamma_at(2))
+    assert np.array_equal(got, samplers._correct_rows(first, Z, 2))
+    assert np.isfinite(fresh[(got != Z).any(axis=1)]).all()
+    carried = np.full(len(Z), 0.7)
+    at_1, at_2 = carried.copy(), carried.copy()
+    assert np.array_equal(samplers._correct_rows(cfg, Z, 1, at_1),
+                          samplers._correct_rows(cfg, Z, 2, at_2))
+    assert np.array_equal(at_1, at_2)
 
 
 def test_population_matches_all_rows_loop(monkeypatch):
@@ -351,8 +423,8 @@ def test_mlp_population_matches_all_rows_loop(monkeypatch, seed):
     assert cfg.decoder.layers[0][0].shape == (8, 2)
     correct, moved = EXP._correct_batch, []
 
-    def recording(cfg_, Z, t):
-        out = correct(cfg_, Z, t)
+    def recording(cfg_, Z, t, steps):
+        out = correct(cfg_, Z, t, steps)
         moved.append(np.count_nonzero((out != Z).any(axis=1)))
         return out
 
@@ -387,9 +459,9 @@ def test_correction_window_is_inclusive(monkeypatch):
     levels = []
     correct = EXP._correct_batch
 
-    def recording(cfg_, Z, t):
+    def recording(cfg_, Z, t, steps):
         levels.append(t)
-        return correct(cfg_, Z, t)
+        return correct(cfg_, Z, t, steps)
 
     monkeypatch.setattr(EXP, "_correct_batch", recording)
     EXP.sample_population(cfg, n, np.random.default_rng(0))
@@ -459,9 +531,9 @@ def test_a_level_whose_dist_stops_falling_stagnates_in_both_loop_shapes(
         for z in Z:
             x0 = decode(dec, z)
             trace = SampleTrace()
-            z = _run_correction(cfg, z, x0, C.evaluate(con, x0), 1,
-                                SCHEDULE.gamma_at(1),
-                                np.random.default_rng(0), trace)
+            z, _ = _run_correction(cfg, z, x0, C.evaluate(con, x0), 1,
+                                   SCHEDULE.gamma_at(1),
+                                   np.random.default_rng(0), trace)
             out.append((z, trace))
         return out
 

@@ -9,7 +9,8 @@ from latentprox.decoders import (decode, estimate_lipschitz,
                                  vjp)
 from latentprox.dpo import DpoConfig, saturating_simulator
 from latentprox.errors import ConfigError, DivergenceError, ParameterError
-from latentprox.experiments import centroid_config, fidelity_config
+from latentprox.experiments import (centroid_config, fidelity_config,
+                                    porosity_config)
 from latentprox.runner import RunConfig, build_sampler_config
 from latentprox.samplers import (PROGRESS_RATIO, STAGNATION_RATIO,
                                  SampleTrace, SamplerConfig, TraceRow,
@@ -343,11 +344,13 @@ def far_halfspace_chain(prox_weight, lr, inner_cap, **kw):
 
 
 def test_level_stops_converged_after_a_secant_step():
-    # lr is only the first step: at lr 1e-3 a fixed step would need
+    # lr is only the chain's first step: at lr 1e-3 a fixed step would need
     # thousands of updates, the secant step reaches delta at the second
+    # update of level 3, and levels 2 and 1 start from that secant step
+    # and reach delta at their first
     spec, trace = far_halfspace_chain(1e6, 1e-3, 50)
-    assert trace.stops == [(3, 2, "converged"), (2, 2, "converged"),
-                           (1, 2, "converged")]
+    assert trace.stops == [(3, 2, "converged"), (2, 1, "converged"),
+                           (1, 1, "converged")]
     assert trace.shortfalls == []
     ends = trace.level_final_rows()
     assert all(row.phase == "correction" and row.violation < spec.delta
@@ -385,15 +388,84 @@ def test_level_stops_stagnated_when_the_prox_minimizer_is_outside():
 
 
 def test_shortfall_recorded_when_cap_hit():
-    # the same outside minimizer, but a tiny first step and a cap of 2 end
-    # each level while its gradient is still near its first norm
-    spec, trace = far_halfspace_chain(1.0, 1e-6, 2, delta=1e-6)
-    assert trace.stops == [(3, 2, "capped"), (2, 2, "capped"),
-                           (1, 2, "capped")]
+    # the same outside minimizer, but a tiny first step and a cap of 1 end
+    # each level at its first update, far outside; no level takes a
+    # secant step, so the step every level carries on is the tiny lr
+    spec, trace = far_halfspace_chain(1.0, 1e-6, 1, delta=1e-6)
+    assert trace.stops == [(3, 1, "capped"), (2, 1, "capped"),
+                           (1, 1, "capped")]
     assert len(trace.shortfalls) == 3
     for (t, iters, viol), (t_stop, _, _) in zip(trace.shortfalls,
                                                 trace.stops):
-        assert t == t_stop and iters == 2 and viol > spec.delta
+        assert t == t_stop and iters == 1 and viol > spec.delta
+
+
+def recording_corrections(monkeypatch, restart=False):
+    """Wrap ``samplers._run_correction`` so that every call appends (t, the
+    step passed in, the step returned, the updates it ran); with
+    ``restart`` every call is passed step None, as if no step carried."""
+    run, calls = samplers._run_correction, []
+
+    def recording(cfg, z, x0, ev, t, gamma, rng, trace, step=None):
+        before = len(trace.stops)
+        z, out = run(cfg, z, x0, ev, t, gamma, rng, trace,
+                     None if restart else step)
+        ran = trace.stops[before][1] if len(trace.stops) > before else 0
+        calls.append((t, step, out, ran))
+        return z, out
+
+    monkeypatch.setattr(samplers, "_run_correction", recording)
+    return calls
+
+
+def test_step_carries_from_level_to_level(monkeypatch):
+    # with lr None only the chain's first correction takes 0.1 * gamma_t;
+    # every later level's first update takes the step the level before it
+    # ended with.  The first step of a level is read off its first update,
+    # z_1 = z_0 - step * g_0, where g_0 = W^T (x_0 - P(x_0)) since the
+    # anchor pull is 0 at the anchor
+    sched = small_schedule(T=4, M=1)
+    dec = random_linear_decoder(2, 3, seed=1)
+    spec = C.halfspace([1.0, 0.0, 0.0], -5.0, prox_weight=1e6)
+    cfg = SamplerConfig(schedule=sched, score=standard_normal_field(2, sched),
+                        mode="proximal_latent", decoder=dec, constraint=spec,
+                        lr=None, inner_cap=50)
+    calls = recording_corrections(monkeypatch)
+    _, trace = sample(cfg, chain_rng(0, 0))
+    (W, _), = dec.layers
+    firsts = []
+    for start, first in zip(trace.rows, trace.rows[1:]):
+        if start.phase == "langevin" and first.phase == "correction":
+            x0 = decode(dec, start.z)
+            g0 = W.T @ (x0 - C.project_exact(spec, x0))
+            firsts.append((start.z - first.z) @ g0 / (g0 @ g0))
+    assert [t for t, _, _, ran in calls if ran] == [4, 3, 2, 1]
+    assert len(firsts) == 4
+    np.testing.assert_allclose(firsts[0], 0.1 * sched.gamma_at(4),
+                               rtol=1e-9)
+    assert calls[0][1] is None
+    for (t, _, carried, _), (_, step_in, _, _), first in zip(
+            calls, calls[1:], firsts[1:]):
+        assert step_in == carried
+        np.testing.assert_allclose(first, carried, rtol=1e-9)
+        assert not np.isclose(first, 0.1 * sched.gamma_at(t - 1),
+                              rtol=1e-3)
+
+
+@pytest.mark.parametrize("root_seed, chain", [(232001, 0), (11000, 3)])
+def test_porosity_chain_ends_near_the_decoders_range(root_seed, chain):
+    # chains of the porosity preset's decoder (the frozen perfbench
+    # porosity config; root seed 1000 s + k is sub-round k of --seed s).
+    # When every level restarted its step at lr, a secant step after the
+    # restart overshot, the level's last update raised dist (once from
+    # 0.101 to 39.2), the progress stop ended the level and the chain kept
+    # that latent: these two ended 6.70 and 1.25 from the decoder's range,
+    # against perfbench's offmanifold_dist gate of 0.2
+    cfg = build_sampler_config(RunConfig.from_dict(porosity_config()))
+    (W, b), = cfg.decoder.layers
+    x, _ = sample(cfg, chain_rng(root_seed, chain))
+    z = np.linalg.lstsq(W, x - b, rcond=None)[0]
+    assert np.linalg.norm(x - b - W @ z) <= 0.2
 
 
 def test_replay_from_seed_lineage():
@@ -486,6 +558,24 @@ def test_dpo_levels_take_no_progress_stop(monkeypatch):
         r.z.tobytes() for r in trace.rows]
 
 
+@pytest.mark.parametrize("lr", [0.1, None])
+def test_dpo_levels_start_at_lr(monkeypatch, lr):
+    # a dpo chain takes lr_at(t) on every update: its outputs equal those
+    # of a chain whose every correction is handed no carried step
+    cfg = dpo_chain_config()
+    cfg.lr = lr
+    calls = recording_corrections(monkeypatch)
+    x, trace = sample(cfg, chain_rng(1, 0))
+    ran = [(t, out) for t, _, out, ran in calls if ran]
+    assert ran and all(out == cfg.lr_at(t) for t, out in ran)
+    recording_corrections(monkeypatch, restart=True)
+    x2, trace2 = sample(cfg, chain_rng(1, 0))
+    assert np.array_equal(x, x2)
+    assert trace2.stops == trace.stops
+    assert [r.z.tobytes() for r in trace2.rows] == [
+        r.z.tobytes() for r in trace.rows]
+
+
 def test_output_feasibility_convex_kinds():
     # with final projection on, the output violation is exactly zero
     sched = small_schedule(T=5, M=1)
@@ -516,7 +606,10 @@ def reference_proximal_latent(cfg, rng):
     and vjp validates its latent.  Corrections take the secant step and
     stop for the sampler's three reasons; from the second update on, a
     cut of dist by less than PROGRESS_RATIO of the previous dist
-    stagnates, except under the dpo solver.
+    stagnates, except under the dpo solver.  A level's first update takes
+    the step the chain's previous correction ended with, and the chain's
+    first correction takes lr_at(t); the dpo solver takes lr_at(t) on
+    every update.
     """
     sched, dec, con = cfg.schedule, cfg.decoder, cfg.constraint
     trace = SampleTrace()
@@ -533,11 +626,13 @@ def reference_proximal_latent(cfg, rng):
             x, lambda p: C.violation_and_gradient(con, p), cfg.alm)
         return x - y, rep
 
-    def correct(z, x0, t, gamma):
+    def correct(z, x0, t, gamma, step):
         v = C.violation(con, x0)
         if v < con.delta or not _correction_active(cfg, t, x0):
-            return z
-        step, lam = cfg.lr_at(t), con.prox_weight
+            return z, step
+        if step is None or cfg.solver == "dpo":
+            step = cfg.lr_at(t)
+        lam = con.prox_weight
         i, x, d, reason = 0, x0, None, None
         while reason is None:
             corr, rep = direction(x)
@@ -546,7 +641,7 @@ def reference_proximal_latent(cfg, rng):
             g = vjp(dec, z, corr + (x - x0) / lam)
             if i == 0:
                 g0 = np.linalg.norm(g)
-            else:
+            elif cfg.solver != "dpo":
                 # Barzilai-Borwein: s.s / s.y, unless s.y <= 0
                 s, y = z - z_prev, g - g_prev
                 if s @ y > 0:
@@ -572,9 +667,10 @@ def reference_proximal_latent(cfg, rng):
         trace.stops.append((t, i, reason))
         if v >= con.delta:
             trace.shortfalls.append((t, i, v))
-        return z
+        return z, step
 
     z = rng.standard_normal(dec.latent_dim)
+    step = None
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         for i in range(1, sched.inner_steps + 1):
@@ -586,9 +682,9 @@ def reference_proximal_latent(cfg, rng):
                 score_norm=float(np.linalg.norm(s)), violation=v, dist=d,
                 z=z.copy()))
             if cfg.correct_every_step and con is not None:
-                z = correct(z, x, t, gamma)
+                z, step = correct(z, x, t, gamma, step)
         if con is not None and not cfg.correct_every_step:
-            z = correct(z, x, t, gamma)
+            z, step = correct(z, x, t, gamma, step)
     x = decode(dec, z)
     if cfg.final_projection and con is not None and C.has_exact_projection(con):
         x = C.project_exact(con, x)
