@@ -17,10 +17,10 @@ once the gradient has stalled, or, from its second update on, once an
 update cuts the distance to the set by less than ``PROGRESS_RATIO`` of the
 distance before it.  The anchor pull can keep the prox minimizer outside the
 set (for a fixed set of porosity flips it is x0 + lambda/(1 + lambda)
-(P(x0) - x0); Parikh & Boyd, *Proximal Algorithms*, 2014), and a level would then
-spend most of its updates moving the decode a few thousandths closer.  For
-exact-projection constraint kinds an optional final ambient projection
-restores feasibility exactly.
+(P(x0) - x0); Parikh & Boyd, *Proximal Algorithms*, 2014), and a level
+would then spend most of its updates moving the decode a few thousandths
+closer.  For exact-projection constraint kinds an optional final ambient
+projection restores feasibility exactly.
 
 The correction rule has two loop shapes with the same steps and stops:
 ``_run_correction`` for one chain and ``_correct_rows`` for the violating
@@ -338,11 +338,11 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
     Every row is decoded and checked once, then only the violating rows are
     updated.  Each takes the per-chain steps, its carried step first and
     then its own secant step s.s / s.y (its previous step when s.y <= 0),
-    and stops for
-    the per-chain reasons: its violation drops below ``delta``, its ||g_k||
-    falls to ``STAGNATION_RATIO`` times its ||g_0|| or an update from its
-    second on cuts its distance to the set by less than ``PROGRESS_RATIO``
-    of the distance before it, or ``inner_cap`` updates ran.  The distance
+    and stops for the per-chain reasons: its violation drops below
+    ``delta``, its ||g_k|| falls to ``STAGNATION_RATIO`` times its ||g_0||
+    or an update from its second on cuts its distance to the set by less
+    than ``PROGRESS_RATIO`` of the distance before it, or ``inner_cap``
+    updates ran.  The distance
     comes from the violation already computed (``C._dist_from_violation``),
     not from a projection.  A row that stops is written back and never
     touched again, so the active set only shrinks; the cap's last update
@@ -360,7 +360,9 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
     Z = Z.copy()
     Za, X0 = Z[idx], X[idx]
     Xa = X0
-    step = np.full(len(idx), np.nan) if steps is None else steps[idx]
+    if steps is None:
+        steps = np.full(len(Z), np.nan)
+    step = steps[idx]
     step[np.isnan(step)] = cfg.lr_at(t)
     for k in range(cfg.inner_cap):
         G = vjp_unchecked(layers, Za, (Xa - C._project_exact(con, Xa))
@@ -393,8 +395,7 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
         Xa, v_prev = Xd[:m], v
         if not keep.all():
             Z[idx[~keep]] = Za[~keep]
-            if steps is not None:
-                steps[idx[~keep]] = step[~keep]
+            steps[idx[~keep]] = step[~keep]
             idx, Za, step = idx[keep], Za[keep], step[keep]
             if not idx.size:
                 break
@@ -402,8 +403,7 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
             g0_norm, v_prev = g0_norm[keep], v_prev[keep]
             Z_prev, G_prev = Z_prev[keep], G_prev[keep]
     Z[idx] = Za
-    if steps is not None:
-        steps[idx] = step
+    steps[idx] = step
     return Z
 
 
