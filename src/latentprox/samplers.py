@@ -1,26 +1,28 @@
 """One annealed Langevin chain loop with three modes: unconstrained,
 projected-ambient, and the latent proximal-correction sampler.
 
-The proximal mode runs M Langevin steps per annealing level, then corrects
-the latent until the decoded violation drops below the constraint tolerance:
-the ambient prox-objective gradient (constraint correction residual plus the
+The proximal mode runs M Langevin steps per annealing level, then corrects the
+latent until the decoded violation drops below the constraint tolerance: the
+ambient prox-objective gradient (constraint correction residual plus the
 anchor pull (1/lambda)(x - x0)) is pulled back through the decoder and
-descended with the Barzilai-Borwein step (Barzilai & Borwein, *IMA J. Numer.
-Anal.* 8, 1988).  A chain's step carries from one correction to the next
-(Raydan, *SIAM J. Optim.* 7, 1997): a level's first update takes the step
+descended with the Barzilai-Borwein step (Barzilai & Borwein, *IMA
+J. Numer. Anal.* 8, 1988).  A chain's step carries from one correction to the
+next (Raydan, *SIAM J. Optim.* 7, 1997): a level's first update takes the step
 the chain's previous correction ended with, and only the chain's first
 correction takes the correction learning rate.  Consecutive levels correct
 nearly the same decode, and a restart from the learning rate let the secant
 steps after it overshoot.  The dpo solver keeps the fixed learning rate on
-every update.  A level stops once the violation is below the tolerance,
-once the gradient has stalled, or, from its second update on, once an
-update cuts the distance to the set by less than ``PROGRESS_RATIO`` of the
-distance before it.  The anchor pull can keep the prox minimizer outside the
-set (for a fixed set of porosity flips it is x0 + lambda/(1 + lambda)
-(P(x0) - x0); Parikh & Boyd, *Proximal Algorithms*, 2014), and a level
-would then spend most of its updates moving the decode a few thousandths
-closer.  For exact-projection constraint kinds an optional final ambient
-projection restores feasibility exactly.
+every update.  A level stops once the violation is below the tolerance, once
+the gradient has stalled, or, from its second update on, once an update cuts
+the distance to the set by less than ``PROGRESS_RATIO`` of the distance before
+it; an update that stops it by raising that distance by more than
+``PROGRESS_RATIO`` is undone, so a secant step that overshoots never becomes
+the level's result.  The anchor pull can keep the prox minimizer outside the
+set (for a fixed set of porosity flips it is x0 + lambda/(1 + lambda) (P(x0) -
+x0); Parikh & Boyd, *Proximal Algorithms*, 2014), and a level would then spend
+most of its updates moving the decode a few thousandths closer.  For
+exact-projection constraint kinds an optional final ambient projection
+restores feasibility exactly.
 
 The correction rule has two loop shapes with the same steps and stops:
 ``_run_correction`` for one chain and ``_correct_rows`` for the violating
@@ -268,6 +270,10 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace,
     ``C.evaluate``) by less than ``PROGRESS_RATIO`` times the ``dist``
     before it (stagnated; a level's first update is exempt, and so is
     every update of the dpo solver); or ``inner_cap`` updates ran (capped).
+    When the progress test stops a level on an update that raised ``dist``
+    by more than ``PROGRESS_RATIO`` of it (a secant step that overshot),
+    that update is undone: the level returns the latent before it, and
+    neither ``trace.rows`` nor the stop's update count include it.
     """
     con = cfg.constraint
     layers = cfg.decoder.layers
@@ -306,18 +312,24 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace,
             raise DivergenceError(f"correction diverged at level {t}")
         i += 1
         x = decode_unchecked(layers, z)
-        d_prev = d
+        v_prev, d_prev = v, d
         v, d, residual = C.evaluate(con, x)
+        if v < con.delta:
+            reason = "converged"
+        elif g_norm <= STAGNATION_RATIO * g0_norm:
+            reason = "stagnated"
+        elif secant and i > 1 and d_prev - d < PROGRESS_RATIO * d_prev:
+            reason = "stagnated"
+            if d - d_prev > PROGRESS_RATIO * d_prev:
+                # an overshooting secant step is undone: the level ends at
+                # the latent before it, and the update is not counted
+                z, v, i = z_prev, v_prev, i - 1
+                break
+        elif i == cfg.inner_cap:
+            reason = "capped"
         trace.rows.append(TraceRow(
             t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
             violation=v, dist=d, z=z.copy() if cfg.record_vectors else None))
-        if v < con.delta:
-            reason = "converged"
-        elif g_norm <= STAGNATION_RATIO * g0_norm or (
-                secant and i > 1 and d_prev - d < PROGRESS_RATIO * d_prev):
-            reason = "stagnated"
-        elif i == cfg.inner_cap:
-            reason = "capped"
     trace.stops.append((t, i, reason))
     if v >= con.delta:
         trace.shortfalls.append((t, i, v))
@@ -341,14 +353,14 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
     and stops for the per-chain reasons: its violation drops below
     ``delta``, its ||g_k|| falls to ``STAGNATION_RATIO`` times its ||g_0||
     or an update from its second on cuts its distance to the set by less
-    than ``PROGRESS_RATIO`` of the distance before it, or ``inner_cap``
-    updates ran.  The distance
+    than ``PROGRESS_RATIO`` of the distance before it (and a row whose
+    update raised that distance by more than ``PROGRESS_RATIO`` ends at its
+    latent before the update), or ``inner_cap`` updates ran.  The distance
     comes from the violation already computed (``C._dist_from_violation``),
     not from a projection.  A row that stops is written back and never
-    touched again, so the active set only shrinks; the cap's last update
-    is not decoded.  The loop runs the closed-form kinds through the
-    unchecked violation and projection, records no trace and leaves a
-    non-finite row to its caller's check.
+    touched again, so the active set only shrinks.  The loop runs the
+    closed-form kinds through the unchecked violation and projection,
+    records no trace and leaves a non-finite row to its caller's check.
     """
     con = cfg.constraint
     layers = cfg.decoder.layers
@@ -376,8 +388,6 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
             np.divide(np.vecdot(S, S), sy, out=step, where=sy > 0.0)
         Z_prev, G_prev = Za, G
         Za = Za - step[:, None] * G
-        if k + 1 == cfg.inner_cap:
-            break
         # numpy multiplies a lone row on its vector path, whose low bits can
         # differ from the matrix path that decoded the whole batch; a copy
         # of the row keeps it on the matrix path
@@ -391,7 +401,15 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
         if k and keep.any():
             d_prev = C._dist_from_violation(con, v_prev)
             d = C._dist_from_violation(con, v)
-            keep &= d_prev - d >= PROGRESS_RATIO * d_prev
+            stop = keep & (d_prev - d < PROGRESS_RATIO * d_prev)
+            # a row stopped by an update that raised dist by more than
+            # PROGRESS_RATIO of the dist before it ends at its latent
+            # before that update
+            rise = stop & (d - d_prev > PROGRESS_RATIO * d_prev)
+            Za[rise] = Z_prev[rise]
+            keep &= ~stop
+        if k + 1 == cfg.inner_cap:
+            keep[:] = False
         Xa, v_prev = Xd[:m], v
         if not keep.all():
             Z[idx[~keep]] = Za[~keep]
@@ -402,8 +420,6 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
             Xa, X0 = Xa[keep], X0[keep]
             g0_norm, v_prev = g0_norm[keep], v_prev[keep]
             Z_prev, G_prev = Z_prev[keep], G_prev[keep]
-    Z[idx] = Za
-    steps[idx] = step
     return Z
 
 

@@ -38,7 +38,9 @@ def all_rows_correct(cfg, Z, t, steps=None, stops=None):
     STAGNATION_RATIO ||g_0|| after the update along g_k or, from the second
     update on, once an update cuts the row's dist (``C.dist_to_set``) by
     less than PROGRESS_RATIO of its previous dist, or after ``inner_cap``
-    updates.  ``stops``, when given, receives one
+    updates; a row whose update raised its dist by more than PROGRESS_RATIO
+    of it (its gradient not stalled) ends at the latent before that
+    update.  ``stops``, when given, receives one
     ``(updates, reason)`` per row: reason None for a row feasible at entry,
     else the first of converged, stagnated and capped that holds.
     """
@@ -85,6 +87,13 @@ def all_rows_correct(cfg, Z, t, steps=None, stops=None):
             hit = active & hit
             reasons[hit], updates[hit] = reason, k
             active = active & ~hit
+            if reason == "stagnated":
+                # an update that raised dist, with the gradient not yet
+                # stalled, is undone and not counted
+                undone = hit & (k >= 2) & (
+                    dist - dist_prev > PROGRESS_RATIO * dist_prev) & (
+                    g_norm > STAGNATION_RATIO * g0_norm)
+                Z[undone], updates[undone] = Z_prev[undone], k - 1
     if steps is not None:
         steps[updates > 0] = step[updates > 0]
     if stops is not None:
@@ -318,13 +327,13 @@ def test_rows_loop_carries_each_rows_step(case, seed):
     # step it writes back is the one the chain returns.  A row that a call
     # does not correct keeps its entry bit for bit.
     #
-    # A level that ends at its first update returns the step it started
-    # from, bit for bit.  A later step is the secant step s.s / s.y of the
-    # last change s of the latent; the two loop shapes round the latent
-    # differently in its last bits (about 1e-14 here), so s, and with it
-    # the step, agree relatively to within 1e-12 / ||s||: on the stalled
-    # rows of the stagnation designs, ||s|| falls to about 0.01 and the
-    # steps differ by up to 1.2e-11 of their value
+    # A level that converges or is capped at its first update returns the
+    # step it started from, bit for bit.  A later step is the secant step
+    # s.s / s.y of the last change s of the latent; the two loop shapes
+    # round the latent differently in its last bits (about 1e-14 here), and
+    # on the stalled rows of the stagnation designs, where ||s|| falls to
+    # about 0.01, the steps differ by up to 1.2e-11 of their value, so they
+    # are held to 1e-10 of it
     cfg, Z, _ = case
     rng = np.random.default_rng(seed)
     n = len(Z)
@@ -343,13 +352,11 @@ def test_rows_loop_carries_each_rows_step(case, seed):
             np.testing.assert_allclose(got[i], chain, rtol=0, atol=1e-12)
             if not trace.stops:
                 assert steps[i].tobytes() == before[i].tobytes()
-            elif len(trace.rows) == 1:
+            elif trace.stops[0][1:] in ((1, "converged"), (1, "capped")):
                 assert steps[i] == step == (cfg.lr if first is None
                                             else first)
             else:
-                s = np.linalg.norm(trace.rows[-2].z - (
-                    trace.rows[-3].z if len(trace.rows) > 2 else z))
-                assert abs(steps[i] - step) <= 1e-12 * step / min(1.0, s)
+                assert abs(steps[i] - step) <= 1e-10 * step
         Z = got + 0.3 * rng.standard_normal(Z.shape)
 
 
@@ -541,23 +548,30 @@ def test_a_level_whose_dist_stops_falling_stagnates_in_both_loop_shapes(
     for _, trace in stopped:
         (_, k, reason), = trace.stops
         assert reason == "stagnated" and k < cfg.inner_cap
-        dist = [row.dist for row in trace.rows]
-        # cuts[j] is the cut of update j + 2; the first update takes none
-        cuts = [(a - b) / a for a, b in zip(dist, dist[1:])]
-        assert len(cuts) == k - 1
-        assert all(c >= PROGRESS_RATIO for c in cuts[:-1])
-        assert cuts[-1] < PROGRESS_RATIO
+        assert len(trace.rows) == k
     rows = EXP._correct_batch(cfg, Z, 1)
     np.testing.assert_allclose(rows, [z for z, _ in stopped], rtol=0,
                                atol=1e-12)
     # without the stop every level takes the same first updates and goes
     # on, so neither the gradient rule nor the cap ended it; the rows loop
-    # goes on too
+    # goes on too.  The stop came at the first update from the second on
+    # that cut dist by less than PROGRESS_RATIO; when that update raised
+    # dist by more than PROGRESS_RATIO it was undone, and the level kept
+    # the latent before it
     monkeypatch.setattr(samplers, "PROGRESS_RATIO", -math.inf)
-    for (_, trace), (_, longer) in zip(stopped, chains()):
+    undone = 0
+    for (z, trace), (_, longer) in zip(stopped, chains()):
         (_, k, _), = trace.stops
         (_, k_off, _), = longer.stops
-        assert k_off > k
+        dist = [row.dist for row in longer.rows]
+        # cuts[j] is the cut of update j + 2; the first update takes none
+        cuts = [(a - b) / a for a, b in zip(dist, dist[1:])]
+        j = next(j for j, c in enumerate(cuts) if c < PROGRESS_RATIO)
+        rise = cuts[j] < -PROGRESS_RATIO
+        undone += rise
+        assert k == (j + 1 if rise else j + 2) < k_off
         assert [r.z.tobytes() for r in longer.rows[:k]] == [
             r.z.tobytes() for r in trace.rows]
+        assert z.tobytes() == trace.rows[-1].z.tobytes()
     assert (EXP._correct_batch(cfg, Z, 1) != rows).any(axis=1).all()
+    assert 0 < undone < len(Z)   # both ways of stopping are taken

@@ -993,9 +993,9 @@ def test_cli_projected_run_reports_a_finite_fidelity(tmp_path):
 
 def test_cli_check_failure_exit_code(tmp_path):
     # without the final projection a 4x4 porosity run can miss its count,
-    # and both chains of seed 6 do, so the measured porosity_exact check
-    # fails (at seed 0 both chains meet it)
-    cfg = EXP.porosity_config(seed=6, chains=2, out=str(tmp_path / "run"),
+    # and both chains of seed 18 do, so the measured porosity_exact check
+    # fails (at seed 1 both chains meet it)
+    cfg = EXP.porosity_config(seed=18, chains=2, out=str(tmp_path / "run"),
                               grid=(4, 4), latent_dim=4)
     cfg["sampler"]["final_projection"] = False
     path = write_yaml(tmp_path / "cfg.yaml", cfg)

@@ -388,16 +388,26 @@ def test_level_stops_stagnated_when_the_prox_minimizer_is_outside():
 
 
 def test_shortfall_recorded_when_cap_hit():
-    # the same outside minimizer, but a tiny first step and a cap of 1 end
-    # each level at its first update, far outside; no level takes a
-    # secant step, so the step every level carries on is the tiny lr
-    spec, trace = far_halfspace_chain(1.0, 1e-6, 1, delta=1e-6)
-    assert trace.stops == [(3, 1, "capped"), (2, 1, "capped"),
-                           (1, 1, "capped")]
+    # an l2 ball far from every level's decode, with its prox minimizer
+    # outside (lambda 1).  Under the ball the objective's curvature along
+    # the gradient changes with the decode, so the step a level carries on
+    # from the level before does not land on the minimizer (a halfspace's
+    # would), and with a cap of 2 each level ends capped after its secant
+    # update, far outside
+    sched = small_schedule(T=3, M=1)
+    spec = C.l2_ball(0.5, center=[-5.0, 0.0, 0.0], delta=1e-6,
+                     prox_weight=1.0)
+    cfg = SamplerConfig(schedule=sched, score=standard_normal_field(2, sched),
+                        mode="proximal_latent",
+                        decoder=random_linear_decoder(2, 3, seed=3),
+                        constraint=spec, lr=1e-6, inner_cap=2)
+    _, trace = sample(cfg, chain_rng(0, 0))
+    assert trace.stops == [(3, 2, "capped"), (2, 2, "capped"),
+                           (1, 2, "capped")]
     assert len(trace.shortfalls) == 3
     for (t, iters, viol), (t_stop, _, _) in zip(trace.shortfalls,
                                                 trace.stops):
-        assert t == t_stop and iters == 1 and viol > spec.delta
+        assert t == t_stop and iters == 2 and viol > spec.delta
 
 
 def recording_corrections(monkeypatch, restart=False):
@@ -452,15 +462,18 @@ def test_step_carries_from_level_to_level(monkeypatch):
                               rtol=1e-3)
 
 
-@pytest.mark.parametrize("root_seed, chain", [(232001, 0), (11000, 3)])
+@pytest.mark.parametrize("root_seed, chain", [
+    (232001, 0), (11000, 3), (370000, 2), (580001, 2), (857001, 3)])
 def test_porosity_chain_ends_near_the_decoders_range(root_seed, chain):
     # chains of the porosity preset's decoder (the frozen perfbench
     # porosity config; root seed 1000 s + k is sub-round k of --seed s).
-    # When every level restarted its step at lr, a secant step after the
-    # restart overshot, the level's last update raised dist (once from
-    # 0.101 to 39.2), the progress stop ended the level and the chain kept
-    # that latent: these two ended 6.70 and 1.25 from the decoder's range,
-    # against perfbench's offmanifold_dist gate of 0.2
+    # A secant step that overshoots raises dist, and the progress stop
+    # ends the level there; had the chain kept that latent, these chains
+    # would end far from the decoder's range, against perfbench's
+    # offmanifold_dist gate of 0.2.  With the step restarted at lr every
+    # level, the first two ended 6.70 and 1.25 away (one level went from
+    # dist 0.101 to 39.2); with the step carried but the overshooting
+    # update kept, the last three ended 6.35, 7.25 and 1.27 away
     cfg = build_sampler_config(RunConfig.from_dict(porosity_config()))
     (W, b), = cfg.decoder.layers
     x, _ = sample(cfg, chain_rng(root_seed, chain))
@@ -606,7 +619,9 @@ def reference_proximal_latent(cfg, rng):
     and vjp validates its latent.  Corrections take the secant step and
     stop for the sampler's three reasons; from the second update on, a
     cut of dist by less than PROGRESS_RATIO of the previous dist
-    stagnates, except under the dpo solver.  A level's first update takes
+    stagnates, except under the dpo solver; when that update raised dist by
+    more than PROGRESS_RATIO of it (with the gradient not stalled), the
+    level ends at the latent before it.  A level's first update takes
     the step the chain's previous correction ended with, and the chain's
     first correction takes lr_at(t); the dpo solver takes lr_at(t) on
     every update.
@@ -652,18 +667,25 @@ def reference_proximal_latent(cfg, rng):
                 raise DivergenceError(f"correction diverged at level {t}")
             i += 1
             x = decode(dec, z)
-            v, d_prev, d = C.violation(con, x), d, C.dist_to_set(con, x)
-            trace.rows.append(TraceRow(
-                t=t, i=i, phase="correction", gamma=gamma, score_norm=0.0,
-                violation=v, dist=d, z=z.copy()))
+            v_prev, d_prev = v, d
+            v, d = C.violation(con, x), C.dist_to_set(con, x)
+            stalled = np.linalg.norm(g) <= STAGNATION_RATIO * g0
             if v < con.delta:
                 reason = "converged"
-            elif np.linalg.norm(g) <= STAGNATION_RATIO * g0 or (
-                    cfg.solver != "dpo" and i >= 2
-                    and d_prev - d < PROGRESS_RATIO * d_prev):
+            elif stalled or (cfg.solver != "dpo" and i >= 2
+                             and d_prev - d < PROGRESS_RATIO * d_prev):
                 reason = "stagnated"
             elif i == cfg.inner_cap:
                 reason = "capped"
+            if (reason == "stagnated" and not stalled
+                    and cfg.solver != "dpo" and i >= 2
+                    and d - d_prev > PROGRESS_RATIO * d_prev):
+                # the update raised dist: undo it, and leave it unrecorded
+                z, v, i = z_prev, v_prev, i - 1
+            else:
+                trace.rows.append(TraceRow(
+                    t=t, i=i, phase="correction", gamma=gamma,
+                    score_norm=0.0, violation=v, dist=d, z=z.copy()))
         trace.stops.append((t, i, reason))
         if v >= con.delta:
             trace.shortfalls.append((t, i, v))
