@@ -8,7 +8,7 @@ bring the MSE below 1% of its starting value.  Acceptance criterion 6 runs
 
 import sys
 
-from latentprox.dpo import DpoConfig, design_loop
+from latentprox.dpo import design_rows
 from latentprox.experiments import design_loop_config
 from latentprox.runner import RunConfig, build_decoder, build_dpo
 from latentprox.samplers import chain_rng
@@ -16,18 +16,21 @@ from latentprox.samplers import chain_rng
 
 def design_study():
     """Each of 20 seeds' MSE after 0..5 design steps, and how many seeds
-    reach 1% of their step-0 MSE; it passes when at least 18 do."""
+    reach 1% of their step-0 MSE; it passes when at least 18 do.  The 20
+    chains run as the rows of one ``design_rows`` block, the path
+    ``latentprox design`` runs, chain i seeded by i."""
     cfg = RunConfig.from_dict(design_loop_config(seed=0, out="unused"))
     decoder = build_decoder(cfg["decoder"])
     sim, dpo_cfg = build_dpo(cfg["dpo"])
-    mses = []
-    for seed in range(20):
-        z0 = chain_rng(seed, 0).standard_normal(decoder.latent_dim)
-        chain_cfg = DpoConfig(nu=dpo_cfg.nu, M=dpo_cfg.M, seed=seed,
-                              target=dpo_cfg.target)
-        _, trace = design_loop(z0, decoder, sim, chain_cfg, steps=5,
-                               step_size=cfg["design"]["step_size"])
-        mses.append(trace.mse)
+    seeds = range(20)
+    rows = design_rows(
+        [chain_rng(seed, 0).standard_normal(decoder.latent_dim)
+         for seed in seeds], decoder, sim, dpo_cfg, seeds, steps=5,
+        step_size=cfg["design"]["step_size"])
+    for error in rows.errors:
+        if error is not None:
+            raise error
+    mses = rows.mse
     reached = sum(mse[5] / mse[0] <= 0.01 for mse in mses)
     return {"mses": mses, "reached": reached, "ok": reached >= 18}
 

@@ -40,17 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    raw = dict(cfg.data)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["out"] = args.out
-    if getattr(args, "chains", None) is not None:
-        raw["chains"] = args.chains
-    return RunConfig.from_dict(raw)
-
-
 def _report_run(manifest: RunManifest) -> int:
     """Print the run's summary; exit 4 if a chain diverged, else 0 or 2."""
     _print_summary(manifest)
@@ -59,14 +48,14 @@ def _report_run(manifest: RunManifest) -> int:
     return EXIT_OK if manifest["ok"] else EXIT_CHECK_FAILED
 
 
-def _cmd_sample(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    return _report_run(run_experiment(cfg))
-
-
-def _cmd_design(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    return _report_run(run_design(cfg))
+def _cmd_run(args) -> int:
+    """``sample`` and ``design``: the config with the command line's
+    overrides, run by the subcommand's run function."""
+    raw = dict(load_config(args.config).data)
+    for key in ("seed", "out", "chains"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    return _report_run(args.run_fn(RunConfig.from_dict(raw)))
 
 
 def _print_summary(manifest: RunManifest) -> None:
@@ -188,19 +177,15 @@ def main(argv=None) -> int:
         description="Constrained sampling experiments for latent score models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="run a sampling experiment")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--chains", type=int)
-    p.set_defaults(fn=_cmd_sample)
-
-    p = sub.add_parser("design", help="run the simulator design loop")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--chains", type=int)
-    p.set_defaults(fn=_cmd_design)
+    for name, help_, run in (
+            ("sample", "run a sampling experiment", run_experiment),
+            ("design", "run the simulator design loop", run_design)):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out")
+        p.add_argument("--chains", type=int)
+        p.set_defaults(fn=_cmd_run, run_fn=run)
 
     p = sub.add_parser("train-score", help="train the MLP score model")
     p.add_argument("--config", required=True)

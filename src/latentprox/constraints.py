@@ -1,8 +1,8 @@
 """Constraint violation functions, projections, proxes, and surrogates.
 
 The porosity projection implements the exact top-k count correction: flipped
-pixels land at -tau (a small margin) because the strictly-negative feasible
-set is open at the flip boundary, so the minimizer would otherwise not exist.
+pixels land at -MARGIN because the strictly-negative feasible set is open at
+the flip boundary, so the minimizer would otherwise not exist.
 Tie-breaking is stable row-major, which keeps results identical across
 platforms.
 """
@@ -24,7 +24,7 @@ KINDS = ("halfspace", "l2_ball", "box", "porosity", "surrogate_centroid",
          "custom_g")
 # closed-form kinds: their rules take a point or a batch of rows alike
 CLOSED_FORM_KINDS = ("halfspace", "l2_ball", "box")
-DEFAULT_MARGIN = 1e-3
+MARGIN = 1e-3
 PROX_CAP = 10_000
 # passes that may pull a rounded closed-form projection inside its set
 INSIDE_PASSES = 64
@@ -34,14 +34,13 @@ INSIDE_PASSES = 64
 # Porosity on image grids
 
 
-def _count_adjust(flat: np.ndarray, K: int,
-                  tau: float) -> tuple[np.ndarray, int]:
+def _count_adjust(flat: np.ndarray, K: int) -> tuple[np.ndarray, int]:
     """Flip the cheapest pixels (by L1 cost) until exactly K are negative.
 
     Returns the adjusted copy of the flat grid and c, its count of negative
     pixels.  In ascending value order the c negative pixels come first, so
     the flips are the pixels at ranks c..K-1 (the smallest non-negative
-    ones, set to -tau) or K..c-1 (the negative ones closest to zero, set to
+    ones, set to -MARGIN) or K..c-1 (the negative ones closest to zero, set to
     0).  One partition finds the value thr at the far end of that range;
     every pixel strictly inside it flips, and of the pixels tied at thr
     (-0.0 and 0.0 among them) those earliest in row-major order.
@@ -53,7 +52,7 @@ def _count_adjust(flat: np.ndarray, K: int,
         thr = np.partition(flat, K - 1)[K - 1]
         flip = flat <= thr
         flip &= ~neg
-        value, count = -tau, K - c
+        value, count = -MARGIN, K - c
     elif c > K:
         thr = np.partition(flat, K)[K]
         flip = flat >= thr
@@ -85,7 +84,7 @@ def _project_pixels(spec: ConstraintSpec,
     of negative pixels."""
     # choose flip sets on the unclamped values so costs stay L1-optimal,
     # then clamp into the pixel box
-    y, c = _count_adjust(flat, spec.target_count, spec.margin)
+    y, c = _count_adjust(flat, spec.target_count)
     np.maximum(y, -1.0, out=y)
     np.minimum(y, 1.0, out=y)
     return y, c
@@ -199,7 +198,6 @@ class ConstraintSpec:
     upper: np.ndarray | None = None
     grid_shape: tuple | None = None      # porosity
     target_count: int | None = None
-    margin: float = DEFAULT_MARGIN
     model: CentroidModel | None = None   # surrogate_centroid
     accept_radius: float | None = None
     g: Callable | None = None            # custom_g callables
@@ -237,16 +235,13 @@ def box(lower, upper, **kw) -> ConstraintSpec:
     return ConstraintSpec(kind="box", lower=lower, upper=upper, **kw)
 
 
-def porosity_constraint(grid_shape, target_count: int,
-                        margin: float = DEFAULT_MARGIN, **kw) -> ConstraintSpec:
+def porosity_constraint(grid_shape, target_count: int, **kw) -> ConstraintSpec:
     rows, cols = (int(v) for v in grid_shape)
     if not 0 <= target_count <= rows * cols:
         raise ParameterError("target_count outside 0..pixels")
-    if not 0.0 < margin <= 0.01:
-        raise ParameterError("margin must lie in (0, 0.01]")
     kw.setdefault("delta", 0.5)  # counts are integers; below 1 means exact
     return ConstraintSpec(kind="porosity", grid_shape=(rows, cols),
-                          target_count=int(target_count), margin=margin, **kw)
+                          target_count=int(target_count), **kw)
 
 
 def centroid_constraint(model: CentroidModel, accept_radius: float,

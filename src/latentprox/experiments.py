@@ -42,8 +42,8 @@ def porosity_config(fraction: float = 0.3, seed: int = 0, chains: int = 20,
                     "ambient_dim": rows * cols,
                     "init": {"seed": seed + 1, "scale": 2.0}},
         "constraint": {"kind": "porosity", "grid": [rows, cols],
-                       "fraction": fraction, "margin": 1e-3,
-                       "delta": 0.5, "prox_weight": 50.0},
+                       "fraction": fraction, "delta": 0.5,
+                       "prox_weight": 50.0},
         "sampler": {"mode": "proximal_latent", "solver": "closed_form",
                     "lr": 0.2, "inner_cap": 200, "final_projection": True},
         "checks": {"porosity_exact": True},
@@ -251,7 +251,7 @@ def _score_batch(field_, Z: np.ndarray, t: int) -> np.ndarray:
 
 
 def _correct_batch(cfg, Z: np.ndarray, t: int,
-                   steps: np.ndarray | None = None) -> np.ndarray:
+                   steps: np.ndarray) -> np.ndarray:
     """Proximal correction of every row of Z whose decoded violation is at
     least ``delta``: ``samplers._correct_rows``, the per-chain correction
     rule applied row by row, each row starting from its carried step in

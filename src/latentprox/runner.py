@@ -70,8 +70,7 @@ SCHEMA = {
     "constraint": {"kind": REQUIRED, "delta": 1e-4, "prox_weight": 1.0,
                    "normal": None, "offset": None, "radius": None,
                    "center": None, "lower": None, "upper": None,
-                   "grid": None, "fraction": None, "margin": 1e-3,
-                   "accept_radius": None,
+                   "grid": None, "fraction": None, "accept_radius": None,
                    "model": {"axes": REQUIRED, "feature_mean": REQUIRED,
                              "target_centroid": REQUIRED,
                              "forbidden_centroid": REQUIRED,
@@ -153,12 +152,23 @@ RETIRED_KEYS = {("schedule", "abar_start"): 1.0,
                 ("alm", "penalty"): PENALTY,
                 ("alm", "growth"): GROWTH,
                 ("alm", "penalty_cap"): PENALTY_CAP,
-                ("sampler", "record_vectors"): ANY}
+                ("sampler", "record_vectors"): ANY,
+                ("constraint", "margin"): C.MARGIN}
 
 
 def _suggest(key: str, known) -> str:
     close = difflib.get_close_matches(key, list(known), n=1)
     return f"; did you mean {close[0]!r}?" if close else ""
+
+
+def _reads_as(value, runs) -> bool:
+    """Whether a retired key's ``value``, taken as the kind of ``runs`` as
+    ``typed`` took it while the key existed, equals ``runs``: YAML reads an
+    exponent without a dot, such as 1e4, as a string, which was 10000.0."""
+    try:
+        return typed("", value, type(runs)) == runs
+    except ConfigError:
+        return False
 
 
 def _resolve(section: dict, schema: dict, path: str) -> dict:
@@ -173,7 +183,7 @@ def _resolve(section: dict, schema: dict, path: str) -> dict:
                               f"{_suggest(key, schema)}")
         # a retired key is left out of the resolved section
         runs = RETIRED_KEYS[path, key]
-        if runs is not ANY and value != runs:
+        if runs is not ANY and not _reads_as(value, runs):
             raise ConfigError(f"{path}.{key} = {value!r} is retired: this "
                               f"version runs only {runs!r}")
     out = {}
@@ -247,9 +257,6 @@ class RunConfig:
     def __getitem__(self, key):
         return self.data[key]
 
-    def get(self, key, default=None):
-        return self.data.get(key, default)
-
 
 def load_config(path) -> RunConfig:
     """Load and validate a YAML (or JSON) configuration document."""
@@ -318,8 +325,7 @@ def build_constraint(cfg: dict | None) -> C.ConstraintSpec | None:
         rows, cols = cfg["grid"]
         # round half up, recorded in the manifest as measured.porosity_count
         K = math.floor(cfg["fraction"] * rows * cols + 0.5)
-        return C.porosity_constraint((rows, cols), K, margin=cfg["margin"],
-                                     **common)
+        return C.porosity_constraint((rows, cols), K, **common)
     if kind == "surrogate_centroid":
         model = C.CentroidModel(**{
             key: np.array(value) if isinstance(value, list) else value

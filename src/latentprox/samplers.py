@@ -337,15 +337,15 @@ def _run_correction(cfg, z, x0, evaluation, t, gamma, rng, trace,
 
 
 def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
-                  steps: np.ndarray | None = None) -> np.ndarray:
+                  steps: np.ndarray) -> np.ndarray:
     """``_run_correction``'s rule on every row of a batch of latents Z whose
     decoded violation is at least ``delta``; returns the corrected latents
     (Z itself is not changed).
 
-    ``steps`` holds each row's carried step, NaN for a row never corrected;
-    a corrected row's entry is overwritten with the step of its last
-    update, and the others are left alone.  Without it every row starts
-    at ``cfg.lr_at(t)``.
+    ``steps`` holds each row's carried step, NaN for a row never corrected,
+    which starts at ``cfg.lr_at(t)``; a corrected row's entry is
+    overwritten with the step of its last update, and the others are left
+    alone.
 
     Every row is decoded and checked once, then only the violating rows are
     updated.  Each takes the per-chain steps, its carried step first and
@@ -372,8 +372,6 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
     Z = Z.copy()
     Za, X0 = Z[idx], X[idx]
     Xa = X0
-    if steps is None:
-        steps = np.full(len(Z), np.nan)
     step = steps[idx]
     step[np.isnan(step)] = cfg.lr_at(t)
     for k in range(cfg.inner_cap):

@@ -72,10 +72,6 @@ class NoiseSchedule:
     def gamma_min(self) -> float:
         return float(self.gamma[0])
 
-    @property
-    def gamma_max(self) -> float:
-        return float(self.gamma[-1])
-
 
 def make_schedule(T: int, abar_end: float, gamma_max: float,
                   gamma_min: float, M: int = 1) -> NoiseSchedule:

@@ -68,7 +68,7 @@ def brute_force_cost(flat, K, tau):
 
 def test_criterion_02_porosity_optimality():
     started = time.time()
-    tau = 1e-3
+    tau = C.MARGIN
     rng = np.random.default_rng(0)
     worst_gap = 0.0
     cases = 0
@@ -76,8 +76,7 @@ def test_criterion_02_porosity_optimality():
         flat = np.array(pattern) * rng.uniform(0.05, 1.0, size=9)
         grid = flat.reshape(3, 3)
         for K in range(10):
-            y = C.project_exact(C.porosity_constraint((3, 3), K, margin=tau),
-                                grid)
+            y = C.project_exact(C.porosity_constraint((3, 3), K), grid)
             assert np.count_nonzero(y < 0) == K
             cost = float(np.abs(y.ravel() - flat).sum())
             oracle = brute_force_cost(flat, K, tau)

@@ -45,10 +45,9 @@ def test_unknown_kind_rejected():
 # porosity count and projection
 
 
-def project_porosity(grid, K, tau=C.DEFAULT_MARGIN):
+def project_porosity(grid, K):
     """The cheapest grid with exactly K negative pixels, through the spec."""
-    return C.project_exact(C.porosity_constraint(grid.shape, K, margin=tau),
-                           grid)
+    return C.project_exact(C.porosity_constraint(grid.shape, K), grid)
 
 
 def negatives(grid):
@@ -65,9 +64,9 @@ def test_porosity_counts():
 def test_project_porosity_by_hand():
     # oracle (brute force over K-subsets): cheapest way to 3 negatives flips
     # the 0.1 pixel, cost 0.1 + tau
-    tau = 1e-3
+    tau = C.MARGIN
     x = np.array([[0.4, -0.2], [0.1, -0.8]])
-    y = project_porosity(x, 3, tau)
+    y = project_porosity(x, 3)
     assert np.allclose(y.ravel(), [0.4, -0.2, -tau, -0.8])
     cost = np.abs(y - x).sum()
     assert abs(cost - (0.1 + tau)) < 1e-12
@@ -79,7 +78,7 @@ def test_project_porosity_idempotent_on_feasible():
 
 
 def test_project_porosity_full_flip():
-    y = project_porosity(np.full((2, 3), 0.8), 6, 1e-3)
+    y = project_porosity(np.full((2, 3), 0.8), 6)
     assert np.all(y == -1e-3)
 
 
@@ -87,8 +86,6 @@ def test_project_porosity_param_errors():
     x = np.zeros((2, 2))
     with pytest.raises(ParameterError):
         project_porosity(x, 5)
-    with pytest.raises(ParameterError):
-        project_porosity(x, 2, tau=0.5)
 
 
 def brute_force_porosity_cost(flat, K, tau):
@@ -111,13 +108,13 @@ def brute_force_porosity_cost(flat, K, tau):
 
 def test_porosity_projection_optimality_small_grids():
     # sign-pattern sweep on 2x2 grids against the brute-force oracle
-    tau = 1e-3
+    tau = C.MARGIN
     rng = np.random.default_rng(0)
     for pattern in itertools.product([-1, 1], repeat=4):
         mags = rng.uniform(0.05, 1.0, size=4)
         flat = np.array(pattern) * mags
         for K in range(5):
-            y = project_porosity(flat.reshape(2, 2), K, tau)
+            y = project_porosity(flat.reshape(2, 2), K)
             assert negatives(y) == K
             cost = np.abs(y.ravel() - flat).sum()
             oracle = brute_force_porosity_cost(flat, K, tau)
@@ -126,7 +123,7 @@ def test_porosity_projection_optimality_small_grids():
 
 def test_porosity_tie_break_row_major():
     x = np.array([[0.5, 0.5], [0.5, -0.1]])
-    y = project_porosity(x, 2, 1e-3)
+    y = project_porosity(x, 2)
     # the tied 0.5 pixels flip in row-major order: index 0 first
     assert np.allclose(y.ravel(), [-1e-3, 0.5, 0.5, -0.1])
 
@@ -276,7 +273,7 @@ def workload_porosity_points():
 def test_evaluate_porosity_at_workload_size(case):
     K, points = workload_porosity_points()
     x = points[case]
-    spec = C.porosity_constraint((16, 16), K, margin=1e-3)
+    spec = C.porosity_constraint((16, 16), K)
     c = int(np.count_nonzero(x < 0.0))
     v, d, residual = assert_evaluate_matches(spec, x)
     assert v == abs(c - K)
@@ -290,7 +287,7 @@ def test_evaluate_porosity_at_workload_size(case):
 
 def test_porosity_ties_flip_in_row_major_order():
     K, points = workload_porosity_points()
-    spec = C.porosity_constraint((16, 16), K, margin=1e-3)
+    spec = C.porosity_constraint((16, 16), K)
     x = points["zeros_tie"]
     y = C.project_exact(spec, x)
     assert np.array_equal(np.flatnonzero(y == -1e-3),

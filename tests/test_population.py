@@ -27,12 +27,12 @@ SCHEDULE = make_schedule(T=2, abar_end=0.02, gamma_max=0.05,
                          gamma_min=0.01)
 
 
-def all_rows_correct(cfg, Z, t, steps=None, stops=None):
+def all_rows_correct(cfg, Z, t, steps, stops=None):
     """Reference: decode, check and mask every row on every iteration.
 
     Each row takes the per-chain rule of ``samplers._run_correction``: its
-    carried step from ``steps`` first (``lr_at(t)`` where the entry is NaN
-    or no ``steps`` is given), then its own secant step s.s / s.y (its
+    carried step from ``steps`` first (``lr_at(t)`` where the entry is
+    NaN), then its own secant step s.s / s.y (its
     previous step when s.y <= 0); a corrected row writes the step of its
     last update back to ``steps``.  It stops below ``delta``, once ||g_k|| <=
     STAGNATION_RATIO ||g_0|| after the update along g_k or, from the second
@@ -49,7 +49,7 @@ def all_rows_correct(cfg, Z, t, steps=None, stops=None):
     n = len(Z)
     X0 = decode_unchecked(layers, Z)
     lam = con.prox_weight
-    step = np.full(n, np.nan) if steps is None else steps.copy()
+    step = steps.copy()
     step[np.isnan(step)] = cfg.lr_at(t)
     g_norm, g0_norm = np.zeros(n), np.zeros(n)
     Z_prev, G_prev = np.zeros_like(Z), np.zeros_like(Z)
@@ -94,8 +94,7 @@ def all_rows_correct(cfg, Z, t, steps=None, stops=None):
                     dist - dist_prev > PROGRESS_RATIO * dist_prev) & (
                     g_norm > STAGNATION_RATIO * g0_norm)
                 Z[undone], updates[undone] = Z_prev[undone], k - 1
-    if steps is not None:
-        steps[updates > 0] = step[updates > 0]
+    steps[updates > 0] = step[updates > 0]
     if stops is not None:
         stops.extend(zip(updates.tolist(), reasons.tolist()))
     return Z
@@ -287,8 +286,9 @@ def test_active_set_matches_all_rows_loop(case):
     cfg, Z, designed = case
     Z_in = Z.copy()
     stops = []
-    expected = all_rows_correct(cfg, Z, 1, stops=stops)
-    got = EXP._correct_batch(cfg, Z, 1)
+    expected = all_rows_correct(cfg, Z, 1, np.full(len(Z), np.nan),
+                                stops=stops)
+    got = EXP._correct_batch(cfg, Z, 1, np.full(len(Z), np.nan))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(Z, Z_in)   # the input is left alone
     # the designed rows: feasible at entry, converging after 1, 2 or 3
@@ -303,9 +303,9 @@ def test_rows_loop_takes_the_per_chain_rule(case):
     # each row of a population correction equals the per-chain loop run on
     # that row alone, and stops after as many updates for the same reason
     cfg, Z, _ = case
-    got = EXP._correct_batch(cfg, Z, 1)
+    got = EXP._correct_batch(cfg, Z, 1, np.full(len(Z), np.nan))
     stops = []
-    all_rows_correct(cfg, Z, 1, stops=stops)
+    all_rows_correct(cfg, Z, 1, np.full(len(Z), np.nan), stops=stops)
     rng = np.random.default_rng(0)
     for z, row, (k, reason) in zip(Z, got, stops):
         x0 = decode(cfg.decoder, z)
@@ -372,7 +372,8 @@ def test_rows_loop_takes_lr_at_t_only_for_a_row_never_corrected():
     fresh = np.full(len(Z), np.nan)
     got = samplers._correct_rows(cfg, Z, 2, fresh)
     first = replace(cfg, lr=0.1 * SCHEDULE.gamma_at(2))
-    assert np.array_equal(got, samplers._correct_rows(first, Z, 2))
+    assert np.array_equal(got, samplers._correct_rows(
+        first, Z, 2, np.full(len(Z), np.nan)))
     assert np.isfinite(fresh[(got != Z).any(axis=1)]).all()
     carried = np.full(len(Z), 0.7)
     at_1, at_2 = carried.copy(), carried.copy()
@@ -398,8 +399,8 @@ def test_short_caps_match_all_rows_loop(inner_cap):
         EXP.fidelity_config(seed=0, chains=1, out="unused")))
     cfg.inner_cap = inner_cap
     Z = np.random.default_rng(5).normal(1.0, 1.0, size=(200, 2))
-    assert np.array_equal(EXP._correct_batch(cfg, Z, 1),
-                          all_rows_correct(cfg, Z, 1))
+    assert np.array_equal(EXP._correct_batch(cfg, Z, 1, np.full(200, np.nan)),
+                          all_rows_correct(cfg, Z, 1, np.full(200, np.nan)))
 
 
 def _fidelity(n, constraint=None, **sections):
@@ -515,9 +516,10 @@ def test_integer_lr_takes_the_float_steps():
         mode="proximal_latent", decoder=linear_decoder(0.5 * np.eye(2)),
         constraint=con, lr=1, inner_cap=10)
     Z = np.random.default_rng(0).normal(1.0, 1.0, size=(50, 2))
-    got = EXP._correct_batch(cfg, Z, 1)
+    got = EXP._correct_batch(cfg, Z, 1, np.full(len(Z), np.nan))
     assert (got != Z).any()
-    assert np.array_equal(got, EXP._correct_batch(replace(cfg, lr=1.0), Z, 1))
+    assert np.array_equal(got, EXP._correct_batch(
+        replace(cfg, lr=1.0), Z, 1, np.full(len(Z), np.nan)))
 
 
 def test_a_level_whose_dist_stops_falling_stagnates_in_both_loop_shapes(
@@ -549,7 +551,7 @@ def test_a_level_whose_dist_stops_falling_stagnates_in_both_loop_shapes(
         (_, k, reason), = trace.stops
         assert reason == "stagnated" and k < cfg.inner_cap
         assert len(trace.rows) == k
-    rows = EXP._correct_batch(cfg, Z, 1)
+    rows = EXP._correct_batch(cfg, Z, 1, np.full(len(Z), np.nan))
     np.testing.assert_allclose(rows, [z for z, _ in stopped], rtol=0,
                                atol=1e-12)
     # without the stop every level takes the same first updates and goes
@@ -573,5 +575,6 @@ def test_a_level_whose_dist_stops_falling_stagnates_in_both_loop_shapes(
         assert [r.z.tobytes() for r in longer.rows[:k]] == [
             r.z.tobytes() for r in trace.rows]
         assert z.tobytes() == trace.rows[-1].z.tobytes()
-    assert (EXP._correct_batch(cfg, Z, 1) != rows).any(axis=1).all()
+    assert (EXP._correct_batch(cfg, Z, 1, np.full(len(Z), np.nan))
+            != rows).any(axis=1).all()
     assert 0 < undone < len(Z)   # both ways of stopping are taken

@@ -1,6 +1,8 @@
 import json
+import numbers
 import re
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +91,8 @@ REMOVED_KEYS = [("schedule", "abar_start", 0.9),
                 ("decoder.init", "method", "gaussian"),
                 ("alm", "penalty", 10.0),
                 ("alm", "growth", 0.5),
-                ("alm", "penalty_cap", 16.0)]
+                ("alm", "penalty_cap", 16.0),
+                ("constraint", "margin", 0.01)]
 # the sections of the replay test's presets that hold retired keys; between
 # them they hold every one
 REPLAY_SECTIONS = {
@@ -158,10 +161,45 @@ def test_retired_key_loads_at_its_value(section, key, value, tmp_path):
     assert RunConfig.from_dict(dict(raw, seed=9)).data == dict(want, seed=9)
 
 
+def exponent_literal(value, change=0):
+    """A non-negative ``value`` written as an exponent without a dot, such
+    as 1e4, with ``change`` added to its mantissa."""
+    _, digits, exp = Decimal(repr(float(value))).normalize().as_tuple()
+    return f"{int(''.join(map(str, digits))) + change}e{exp}"
+
+
+NUMERIC_RETIRED = [(path, key, runs)
+                   for (path, key), runs in sorted(RETIRED_KEYS.items())
+                   if isinstance(runs, numbers.Real)
+                   and not isinstance(runs, bool)]
+
+
+@pytest.mark.parametrize("section, key, value", NUMERIC_RETIRED,
+                         ids=[f"{s}.{k}" for s, k, _ in NUMERIC_RETIRED])
+def test_retired_key_loads_as_an_exponent_literal(section, key, value,
+                                                   tmp_path):
+    # YAML reads an exponent without a dot as a string, which the key's
+    # kind read as a number while the key existed: at the value the key
+    # runs it loads; at another value, or as a value of another kind (a
+    # bool is not a number), it is refused as retired
+    want = resolve_config(retired_key_base(section))
+    literal = exponent_literal(value)
+    raw = with_key(retired_key_base(section), section, key, literal)
+    path = write_yaml(tmp_path / "cfg.yaml", raw)
+    assert f" {key}: {literal}\n" in path.read_text()
+    assert load_config(path).data == want
+    for other in (exponent_literal(value, change=1), True, [literal]):
+        write_yaml(path, with_key(raw, section, key, other))
+        message = (f"{section}.{key} = {other!r} is retired: this version "
+                   f"runs only {value!r}")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
+
 def test_retired_keys_are_not_in_the_schema():
     assert sorted(RETIRED_KEYS) == sorted(
         {(s, k) for s, k, _ in REMOVED_KEYS + RETIRED_VALUES})
-    assert len(RETIRED_KEYS) == 17
+    assert len(RETIRED_KEYS) == 18
     for path, key in RETIRED_KEYS:
         section = SCHEMA
         for name in path.split("."):
