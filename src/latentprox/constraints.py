@@ -114,10 +114,15 @@ class CentroidModel:
         gram = self.axes @ self.axes.T
         if np.max(np.abs(gram - np.eye(2))) > 1e-9:
             raise ParameterError("principal axes must be orthonormal")
-        if np.linalg.norm(self.target_centroid - self.forbidden_centroid) <= 1e-12:
+        gap = self.target_centroid - self.forbidden_centroid
+        # the bits of np.linalg.norm on a 1-D float vector
+        gap = math.sqrt(gap.dot(gap))
+        if gap <= 1e-12:
             raise DegeneracyError("centroids must be distinct")
         if not 0.0 < self.p_trig < 1.0:
             raise ParameterError("p_trig must lie in (0, 1)")
+        # centroid_trigger's radius, fixed by the model
+        object.__setattr__(self, "_trigger_radius", self.p_trig * gap)
 
 
 def _top_two_eigenvectors(C: np.ndarray) -> np.ndarray:
@@ -174,9 +179,9 @@ def pc_coordinates(model: CentroidModel, x) -> np.ndarray:
 
 def centroid_trigger(model: CentroidModel, x) -> bool:
     """True iff x sits within p_trig of the way to the forbidden centroid."""
-    p = pc_coordinates(model, x)
-    gap = np.linalg.norm(model.target_centroid - model.forbidden_centroid)
-    return bool(np.linalg.norm(p - model.forbidden_centroid) < model.p_trig * gap)
+    d = pc_coordinates(model, x) - model.forbidden_centroid
+    # the bits of np.linalg.norm on a 1-D float vector
+    return math.sqrt(d.dot(d)) < model._trigger_radius
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +287,8 @@ def _float_if_point(v):
 
 def _as_point(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+    # the ufunc reduction: the ndarray method goes through a Python wrapper
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NumericError("constraint input contains non-finite values")
     return x
 

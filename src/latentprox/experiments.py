@@ -290,7 +290,8 @@ def sample_population(cfg, n: int, rng: np.random.Generator) -> np.ndarray:
         gamma = sched.gamma_at(t)
         corrects = cfg.corrects_at(t)
         for i in range(1, sched.inner_steps + 1):
-            Z, _ = langevin_step(Z, cfg.score, t, gamma, rng, cfg.noise_scale)
+            Z, _ = langevin_step(Z, cfg.score, t, gamma,
+                                 rng.standard_normal(Z.shape), cfg.noise_scale)
             if corrects and (cfg.correct_every_step
                              or i == sched.inner_steps):
                 Z = _correct_batch(cfg, Z, t, steps)

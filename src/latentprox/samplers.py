@@ -24,13 +24,20 @@ most of its updates moving the decode a few thousandths closer.  For
 exact-projection constraint kinds an optional final ambient projection
 restores feasibility exactly.
 
+One chain loop, ``sample_chains``, runs a run's chains level by level as
+the rows of a block: each step's Langevin update and decode are batched on
+kernels that give each row its point's bits, and each chain's evaluation,
+trace row and correction take the point functions.  ``sample`` is its
+one-row case.
+
 The correction rule has two loop shapes with the same steps and stops:
-``_run_correction`` for one chain and ``_correct_rows`` for the violating
-rows of a population.  A chain is not run as the one-row case of the rows
-loop, because the rows loop's array bookkeeping costs more per iteration
-than the point loop; ROADMAP's "Decided, not open" record holds the
-measurements and the decision to keep both shapes.  The point form of the
-secant step is ``alm.secant_step``, which the ALM inner loop takes too.
+``_run_correction`` for one chain, which ``sample_chains`` calls row by
+row, and ``_correct_rows`` for the violating rows of a population.  A
+chain's correction is not run as the one-row case of the rows loop, because
+the rows loop's array bookkeeping costs more per iteration than the point
+loop; ROADMAP's "Decided, not open" record holds the measurements and the
+decision to keep both shapes.  The point form of the secant step is
+``alm.secant_step``, which the ALM inner loop takes too.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ import numpy as np
 
 from . import constraints as C
 from .alm import AlmState, alm_project, secant_step
-from .decoders import DecoderMap, decode, decode_unchecked, vjp_unchecked
+from .decoders import (DecoderMap, _matmul, decode, decode_rows,
+                       decode_unchecked, vjp_unchecked)
 from .dpo import (DpoConfig, Simulator, SimulatorWork, _check_target,
                   dpo_loss_grad)
 from .errors import ConfigError, DivergenceError, ParameterError
@@ -198,10 +206,12 @@ class SamplerConfig:
 
 
 def langevin_step(z, score_field: ScoreField, t: int, gamma: float,
-                  rng: np.random.Generator,
-                  noise_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+                  eps: np.ndarray, noise_scale: float = 1.0,
+                  product=_matmul) -> tuple[np.ndarray, np.ndarray]:
     """One step z + gamma * s(z, t) + sqrt(2 gamma) * eps on a point (d,) or
-    a batch of rows (n, d).
+    a batch of rows (n, d), with the noise ``eps`` of z's shape drawn by
+    the caller.  ``product`` is the score's (``scores.score``):
+    ``np.matvec`` gives each row of a batch its point's bits.
 
     Returns the new state and the score s(z, t) the step used; the caller
     checks the new state for finiteness.
@@ -209,8 +219,7 @@ def langevin_step(z, score_field: ScoreField, t: int, gamma: float,
     if gamma <= 0:
         raise ParameterError("gamma must be positive")
     z = np.asarray(z, dtype=float)
-    s = score(score_field, z, t)
-    eps = rng.standard_normal(z.shape)
+    s = score(score_field, z, t, product)
     return z + gamma * s + math.sqrt(2.0 * gamma) * noise_scale * eps, s
 
 
@@ -421,54 +430,141 @@ def _correct_rows(cfg: SamplerConfig, Z: np.ndarray, t: int,
     return Z
 
 
-def sample(cfg: SamplerConfig,
-           rng: np.random.Generator) -> tuple[np.ndarray, SampleTrace]:
-    """Annealed Langevin dynamics from z_T ~ N(0, I) down to z_0, each step
-    followed by the configured mode's step.
+def _step_rows(cfg: SamplerConfig, Z: np.ndarray, eps: np.ndarray, t: int,
+               gamma: float, decoded: bool):
+    """One Langevin step of each row of Z with its row of noise ``eps``,
+    on kernels that give each row its point's bits, and the decode of each
+    new row when ``decoded``.
+
+    Returns the new rows, their scores, their decodes (None unless
+    ``decoded``) and ``{row: error}`` for the rows that failed, whose
+    entries are not to be read: a row that went non-finite gets the
+    DivergenceError its chain run alone raises, and is zeroed before the
+    decode.  When a kernel raises on the block (a floating-point error
+    state the caller set to raise, say), the rows step again one at a time,
+    so that only the rows that raise fail.
+    """
+    try:
+        Z1, S = langevin_step(Z, cfg.score, t, gamma, eps, cfg.noise_scale,
+                              np.matvec)
+        failed = {}
+        # the ufunc reduction: the ndarray method goes through a Python wrapper
+        if not np.logical_and.reduce(np.isfinite(Z1), axis=None):
+            bad = ~np.isfinite(Z1).all(axis=1)
+            failed = {int(j): DivergenceError(
+                f"langevin step diverged at level {t}")
+                for j in np.flatnonzero(bad)}
+            Z1[bad] = 0.0
+        X = decode_rows(cfg.decoder, Z1) if decoded else None
+        return Z1, S, X, failed
+    except Exception as exc:
+        if len(Z) == 1:
+            X = np.zeros((1, cfg.decoder.ambient_dim)) if decoded else None
+            return Z, Z, X, {0: exc}
+        parts = [_step_rows(cfg, Z[j:j + 1], eps[j:j + 1], t, gamma, decoded)
+                 for j in range(len(Z))]
+        Z1, S, X = (None if parts[0][m] is None
+                    else np.concatenate([part[m] for part in parts])
+                    for m in range(3))
+        return Z1, S, X, {j: part[3][0] for j, part in enumerate(parts)
+                          if part[3]}
+
+
+def sample_chains(cfg: SamplerConfig, rngs) -> list:
+    """Annealed Langevin dynamics from z_T ~ N(0, I) down to z_0 for one
+    chain per generator in ``rngs``, each step followed by the configured
+    mode's step; returns each chain's ``(final, trace)``, or the exception
+    that failed it.
 
     unconstrained returns the latent.  projected_ambient projects the state
     after every step, records violation and dist 0.0 (the projection lies
     inside its set) and returns it.  proximal_latent corrects the latent
     per level (or per step) when a constraint is set, and returns its
     decode, optionally projected.
+
+    The chains run level by level as the rows of one block.  Each step is
+    one Langevin step and one decode of the live rows, batched on kernels
+    that give each row its point's bits (``_step_rows``); then each row
+    takes the point functions: its evaluation, its trace row, its
+    projection in projected_ambient and its correction (``_run_correction``).
+    Chain k draws only from ``rngs[k]``, in the order of a chain run alone,
+    so a chain's output does not depend on the other chains.  A chain whose
+    latent goes non-finite, or whose correction or final decode raises,
+    leaves the block with its exception, and the others go on.
     """
     sched = cfg.schedule
     dec = cfg.decoder
     con = cfg.constraint
     projected = cfg.mode == "projected_ambient"
     corrected = cfg.mode == "proximal_latent" and con is not None
-    z = rng.standard_normal(cfg.score.dim)
-    trace = SampleTrace()
-    step = None     # the correction step, carried from level to level
+    results = [None] * len(rngs)
+    traces = [SampleTrace() for _ in rngs]
+    steps = [None] * len(rngs)  # correction steps, carried level to level
+    live = list(range(len(rngs)))  # the chain of each row of Z
+    Z = np.empty((len(rngs), cfg.score.dim))
+    for k, rng in enumerate(rngs):
+        rng.standard_normal(out=Z[k])
+    eps = np.empty_like(Z)  # each step's noise, drawn row by row
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         for i in range(1, sched.inner_steps + 1):
-            z, s = langevin_step(z, cfg.score, t, gamma, rng, cfg.noise_scale)
-            if not np.isfinite(z).all():
-                raise DivergenceError(f"langevin step diverged at level {t}")
-            if projected:
-                # z was just checked finite: skip project_exact's check
-                z = C._project_exact(con, z)
-                ev = _PROJECTED
-            elif corrected:
-                x = decode_unchecked(dec.layers, z)
-                ev = C.evaluate(con, x)
-            else:
-                ev = _NO_EVALUATION
-            trace.rows.append(TraceRow(
-                t=t, i=i, phase="langevin", gamma=gamma,
-                score_norm=math.sqrt(s.dot(s)), violation=ev[0],
-                dist=ev[1], z=z.copy() if cfg.record_vectors else None))
-            if corrected and (cfg.correct_every_step
-                              or i == sched.inner_steps):
-                z, step = _run_correction(cfg, z, x, ev, t, gamma, rng,
-                                          trace, step)
-    if cfg.mode != "proximal_latent":
-        return z, trace
-    x = decode(dec, z)
-    if cfg.final_projection and con is not None and C.has_exact_projection(con):
-        x = C.project_exact(con, x)
-    return x, trace
+            for j, k in enumerate(live):
+                rngs[k].standard_normal(out=eps[j])
+            Z, S, X, failed = _step_rows(cfg, Z, eps, t, gamma, corrected)
+            correct = corrected and (cfg.correct_every_step
+                                     or i == sched.inner_steps)
+            for j, k in enumerate(live):
+                if j in failed:
+                    continue
+                z = Z[j]
+                if projected:
+                    # z was just checked finite: skip project_exact's check
+                    z = Z[j] = C._project_exact(con, z)
+                    ev = _PROJECTED
+                elif corrected:
+                    x = X[j]
+                    ev = C.evaluate(con, x)
+                else:
+                    ev = _NO_EVALUATION
+                s = S[j]
+                traces[k].rows.append(TraceRow(
+                    t=t, i=i, phase="langevin", gamma=gamma,
+                    score_norm=math.sqrt(s.dot(s)), violation=ev[0],
+                    dist=ev[1], z=z.copy() if cfg.record_vectors else None))
+                if correct:
+                    try:
+                        Z[j], steps[k] = _run_correction(
+                            cfg, z, x, ev, t, gamma, rngs[k], traces[k],
+                            steps[k])
+                    except Exception as exc:  # fails this chain alone
+                        failed[j] = exc
+            if failed:
+                for j, exc in failed.items():
+                    results[live[j]] = exc
+                keep = [j not in failed for j in range(len(live))]
+                live = [k for k, ok in zip(live, keep) if ok]
+                Z, eps = Z[keep], eps[keep]
+    decoded = cfg.mode == "proximal_latent"
+    project = decoded and cfg.final_projection and con is not None \
+        and C.has_exact_projection(con)
+    for j, k in enumerate(live):
+        try:
+            x = decode(dec, Z[j]) if decoded else Z[j]
+            results[k] = (C.project_exact(con, x) if project else x,
+                          traces[k])
+        except Exception as exc:  # fails this chain alone
+            results[k] = exc
+    return results
+
+
+def sample(cfg: SamplerConfig,
+           rng: np.random.Generator) -> tuple[np.ndarray, SampleTrace]:
+    """One chain of ``sample_chains``, its one-row case: returns the
+    chain's ``(final, trace)`` and raises the error that failed it."""
+    [result] = sample_chains(cfg, [rng])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def chain_rng(root_seed: int, chain_index: int) -> np.random.Generator:

@@ -496,10 +496,10 @@ def test_diverging_row_is_recorded_as_divergence(tmp_path, monkeypatch):
 
 
 def test_blocks_write_the_bytes_of_one_chain_at_a_time(tmp_path, monkeypatch):
-    chains = R.DESIGN_BLOCK_ROWS + 13
+    chains = R.BLOCK_ROWS + 13
     blocked = R.run_design(R.RunConfig.from_dict(
         design_cfg(tmp_path, "blocked", chains)))
-    monkeypatch.setattr(R, "DESIGN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(R, "BLOCK_ROWS", 1)
     single = R.run_design(R.RunConfig.from_dict(
         design_cfg(tmp_path, "single", chains)))
     names = ["metrics.csv"] + [f"design_{i:04d}.txt" for i in range(chains)]

@@ -21,7 +21,7 @@ from latentprox.runner import (KEY_KINDS, SCHEMA, YAML_LOADER, RunConfig,
                                RETIRED_KEYS, render_grid,
                                rerun_from_manifest,
                                resolve_config, run_design, run_experiment)
-from latentprox.samplers import chain_rng, sample
+from latentprox.samplers import chain_rng, sample_chains
 from latentprox.schedules import make_schedule
 from latentprox.scores import MlpScoreConfig, ScoreField, init_mlp_params
 from latentprox.serialize import (decoder_doc, load_vector, save_decoder,
@@ -665,6 +665,28 @@ def test_cli_overrides_a_config_with_retired_keys(tmp_path):
         minimal_config(tmp_path / "runB"), seed=9, chains=1))
 
 
+def test_a_run_crossing_a_block_boundary_writes_the_bytes_of_single_blocks(
+        tmp_path, monkeypatch):
+    # 33 chains run as a block of 32 and a block of 1, then as 33 blocks of
+    # one chain each; every run file and the manifest but its timing match
+    chains = runner.BLOCK_ROWS + 1
+    raw = EXP.centroid_config(seed=3, chains=chains,
+                              out=str(tmp_path / "blocked"))
+    blocked = run_experiment(RunConfig.from_dict(raw))
+    monkeypatch.setattr(runner, "BLOCK_ROWS", 1)
+    single = run_experiment(RunConfig.from_dict(
+        dict(raw, out=str(tmp_path / "single"))))
+    names = ["metrics.csv", "alm.csv", "decoder.json", "score.json"] + [
+        f"samples/chain_{i:04d}.txt" for i in range(chains)]
+    for name in names:
+        assert (tmp_path / "blocked" / name).read_bytes() == \
+            (tmp_path / "single" / name).read_bytes(), name
+    docs = [dict(m.data, timing=None, resolved_config=dict(
+        m["resolved_config"], out=None)) for m in (blocked, single)]
+    assert docs[0] == docs[1]
+    assert blocked["chain_errors"] == [] and blocked["ok"]
+
+
 @pytest.mark.parametrize("fidelity", [False, True])
 def test_a_run_copies_chain_states_only_for_the_fidelity_report(
         tmp_path, monkeypatch, fidelity):
@@ -672,12 +694,13 @@ def test_a_run_copies_chain_states_only_for_the_fidelity_report(
     # sampler.record_vectors, read by nothing, does not change that
     states = []
 
-    def recording(cfg, rng):
-        final, trace = sample(cfg, rng)
-        states.extend(row.z is not None for row in trace.rows)
-        return final, trace
+    def recording(cfg, rngs):
+        results = sample_chains(cfg, rngs)
+        for _, trace in results:
+            states.extend(row.z is not None for row in trace.rows)
+        return results
 
-    monkeypatch.setattr(runner, "sample", recording)
+    monkeypatch.setattr(runner, "sample_chains", recording)
     raw = minimal_config(tmp_path / "run")
     raw["sampler"]["record_vectors"] = not fidelity
     raw["reports"] = {"fidelity": fidelity}
@@ -1128,14 +1151,14 @@ def test_caller_errstate_reaches_the_chains(tmp_path):
 
 def test_cli_failed_chain_exit_code(tmp_path, monkeypatch):
     import latentprox.runner as R
-    real_sample = R.sample
+    real_sample_chains = R.sample_chains
 
-    def sample_failing_chain_1(cfg, rng):
-        if rng.bit_generator.seed_seq.spawn_key == (1,):
-            raise ValueError("chain 1 broke")
-        return real_sample(cfg, rng)
+    def sample_failing_chain_1(cfg, rngs):
+        return [ValueError("chain 1 broke")
+                if rng.bit_generator.seed_seq.spawn_key == (1,) else result
+                for rng, result in zip(rngs, real_sample_chains(cfg, rngs))]
 
-    monkeypatch.setattr(R, "sample", sample_failing_chain_1)
+    monkeypatch.setattr(R, "sample_chains", sample_failing_chain_1)
     path = write_yaml(tmp_path / "cfg.yaml", minimal_config(tmp_path / "run"))
     assert cli_main(["sample", "--config", str(path)]) == 2
     stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
@@ -1762,7 +1785,8 @@ def test_manifest_counters_match_metrics_and_traces(tmp_path):
     rows = (tmp_path / "p" / "metrics.csv").read_text().splitlines()[1:]
     phases = [line.split(",")[3] for line in rows]
     sampler_cfg = build_sampler_config(RunConfig.from_dict(cfg))
-    traces = [sample(sampler_cfg, chain_rng(1, i))[1] for i in range(2)]
+    traces = [trace for _, trace in sample_chains(
+        sampler_cfg, [chain_rng(1, i) for i in range(2)])]
     shortfalls = sum(len(trace.shortfalls) for trace in traces)
     reasons = [reason for trace in traces for _, _, reason in trace.stops]
     stops = {reason: reasons.count(reason)
@@ -1816,9 +1840,9 @@ def test_manifest_counts_alm_projections(tmp_path):
     manifest = run_experiment(RunConfig.from_dict(cfg))
     rows = (tmp_path / "c" / "alm.csv").read_text().splitlines()[1:]
     sampler_cfg = build_sampler_config(RunConfig.from_dict(cfg))
-    reports = [rep for i in range(12)
-               for _, _, rep in sample(sampler_cfg, chain_rng(0, i))[1]
-               .alm_reports]
+    reports = [rep for _, trace in sample_chains(
+        sampler_cfg, [chain_rng(0, i) for i in range(12)])
+        for _, _, rep in trace.alm_reports]
     unconverged = sum(not rep.converged for rep in reports)
     assert 0 < unconverged < len(reports) == len(rows)
     # converged and final_distance close each row, as the reports hold them

@@ -15,9 +15,11 @@ from latentprox.runner import RunConfig, build_sampler_config
 from latentprox.samplers import (PROGRESS_RATIO, STAGNATION_RATIO,
                                  SampleTrace, SamplerConfig, TraceRow,
                                  _correction_active, chain_rng, langevin_step,
-                                 sample)
+                                 sample, sample_chains)
 from latentprox.schedules import NoiseSchedule, make_schedule
-from latentprox.scores import linear_gaussian_field, standard_normal_field
+from latentprox.scores import (MlpScoreConfig, ScoreField,
+                               gaussian_mixture_field, init_mlp_params,
+                               linear_gaussian_field, standard_normal_field)
 
 from conftest import same_states
 
@@ -37,7 +39,7 @@ def test_langevin_step_pure_noise():
     # enormous covariance makes the score ~0; gamma = 0.5 gives noise scale 1
     z = np.array([0.4, -0.6])
     rng = np.random.default_rng(0)
-    out, s = langevin_step(z, f, 1, 0.5, rng)
+    out, s = langevin_step(z, f, 1, 0.5, rng.standard_normal(2))
     eps = np.random.default_rng(0).standard_normal(2)
     assert np.allclose(out, z + 0.5 * (-z / 1e12 * 0 + 0) + eps, atol=1e-9)
 
@@ -46,7 +48,7 @@ def test_langevin_step_zero_score_at_mode():
     sched = small_schedule()
     f = standard_normal_field(2, sched)
     rng = np.random.default_rng(1)
-    out, s = langevin_step(np.zeros(2), f, 0, 0.3, rng)
+    out, s = langevin_step(np.zeros(2), f, 0, 0.3, rng.standard_normal(2))
     eps = np.random.default_rng(1).standard_normal(2)
     assert np.allclose(out, np.sqrt(0.6) * eps)
 
@@ -56,18 +58,21 @@ def test_langevin_drift_only_contracts():
     f = standard_normal_field(3, sched)
     z = np.array([1.0, -2.0, 0.5])
     for gamma in (0.1, 0.5, 0.9):
-        out, s = langevin_step(z, f, 0, gamma, np.random.default_rng(0),
-                            noise_scale=0.0)
+        out, s = langevin_step(z, f, 0, gamma,
+                               np.random.default_rng(0).standard_normal(3),
+                               noise_scale=0.0)
         assert np.linalg.norm(out) < np.linalg.norm(z)
 
 
 def test_langevin_step_batch_leaves_finiteness_to_caller():
-    # a batch of rows steps with the point expression and one noise draw of
-    # the batch's shape; a non-finite row comes back as it is
+    # a batch of rows steps with the point expression and the noise rows
+    # its caller drew; a non-finite row comes back as it is
     sched = small_schedule()
     f = standard_normal_field(2, sched)
     Z = np.array([[0.5, -1.0], [np.nan, 0.0], [2.0, 0.25]])
-    out, s = langevin_step(Z, f, 1, 0.2, np.random.default_rng(4), 0.5)
+    out, s = langevin_step(Z, f, 1, 0.2,
+                           np.random.default_rng(4).standard_normal(Z.shape),
+                           0.5)
     E = np.random.default_rng(4).standard_normal(Z.shape)
     expected = Z + 0.2 * (-Z) + np.sqrt(2.0 * 0.2) * 0.5 * E
     assert np.array_equal(s[[0, 2]], -Z[[0, 2]])
@@ -79,7 +84,8 @@ def test_langevin_gamma_validation():
     sched = small_schedule()
     f = standard_normal_field(2, sched)
     with pytest.raises(ParameterError):
-        langevin_step(np.zeros(2), f, 1, 0.0, np.random.default_rng(0))
+        langevin_step(np.zeros(2), f, 1, 0.0,
+                      np.random.default_rng(0).standard_normal(2))
 
 
 def test_unconstrained_gaussian_moment_check():
@@ -94,8 +100,9 @@ def test_unconstrained_gaussian_moment_check():
                         record_vectors=False)
     n = 200
     xs = np.empty((n, 2))
-    for i in range(n):
-        xs[i], _ = sample(cfg, chain_rng(0, i))
+    for i, (x, _) in enumerate(
+            sample_chains(cfg, [chain_rng(0, i) for i in range(n)])):
+        xs[i] = x
     mean = xs.mean(axis=0)
     se = xs.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(mean - mu) < 3 * se)
@@ -145,8 +152,7 @@ def test_projected_ambient_feasible_every_step():
     spec = C.l2_ball(1.0)
     cfg = SamplerConfig(schedule=sched, score=f, mode="projected_ambient",
                         constraint=spec)
-    for i in range(5):
-        x, trace = sample(cfg, chain_rng(0, i))
+    for x, trace in sample_chains(cfg, [chain_rng(0, i) for i in range(5)]):
         for row in trace.rows:
             assert row.violation == 0.0
         assert np.linalg.norm(x) <= 1.0 + 1e-12
@@ -180,8 +186,7 @@ def test_projected_ambient_halfspace_mean_shift():
                         constraint=spec, record_vectors=False)
     n = 1500
     acc = np.zeros(2)
-    for i in range(n):
-        x, _ = sample(cfg, chain_rng(1, i))
+    for x, _ in sample_chains(cfg, [chain_rng(1, i) for i in range(n)]):
         acc += x
     mean = acc / n
     rng = np.random.default_rng(9)
@@ -291,8 +296,7 @@ def test_proximal_latent_porosity_exact():
     spec = C.porosity_constraint(grid, 4, prox_weight=50.0)
     cfg = SamplerConfig(schedule=sched, score=f, mode="proximal_latent",
                         decoder=dec, constraint=spec, lr=0.2, inner_cap=100)
-    for i in range(10):
-        x, trace = sample(cfg, chain_rng(4, i))
+    for x, trace in sample_chains(cfg, [chain_rng(4, i) for i in range(10)]):
         assert np.count_nonzero(x < 0) == 4
         assert np.all(np.abs(x) <= 1.0)
 
@@ -602,8 +606,8 @@ def test_output_feasibility_convex_kinds():
         cfg = SamplerConfig(schedule=sched, score=f, mode="proximal_latent",
                             decoder=dec, constraint=spec, lr=0.3,
                             final_projection=True)
-        for i in range(10):
-            x, _ = sample(cfg, chain_rng(2, i))
+        for x, _ in sample_chains(cfg, [chain_rng(2, i)
+                                        for i in range(10)]):
             assert C.violation(spec, x) == 0.0
 
 
@@ -696,7 +700,8 @@ def reference_proximal_latent(cfg, rng):
     for t in range(sched.T, 0, -1):
         gamma = sched.gamma_at(t)
         for i in range(1, sched.inner_steps + 1):
-            z, s = langevin_step(z, cfg.score, t, gamma, rng, cfg.noise_scale)
+            z, s = langevin_step(z, cfg.score, t, gamma,
+                                 rng.standard_normal(z.shape), cfg.noise_scale)
             x = decode(dec, z)
             v, d = stats(x)
             trace.rows.append(TraceRow(
@@ -810,8 +815,8 @@ def test_decoder_bound_covers_every_latent_a_chain_visits():
     cfg = dict(proximal_cases())["smooth_mlp"]
     dec = cfg.decoder
     ell = estimate_lipschitz(dec)
-    rows = [row for k in range(5)
-            for row in sample(cfg, chain_rng(11, k))[1].rows]
+    rows = [row for _, trace in sample_chains(
+        cfg, [chain_rng(11, k) for k in range(5)]) for row in trace.rows]
     assert {row.phase for row in rows} == {"langevin", "correction"}
     for z in (row.z for row in rows):
         # row i of J is J^T e_i transposed
@@ -825,10 +830,148 @@ def test_centroid_alm_projections_converge_in_few_inner_iterations():
     # iterations each (about 126 with the fixed step alone)
     cfg = RunConfig.from_dict(centroid_config(seed=0, chains=40, out="unused"))
     scfg = build_sampler_config(cfg)
-    reports = []
-    for i in range(40):
-        _, trace = sample(scfg, chain_rng(0, i))
-        reports += [rep for _, _, rep in trace.alm_reports]
+    reports = [rep for _, trace in sample_chains(
+        scfg, [chain_rng(0, i) for i in range(40)])
+        for _, _, rep in trace.alm_reports]
     assert reports and all(rep.converged for rep in reports)
     mean_inner = sum(rep.inner_iterations for rep in reports) / len(reports)
     assert mean_inner <= 15
+
+
+# ---------------------------------------------------------------------------
+# a block of chains against its chains run alone
+
+
+def chain_record(result):
+    """Everything a chain returns, in comparable form: its error's type and
+    message, or its final's bits and its trace."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    x, trace = result
+    rows = [(repr((r.t, r.i, r.phase, r.gamma, r.score_norm, r.violation,
+                   r.dist)), None if r.z is None else r.z.tobytes())
+            for r in trace.rows]
+    return (x.shape, x.tobytes(), rows, trace.stops, trace.shortfalls,
+            [(t, i, repr(rep)) for t, i, rep in trace.alm_reports],
+            trace.simulator_evaluations, trace.simulator_calls)
+
+
+def block_cases():
+    """Every score kind in every mode, per-level and per-step correction,
+    row vectors on and off, and the alm and dpo solvers."""
+    sched = small_schedule(T=4, M=2)
+    fields = {
+        "gaussian_mixture": gaussian_mixture_field(
+            [0.3, 0.7], [[1.0, 0.0], [-1.0, 0.5]],
+            [np.eye(2), 0.5 * np.eye(2)], sched),
+        "linear_gaussian": linear_gaussian_field(
+            [0.2, -0.1], [[1.0, 0.3], [0.3, 0.8]], sched),
+        "mlp": ScoreField(kind="mlp", dim=2, schedule=sched,
+                          mlp=init_mlp_params(2, MlpScoreConfig(hidden=(8, 8)),
+                                              np.random.default_rng(0))),
+    }
+    dec = random_mlp_decoder(2, 3, hidden=6, seed=3, scale=1.5)
+    ball = C.l2_ball(0.8, prox_weight=100.0)
+    for kind, f in fields.items():
+        yield f"{kind}-unconstrained", SamplerConfig(
+            schedule=sched, score=f, mode="unconstrained")
+        yield f"{kind}-projected_ambient", SamplerConfig(
+            schedule=sched, score=f, mode="projected_ambient", constraint=ball)
+        for every_step, vectors in ((False, True), (True, False)):
+            yield (f"{kind}-proximal_latent-every_step_{every_step}"
+                   f"-vectors_{vectors}"), SamplerConfig(
+                schedule=sched, score=f, mode="proximal_latent", decoder=dec,
+                constraint=ball, lr=0.3, correct_every_step=every_step,
+                record_vectors=vectors)
+    yield "alm", build_sampler_config(RunConfig.from_dict(
+        centroid_config(seed=0, chains=1, out="unused")))
+    yield "dpo", dpo_chain_config()
+
+
+@pytest.mark.parametrize("name, cfg", list(block_cases()),
+                         ids=[name for name, _ in block_cases()])
+def test_a_block_equals_its_chains_run_alone(name, cfg):
+    n = 12 if name == "alm" else 5
+    got = sample_chains(cfg, [chain_rng(5, k) for k in range(n)])
+    alone = [sample(cfg, chain_rng(5, k)) for k in range(n)]
+    assert [chain_record(r) for r in got] == [chain_record(r) for r in alone]
+    traces = [trace for _, trace in got]
+    # the comparison covers the corrections, not only the Langevin rows
+    if cfg.mode == "proximal_latent":
+        assert any(trace.stops for trace in traces)
+    if name == "alm":
+        assert any(trace.alm_reports for trace in traces)
+    if name == "dpo":
+        assert all(trace.simulator_evaluations for trace in traces)
+
+
+class FixedDraw:
+    """A chain's generator whose draw number ``at`` reads ``value``."""
+
+    def __init__(self, rng, at, value):
+        self.rng, self.at, self.value, self.draws = rng, at, value, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        out = self.rng.standard_normal(*args, **kwargs)
+        if self.draws == self.at:
+            out[...] = self.value
+        return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_failing_chain_leaves_the_block_alone():
+    # lr 1e300 flings a corrected latent far out of the ball and the secant
+    # step after it overflows, so each chain that corrects at level 1
+    # diverges there; chain 3 draws infinite noise at its 4th draw (level 3,
+    # step 1; the 1st is z_T) and diverges in that Langevin step
+    sched = small_schedule(T=4, M=2)
+    cfg = SamplerConfig(schedule=sched, score=standard_normal_field(2, sched),
+                        mode="proximal_latent",
+                        decoder=random_linear_decoder(2, 3, seed=4),
+                        constraint=C.l2_ball(1.2), lr=1e300,
+                        correct_levels=[1, 1])
+
+    def rngs():
+        return [FixedDraw(chain_rng(2, k), at=4, value=np.inf) if k == 3
+                else chain_rng(2, k) for k in range(8)]
+
+    got = sample_chains(cfg, rngs())
+    alone = []
+    for rng in rngs():
+        try:
+            alone.append(sample(cfg, rng))
+        except DivergenceError as exc:
+            alone.append(exc)
+    assert [chain_record(r) for r in got] == [chain_record(r) for r in alone]
+    errors = [str(r) if isinstance(r, Exception) else None for r in got]
+    assert errors[3] == "langevin step diverged at level 3"
+    assert "correction diverged at level 1" in errors
+    assert None in errors
+
+
+def test_a_kernel_that_raises_fails_only_the_rows_that_raise():
+    # under an error state that raises on overflow, chain 2's huge noise
+    # draw (level 4, step 1) flings it to about 1e200, and the mixture
+    # score of its next step overflows: the block's rows step again one at
+    # a time, and chain 2 alone fails, as it does run alone
+    sched = small_schedule(T=4, M=2)
+    f = gaussian_mixture_field([0.3, 0.7], [[1.0, 0.0], [-1.0, 0.5]],
+                               [np.eye(2), 0.5 * np.eye(2)], sched)
+    cfg = SamplerConfig(schedule=sched, score=f, mode="unconstrained")
+
+    def rngs():
+        return [FixedDraw(chain_rng(6, k), at=2, value=1e200) if k == 2
+                else chain_rng(6, k) for k in range(5)]
+
+    with np.errstate(over="raise"):
+        got = sample_chains(cfg, rngs())
+        alone = []
+        for rng in rngs():
+            try:
+                alone.append(sample(cfg, rng))
+            except FloatingPointError as exc:
+                alone.append(exc)
+    assert [chain_record(r) for r in got] == [chain_record(r) for r in alone]
+    assert [isinstance(r, FloatingPointError) for r in got] == \
+        [False, False, True, False, False]
