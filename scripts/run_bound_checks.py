@@ -23,7 +23,7 @@ from latentprox.diagnostics import (check_fidelity_drift, check_run_contraction,
 from latentprox.experiments import (halfspace_contraction_config,
                                     linear_gaussian_fidelity_case)
 from latentprox.runner import RunConfig, build_sampler_config, build_score
-from latentprox.samplers import chain_rng, sample_chains
+from latentprox.samplers import chain_rng, chain_result, sample_chains
 from latentprox.schedules import make_schedule
 
 
@@ -34,11 +34,8 @@ def contraction_study():
     cfg = RunConfig.from_dict(halfspace_contraction_config(seed=0,
                                                            out="unused"))
     scfg = build_sampler_config(cfg)
-    results = sample_chains(scfg, [chain_rng(seed, 0) for seed in range(20)])
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    traces = [trace for _, trace in results]
+    traces = [chain_result(result)[1] for result in sample_chains(
+        scfg, [chain_rng(seed, 0) for seed in range(20)])]
     ell = estimate_lipschitz(scfg.decoder)
     rep = check_run_contraction(traces, ell)
     held = sum(r.holds for r in rep.records)

@@ -17,7 +17,7 @@ from latentprox import constraints as C
 from latentprox.experiments import centroid_config
 from latentprox.runner import (RunConfig, build_constraint,
                                build_sampler_config)
-from latentprox.samplers import chain_rng, sample_chains
+from latentprox.samplers import chain_rng, chain_result, sample_chains
 
 
 def forbidden_rate(constrained: bool, model, chains: int = 200):
@@ -28,9 +28,7 @@ def forbidden_rate(constrained: bool, model, chains: int = 200):
     scfg = build_sampler_config(cfg)
     hits, reports = 0, []
     for result in sample_chains(scfg, [chain_rng(0, i) for i in range(chains)]):
-        if isinstance(result, Exception):
-            raise result
-        x, trace = result
+        x, trace = chain_result(result)
         reports += [rep for _, _, rep in trace.alm_reports]
         p = C.pc_coordinates(model, x)
         hits += (np.linalg.norm(p - model.forbidden_centroid)

@@ -19,7 +19,8 @@ from .dpo import (DpoConfig, Simulator, design_loop, dpo_loss_grad,  # noqa: F40
                   linear_simulator, make_simulator, piecewise_simulator,
                   saturating_simulator, smoothed_grad, smoothed_value)
 from .samplers import (SampleTrace, SamplerConfig,  # noqa: F401
-                       langevin_step, sample, sample_chains, chain_rng)
+                       langevin_step, sample, sample_chains, chain_result,
+                       chain_rng)
 from .diagnostics import (BoundReport, GaussianFit,  # noqa: F401
                           check_feasibility_contraction, check_fidelity_drift,
                           fit_gaussian, frechet_distance, gaussian_kl)

@@ -489,8 +489,9 @@ def sample_chains(cfg: SamplerConfig, rngs) -> list:
     projection in projected_ambient and its correction (``_run_correction``).
     Chain k draws only from ``rngs[k]``, in the order of a chain run alone,
     so a chain's output does not depend on the other chains.  A chain whose
-    latent goes non-finite, or whose correction or final decode raises,
-    leaves the block with its exception, and the others go on.
+    latent goes non-finite, or whose step, evaluation, projection,
+    correction or final decode raises, leaves the block with its exception,
+    and the others go on.
     """
     sched = cfg.schedule
     dec = cfg.decoder
@@ -516,28 +517,30 @@ def sample_chains(cfg: SamplerConfig, rngs) -> list:
             for j, k in enumerate(live):
                 if j in failed:
                     continue
-                z = Z[j]
-                if projected:
-                    # z was just checked finite: skip project_exact's check
-                    z = Z[j] = C._project_exact(con, z)
-                    ev = _PROJECTED
-                elif corrected:
-                    x = X[j]
-                    ev = C.evaluate(con, x)
-                else:
-                    ev = _NO_EVALUATION
-                s = S[j]
-                traces[k].rows.append(TraceRow(
-                    t=t, i=i, phase="langevin", gamma=gamma,
-                    score_norm=math.sqrt(s.dot(s)), violation=ev[0],
-                    dist=ev[1], z=z.copy() if cfg.record_vectors else None))
-                if correct:
-                    try:
+                try:
+                    z = Z[j]
+                    if projected:
+                        # z was just checked finite: skip project_exact's
+                        # check
+                        z = Z[j] = C._project_exact(con, z)
+                        ev = _PROJECTED
+                    elif corrected:
+                        x = X[j]
+                        ev = C.evaluate(con, x)
+                    else:
+                        ev = _NO_EVALUATION
+                    s = S[j]
+                    traces[k].rows.append(TraceRow(
+                        t=t, i=i, phase="langevin", gamma=gamma,
+                        score_norm=math.sqrt(s.dot(s)), violation=ev[0],
+                        dist=ev[1],
+                        z=z.copy() if cfg.record_vectors else None))
+                    if correct:
                         Z[j], steps[k] = _run_correction(
                             cfg, z, x, ev, t, gamma, rngs[k], traces[k],
                             steps[k])
-                    except Exception as exc:  # fails this chain alone
-                        failed[j] = exc
+                except Exception as exc:  # fails this chain alone
+                    failed[j] = exc
             if failed:
                 for j, exc in failed.items():
                     results[live[j]] = exc
@@ -562,6 +565,12 @@ def sample(cfg: SamplerConfig,
     """One chain of ``sample_chains``, its one-row case: returns the
     chain's ``(final, trace)`` and raises the error that failed it."""
     [result] = sample_chains(cfg, [rng])
+    return chain_result(result)
+
+
+def chain_result(result) -> tuple[np.ndarray, SampleTrace]:
+    """One entry of ``sample_chains``'s list: the chain's ``(final,
+    trace)``; raises the error that failed the chain."""
     if isinstance(result, Exception):
         raise result
     return result

@@ -1149,6 +1149,47 @@ def test_caller_errstate_reaches_the_chains(tmp_path):
     assert all(e["error"].startswith("DivergenceError") for e in errors)
 
 
+class FlungDraw:
+    """A chain's generator whose second draw (the noise of its first step)
+    reads 1e200."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        out = self.rng.standard_normal(*args, **kwargs)
+        if self.draws == 2:
+            out[...] = 1e200
+        return out
+
+
+def test_a_chain_whose_evaluation_raises_is_a_chain_error(tmp_path,
+                                                          monkeypatch):
+    # under an error state that raises on overflow, chain 1 is flung to
+    # about 1e200 and the norm in its l2-ball evaluation overflows: the run
+    # records that chain's error, finishes the other two and writes its
+    # manifest
+    raw = minimal_config(tmp_path / "run")
+    raw["chains"] = 3
+    raw["constraint"] = {"kind": "l2_ball", "radius": 1.0}
+
+    def flung_chain_1(root_seed, i):
+        rng = chain_rng(root_seed, i)
+        return FlungDraw(rng) if i == 1 else rng
+
+    monkeypatch.setattr(runner, "chain_rng", flung_chain_1)
+    with np.errstate(over="raise"):
+        manifest = run_experiment(RunConfig.from_dict(raw))
+    stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert stored["chain_errors"] == manifest["chain_errors"] == [
+        {"chain": 1,
+         "error": "FloatingPointError: overflow encountered in multiply",
+         "divergence": False}]
+    samples = sorted(p.name for p in (tmp_path / "run" / "samples").iterdir())
+    assert samples == ["chain_0000.txt", "chain_0002.txt"]
+
+
 def test_cli_failed_chain_exit_code(tmp_path, monkeypatch):
     import latentprox.runner as R
     real_sample_chains = R.sample_chains

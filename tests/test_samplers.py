@@ -950,15 +950,23 @@ def test_a_failing_chain_leaves_the_block_alone():
     assert None in errors
 
 
-def test_a_kernel_that_raises_fails_only_the_rows_that_raise():
+@pytest.mark.parametrize("mode", samplers.MODES)
+def test_a_kernel_that_raises_fails_only_the_rows_that_raise(mode):
     # under an error state that raises on overflow, chain 2's huge noise
-    # draw (level 4, step 1) flings it to about 1e200, and the mixture
-    # score of its next step overflows: the block's rows step again one at
-    # a time, and chain 2 alone fails, as it does run alone
+    # draw (level 4, step 1) flings it to about 1e200.  Unconstrained, the
+    # mixture score of its next step overflows: the block's rows step again
+    # one at a time.  Projected, the l2-ball projection's norm overflows;
+    # proximal, the evaluation's does.  Chain 2 alone fails, as it does run
+    # alone
     sched = small_schedule(T=4, M=2)
     f = gaussian_mixture_field([0.3, 0.7], [[1.0, 0.0], [-1.0, 0.5]],
                                [np.eye(2), 0.5 * np.eye(2)], sched)
-    cfg = SamplerConfig(schedule=sched, score=f, mode="unconstrained")
+    extra = {}
+    if mode != "unconstrained":
+        extra["constraint"] = C.l2_ball(1.2)
+    if mode == "proximal_latent":
+        extra["decoder"] = random_linear_decoder(2, 3, seed=4)
+    cfg = SamplerConfig(schedule=sched, score=f, mode=mode, **extra)
 
     def rngs():
         return [FixedDraw(chain_rng(6, k), at=2, value=1e200) if k == 2
