@@ -19,8 +19,8 @@ from .diagnostics import check_run_contraction, correction_loop_violations
 from .errors import (ConfigError, DegeneracyError, DivergenceError,
                      NumericError, ParameterError, ShapeError)
 from .runner import (RunConfig, RunManifest, build_constraint, build_score,
-                     counters_line, load_config, load_traces, manifest_config,
-                     run_design, run_experiment)
+                     counters_line, final_projection_line, load_config,
+                     load_traces, manifest_config, run_design, run_experiment)
 from .schedules import make_schedule
 from .scores import MlpScoreConfig, train_score
 from .serialize import load_vector, save_score_field, save_vector
@@ -163,6 +163,9 @@ def _cmd_diagnose(args) -> int:
     print(f"transitions: {len(report.records)}  fraction_holding: "
           f"{report.fraction_holding:.4f}  G: {report.G:.4f}  "
           f"precondition_ok: {report.precondition_ok}")
+    projection = manifest.data.get("reports", {}).get("final_projection")
+    if projection is not None:
+        print(final_projection_line(projection))
     if cfg["sampler"]["mode"] == "proximal_latent":
         print(_correction_loops_line(correction_loop_violations(traces)))
     threshold = args.min_fraction

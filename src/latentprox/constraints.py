@@ -24,7 +24,12 @@ KINDS = ("halfspace", "l2_ball", "box", "porosity", "surrogate_centroid",
          "custom_g")
 # closed-form kinds: their rules take a point or a batch of rows alike
 CLOSED_FORM_KINDS = ("halfspace", "l2_ball", "box")
+# kinds whose evaluate_rows gives each row its point's evaluate bit for bit;
+# a halfspace batch takes gemv, which rounds differently from a point's dot
+ROW_EXACT_KINDS = ("l2_ball", "box", "porosity", "surrogate_centroid")
 MARGIN = 1e-3
+# the negative float nearest 0: x < 0.0 iff x <= -TINY
+TINY = 5e-324
 PROX_CAP = 10_000
 # passes that may pull a rounded closed-form projection inside its set
 INSIDE_PASSES = 64
@@ -68,6 +73,42 @@ def _count_adjust(flat: np.ndarray, K: int) -> tuple[np.ndarray, int]:
     return out, c
 
 
+def _count_adjust_rows(X: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_count_adjust`` of each row of a batch X ``(n, pixels)``: the
+    adjusted copy and each row's count, row i with the bits of X[i]'s.
+
+    One partition along the last axis puts both ranks K - 1 and K in place,
+    and each row reads its threshold thr at the rank its count needs.  A
+    row's flips are then the pixels between 0 and thr: in [0, thr] when
+    it has too few negatives (thr >= 0), in [thr, 0) when it has too many
+    (thr < 0; the negative float nearest 0 closes the interval).  Of the
+    pixels tied at thr, those last in row-major order are kept, as in the
+    point rule.
+    """
+    out = X.copy()
+    neg = X < 0.0
+    # the ufunc reductions: np.count_nonzero goes through a Python wrapper
+    c = np.add.reduce(neg, axis=-1, dtype=np.intp)
+    gap = c - K
+    if not gap.any():
+        return out, c
+    n = X.shape[-1]
+    part = np.partition(X, [k for k in (K - 1, K) if 0 <= k < n], axis=-1)
+    low = (gap < 0)[:, None]
+    # a rank outside 0..n-1 belongs to a side no row takes (K = 0 or n)
+    thr = np.where(low, part[:, max(K - 1, 0), None],
+                   part[:, min(K, n - 1), None])
+    flip = (X >= np.minimum(thr, 0.0)) & (X <= np.maximum(thr, -TINY))
+    surplus = np.add.reduce(flip, axis=-1, dtype=np.intp) - np.abs(gap)
+    if surplus.any():
+        # keep the ties at thr that come last in row-major order
+        ties = X == thr
+        from_end = np.cumsum(ties[:, ::-1], axis=-1)[:, ::-1]
+        flip &= ~(ties & (from_end <= surplus[:, None]))
+    np.copyto(out, np.where(low, -MARGIN, 0.0), where=flip)
+    return out, c
+
+
 def _pixels(spec: ConstraintSpec, x: np.ndarray) -> np.ndarray:
     """A porosity point's pixels in row-major order, once their number
     matches the grid; any shape of that size is taken."""
@@ -85,9 +126,14 @@ def _project_pixels(spec: ConstraintSpec,
     # choose flip sets on the unclamped values so costs stay L1-optimal,
     # then clamp into the pixel box
     y, c = _count_adjust(flat, spec.target_count)
+    return _clamp_pixels(y), c
+
+
+def _clamp_pixels(y: np.ndarray) -> np.ndarray:
+    """y clamped into the pixel box [-1, 1], in place."""
     np.maximum(y, -1.0, out=y)
     np.minimum(y, 1.0, out=y)
-    return y, c
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +215,27 @@ def fit_centroid_model(features_pos, features_neg, feature_map=None,
 
 
 def pc_coordinates(model: CentroidModel, x) -> np.ndarray:
-    """Map an ambient point to principal-component coordinates."""
+    """Map an ambient point, or each row of a batch, to principal-component
+    coordinates.
+
+    np.matvec runs the point's matrix-vector product once per row, so row i
+    of a batch has the bits of the point x[i].
+    """
     x = np.asarray(x, dtype=float)
-    f = x if model.feature_map is None else model.feature_map @ x
-    if f.shape != model.feature_mean.shape:
+    f = x if model.feature_map is None else np.matvec(model.feature_map, x)
+    if f.shape[-1:] != model.feature_mean.shape:
         raise ShapeError("point does not match the model's feature space")
-    return model.axes @ (f - model.feature_mean)
+    return np.matvec(model.axes, f - model.feature_mean)
 
 
-def centroid_trigger(model: CentroidModel, x) -> bool:
-    """True iff x sits within p_trig of the way to the forbidden centroid."""
+def centroid_trigger(model: CentroidModel, x) -> bool | np.ndarray:
+    """True iff x sits within p_trig of the way to the forbidden centroid;
+    one bool per row of a batch."""
     d = pc_coordinates(model, x) - model.forbidden_centroid
-    # the bits of np.linalg.norm on a 1-D float vector
-    return math.sqrt(d.dot(d)) < model._trigger_radius
+    # np.vecdot of a row has the bits of its point's dot and of
+    # np.linalg.norm's sum of squares
+    near = np.sqrt(np.vecdot(d, d)) < model._trigger_radius
+    return bool(near) if near.ndim == 0 else near
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +350,9 @@ def _as_point(x) -> np.ndarray:
 def _violation(spec: ConstraintSpec, x: np.ndarray) -> float | np.ndarray:
     """g(x) of input already checked by ``_as_point``.
 
-    The halfspace, l2_ball and box rules work on the last axis: a point
-    ``(d,)`` gives a float, a batch ``(n, d)`` gives one violation per row.
-    The other kinds take a point only.
+    The halfspace, l2_ball, box and surrogate_centroid rules work on the
+    last axis: a point ``(d,)`` gives a float, a batch ``(n, d)`` gives one
+    violation per row.  Porosity and custom_g take a point only.
     """
     if spec.kind == "halfspace":
         return _float_if_point(np.maximum(x @ spec.normal - spec.offset, 0.0))
@@ -316,7 +370,8 @@ def _violation(spec: ConstraintSpec, x: np.ndarray) -> float | np.ndarray:
                          - spec.target_count))
     if spec.kind == "surrogate_centroid":
         diff = pc_coordinates(spec.model, x) - spec.model.target_centroid
-        return max(math.sqrt(diff.dot(diff)) - spec.accept_radius, 0.0)
+        return _float_if_point(np.maximum(
+            np.sqrt(np.vecdot(diff, diff)) - spec.accept_radius, 0.0))
     if spec.kind == "custom_g":
         return float(spec.g(x))
     raise ConfigError(f"unknown constraint kind {spec.kind!r}")
@@ -499,6 +554,29 @@ def evaluate(spec: ConstraintSpec, x) -> tuple[float, float, np.ndarray | None]:
     if not has_exact_projection(spec):
         return v, v, None
     return v, _dist_from_violation(spec, v), x - _project_exact(spec, x)
+
+
+def evaluate_rows(spec: ConstraintSpec, X: np.ndarray):
+    """``evaluate`` of each row of a finite float batch X ``(n, d)``: the
+    rows' violations and distances as arrays, and their residuals (None for
+    the surrogate_centroid kind).
+
+    For the ``ROW_EXACT_KINDS`` row i has the bits of ``evaluate(spec,
+    X[i])``.  The caller checks X for finiteness; a porosity row is one
+    flat grid.
+    """
+    if spec.kind == "porosity":
+        K = spec.target_count
+        Y, c = _count_adjust_rows(X, K)
+        R = X - _clamp_pixels(Y)
+        return np.abs(c - K).astype(float), np.sqrt(np.vecdot(R, R)), R
+    if spec.kind not in ROW_EXACT_KINDS:
+        raise UnsupportedKindError(f"no rows evaluation for kind "
+                                   f"{spec.kind!r}")
+    v = _violation(spec, X)
+    if not has_exact_projection(spec):
+        return v, v, None
+    return v, v, X - _project_exact(spec, X)
 
 
 def _dist_from_violation(spec: ConstraintSpec, v):

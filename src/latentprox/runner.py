@@ -51,6 +51,11 @@ DESIGN_HEADER = "chain,step,mse"
 # many chains a run has
 BLOCK_ROWS = 32
 
+# the files a run writes besides metrics.csv and manifest.json, which every
+# run rewrites, and score.json, which every sampling run does; an earlier
+# run's are removed from a reused run directory before the first chain runs
+RUN_FILES = ("alm.csv", "decoder.json", "samples/chain_*", "design_*.txt")
+
 # libyaml's C scanner and parser composed with PyYAML's own safe
 # constructor and resolver, so values resolve as under yaml.safe_load; the
 # pure-Python loader where PyYAML was built without libyaml
@@ -472,14 +477,13 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     if decoder is not None:
         measured["lipschitz"] = estimate_lipschitz(decoder)
     _refuse_unrunnable(cfg, sampler_cfg, measured.get("lipschitz"))
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(cfg)
     if decoder is not None:
         save_decoder(decoder, out / "decoder.json")
     save_score_field(sampler_cfg.score, out / "score.json")
 
     chains, root_seed = cfg["chains"], cfg["seed"]
-    finals, traces, errors = [], [], []
+    finals, traces, errors, samples = [], [], [], []
     samples_dir = out / "samples"
     samples_dir.mkdir(exist_ok=True)
 
@@ -508,10 +512,12 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
                         f"{_fmt(rep.final_multiplier)},"
                         f"{_fmt(rep.final_penalty)},{int(rep.converged)},"
                         f"{_fmt(rep.final_distance)}")
-                save_vector(final, samples_dir / f"chain_{i:04d}.txt")
+                samples.append(f"chain_{i:04d}.txt")
+                save_vector(final, samples_dir / samples[-1])
                 if constraint is not None and constraint.kind == "porosity":
+                    samples.append(f"chain_{i:04d}.pgm")
                     render_grid(final.reshape(constraint.grid_shape),
-                                samples_dir / f"chain_{i:04d}.pgm")
+                                samples_dir / samples[-1])
     if alm_rows:
         (out / "alm.csv").write_text(ALM_HEADER + "\n"
                                      + "\n".join(alm_rows) + "\n")
@@ -533,6 +539,10 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
             "max_fraction": max(errs, default=0.0),
             "samples_above_0.10": int(sum(e > 0.10 for e in errs)),
         }
+    decodes = [trace.unprojected for trace in traces]
+    if any(x is not None for x in decodes):
+        reports["final_projection"] = _final_projection_report(
+            constraint, finals, decodes)
     rep_cfg = cfg["reports"]
     if rep_cfg["contraction"] and traces:
         report = check_run_contraction(traces, measured["lipschitz"])
@@ -549,10 +559,66 @@ def run_experiment(cfg: RunConfig) -> RunManifest:
     summary = _summary(cfg, len(finals), counters, reports, checks)
     artifacts = {"metrics": "metrics.csv", "score": "score.json",
                  "decoder": "decoder.json" if decoder is not None else None,
-                 "samples": sorted(p.name for p in samples_dir.iterdir())}
+                 "samples": sorted(samples)}
     return _save_manifest(cfg, "sample", started, errors, checks,
                           measured=measured, artifacts=artifacts,
                           reports=reports, counters=counters, summary=summary)
+
+
+def _run_dir(cfg: RunConfig) -> Path:
+    """The run directory ``out``, made if it is missing; from one that
+    exists, the ``RUN_FILES`` an earlier run left are removed, so that the
+    run's files are all its own."""
+    out = Path(cfg["out"])
+    try:
+        out.mkdir(parents=True)
+    except FileExistsError:
+        if not out.is_dir():
+            raise
+        for pattern in RUN_FILES:
+            for path in out.glob(pattern):
+                path.unlink()
+    return out
+
+
+def _final_projection_report(constraint: C.ConstraintSpec, finals: list,
+                             decodes: list) -> dict:
+    """What the final projection did to the completed chains' decodes:
+    how many of the finals it changed and the median distance it moved
+    those (0.0 when it changed none); for porosity also each decode's count
+    gap before it."""
+    moved = [float(np.linalg.norm(x - final))
+             for final, x in zip(finals, decodes)
+             if not np.array_equal(final, x)]
+    doc = {"finals": len(finals), "changed": len(moved),
+           "median_distance": _median(moved) if moved else 0.0}
+    if constraint.kind == "porosity":
+        # a porosity violation is the count gap
+        doc["count_gaps"] = [int(C.violation(constraint, x)) for x in decodes]
+    return doc
+
+
+def final_projection_line(report: dict) -> str:
+    """One line of a run's ``reports.final_projection``."""
+    line = (f"final projection: changed {report['changed']} of "
+            f"{report['finals']} finals, median distance "
+            f"{report['median_distance']:.4g}")
+    gaps = report.get("count_gaps")
+    if gaps:
+        line += (f"; count gap before it median {_median(gaps):g}, "
+                 f"max {max(gaps)}")
+    return line
+
+
+def _median(values: list) -> float:
+    """The median of a non-empty list of numbers, as ``np.median`` takes
+    it; ``np.median`` imports ``numpy.ma`` on its first call, which raised
+    a porosity benchmark run's peak memory by 1.3 MB."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _refuse_unrunnable(cfg: RunConfig, sampler_cfg: SamplerConfig,
@@ -612,6 +678,8 @@ def _summary(cfg: RunConfig, completed: int, counters: dict, reports: dict,
             lines.append(f"porosity error: max fraction "
                          f"{rep['max_fraction']:.4f}, "
                          f"{rep['samples_above_0.10']} sample(s) above 10%")
+        elif name == "final_projection":
+            lines.append(final_projection_line(rep))
         if rep.get("cumulative_holds") is not None:
             lines.append(f"{name}: cumulative bound "
                          f"{'holds' if rep['cumulative_holds'] else 'FAILS'}")
@@ -735,8 +803,7 @@ def run_design(cfg: RunConfig) -> RunManifest:
     design = cfg["design"] or SCHEMA["design"]
     if design["steps"] < 1:
         raise ConfigError("design.steps must be >= 1")
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(cfg)
     chains, root_seed = cfg["chains"], cfg["seed"]
     save_decoder(decoder, out / "decoder.json")
     mses, errors = [], []

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from latentprox import constraints as C
 from latentprox import experiments as EXP
+from latentprox import samplers
 from latentprox.errors import (ConfigError, ConvergenceError,
                                DegeneracyError, NumericError,
                                ParameterError, ShapeError,
@@ -394,6 +395,131 @@ def test_closed_form_projection_lands_inside(case):
         assert C.violation(spec, p) == 0.0
         if C.violation(spec, x) == 0.0:
             assert np.array_equal(p, x)
+
+
+def same_bits(a, b) -> bool:
+    """Equal to the byte, so that a -0.0 against a 0.0 shows."""
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+def assert_rows_evaluate_as_points(spec, X):
+    """``evaluate_rows`` gives row i the bits of ``evaluate(spec, X[i])``,
+    and so does the chain block's evaluation wherever it gives an entry;
+    returns the block's entries."""
+    v, d, R = C.evaluate_rows(spec, X)
+    _, block = samplers._row_stats(spec, np.zeros((len(X), 1)), X)
+    assert v.shape == d.shape == (len(X),)
+    for i, x in enumerate(X):
+        point = C.evaluate(spec, x)
+        assert same_bits(point[:2], [v[i], d[i]])
+        if point[2] is None:
+            assert R is None
+        else:
+            assert same_bits(point[2], R[i])
+        if block[i] is not None:
+            assert type(block[i][0]) is float and type(block[i][1]) is float
+            assert same_bits(point[:2], block[i][:2])
+            assert (block[i][2] is None if point[2] is None
+                    else same_bits(point[2], block[i][2]))
+    return block
+
+
+@given(row_batches().filter(lambda case: case[0].kind != "halfspace"))
+def test_block_evaluation_of_l2_ball_and_box_rows_matches_point_calls(case):
+    spec, X = case
+    block = assert_rows_evaluate_as_points(spec, X)
+    # every batch has at least 4 rows, so the block evaluates them as rows
+    assert None not in block
+
+
+@st.composite
+def porosity_batches(draw):
+    """A porosity constraint at any target, 0 and every pixel included,
+    and rows of pixels with ties and zeros of both signs."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = rows * cols
+    K = draw(st.integers(0, n))
+    batch = draw(st.lists(st.lists(pixels, min_size=n, max_size=n),
+                          min_size=1, max_size=6))
+    return C.porosity_constraint((rows, cols), K), np.array(batch)
+
+
+def porosity_case(K, *rows):
+    return C.porosity_constraint((2, 2), K), np.array(rows)
+
+
+@given(porosity_batches())
+# K = 0 and K = 4: a row above the count and one at it
+@example(porosity_case(0, [-0.5, -0.5, 0.0, -0.0], [0.5, 0.5, 0.5, 0.5]))
+@example(porosity_case(4, [0.5, 0.5, -0.0, 0.0], [-1.0, -1.0, -1.0, -1.0]))
+# ties at the threshold: zeros of both signs below the count, equal
+# negatives above it, and a row at the count
+@example(porosity_case(2, [0.0, -0.0, 0.0, -0.0], [-0.5, -0.5, -0.5, -0.5],
+                       [-0.5, 0.5, -0.5, 0.5], [-0.0, 0.0, 2.0, -2.0]))
+@example(porosity_case(3, [-0.0, -0.0, 0.0, 0.0], [-1e-3, -1e-3, -2.0, 1.0]))
+def test_porosity_rows_match_point_calls(case):
+    spec, X = case
+    assert_rows_evaluate_as_points(spec, X)
+    # the flips themselves, a flip to 0.0 and not -0.0 included
+    K = spec.target_count
+    Y, c = C._count_adjust_rows(X, K)
+    for i, x in enumerate(X):
+        y, c_i = C._count_adjust(x, K)
+        assert c[i] == c_i and same_bits(Y[i], y)
+
+
+def test_block_evaluates_workload_porosity_rows_as_points():
+    # the block evaluates porosity as rows from ROWS_EVALUATED_FROM rows on
+    K, points = workload_porosity_points()
+    X = np.array([x.ravel() for x in points.values()])
+    rng = np.random.default_rng(23)
+    fill = max(samplers.ROWS_EVALUATED_FROM["porosity"] - len(X), 0)
+    X = np.vstack([X, rng.uniform(-1.0, 0.6, (fill, 256))])
+    block = assert_rows_evaluate_as_points(
+        C.porosity_constraint((16, 16), K), X)
+    assert None not in block
+
+
+@st.composite
+def centroid_batches(draw):
+    """A centroid constraint, with or without a feature map, and rows whose
+    coordinates lie inside, on and outside the accepted disc and inside and
+    outside the trigger's disc."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pos, neg = make_clouds(rng, gap=draw(st.floats(1.0, 6.0)))
+    fmap = rng.standard_normal((2, 4)) if draw(st.booleans()) else None
+    model = C.fit_centroid_model(pos, neg, feature_map=fmap,
+                                 p_trig=draw(st.floats(0.1, 0.9)))
+    radius = draw(st.floats(0.0, 3.0))
+    scale = st.sampled_from([0.0, 0.5, 1.0, 1.5, 4.0]) | st.floats(0.0, 5.0)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        center, reach = draw(st.sampled_from([
+            (model.target_centroid, radius),
+            (model.forbidden_centroid, model._trigger_radius)]))
+        angle = draw(st.floats(0.0, 2 * np.pi))
+        p = center + draw(scale) * reach * np.array([np.cos(angle),
+                                                     np.sin(angle)])
+        f = model.feature_mean + model.axes.T @ p
+        rows.append(f if fmap is None
+                    else np.linalg.lstsq(fmap, f, rcond=None)[0])
+    return C.centroid_constraint(model, radius), np.array(rows)
+
+
+@given(centroid_batches())
+def test_centroid_rows_match_point_calls(case):
+    spec, X = case
+    m = spec.model
+    assert_rows_evaluate_as_points(spec, X)
+    P, v = C.pc_coordinates(m, X), C._violation(spec, X)
+    trigger = C.centroid_trigger(m, X)
+    assert P.shape == (len(X), 2) and trigger.dtype == bool
+    for i, x in enumerate(X):
+        assert same_bits(C.pc_coordinates(m, x), P[i])
+        point = C.violation(spec, x)
+        assert type(point) is float and same_bits(point, v[i])
+        point = C.centroid_trigger(m, x)
+        assert type(point) is bool and point == trigger[i]
 
 
 def test_ball_gradient_vanishes_exactly_where_violation_does():

@@ -387,6 +387,47 @@ def test_porosity_run_counts_and_manifest(tmp_path):
     assert len(pgms) == 3
 
 
+def test_final_projection_report_matches_the_unprojected_decodes(
+        tmp_path, capsys):
+    out = tmp_path / "poro"
+    cfg = RunConfig.from_dict(EXP.porosity_config(seed=0, chains=3,
+                                                  out=str(out)))
+    manifest = run_experiment(cfg)
+    # the same chains without the final projection end at the decodes it
+    # took
+    sampler_cfg = build_sampler_config(cfg)
+    sampler_cfg.final_projection = False
+    decodes = [x for x, _ in sample_chains(
+        sampler_cfg, [chain_rng(0, i) for i in range(3)])]
+    finals = [load_vector(out / "samples" / f"chain_{i:04d}.txt")
+              for i in range(3)]
+    moved = [float(np.linalg.norm(x - final))
+             for x, final in zip(decodes, finals)
+             if not np.array_equal(x, final)]
+    K = sampler_cfg.constraint.target_count
+    report = manifest["reports"]["final_projection"]
+    assert report == {
+        "finals": 3, "changed": len(moved),
+        "median_distance": float(np.median(moved)),
+        "count_gaps": [abs(int(np.count_nonzero(x < 0.0)) - K)
+                       for x in decodes]}
+    assert report["changed"] == 3 and min(report["count_gaps"]) > 0
+    line = runner.final_projection_line(report)
+    assert line.startswith("final projection: changed 3 of 3 finals")
+    assert manifest["summary"].count(line) == 1
+    capsys.readouterr()
+    assert cli_main(["diagnose", "--run", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed.count(line) == 1
+    # a manifest without the report prints nothing new
+    doc = json.loads((out / "manifest.json").read_text())
+    del doc["reports"]["final_projection"]
+    (out / "manifest.json").write_text(json.dumps(doc))
+    assert cli_main(["diagnose", "--run", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        row for row in printed if row != line]
+
+
 def test_design_counters_match_a_counting_simulator(tmp_path, monkeypatch):
     import latentprox.runner as R
     from latentprox.dpo import Simulator
@@ -665,19 +706,24 @@ def test_cli_overrides_a_config_with_retired_keys(tmp_path):
         minimal_config(tmp_path / "runB"), seed=9, chains=1))
 
 
+@pytest.mark.parametrize("preset", ["centroid", "porosity"])
 def test_a_run_crossing_a_block_boundary_writes_the_bytes_of_single_blocks(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, preset):
     # 33 chains run as a block of 32 and a block of 1, then as 33 blocks of
-    # one chain each; every run file and the manifest but its timing match
+    # one chain each; every run file and the manifest but its timing match.
+    # A block of 32 evaluates its decodes as rows, a lone chain as a point
     chains = runner.BLOCK_ROWS + 1
-    raw = EXP.centroid_config(seed=3, chains=chains,
-                              out=str(tmp_path / "blocked"))
+    raw = getattr(EXP, f"{preset}_config")(seed=3, chains=chains,
+                                           out=str(tmp_path / "blocked"))
     blocked = run_experiment(RunConfig.from_dict(raw))
     monkeypatch.setattr(runner, "BLOCK_ROWS", 1)
     single = run_experiment(RunConfig.from_dict(
         dict(raw, out=str(tmp_path / "single"))))
-    names = ["metrics.csv", "alm.csv", "decoder.json", "score.json"] + [
-        f"samples/chain_{i:04d}.txt" for i in range(chains)]
+    names = ["metrics.csv", "decoder.json", "score.json"] + [
+        f"samples/{name}" for name in blocked["artifacts"]["samples"]]
+    if preset == "centroid":
+        names.append("alm.csv")
+    assert len(names) == (37 if preset == "centroid" else 69)
     for name in names:
         assert (tmp_path / "blocked" / name).read_bytes() == \
             (tmp_path / "single" / name).read_bytes(), name
@@ -685,6 +731,37 @@ def test_a_run_crossing_a_block_boundary_writes_the_bytes_of_single_blocks(
         m["resolved_config"], out=None)) for m in (blocked, single)]
     assert docs[0] == docs[1]
     assert blocked["chain_errors"] == [] and blocked["ok"]
+
+
+def test_a_reused_run_directory_keeps_only_the_last_runs_files(tmp_path):
+    # a 5-chain centroid run, then a 2-chain unconstrained run, a design
+    # run and a porosity run into the same directory: each leaves only its
+    # own run files, and its manifest lists only the samples it wrote
+    out = tmp_path / "run"
+    run_experiment(RunConfig.from_dict(EXP.centroid_config(
+        seed=0, chains=5, out=str(out))))
+    assert (out / "alm.csv").exists()
+    raw = minimal_config(out)
+    raw.pop("decoder"), raw.pop("constraint")
+    raw["sampler"] = {"mode": "unconstrained"}
+    manifest = run_experiment(RunConfig.from_dict(raw))
+    listed = ["chain_0000.txt", "chain_0001.txt"]
+    assert manifest["artifacts"]["samples"] == listed
+    assert sorted(p.name for p in (out / "samples").iterdir()) == listed
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "metrics.csv", "samples", "score.json"]
+    run_design(RunConfig.from_dict(dict(
+        EXP.design_loop_config(seed=0, out=str(out)), chains=2)))
+    assert not list((out / "samples").iterdir())
+    assert sorted(p.name for p in out.iterdir()) == [
+        "decoder.json", "design_0000.txt", "design_0001.txt",
+        "manifest.json", "metrics.csv", "samples", "score.json"]
+    manifest = run_experiment(RunConfig.from_dict(EXP.porosity_config(
+        seed=0, chains=1, grid=(8, 8), out=str(out))))
+    listed = ["chain_0000.pgm", "chain_0000.txt"]
+    assert manifest["artifacts"]["samples"] == listed
+    assert sorted(p.name for p in (out / "samples").iterdir()) == listed
+    assert not list(out.glob("design_*"))
 
 
 @pytest.mark.parametrize("fidelity", [False, True])

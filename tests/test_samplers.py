@@ -8,7 +8,8 @@ from latentprox.decoders import (decode, estimate_lipschitz,
                                  random_linear_decoder, random_mlp_decoder,
                                  vjp)
 from latentprox.dpo import DpoConfig, saturating_simulator
-from latentprox.errors import ConfigError, DivergenceError, ParameterError
+from latentprox.errors import (ConfigError, DivergenceError, NumericError,
+                               ParameterError)
 from latentprox.experiments import (centroid_config, fidelity_config,
                                     porosity_config)
 from latentprox.runner import RunConfig, build_sampler_config
@@ -858,7 +859,8 @@ def chain_record(result):
 
 def block_cases():
     """Every score kind in every mode, per-level and per-step correction,
-    row vectors on and off, and the alm and dpo solvers."""
+    row vectors on and off, the alm and dpo solvers, and each kind the
+    block evaluates as rows: l2_ball, box, porosity and the centroid (alm)."""
     sched = small_schedule(T=4, M=2)
     fields = {
         "gaussian_mixture": gaussian_mixture_field(
@@ -883,6 +885,18 @@ def block_cases():
                 schedule=sched, score=f, mode="proximal_latent", decoder=dec,
                 constraint=ball, lr=0.3, correct_every_step=every_step,
                 record_vectors=vectors)
+    yield "box", SamplerConfig(
+        schedule=sched, score=fields["linear_gaussian"],
+        mode="proximal_latent", decoder=dec,
+        constraint=C.box([-0.3] * 3, [0.3] * 3, prox_weight=100.0), lr=0.3)
+    # 16 pixels decoded from N(0, I) latents: about 8 negative against 6, so
+    # the count forces flips on both sides
+    yield "porosity", SamplerConfig(
+        schedule=sched, score=standard_normal_field(6, sched),
+        mode="proximal_latent",
+        decoder=random_linear_decoder(6, 16, seed=2, scale=2.0),
+        constraint=C.porosity_constraint((4, 4), 6, prox_weight=50.0),
+        lr=0.3, inner_cap=25)
     yield "alm", build_sampler_config(RunConfig.from_dict(
         centroid_config(seed=0, chains=1, out="unused")))
     yield "dpo", dpo_chain_config()
@@ -890,11 +904,18 @@ def block_cases():
 
 @pytest.mark.parametrize("name, cfg", list(block_cases()),
                          ids=[name for name, _ in block_cases()])
-def test_a_block_equals_its_chains_run_alone(name, cfg):
-    n = 12 if name == "alm" else 5
+def test_a_block_equals_its_chains_run_alone(name, cfg, monkeypatch):
+    # a lone chain takes the point evaluation, and a block of a row-exact
+    # kind its rows evaluation, which must give each row the same bits
+    n = 12 if name in ("alm", "porosity") else 5
+    kind = cfg.constraint.kind if cfg.constraint is not None else None
+    rows_calls = spy(monkeypatch, C, "evaluate_rows")
     got = sample_chains(cfg, [chain_rng(5, k) for k in range(n)])
+    evaluated_as_rows = bool(rows_calls)
     alone = [sample(cfg, chain_rng(5, k)) for k in range(n)]
     assert [chain_record(r) for r in got] == [chain_record(r) for r in alone]
+    assert evaluated_as_rows == (cfg.mode == "proximal_latent"
+                                 and kind in C.ROW_EXACT_KINDS)
     traces = [trace for _, trace in got]
     # the comparison covers the corrections, not only the Langevin rows
     if cfg.mode == "proximal_latent":
@@ -903,6 +924,19 @@ def test_a_block_equals_its_chains_run_alone(name, cfg):
         assert any(trace.alm_reports for trace in traces)
     if name == "dpo":
         assert all(trace.simulator_evaluations for trace in traces)
+
+
+def spy(monkeypatch, module, name):
+    """The list of argument tuples of each call of ``module.name`` from now
+    on; the calls go through to it."""
+    calls, real = [], getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 class FixedDraw:
@@ -983,3 +1017,36 @@ def test_a_kernel_that_raises_fails_only_the_rows_that_raise(mode):
     assert [chain_record(r) for r in got] == [chain_record(r) for r in alone]
     assert [isinstance(r, FloatingPointError) for r in got] == \
         [False, False, True, False, False]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_decode_that_overflows_fails_only_its_chain(monkeypatch):
+    # chain 2's huge noise draw (level 4, step 1) flings its latent to about
+    # 3e299, still finite, and the decoder's 1e10 scale overflows its decode
+    # to inf.  The block evaluates its other rows in one call and hands that
+    # row to the point evaluation, which raises the NumericError the chain
+    # raises run alone
+    sched = small_schedule(T=4, M=2)
+    cfg = SamplerConfig(schedule=sched, score=standard_normal_field(2, sched),
+                        mode="proximal_latent",
+                        decoder=random_linear_decoder(2, 3, seed=4,
+                                                      scale=1e10),
+                        constraint=C.l2_ball(1.2e10), lr=0.3)
+
+    def rngs():
+        return [FixedDraw(chain_rng(6, k), at=2, value=1e300) if k == 2
+                else chain_rng(6, k) for k in range(5)]
+
+    rows_calls = spy(monkeypatch, C, "evaluate_rows")
+    got = sample_chains(cfg, rngs())
+    assert rows_calls and all(len(X) == 4 for _, X in rows_calls[:2])
+    alone = []
+    for rng in rngs():
+        try:
+            alone.append(sample(cfg, rng))
+        except NumericError as exc:
+            alone.append(exc)
+    assert [chain_record(r) for r in got] == [chain_record(r) for r in alone]
+    assert [type(r) for r in got] == [tuple, tuple, NumericError, tuple,
+                                      tuple]
+    assert str(got[2]) == "constraint input contains non-finite values"
